@@ -27,9 +27,8 @@ from .errors import (
 )
 from .linalg import (
     EigenSystem,
-    LowProjector,
-    build_low_projector,
     low_part,
+    lower_index,
     lower_pairs,
     matrix_metrics,
     ordered_schur,
@@ -95,6 +94,30 @@ from .harness import (
     verify_component_bound,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ComplexEigenvalues", "DegenerateSpectrum", "DimensionMismatch",
+    "JointTriError", "LineSearchStalled", "LogBranchAmbiguous",
+    "NearDefective", "NegativeDeterminant", "NoComparableFrame", "NonUnitBeta",
+    "NoSeparatingBeta", "RankDeficient", "SingularOperator", "SingularY",
+    "SingularZ", "TooLarge", "ZeroColumnSum",
+    "EigenSystem", "low_part", "lower_index", "lower_pairs", "matrix_metrics",
+    "ordered_schur", "orthogonal_log", "real_eigen", "skew_exp", "unvec",
+    "up_part", "vec",
+    "DescentTrace", "MatrixSet", "OptimizerConfig", "descend",
+    "eigenvalue_separation", "find_separating_beta", "gradient",
+    "hessian_form", "loss", "schur_initializer",
+    "BoundReport", "GroundTruthModel", "OperatorBundle", "a_posteriori_bound",
+    "a_priori_bound", "assemble_t_tilde", "eigenvalue_error_bound",
+    "explicit_bound", "hessian_constants", "init_noise_threshold",
+    "inverse_spectral_norm", "predicted_direction",
+    "Tensor3", "component_error_bound", "component_gamma",
+    "estimate_components", "first_order_model", "match_columns",
+    "observable_matrices", "recover_scales", "slices",
+    "tensor_from_components",
+    "GeneratorSpec", "SweepReport", "TriangularizerFamily", "converge",
+    "distance_to_nearest", "enumerate_exact_triangularizers", "gen_components",
+    "gen_ground_truth", "gen_tensor", "nearest_direction", "sample_noise",
+    "sigma_sweep", "verify_bounds", "verify_component_bound",
+]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

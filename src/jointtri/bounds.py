@@ -1,13 +1,15 @@
 """Perturbation-bound quantities for approximate joint triangularizers.
 
 Covers the commutator operator restricted to the strictly-lower subspace,
-the a priori bound and its explicit eigengap form, the first-order
-direction prediction, the a posteriori bound from observable quantities,
-the certified-initialization noise threshold with its Hessian-positivity
+assembled directly on the strictly-lower index pairs, the a priori bound
+and its explicit eigengap form, the first-order direction prediction,
+the a posteriori bound from observable quantities, the
+certified-initialization noise threshold with its Hessian-positivity
 constants, and the joint-eigenvalue error bound.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from .errors import (
     NonUnitBeta,
     SingularOperator,
 )
-from .linalg import build_low_projector, matrix_metrics, vec
+from .linalg import lower_index, matrix_metrics, min_pairwise_gap, vec
 from .triangularize import MatrixSet, loss
 
 SINGULAR_REL_TOL = 1e-12
@@ -88,16 +90,9 @@ class GroundTruthModel:
 
     def eigengap(self):
         """gamma = min over pairs i < i' of sum_n (lambda_ni - lambda_ni')^2."""
-        lam = self.lambda_table
-        d = lam.shape[1]
-        if d < 2:
+        if self.d < 2:
             raise DegenerateSpectrum("eigengap undefined for d = 1")
-        gamma = min(
-            float(np.sum((lam[:, i] - lam[:, j]) ** 2))
-            for i in range(d)
-            for j in range(i + 1, d)
-        )
-        return gamma
+        return min_pairwise_gap(self.lambda_table)
 
     def norms(self):
         """(sqrt(sum ||M_n||^2), sqrt(sum ||W_n||^2))."""
@@ -109,24 +104,39 @@ class GroundTruthModel:
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """Per-matrix commutator operators on the strictly-lower subspace."""
+    """Per-matrix commutator operators on the strictly-lower subspace.
+
+    The Gram sum and its smallest singular value are computed when read.
+    """
 
     t_tilde_list: tuple
-    t_tilde_sum: np.ndarray
     beta_operator: np.ndarray | None
-    smallest_singular: float
-    largest_singular: float
+
+    @cached_property
+    def t_tilde_sum(self):
+        t_sum = sum(t.T @ t for t in self.t_tilde_list)
+        return 0.5 * (t_sum + t_sum.T)
+
+    @cached_property
+    def smallest_singular(self):
+        if not self.t_tilde_sum.size:
+            return 0.0
+        return float(np.linalg.svd(self.t_tilde_sum, compute_uv=False)[-1])
 
 
-def _commutator_operator(a, proj):
-    """P_low (1 (x) A^T - A (x) 1) P_low^T for the rotated matrix A."""
-    d = a.shape[0]
-    op = np.kron(np.eye(d), a.T) - np.kron(a, np.eye(d))
-    return proj.p_low @ op @ proj.p_low.T
+def _commutator_operator(a, rows, cols):
+    """P_low (1 (x) A^T - A (x) 1) P_low^T for the rotated matrix A.
+
+    Entry ((i, j), (k, l)) over the lower index pairs is
+    A[k, i] [j = l] - [i = k] A[j, l].
+    """
+    i, j = rows[:, None], cols[:, None]
+    k, l = rows[None, :], cols[None, :]
+    return np.where(j == l, a[k, i], 0.0) - np.where(i == k, a[j, l], 0.0)
 
 
 def assemble_t_tilde(u, mset, beta=None):
-    """Operators t_n and their Gram sum at the frame U.
+    """Operators t_n at the frame U.
 
     When beta is given, also builds the beta-weighted operator used by
     the a posteriori bound.
@@ -134,30 +144,17 @@ def assemble_t_tilde(u, mset, beta=None):
     u = np.asarray(u, dtype=float)
     if u.shape != (mset.d, mset.d):
         raise DimensionMismatch("frame dimension does not match matrix set")
-    proj = build_low_projector(mset.d)
+    rows, cols = lower_index(mset.d)
     t_list = tuple(
-        _commutator_operator(u.T @ m @ u, proj) for m in mset.matrices
+        _commutator_operator(u.T @ m @ u, rows, cols) for m in mset.matrices
     )
-    t_sum = sum(t.T @ t for t in t_list)
-    t_sum = 0.5 * (t_sum + t_sum.T)
     beta_op = None
     if beta is not None:
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (mset.n,):
             raise DimensionMismatch("beta length must match the matrix set")
         beta_op = sum(b * t for b, t in zip(beta, t_list))
-    if t_sum.size:
-        s = np.linalg.svd(t_sum, compute_uv=False)
-        smallest, largest = float(s[-1]), float(s[0])
-    else:
-        smallest = largest = 0.0
-    return OperatorBundle(
-        t_tilde_list=t_list,
-        t_tilde_sum=t_sum,
-        beta_operator=beta_op,
-        smallest_singular=smallest,
-        largest_singular=largest,
-    )
+    return OperatorBundle(t_tilde_list=t_list, beta_operator=beta_op)
 
 
 def inverse_spectral_norm(op):
@@ -215,21 +212,23 @@ def predicted_direction(gt, u_circ):
 
     Solves the linearized stationarity equation on the strictly-lower
     subspace: x = -sigma (sum t_n t_n^T)^{-1} sum_n t_n P_low
-    vec(U0^T W_n U0); the skew matrix is E - E^T with E the
-    strictly-lower embedding of x.  The operator ordering is pinned by
-    the finite-difference sweep oracle (residual is O(sigma^2)).
+    vec(U0^T W_n U0), where P_low vec(B) is B at the lower index pairs;
+    the skew matrix is E - E^T with E the strictly-lower embedding of x.
+    The operator ordering is pinned by the finite-difference sweep oracle
+    (residual is O(sigma^2)).
     """
     clean = gt.clean_matrices()
     _check_exact_triangularizer(u_circ, clean)
-    proj = build_low_projector(gt.d)
+    rows, cols = lower_index(gt.d)
     bundle = assemble_t_tilde(u_circ, clean)
     system = sum(t @ t.T for t in bundle.t_tilde_list)
     inverse_spectral_norm(system)  # singularity guard
-    rhs = np.zeros(proj.n_low)
+    rhs = np.zeros(rows.size)
     for t_n, w in zip(bundle.t_tilde_list, gt.noise):
-        rhs += t_n @ (proj.p_low @ vec(u_circ.T @ w @ u_circ))
+        rhs += t_n @ (u_circ.T @ w @ u_circ)[rows, cols]
     x = -gt.sigma * np.linalg.solve(system, rhs)
-    e = proj.embed(x)
+    e = np.zeros((gt.d, gt.d))
+    e[rows, cols] = x
     return e - e.T
 
 

@@ -15,7 +15,7 @@ from . import harness as hz
 from . import io
 from . import tensor as tn
 from . import triangularize as tri
-from .errors import DimensionMismatch, JointTriError, LineSearchStalled
+from .errors import DimensionMismatch, JointTriError
 
 
 def _build_parser():
@@ -106,17 +106,6 @@ def _cmd_generate(args):
     return 0
 
 
-def _converge(mset, args, strategy):
-    beta, _ = tri.find_separating_beta(mset, strategy=strategy, seed=args.seed)
-    u_init = tri.schur_initializer(mset, beta)
-    config = tri.OptimizerConfig(max_iters=args.max_iters, grad_tol=args.tol)
-    try:
-        u, trace = tri.descend(mset, u_init, config)
-    except LineSearchStalled as stall:
-        u, trace = stall.frame, stall.trace
-    return u, beta, trace
-
-
 def _cmd_triangularize(args):
     data = io.load(args.input)
     if "matrices" in data:
@@ -124,7 +113,10 @@ def _cmd_triangularize(args):
     else:
         # model file: assemble the observed (noisy) matrix set
         mset = io.ground_truth_from_dict(data).observed_matrices()
-    u, beta, trace = _converge(mset, args, args.beta)
+    u, beta, trace = hz.converge(
+        mset, beta_strategy=args.beta, seed=args.seed,
+        max_iters=args.max_iters, grad_tol=args.tol,
+    )
     report = {
         "frame": io.frame_to_dict(u),
         "beta": beta.tolist(),
@@ -150,7 +142,10 @@ def _cmd_bounds(args):
             observed, strategy=args.beta, seed=args.seed
         )
     else:
-        u, beta, _ = _converge(observed, args, args.beta)
+        u, beta, _ = hz.converge(
+            observed, beta_strategy=args.beta, seed=args.seed,
+            max_iters=args.max_iters, grad_tol=args.tol,
+        )
     family = hz.enumerate_exact_triangularizers(gt)
     alpha, idx, _ = hz.nearest_direction(u, family)
     u_circ = family.frames[idx]
@@ -192,7 +187,10 @@ def _cmd_tensor(args):
         theta = rng.standard_normal(t.n)
         theta /= np.linalg.norm(theta)
     mset, reduction = tn.observable_matrices(t, args.d, theta)
-    u, beta, trace = _converge(mset, args, "ones")
+    u, _, _ = hz.converge(
+        mset, beta_strategy="ones", seed=args.seed,
+        max_iters=args.max_iters, grad_tol=args.tol,
+    )
     y = tn.estimate_components(u, mset)
     weights = np.sqrt(t.n) * theta
     pencil = sum(w * m for w, m in zip(weights, tn.slices(t)))

@@ -17,11 +17,11 @@ from .errors import (
     DegenerateSpectrum,
     JointTriError,
     LineSearchStalled,
+    LogBranchAmbiguous,
     NoComparableFrame,
     TooLarge,
 )
-from .linalg import orthogonal_log
-from .errors import LogBranchAmbiguous
+from .linalg import min_pairwise_gap, orthogonal_log
 
 ENUMERATION_MAX_D = 5
 CONTAINMENT_SLACK = 1.1
@@ -78,18 +78,10 @@ def gen_ground_truth(spec, sigma=0.0):
     v = q1 @ np.diag(profile) @ q2.T
     lam = rng.standard_normal((spec.n, spec.d))
     if spec.d > 1:
-        gamma0 = min(
-            float(np.sum((lam[:, i] - lam[:, j]) ** 2))
-            for i in range(spec.d)
-            for j in range(i + 1, spec.d)
-        )
+        gamma0 = min_pairwise_gap(lam)
         while gamma0 == 0.0:
             lam = rng.standard_normal((spec.n, spec.d))
-            gamma0 = min(
-                float(np.sum((lam[:, i] - lam[:, j]) ** 2))
-                for i in range(spec.d)
-                for j in range(i + 1, spec.d)
-            )
+            gamma0 = min_pairwise_gap(lam)
         lam = lam * np.sqrt(spec.gamma_target / gamma0)
     noise = tuple(sample_noise(rng, spec.d, spec.noise_style) for _ in range(spec.n))
     return bd.GroundTruthModel(v=v, lambda_table=lam, noise=noise, sigma=sigma)

@@ -1,8 +1,8 @@
 """Dense structured linear algebra.
 
-Triangular projections, the selector onto the strictly-lower subspace,
-skew exponential / orthogonal logarithm, the real eigensolver, ordered
-Schur decomposition, and matrix metrics.  All vectorizations are
+Triangular projections, the strictly-lower index pairs, skew
+exponential / orthogonal logarithm, the real eigensolver, ordered Schur
+decomposition, and matrix metrics.  All vectorizations are
 column-major, fixed globally.
 """
 
@@ -75,47 +75,23 @@ def lower_pairs(d):
     return [(i, j) for j in range(d) for i in range(j + 1, d)]
 
 
-@dataclass(frozen=True)
-class LowProjector:
-    """Selector onto the strictly-lower subspace of vectorized matrices.
+def lower_index(d):
+    """Strictly-lower index arrays (rows, cols), i > j, in column-major order.
 
-    p_low has shape (d(d-1)/2, d^2) and satisfies p_low p_low^T = I and
-    p_low^T p_low = low_mask.  low_mask / up_mask are the 0/1 diagonal
-    operators keeping the strictly lower / upper entries of vec(A).
+    The same order as :func:`lower_pairs`; ``a[rows, cols]`` is P_low vec(A).
     """
-
-    d: int
-    p_low: np.ndarray
-    low_mask: np.ndarray
-    up_mask: np.ndarray
-
-    @property
-    def n_low(self):
-        return self.d * (self.d - 1) // 2
-
-    def project(self, a):
-        """P_low vec(A): the strictly-lower entries as a vector."""
-        return self.p_low @ vec(a)
-
-    def embed(self, x):
-        """mat(P_low^T x): a strictly lower-triangular matrix."""
-        return unvec(self.p_low.T @ np.asarray(x, dtype=float), self.d)
+    cols, rows = np.triu_indices(d, 1)
+    return rows, cols
 
 
-def build_low_projector(d):
-    """Build the selector for dimension d (d = 1 yields a 0-row selector)."""
-    if d < 1:
-        raise DimensionMismatch("d must be >= 1")
-    pairs = lower_pairs(d)
-    p_low = np.zeros((len(pairs), d * d))
-    for row, (i, j) in enumerate(pairs):
-        p_low[row, i + j * d] = 1.0
-    low_mask = p_low.T @ p_low
-    up_idx = [i + j * d for j in range(d) for i in range(j)]
-    up_mask = np.zeros((d * d, d * d))
-    for k in up_idx:
-        up_mask[k, k] = 1.0
-    return LowProjector(d=d, p_low=p_low, low_mask=low_mask, up_mask=up_mask)
+def min_pairwise_gap(t):
+    """min over column pairs i < j of sum_n (t[n, i] - t[n, j])^2."""
+    d = t.shape[1]
+    return min(
+        float(np.sum((t[:, i] - t[:, j]) ** 2))
+        for i in range(d)
+        for j in range(i + 1, d)
+    )
 
 
 def skew_exp(x, scale=1.0):

@@ -19,7 +19,7 @@ from .errors import (
     SingularZ,
     ZeroColumnSum,
 )
-from .linalg import matrix_metrics
+from .linalg import matrix_metrics, min_pairwise_gap
 from .triangularize import MatrixSet
 
 RANK_REL_TOL = 1e-10
@@ -167,12 +167,7 @@ def component_gamma(z):
     n, d = z.shape
     if d < 2:
         raise DegenerateSpectrum("component eigengap undefined for d = 1")
-    gamma = min(
-        float(np.sum((z[:, i] - z[:, j]) ** 2))
-        for i in range(d)
-        for j in range(i + 1, d)
-    )
-    return gamma / n
+    return min_pairwise_gap(z) / n
 
 
 def component_error_bound(z, eps, sigma):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointtri.bounds import (
     GroundTruthModel,
+    _commutator_operator,
     a_posteriori_bound,
     a_priori_bound,
     assemble_t_tilde,
@@ -20,7 +23,7 @@ from jointtri.errors import (
     SingularOperator,
 )
 from jointtri.harness import GeneratorSpec, gen_ground_truth, sample_noise
-from jointtri.linalg import low_part, lower_pairs
+from jointtri.linalg import low_part, lower_index, lower_pairs
 from jointtri.triangularize import (
     MatrixSet,
     find_separating_beta,
@@ -92,6 +95,27 @@ class TestAssembleOperators:
     def test_inverse_spectral_norm_rejects_singular(self):
         with pytest.raises(SingularOperator):
             inverse_spectral_norm(np.zeros((2, 2)))
+
+
+def dense_commutator_oracle(a):
+    """P_low (kron(I, A^T) - kron(A, I)) P_low^T with a dense 0/1 selector."""
+    d = a.shape[0]
+    p_low = np.zeros((d * (d - 1) // 2, d * d))
+    for row, (i, j) in enumerate(lower_pairs(d)):
+        p_low[row, i + j * d] = 1.0
+    op = np.kron(np.eye(d), a.T) - np.kron(a, np.eye(d))
+    return p_low @ op @ p_low.T
+
+
+class TestCommutatorOperator:
+    @given(st.integers(min_value=1, max_value=6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dense_kron_oracle(self, d, seed):
+        a = np.random.default_rng(seed).standard_normal((d, d))
+        rows, cols = lower_index(d)
+        assert np.array_equal(
+            _commutator_operator(a, rows, cols), dense_commutator_oracle(a)
+        )
 
 
 class TestAPrioriBound:

@@ -10,8 +10,9 @@ from jointtri.errors import (
     NegativeDeterminant,
 )
 from jointtri.linalg import (
-    build_low_projector,
     low_part,
+    lower_index,
+    lower_pairs,
     matrix_metrics,
     ordered_schur,
     orthogonal_log,
@@ -47,38 +48,47 @@ class TestLowPartition:
 
 
 class TestLowProjector:
+    """P_low, held as the (rows, cols) arrays of lower_index."""
+
     def test_d4_selector_rows(self):
         # strictly-lower positions in column-major order for d = 4
-        proj = build_low_projector(4)
-        expected = np.zeros((6, 16))
-        for row, idx in enumerate([1, 2, 3, 6, 7, 11]):
-            expected[row, idx] = 1.0
-        assert np.array_equal(proj.p_low, expected)
+        rows, cols = lower_index(4)
+        assert np.array_equal(rows + 4 * cols, [1, 2, 3, 6, 7, 11])
 
     def test_d2_single_row(self):
-        proj = build_low_projector(2)
-        assert proj.p_low.shape == (1, 4)
-        assert proj.p_low[0, 1] == 1.0
-        assert proj.p_low.sum() == 1.0
+        rows, cols = lower_index(2)
+        assert rows.tolist() == [1] and cols.tolist() == [0]
 
     def test_d1_empty(self):
-        proj = build_low_projector(1)
-        assert proj.p_low.shape == (0, 1)
-        assert np.all(proj.low_mask == 0.0)
+        rows, cols = lower_index(1)
+        assert rows.size == 0 and cols.size == 0
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_matches_lower_pairs(self, d):
+        rows, cols = lower_index(d)
+        assert list(zip(rows.tolist(), cols.tolist())) == lower_pairs(d)
 
     def test_selector_is_partial_isometry(self):
-        proj = build_low_projector(5)
-        assert np.array_equal(proj.p_low @ proj.p_low.T, np.eye(proj.n_low))
-        assert np.array_equal(proj.p_low.T @ proj.p_low, proj.low_mask)
+        # gather after scatter is the identity; scatter after gather keeps
+        # exactly the strictly-lower entries
+        rows, cols = lower_index(5)
+        x = np.arange(1.0, rows.size + 1)
+        e = np.zeros((5, 5))
+        e[rows, cols] = x
+        assert np.array_equal(e[rows, cols], x)
+        assert np.array_equal(e != 0, np.tril(np.ones((5, 5)), -1) != 0)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_projection_matches_low_part(self, d, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((d, d))
-        proj = build_low_projector(d)
-        assert np.allclose(proj.p_low.T @ proj.p_low @ vec(a), vec(low_part(a)))
-        assert np.allclose(proj.embed(proj.project(a)), low_part(a))
+        rows, cols = lower_index(d)
+        low = vec(low_part(a))
+        assert np.array_equal(a[rows, cols], low[low != 0])
+        e = np.zeros((d, d))
+        e[rows, cols] = a[rows, cols]
+        assert np.array_equal(e, low_part(a))
 
     @given(st.integers(min_value=2, max_value=6), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
