@@ -158,10 +158,14 @@ def assemble_t_tilde(u, mset, beta=None):
 
 
 def inverse_spectral_norm(op):
-    """1 / sigma_min(op); raises SingularOperator when numerically singular."""
+    """1 / sigma_min(op); raises SingularOperator when numerically singular.
+
+    The empty operator (the map on the zero space, d = 1) has an inverse
+    of norm 0.
+    """
     op = np.asarray(op, dtype=float)
     if op.size == 0:
-        raise SingularOperator("empty operator has no inverse")
+        return 0.0
     s = np.linalg.svd(op, compute_uv=False)
     if s[-1] < SINGULAR_REL_TOL * max(s[0], 1e-300):
         raise SingularOperator("operator is numerically singular")

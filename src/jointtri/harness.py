@@ -118,11 +118,14 @@ def gen_tensor(z, sigma, eps, seed):
 
 @dataclass(frozen=True)
 class TriangularizerFamily:
-    """All 2^d d! exact joint triangularizers of a noiseless model."""
+    """All 2^d d! exact joint triangularizers of a noiseless model.
 
-    frames: tuple
-    permutations: tuple
-    sign_patterns: tuple
+    ``frames`` is one (2^d d!, d, d) array: for each column permutation of
+    V (in ``itertools.permutations`` order), its QR factor times every
+    sign pattern (in ``itertools.product`` order).
+    """
+
+    frames: np.ndarray
 
     def __len__(self):
         return len(self.frames)
@@ -134,41 +137,44 @@ def enumerate_exact_triangularizers(gt):
         raise TooLarge(f"enumeration limited to d <= {ENUMERATION_MAX_D}")
     if gt.d > 1 and gt.eigengap() <= 0.0:
         raise DegenerateSpectrum("gamma = 0; triangularizer family is not finite")
-    frames, perms, patterns = [], [], []
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=gt.d)))
+    frames = []
     for perm in itertools.permutations(range(gt.d)):
         q, r = np.linalg.qr(gt.v[:, perm])
         q = q * np.sign(np.diag(r))
-        for signs in itertools.product((1.0, -1.0), repeat=gt.d):
-            frames.append(q * np.asarray(signs))
-            perms.append(perm)
-            patterns.append(signs)
-    return TriangularizerFamily(
-        frames=tuple(frames), permutations=tuple(perms), sign_patterns=tuple(patterns)
-    )
+        frames.append(q * signs[:, None, :])
+    return TriangularizerFamily(frames=np.concatenate(frames))
 
 
-def distance_to_nearest(u, family, candidates=16):
-    """Geodesic distance from U to the nearest family frame.
+def distance_to_nearest(u, family):
+    """Geodesic distance from U to the nearest family frame, exactly.
 
     Restricted to frames in the same connected component (determinant +1
-    relative rotation); a chordal prefilter limits the number of matrix
-    logarithms.  Returns (alpha, index of the nearest frame).
+    relative rotation).  For a rotation R with principal angles theta_k,
+    ||I - R||_F^2 = sum 8 sin^2(theta_k / 2) <= sum 2 theta_k^2 =
+    ||log R||_F^2, so the chordal distance ||F - U||_F is a lower bound on
+    the geodesic distance ||log(F^T U)||_F.  Frames are visited in
+    (chordal distance, index) order and the search stops at the first one
+    whose chordal distance reaches the best geodesic distance so far: the
+    result is the minimum over every comparable frame, usually after one
+    matrix logarithm.  Frames whose logarithm hits the branch cut are
+    skipped.  Returns (alpha, index of the nearest frame).
     """
     if not len(family):
         raise NoComparableFrame("empty triangularizer family")
     u = np.asarray(u, dtype=float)
-    comparable = [
-        (np.linalg.norm(f - u), i)
-        for i, f in enumerate(family.frames)
-        if np.linalg.det(f.T @ u) > 0
-    ]
-    if not comparable:
+    frames = family.frames
+    index = np.flatnonzero(np.linalg.det(frames.transpose(0, 2, 1) @ u) > 0)
+    if not index.size:
         raise NoComparableFrame("no frame shares the orientation of U")
-    comparable.sort()
+    chordal = np.linalg.norm(frames[index] - u, axis=(1, 2))
     best = (np.inf, -1)
-    for _, i in comparable[:candidates]:
+    for k in np.lexsort((index, chordal)):
+        if chordal[k] >= best[0]:
+            break
+        i = int(index[k])
         try:
-            alpha = np.linalg.norm(orthogonal_log(family.frames[i].T @ u))
+            alpha = np.linalg.norm(orthogonal_log(frames[i].T @ u))
         except LogBranchAmbiguous:
             continue
         if alpha < best[0]:

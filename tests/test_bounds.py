@@ -96,6 +96,9 @@ class TestAssembleOperators:
         with pytest.raises(SingularOperator):
             inverse_spectral_norm(np.zeros((2, 2)))
 
+    def test_inverse_spectral_norm_of_empty_operator_is_zero(self):
+        assert inverse_spectral_norm(np.zeros((0, 0))) == 0.0
+
 
 def dense_commutator_oracle(a):
     """P_low (kron(I, A^T) - kron(A, I)) P_low^T with a dense 0/1 selector."""

@@ -96,6 +96,19 @@ class TestCliCommands:
         u = io.frame_from_dict(report["frame"])
         assert np.linalg.norm(u.T @ u - np.eye(3)) <= 1e-10
 
+    def test_one_dimensional_model_round_trip(self, tmp_path):
+        # the map on the zero space has an inverse of norm 0: exact at d = 1
+        src = tmp_path / "d1.json"
+        out = tmp_path / "frame.json"
+        assert cli(
+            "generate", "--kind", "model", "--d", 1, "--N", 2, "--output", src,
+        ) == 0
+        assert cli("triangularize", "--input", src, "--output", out) == 0
+        report = json.loads(out.read_text())
+        assert report["aposteriori"] == 0.0
+        assert np.isfinite(report["loss"])
+        assert abs(io.frame_from_dict(report["frame"])[0, 0]) == 1.0
+
     def test_triangularize_is_byte_reproducible(self, model_file, tmp_path):
         outs = [tmp_path / f"f{i}.json" for i in range(2)]
         for out in outs:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jointtri.errors import TooLarge
+from jointtri import harness
+from jointtri.errors import LogBranchAmbiguous, TooLarge
 from jointtri.harness import (
     GeneratorSpec,
     converge,
@@ -18,7 +21,7 @@ from jointtri.harness import (
     verify_bounds,
     verify_component_bound,
 )
-from jointtri.linalg import skew_exp
+from jointtri.linalg import orthogonal_log, skew_exp
 from jointtri.tensor import tensor_from_components
 from jointtri.triangularize import loss
 
@@ -139,6 +142,78 @@ class TestDistanceToNearest:
         assert idx == 3
         assert np.allclose(ax, 0.02 * x, atol=1e-8)
         assert np.isclose(np.linalg.norm(ax), alpha)
+
+
+def brute_force_nearest(u, family):
+    """Geodesic minimum over every comparable frame, one log per frame."""
+    best = (np.inf, -1)
+    for i, frame in enumerate(family.frames):
+        if np.linalg.det(frame.T @ u) <= 0:
+            continue
+        try:
+            alpha = np.linalg.norm(orthogonal_log(frame.T @ u))
+        except LogBranchAmbiguous:
+            continue
+        if alpha < best[0]:
+            best = (alpha, i)
+    return best
+
+
+def random_unit_skew(rng, d):
+    x = rng.standard_normal((d, d))
+    x = x - x.T
+    return x / np.linalg.norm(x)
+
+
+class TestNearestSearchIsExact:
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.none(), st.floats(min_value=1e-6, max_value=2.0)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_brute_force_minimum(self, d, seed, t):
+        # t is None: a Haar-random U; otherwise a frame moved by t
+        rng = np.random.default_rng(seed)
+        gt = gen_ground_truth(GeneratorSpec(d=d, n=3, seed=seed))
+        family = enumerate_exact_triangularizers(gt)
+        if t is None:
+            q, r = np.linalg.qr(rng.standard_normal((d, d)))
+            u = q * np.sign(np.diag(r))
+        else:
+            frame = family.frames[rng.integers(len(family))]
+            u = frame @ skew_exp(random_unit_skew(rng, d), t)
+        assert distance_to_nearest(u, family) == brute_force_nearest(u, family)
+
+    def test_search_goes_past_a_chordally_nearer_frame(self):
+        # U lies 1.5 from frame 0, but frame 232 is nearer in chordal distance
+        gt = gen_ground_truth(GeneratorSpec(d=4, n=3, seed=24))
+        family = enumerate_exact_triangularizers(gt)
+        x = random_unit_skew(np.random.default_rng(186), 4)
+        u = family.frames[0] @ skew_exp(x, 1.5)
+        chordal = np.linalg.norm(family.frames - u, axis=(1, 2))
+        assert chordal[232] < chordal[0]
+        assert np.linalg.det(family.frames[232].T @ u) > 0
+        alpha, idx = distance_to_nearest(u, family)
+        assert (alpha, idx) == brute_force_nearest(u, family)
+        assert idx == 0
+        assert abs(alpha - 1.5) <= 1e-12
+
+    def test_nearest_direction_takes_two_logs_near_a_frame(self, monkeypatch):
+        gt = gen_ground_truth(GeneratorSpec(d=4, n=3, seed=21))
+        family = enumerate_exact_triangularizers(gt)
+        rng = np.random.default_rng(21)
+        u = family.frames[100] @ skew_exp(random_unit_skew(rng, 4), 1e-3)
+        calls = []
+
+        def counted(r):
+            calls.append(r)
+            return orthogonal_log(r)
+
+        monkeypatch.setattr(harness, "orthogonal_log", counted)
+        _, idx, _ = nearest_direction(u, family)
+        assert idx == 100
+        assert len(calls) == 2
 
 
 class TestSweep:
