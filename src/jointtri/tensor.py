@@ -203,23 +203,65 @@ def component_error_bound(z, eps, sigma):
     return float(bound)
 
 
-def match_columns(estimated, reference):
-    """Permute estimated columns to best match reference (exhaustive, d <= 8).
+def _covers(allowed, rows, cols):
+    """Whether every column in cols gets a distinct row of rows with allowed[row][col].
 
-    Returns (permuted estimate, permutation tuple).
+    Kuhn's augmenting paths: each column in turn takes a free row or
+    displaces an owner that can move to another row.
     """
-    from itertools import permutations
+    owner = {}
 
+    def augment(c, seen):
+        for r in rows:
+            if allowed[r][c] and r not in seen:
+                seen.add(r)
+                if r not in owner or augment(owner[r], seen):
+                    owner[r] = c
+                    return True
+        return False
+
+    return all(augment(c, set()) for c in cols)
+
+
+def match_columns(estimated, reference):
+    """Permute estimated columns to best match reference (bottleneck assignment).
+
+    Minimizes the entrywise error max |estimated[:, perm] - reference| over
+    all column permutations, with no size cap.  cost[i, j] is the error of
+    putting estimated column i at position j; the optimum is the least
+    cost level whose graph cost <= level has a perfect matching (binary
+    search).  Position by position, the smallest free column that still
+    leaves a perfect matching is taken, so ties resolve to the
+    lexicographically first minimizer.  Returns (permuted estimate,
+    permutation tuple).
+    """
     estimated = np.asarray(estimated, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    d = estimated.shape[1]
-    if d > 8:
-        raise DimensionMismatch("exhaustive column matching limited to d <= 8")
-    best_perm = None
-    best_err = np.inf
-    for perm in permutations(range(d)):
-        err = np.max(np.abs(estimated[:, perm] - reference))
-        if err < best_err:
-            best_err = err
-            best_perm = perm
-    return estimated[:, best_perm], best_perm
+    shape = estimated.shape
+    if len(shape) != 2 or shape != reference.shape or estimated.size == 0:
+        raise DimensionMismatch("need two non-empty n x d arrays of the same shape")
+    if not (np.all(np.isfinite(estimated)) and np.all(np.isfinite(reference))):
+        raise DimensionMismatch("columns to match must be finite")
+    d = shape[1]
+    cost = np.max(np.abs(estimated[:, :, None] - reference[:, None, :]), axis=0)
+    levels = np.unique(cost)
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _covers((cost <= levels[mid]).tolist(), range(d), range(d)):
+            hi = mid
+        else:
+            lo = mid + 1
+    allowed = (cost <= levels[lo]).tolist()
+    # each choice leaves a perfect matching behind, so next() always finds one
+    perm, free = [], list(range(d))
+    for j in range(d):
+        i = next(
+            i for i in free
+            if allowed[i][j]
+            and _covers(allowed, [r for r in free if r != i], range(j + 1, d))
+        )
+        perm.append(i)
+        free.remove(i)
+    perm = tuple(perm)
+    return estimated[:, perm], perm

@@ -138,6 +138,19 @@ class TestCliCommands:
         assert "Z_star" in report
         assert report["component_error"] <= report["component_bound"] * 1.1 + 1e-12
 
+    def test_tensor_pipeline_above_eight_columns(self, tmp_path):
+        src = tmp_path / "tensor.json"
+        out = tmp_path / "decomp.json"
+        assert cli(
+            "generate", "--kind", "tensor", "--d", 9, "--N", 9,
+            "--kappa", 2, "--sigma", 1e-4, "--seed", 5, "--output", src,
+        ) == 0
+        assert cli("tensor", "--input", src, "--output", out, "--d", 9) == 0
+        report = json.loads(out.read_text())
+        assert np.all(np.isfinite(report["Z_star"]))
+        assert np.isfinite(report["component_error"])
+        assert report["component_error"] <= 1.1 * report["component_bound"]
+
     def test_rank_deficient_tensor_exits_2(self, tmp_path, capsys):
         z = gen_components(3, seed=6).copy()
         z[:, 0] = 0.0

@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointtri.errors import (
     DegenerateSpectrum,
+    DimensionMismatch,
     RankDeficient,
     SingularZ,
     ZeroColumnSum,
@@ -269,3 +272,49 @@ class TestMatchColumns:
         shuffled = ref[:, [2, 0, 3, 1]]
         matched, _ = match_columns(shuffled, ref)
         assert np.array_equal(matched, ref)
+
+    def test_recovers_a_shuffle_above_eight_columns(self):
+        rng = np.random.default_rng(15)
+        ref = rng.standard_normal((12, 12))
+        shuffled = ref[:, rng.permutation(12)]
+        matched, _ = match_columns(shuffled, ref)
+        assert np.array_equal(matched, ref)
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exhaustive_loop(self, d, n, seed, small_integers):
+        # small integers force ties; otherwise a noisy shuffle of the reference
+        rng = np.random.default_rng(seed)
+        if small_integers:
+            ref = rng.integers(-2, 3, (n, d)).astype(float)
+            est = rng.integers(-2, 3, (n, d)).astype(float)
+        else:
+            ref = rng.standard_normal((n, d))
+            est = ref[:, rng.permutation(d)] + 1e-3 * rng.standard_normal((n, d))
+        best_perm, best_err = None, np.inf
+        for perm in itertools.permutations(range(d)):
+            err = np.max(np.abs(est[:, perm] - ref))
+            if err < best_err:
+                best_err, best_perm = err, perm
+        matched, perm = match_columns(est, ref)
+        assert perm == best_perm
+        assert np.array_equal(matched, est[:, best_perm])
+
+    @pytest.mark.parametrize(
+        "est, ref",
+        [
+            (np.ones((4, 3)), np.ones((4, 2))),
+            (np.ones((4, 1)), np.ones((4, 3))),
+            (np.ones(3), np.ones(3)),
+            (np.ones((4, 0)), np.ones((4, 0))),
+            (np.full((2, 2), np.nan), np.ones((2, 2))),
+        ],
+    )
+    def test_rejects_mismatched_or_non_finite_input(self, est, ref):
+        with pytest.raises(DimensionMismatch):
+            match_columns(est, ref)
