@@ -20,7 +20,7 @@ from .errors import (
     SingularOperator,
 )
 from .linalg import lower_index, matrix_metrics, min_pairwise_gap, vec
-from .triangularize import MatrixSet, loss
+from .triangularize import MatrixSet, loss, rotated
 
 SINGULAR_REL_TOL = 1e-12
 
@@ -125,14 +125,17 @@ class OperatorBundle:
 
 
 def _commutator_operator(a, rows, cols):
-    """P_low (1 (x) A^T - A (x) 1) P_low^T for the rotated matrix A.
+    """P_low (1 (x) A^T - A (x) 1) P_low^T for a rotated matrix A (or stack).
 
     Entry ((i, j), (k, l)) over the lower index pairs is
-    A[k, i] [j = l] - [i = k] A[j, l].
+    A[k, i] [j = l] - [i = k] A[j, l], written only where a bracket is 1.
     """
-    i, j = rows[:, None], cols[:, None]
-    k, l = rows[None, :], cols[None, :]
-    return np.where(j == l, a[k, i], 0.0) - np.where(i == k, a[j, l], 0.0)
+    p1, q1 = np.nonzero(cols[:, None] == cols[None, :])
+    p2, q2 = np.nonzero(rows[:, None] == rows[None, :])
+    t = np.zeros(a.shape[:-2] + (rows.size, rows.size))
+    t[..., p1, q1] = a[..., rows[q1], rows[p1]]
+    t[..., p2, q2] -= a[..., cols[p2], cols[q2]]
+    return t
 
 
 def assemble_t_tilde(u, mset, beta=None):
@@ -141,13 +144,8 @@ def assemble_t_tilde(u, mset, beta=None):
     When beta is given, also builds the beta-weighted operator used by
     the a posteriori bound.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (mset.d, mset.d):
-        raise DimensionMismatch("frame dimension does not match matrix set")
     rows, cols = lower_index(mset.d)
-    t_list = tuple(
-        _commutator_operator(u.T @ m @ u, rows, cols) for m in mset.matrices
-    )
+    t_list = tuple(_commutator_operator(rotated(u, mset), rows, cols))
     beta_op = None
     if beta is not None:
         beta = np.asarray(beta, dtype=float)

@@ -54,10 +54,12 @@ def matrix_set_to_dict(mset):
 
 def matrix_set_from_dict(data):
     d = int(data["d"])
-    mats = tuple(unvec(np.asarray(m, dtype=float), d) for m in data["matrices"])
-    if len(mats) != int(data["N"]):
+    entries = [np.asarray(m, dtype=float) for m in data["matrices"]]
+    if len(entries) != int(data["N"]):
         raise DimensionMismatch("matrix count does not match N")
-    return MatrixSet(mats)
+    if d < 0 or any(m.shape != (d * d,) for m in entries):
+        raise DimensionMismatch("each matrix must be a flat list of d^2 entries")
+    return MatrixSet(tuple(unvec(m, d) for m in entries))
 
 
 def ground_truth_to_dict(gt):

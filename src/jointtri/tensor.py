@@ -20,7 +20,7 @@ from .errors import (
     ZeroColumnSum,
 )
 from .linalg import matrix_metrics, min_pairwise_gap
-from .triangularize import MatrixSet
+from .triangularize import MatrixSet, rotated
 
 RANK_REL_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -137,10 +137,7 @@ def first_order_model(z, noise):
 
 def estimate_components(u, mset):
     """Ratio matrix Y with Y_ni = [U^T M_n U]_ii (components over column sums)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (mset.d, mset.d):
-        raise DimensionMismatch("frame dimension does not match matrix set")
-    return np.stack([np.diag(u.T @ m @ u) for m in mset.matrices])
+    return np.diagonal(rotated(u, mset), axis1=1, axis2=2).copy()
 
 
 def recover_scales(m_theta_hat, y, theta):

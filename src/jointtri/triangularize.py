@@ -22,29 +22,32 @@ SEPARATION_GAP_REL = 1e-8
 
 @dataclass(frozen=True)
 class MatrixSet:
-    """N square matrices of shared dimension d."""
+    """N square matrices of shared dimension d, one read-only (N, d, d) array."""
 
-    matrices: tuple
+    matrices: np.ndarray
 
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=float) for m in self.matrices)
         if not mats:
             raise DimensionMismatch("matrix set must contain at least one matrix")
         d = mats[0].shape[0]
+        if d == 0:
+            raise DimensionMismatch("matrix dimension d must be at least 1")
         for m in mats:
             if m.shape != (d, d):
                 raise DimensionMismatch("all matrices must share dimension d")
             if not np.all(np.isfinite(m)):
                 raise DimensionMismatch("matrix entries must be finite")
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "matrices", np.stack(mats))
+        self.matrices.setflags(write=False)
 
     @property
     def d(self):
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     @property
     def n(self):
-        return len(self.matrices)
+        return self.matrices.shape[0]
 
     def combine(self, beta):
         """The pencil sum_n beta_n M_n."""
@@ -61,13 +64,19 @@ def _check_frame(u, mset):
     return u
 
 
+def rotated(u, mset):
+    """The rotated matrices A_n = U^T M_n U as one (N, d, d) array."""
+    u = _check_frame(u, mset)
+    return u.T @ mset.matrices @ u
+
+
 def loss(u, mset):
     """Sum of squared strictly-lower entries of the rotated matrices."""
-    u = _check_frame(u, mset)
+    sums = np.sum(low_part(rotated(u, mset)) ** 2, axis=(1, 2))
     total = 0.0
-    for m in mset.matrices:
-        total += np.sum(low_part(u.T @ m @ u) ** 2)
-    return float(total)
+    for s in sums.tolist():  # a running sum in order n = 0, ..., N-1
+        total += s
+    return total
 
 
 def gradient(u, mset):
@@ -76,12 +85,10 @@ def gradient(u, mset):
     S = sum_n [A_n^T, low(A_n)] with A_n = U^T M_n U; the inner product
     against a tangent X gives the derivative of t -> loss(U e^{tX}).
     """
-    u = _check_frame(u, mset)
-    s = np.zeros((mset.d, mset.d))
-    for m in mset.matrices:
-        a = u.T @ m @ u
-        g = low_part(a)
-        s += a.T @ g - g @ a.T
+    a = rotated(u, mset)
+    g = low_part(a)
+    a_t = a.transpose(0, 2, 1)
+    s = np.sum(a_t @ g - g @ a_t, axis=0)
     return s - s.T
 
 

@@ -161,6 +161,21 @@ class TestCliCommands:
         assert code == 2
         assert "RankDeficient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"d": 0, "N": 2, "matrices": [[], []]},
+            {"d": 2, "N": 2, "matrices": [[1.0, 0.0, 0.0, 2.0], [1.0, 0.0, 3.0]]},
+        ],
+        ids=["zero_dimension", "wrong_entry_count"],
+    )
+    def test_malformed_matrix_set_exits_2(self, tmp_path, capsys, payload):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(payload))
+        code = cli("triangularize", "--input", src, "--output", tmp_path / "x.json")
+        assert code == 2
+        assert "DimensionMismatch" in capsys.readouterr().err
+
     def test_mismatched_tensor_generation_exits_2(self, tmp_path):
         code = cli(
             "generate", "--kind", "tensor", "--d", 3, "--N", 4,

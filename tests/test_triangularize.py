@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointtri import triangularize
+from jointtri.bounds import assemble_t_tilde
 from jointtri.errors import (
     ComplexEigenvalues,
     DimensionMismatch,
     NoSeparatingBeta,
 )
 from jointtri.harness import GeneratorSpec, gen_ground_truth
-from jointtri.linalg import low_part, skew_exp
+from jointtri.linalg import low_part, lower_index, skew_exp
+from jointtri.tensor import estimate_components
 from jointtri.triangularize import (
     MatrixSet,
     OptimizerConfig,
@@ -43,9 +46,76 @@ class TestMatrixSet:
         with pytest.raises(DimensionMismatch):
             MatrixSet(())
 
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            MatrixSet((np.zeros((0, 0)),))
+
+    def test_matrices_are_read_only(self):
+        source = np.eye(2)
+        mset = MatrixSet((source,))
+        with pytest.raises(ValueError):
+            mset.matrices[0][0, 0] = 5.0
+        source[0, 0] = 5.0
+        assert mset.matrices[0, 0, 0] == 1.0
+
+    def test_sequence_and_stack_give_equal_sets(self):
+        rng = np.random.default_rng(15)
+        mats = [rng.standard_normal((3, 3)) for _ in range(4)]
+        from_sequence, from_stack = MatrixSet(tuple(mats)), MatrixSet(np.stack(mats))
+        assert from_sequence.matrices.shape == (4, 3, 3)
+        assert (from_sequence.n, from_sequence.d) == (from_stack.n, from_stack.d)
+        assert np.array_equal(from_sequence.matrices, from_stack.matrices)
+
     def test_combine_is_the_weighted_sum(self):
         mset = MatrixSet((np.eye(2), 2 * np.eye(2)))
         assert np.allclose(mset.combine([0.5, 0.25]), np.eye(2))
+
+
+class TestBatchedMatchesLoopOracle:
+    """The batched evaluations equal the per-matrix loops bit for bit."""
+
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 6),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_loss_gradient_components_and_operators(
+        self, d, n, triangular, column_major, seed
+    ):
+        rng = np.random.default_rng(seed)
+        mats = [rng.standard_normal((d, d)) for _ in range(n)]
+        if triangular:
+            mats = [np.triu(m) + 1e-3 * rng.standard_normal((d, d)) for m in mats]
+        if column_major:  # the layout io.unvec produces
+            mats = [np.asfortranarray(m) for m in mats]
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        mset = MatrixSet(tuple(mats))
+
+        expected_loss = 0.0
+        s = np.zeros((d, d))
+        for m in mats:
+            a = u.T @ m @ u
+            g = low_part(a)
+            expected_loss += np.sum(g**2)
+            s += a.T @ g - g @ a.T
+        assert loss(u, mset) == float(expected_loss)
+        assert np.array_equal(gradient(u, mset), s - s.T)
+
+        components = np.stack([np.diag(u.T @ m @ u) for m in mats])
+        assert np.array_equal(estimate_components(u, mset), components)
+
+        rows, cols = lower_index(d)
+        i, j = rows[:, None], cols[:, None]
+        k, l = rows[None, :], cols[None, :]
+        operators = assemble_t_tilde(u, mset).t_tilde_list
+        assert len(operators) == n
+        for t, m in zip(operators, mats):
+            a = u.T @ m @ u
+            expected = np.where(j == l, a[k, i], 0.0) - np.where(i == k, a[j, l], 0.0)
+            assert np.array_equal(t, expected)
 
 
 class TestLoss:
@@ -233,3 +303,50 @@ class TestDescend:
         u, trace = descend(clean, u0, OptimizerConfig(max_iters=0))
         assert np.array_equal(u, u0)
         assert trace.termination == "max_iters"
+
+
+class TestDescendCallCounts:
+    """descend evaluates loss once per line-search trial, gradient once per
+    iteration; the per-layer call counts of a traced run rely on it."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        fn = getattr(triangularize, name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(triangularize, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "config, termination",
+        [
+            (OptimizerConfig(grad_tol=1e-8), "grad_tol"),
+            (OptimizerConfig(max_iters=8), "max_iters"),
+        ],
+    )
+    def test_loss_and_gradient_calls(self, monkeypatch, config, termination):
+        gt = gen_ground_truth(GeneratorSpec(d=6, n=4, seed=0), sigma=1e-2)
+        observed = gt.observed_matrices()
+        beta, _ = find_separating_beta(observed)
+        u0 = schur_initializer(observed, beta)
+        loss_calls = self.count_calls(monkeypatch, "loss")
+        gradient_calls = self.count_calls(monkeypatch, "gradient")
+        _, trace = descend(observed, u0, config)
+        assert trace.termination == termination
+
+        iterations = len(trace.step_lengths)
+        backtracks = 0
+        guess = config.initial_step
+        for step in trace.step_lengths:
+            while guess > step:
+                guess *= config.backtrack_factor
+                backtracks += 1
+            assert guess == step
+            guess = min(config.initial_step, step / config.backtrack_factor)
+        assert backtracks > 0
+        assert len(loss_calls) == 1 + iterations + backtracks
+        assert len(gradient_calls) == iterations + (termination == "grad_tol")
