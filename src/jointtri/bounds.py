@@ -19,7 +19,7 @@ from .errors import (
     NonUnitBeta,
     SingularOperator,
 )
-from .linalg import lower_index, matrix_metrics, min_pairwise_gap, vec
+from .linalg import lower_index, matrix_metrics, min_pairwise_gap, skew_from_lower, vec
 from .triangularize import MatrixSet, loss, rotated
 
 SINGULAR_REL_TOL = 1e-12
@@ -228,10 +228,7 @@ def predicted_direction(gt, u_circ):
     rhs = np.zeros(rows.size)
     for t_n, w in zip(bundle.t_tilde_list, gt.noise):
         rhs += t_n @ (u_circ.T @ w @ u_circ)[rows, cols]
-    x = -gt.sigma * np.linalg.solve(system, rhs)
-    e = np.zeros((gt.d, gt.d))
-    e[rows, cols] = x
-    return e - e.T
+    return skew_from_lower(-gt.sigma * np.linalg.solve(system, rhs), gt.d)
 
 
 def a_posteriori_bound(mset, u, beta, sigma):

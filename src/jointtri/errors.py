@@ -38,7 +38,7 @@ class NoSeparatingBeta(JointTriError):
 
 
 class LineSearchStalled(JointTriError):
-    """Armijo backtracking underflowed.
+    """The descent found no step that lowers the loss above rounding.
 
     Carries the last accepted iterate and trace so callers can decide
     whether the stalled point is good enough.

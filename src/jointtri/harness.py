@@ -191,7 +191,7 @@ def nearest_direction(u, family):
 
 
 def converge(mset, beta_strategy="ones", seed=0, max_iters=2000, grad_tol=1e-10):
-    """Certified init plus descent; a stalled line search is accepted.
+    """Certified init plus Gauss-Newton descent; a stall at rounding is accepted.
 
     Returns (frame, beta, trace).
     """

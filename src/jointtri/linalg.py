@@ -7,6 +7,7 @@ column-major, fixed globally.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -75,13 +76,24 @@ def lower_pairs(d):
     return [(i, j) for j in range(d) for i in range(j + 1, d)]
 
 
+@lru_cache(maxsize=None)
 def lower_index(d):
     """Strictly-lower index arrays (rows, cols), i > j, in column-major order.
 
     The same order as :func:`lower_pairs`; ``a[rows, cols]`` is P_low vec(A).
+    Cached per d, so the arrays are shared and read-only.
     """
     cols, rows = np.triu_indices(d, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
     return rows, cols
+
+
+def skew_from_lower(x, d):
+    """The skew matrix E - E^T whose strictly-lower entries E[lower_index(d)] are x."""
+    e = np.zeros((d, d))
+    e[lower_index(d)] = x
+    return e - e.T
 
 
 def min_pairwise_gap(t):

@@ -1,8 +1,7 @@
 """Approximate joint triangularization over the orthogonal group.
 
 The objective is the total squared Frobenius mass below the diagonal of
-the rotated matrices.  First-order descent uses the exact skew
-exponential as retraction with Armijo backtracking, seeded by the Schur
+the rotated matrices, minimized by Riemannian Gauss-Newton from the Schur
 factor of a separating linear combination of the inputs.
 """
 
@@ -15,9 +14,10 @@ from .errors import (
     LineSearchStalled,
     NoSeparatingBeta,
 )
-from .linalg import low_part, ordered_schur, skew_exp
+from .linalg import low_part, lower_index, ordered_schur, skew_exp, skew_from_lower
 
 SEPARATION_GAP_REL = 1e-8
+ROUNDING_ULPS = 4  # a predicted loss decrease below this many ulps is lost to rounding
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,43 @@ def gradient(u, mset):
     against a tangent X gives the derivative of t -> loss(U e^{tX}).
     """
     a = rotated(u, mset)
-    g = low_part(a)
+    return _commutator_adjoint(a, low_part(a))
+
+
+def _commutator_adjoint(a, w):
+    """S - S^T with S = sum_n [A_n^T, W_n]; its strictly-lower entries are J^T w."""
     a_t = a.transpose(0, 2, 1)
-    s = np.sum(a_t @ g - g @ a_t, axis=0)
+    s = np.sum(a_t @ w - w @ a_t, axis=0)
     return s - s.T
+
+
+def gauss_newton_product(a, x):
+    """J^T J x in strictly-lower coordinates at the rotated stack a; J x =
+    [low(A_n X - X A_n)]_n, X = skew_from_lower(x, d), is the derivative
+    of the residual [low(U^T M_n U)]_n along U e^{tX}."""
+    t = skew_from_lower(x, a.shape[1])
+    return _commutator_adjoint(a, low_part(a @ t - t @ a))[lower_index(a.shape[1])]
+
+
+def _gauss_newton_step(a, b):
+    """Truncated CG on (J^T J) x = -b from x = 0, to the forcing tolerance
+    min(0.5, sqrt|b|) |b| or L iterations; each iterate is a descent direction."""
+    x = np.zeros_like(b)
+    res = p = -b
+    rr = res @ res
+    stop = min(0.25, np.sqrt(rr)) * rr  # the squared forcing tolerance
+    for _ in range(b.size):
+        hp = gauss_newton_product(a, p)
+        curvature = p @ hp
+        if curvature <= 0:  # only by rounding: J^T J is positive on its range
+            break
+        x = x + rr / curvature * p
+        res = res - rr / curvature * hp
+        rr, rr_prev = res @ res, rr
+        if rr <= stop:
+            break
+        p = res + rr / rr_prev * p
+    return x
 
 
 def hessian_form(u, mset, x):
@@ -157,15 +190,12 @@ class OptimizerConfig:
     grad_tol: float = 1e-12
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
-    initial_step: float = 1.0
 
     def __post_init__(self):
         if self.max_iters < 0 or self.grad_tol <= 0:
             raise ValueError("max_iters must be >= 0 and grad_tol > 0")
         if not 0 < self.armijo_c < 1 or not 0 < self.backtrack_factor < 1:
             raise ValueError("armijo_c and backtrack_factor must lie in (0,1)")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
 
 
 @dataclass
@@ -176,43 +206,37 @@ class DescentTrace:
     termination: str = ""
 
 
-STEP_UNDERFLOW = 1e-16
-
-
 def descend(mset, u_init, config=OptimizerConfig()):
-    """First-order descent with Armijo backtracking and exact retraction.
+    """Riemannian Gauss-Newton: truncated-CG steps, Armijo backtracking on e^{tX}.
 
-    Iterates U <- U e^{t D} with D = -grad/||grad||; the accepted loss
-    sequence is non-increasing.  Raises LineSearchStalled (carrying the
-    last iterate) if backtracking underflows.
+    t halves from 1 until U e^{tX} lowers the loss strictly and by the
+    Armijo fraction of t <grad, X>, the predicted decrease.  Raises
+    LineSearchStalled, carrying the last iterate and trace, once a halved
+    step's predicted decrease is below ROUNDING_ULPS ulps of the loss.
     """
     u = _check_frame(u_init, mset)
     trace = DescentTrace()
     current = loss(u, mset)
-    step_guess = config.initial_step
     for _ in range(config.max_iters):
         g = gradient(u, mset)
         g_norm = np.linalg.norm(g)
         if g_norm <= config.grad_tol:
             trace.termination = "grad_tol"
             return u, trace
-        direction = -g / g_norm
-        step = step_guess
-        while True:
-            candidate = u @ skew_exp(direction, step)
+        b = g[lower_index(mset.d)]  # J^T r
+        x = _gauss_newton_step(rotated(u, mset), b)
+        slope = 2.0 * (b @ x)  # <grad, X>
+        step = 1.0
+        while step == 1.0 or step * -slope >= ROUNDING_ULPS * np.spacing(current):
+            candidate = u @ skew_exp(skew_from_lower(x, mset.d), step)
             new = loss(candidate, mset)
-            if new <= current - config.armijo_c * step * g_norm:
+            if new < current + config.armijo_c * step * slope:
                 break
             step *= config.backtrack_factor
-            if step < STEP_UNDERFLOW:
-                trace.termination = "stalled"
-                raise LineSearchStalled(
-                    "Armijo backtracking underflowed", frame=u, trace=trace
-                )
-        u = candidate
-        current = new
-        # warm-start the next search one expansion above the accepted step
-        step_guess = min(config.initial_step, step / config.backtrack_factor)
+        else:
+            trace.termination = "stalled"
+            raise LineSearchStalled("no step lowers the loss", frame=u, trace=trace)
+        u, current = candidate, new
         trace.loss_values.append(current)
         trace.grad_norms.append(g_norm)
         trace.step_lengths.append(step)

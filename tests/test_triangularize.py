@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,14 +13,21 @@ from jointtri.errors import (
     DimensionMismatch,
     NoSeparatingBeta,
 )
-from jointtri.harness import GeneratorSpec, gen_ground_truth
-from jointtri.linalg import low_part, lower_index, skew_exp
-from jointtri.tensor import estimate_components
+from jointtri.harness import (
+    GeneratorSpec,
+    converge,
+    gen_components,
+    gen_ground_truth,
+    gen_tensor,
+)
+from jointtri.linalg import low_part, lower_index, lower_pairs, skew_exp
+from jointtri.tensor import estimate_components, observable_matrices
 from jointtri.triangularize import (
     MatrixSet,
     OptimizerConfig,
     descend,
     find_separating_beta,
+    gauss_newton_product,
     gradient,
     hessian_form,
     loss,
@@ -325,14 +333,18 @@ class TestDescendCallCounts:
         "config, termination",
         [
             (OptimizerConfig(grad_tol=1e-8), "grad_tol"),
-            (OptimizerConfig(max_iters=8), "max_iters"),
+            (OptimizerConfig(max_iters=4), "max_iters"),
         ],
     )
     def test_loss_and_gradient_calls(self, monkeypatch, config, termination):
         gt = gen_ground_truth(GeneratorSpec(d=6, n=4, seed=0), sigma=1e-2)
         observed = gt.observed_matrices()
         beta, _ = find_separating_beta(observed)
-        u0 = schur_initializer(observed, beta)
+        # rotated away from the Schur initializer, so that the unit
+        # Gauss-Newton step of the third iteration is halved
+        u0 = schur_initializer(observed, beta) @ skew_exp(
+            random_skew(np.random.default_rng(0), 6), 0.3
+        )
         loss_calls = self.count_calls(monkeypatch, "loss")
         gradient_calls = self.count_calls(monkeypatch, "gradient")
         _, trace = descend(observed, u0, config)
@@ -340,13 +352,120 @@ class TestDescendCallCounts:
 
         iterations = len(trace.step_lengths)
         backtracks = 0
-        guess = config.initial_step
-        for step in trace.step_lengths:
-            while guess > step:
-                guess *= config.backtrack_factor
+        for step in trace.step_lengths:  # each search halves t from 1
+            trial = 1.0
+            while trial > step:
+                trial *= config.backtrack_factor
                 backtracks += 1
-            assert guess == step
-            guess = min(config.initial_step, step / config.backtrack_factor)
+            assert trial == step
         assert backtracks > 0
         assert len(loss_calls) == 1 + iterations + backtracks
         assert len(gradient_calls) == iterations + (termination == "grad_tol")
+
+
+class TestRoundingLevelStop:
+    """Where the loss can no longer resolve a decrease, the descent ends
+    within a few iterations instead of running to max_iters."""
+
+    @pytest.mark.parametrize("d, n, seed", [(12, 64, 11009), (4, 4, 11014)])
+    def test_ends_early_near_stationarity(self, d, n, seed):
+        # `generate --kind model --kappa 3 --gamma 1 --sigma 1e-3`, then
+        # `triangularize` with its default --tol 1e-10 and --max-iters 2000
+        spec = GeneratorSpec(d=d, n=n, kappa_target=3, gamma_target=1, seed=seed)
+        observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
+        u, _, trace = converge(observed)
+        assert trace.termination != "max_iters"
+        assert len(trace.loss_values) <= 20
+        assert np.linalg.norm(gradient(u, observed)) <= 1e-9
+
+
+def dense_jacobian(a):
+    """J of x -> [low(A_n X - X A_n)]_n, built one strictly-lower pair at a time."""
+    d = a.shape[1]
+    rows, cols = lower_index(d)
+    columns = []
+    for i, j in lower_pairs(d):
+        x = np.zeros((d, d))
+        x[i, j], x[j, i] = 1.0, -1.0
+        columns.append(np.concatenate([(m @ x - x @ m)[rows, cols] for m in a]))
+    return np.array(columns).T
+
+
+class TestGaussNewtonProduct:
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_jacobian(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, d, d))
+        x = rng.standard_normal(d * (d - 1) // 2)
+        jac = dense_jacobian(a)
+        scale = np.linalg.norm(jac) ** 2 * np.linalg.norm(x)
+        assert np.allclose(
+            gauss_newton_product(a, x), jac.T @ (jac @ x), rtol=0, atol=1e-13 * scale
+        )
+
+    def test_is_half_the_hessian_at_an_exact_triangularizer(self):
+        rows, cols = lower_index(5)
+        for seed in range(3):
+            gt = gen_ground_truth(GeneratorSpec(d=5, n=3, seed=seed))
+            clean = gt.clean_matrices()
+            u = schur_initializer(clean, find_separating_beta(clean)[0])
+            rng = np.random.default_rng(seed)
+            for _ in range(3):
+                x = random_skew(rng, 5)
+                v = x[rows, cols]
+                a = triangularize.rotated(u, clean)
+                quadratic = 2.0 * v @ gauss_newton_product(a, v)
+                assert math.isclose(
+                    quadratic, hessian_form(u, clean, x), rel_tol=1e-13
+                )
+
+
+def armijo_descend(mset, u, max_iters=2000, grad_tol=1e-10):
+    """The first-order descent that Gauss-Newton replaced: normalized
+    gradient direction, Armijo backtracking from a step guess warm-started
+    one expansion above the last accepted step, stop on step underflow."""
+    current = loss(u, mset)
+    guess = 1.0
+    for _ in range(max_iters):
+        g = gradient(u, mset)
+        g_norm = np.linalg.norm(g)
+        if g_norm <= grad_tol:
+            break
+        step = guess
+        while True:
+            candidate = u @ skew_exp(-g / g_norm, step)
+            new = loss(candidate, mset)
+            if new <= current - 1e-4 * step * g_norm:
+                break
+            step *= 0.5
+            if step < 1e-16:
+                return u
+        u, current = candidate, new
+        guess = min(1.0, 2.0 * step)
+    return u
+
+
+def bench_input(workload, seed):
+    """A matrix set of the shape each benchmark workload triangularizes."""
+    if workload == "tensor_d8":
+        z = gen_components(8, kappa_target=2, seed=seed)
+        tensor = gen_tensor(z, 1e-4, 1.0, seed=seed)
+        return observable_matrices(tensor, 8, np.ones(8) / np.sqrt(8))[0]
+    d, n = {
+        "verify_d4": (4, 4),
+        "triangularize_d32": (32, 8),
+        "triangularize_n64": (12, 64),
+    }[workload]
+    spec = GeneratorSpec(d=d, n=n, kappa_target=3, gamma_target=1, seed=seed)
+    return gen_ground_truth(spec, sigma=1e-3).observed_matrices()
+
+
+@pytest.mark.parametrize(
+    "workload", ["verify_d4", "triangularize_d32", "triangularize_n64", "tensor_d8"]
+)
+def test_gauss_newton_loss_is_no_worse_than_armijo_oracle(workload):
+    mset = bench_input(workload, seed=11000)
+    u, beta, _ = converge(mset)
+    oracle = armijo_descend(mset, schur_initializer(mset, beta))
+    assert loss(u, mset) <= loss(oracle, mset) * (1 + 1e-9) + 1e-15
