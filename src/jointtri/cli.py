@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical-precondition error
 
 import argparse
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from . import triangularize as tri
 from .errors import DimensionMismatch, JointTriError
 
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="jointtri",
@@ -147,7 +149,7 @@ def _cmd_bounds(args):
             max_iters=args.max_iters, grad_tol=args.tol,
         )
     family = hz.enumerate_exact_triangularizers(gt)
-    alpha, idx, _ = hz.nearest_direction(u, family)
+    alpha, idx = hz.distance_to_nearest(u, family)
     u_circ = family.frames[idx]
     u_init = tri.schur_initializer(observed, beta)
     sigma_max, alpha_max, constants = bd.init_noise_threshold(gt, beta, u_init)

@@ -286,7 +286,7 @@ def verify_bounds(gt, sigma, trials, seed=0):
         observed = model.observed_matrices()
         try:
             u, beta, _ = converge(observed, seed=seed)
-            alpha, idx, _ = nearest_direction(u, family)
+            alpha, idx = distance_to_nearest(u, family)
             u_circ = family.frames[idx]
             apriori = bd.a_priori_bound(model, u_circ)
             explicit, _ = bd.explicit_bound(model)

@@ -1,9 +1,9 @@
 """Dense structured linear algebra.
 
 Triangular projections, the strictly-lower index pairs, skew
-exponential / orthogonal logarithm, the real eigensolver, ordered Schur
-decomposition, and matrix metrics.  All vectorizations are
-column-major, fixed globally.
+exponential, the closed-form orthogonal logarithm (from the real Schur
+form), the real eigensolver, ordered Schur decomposition, and matrix
+metrics.  All vectorizations are column-major, fixed globally.
 """
 
 from dataclasses import dataclass
@@ -117,6 +117,11 @@ def skew_exp(x, scale=1.0):
 def orthogonal_log(q):
     """Principal logarithm of a rotation, returned as a skew matrix.
 
+    Closed form from the real Schur form Q = Z T Z^T, which is block
+    diagonal because Q is normal: a 1x1 block (+1) has log 0, and a
+    standardized block [[c, b], [a, c]] with ab < 0, whose eigenvalues are
+    c +- i s with s = sqrt(-ab), has log (theta / s) [[0, b], [a, 0]] with
+    theta = atan2(s, c) (Higham, Functions of Matrices, section 11).
     Rejects frames with determinant -1 and rotations with an eigenvalue
     within LOG_BRANCH_TOL of -1, where the principal branch is ambiguous.
     """
@@ -124,11 +129,21 @@ def orthogonal_log(q):
     d = q.shape[0]
     if np.linalg.det(q) < 0:
         raise NegativeDeterminant("frame has determinant -1; no real skew logarithm")
-    eigs = np.linalg.eigvals(q)
-    if np.min(np.abs(eigs + 1.0)) < LOG_BRANCH_TOL:
+    t, z = scipy.linalg.schur(q, output="real")
+    k = np.flatnonzero(np.diag(t, -1))  # upper-left corner of each 2x2 block
+    c, b, a = t[k, k], t[k, k + 1], t[k + 1, k]
+    s = np.sqrt(-a * b)
+    # |lambda + 1| per eigenvalue: |t + 1| on a 1x1 block, |c + 1 +- i s| on a 2x2
+    dist = np.abs(np.diag(t) + 1.0)
+    dist[k] = dist[k + 1] = np.hypot(c + 1.0, s)
+    if np.min(dist) < LOG_BRANCH_TOL:
         raise LogBranchAmbiguous("eigenvalue near -1; principal log branch ambiguous")
-    log_q = scipy.linalg.logm(q)
-    x = 0.5 * (log_q.real - log_q.real.T)
+    log_t = np.zeros((d, d))
+    scale = np.arctan2(s, c) / s
+    log_t[k, k + 1] = scale * b
+    log_t[k + 1, k] = scale * a
+    log_q = z @ log_t @ z.T
+    x = 0.5 * (log_q - log_q.T)
     if np.linalg.norm(skew_exp(x) - q) > 1e-10 * max(1.0, np.sqrt(d)):
         raise LogBranchAmbiguous("log round trip failed; input too close to branch cut")
     return x

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jointtri import io
-from jointtri.cli import run
+from jointtri.cli import _build_parser, run
 from jointtri.harness import GeneratorSpec, gen_components, gen_ground_truth
 from jointtri.tensor import Tensor3, tensor_from_components
 
@@ -60,6 +64,17 @@ class TestCanonicalSerialization:
 
 def cli(*args):
     return run([str(a) for a in args])
+
+
+def python(*args):
+    """Run a fresh interpreter that imports jointtri from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        env=env, capture_output=True, text=True, check=True,
+    )
 
 
 @pytest.fixture
@@ -215,3 +230,28 @@ class TestCliCommands:
         report = json.loads(out.read_text())
         assert report["sigmas"] == [1e-3, 5e-4]
         assert np.isfinite(report["observed_alpha_slope"])
+
+
+class TestProcessState:
+    def test_cached_parser_keeps_no_parsed_state(self, model_file, tmp_path):
+        fresh, random_beta, again = (
+            tmp_path / f"{name}.json" for name in ("fresh", "random", "again")
+        )
+        python("-m", "jointtri.cli", "triangularize", "--input", model_file, "--output", fresh)
+        assert cli(
+            "triangularize", "--input", model_file, "--output", random_beta,
+            "--beta", "random",
+        ) == 0
+        assert cli("triangularize", "--input", model_file, "--output", again) == 0
+        assert random_beta.read_bytes() != fresh.read_bytes()
+        assert again.read_bytes() == fresh.read_bytes()
+        assert _build_parser() is _build_parser()
+
+    def test_import_loads_no_scipy_optimize_or_sparse(self):
+        # scipy.optimize alone adds about 20 MB of peak RSS
+        loaded = python(
+            "-c",
+            "import sys, jointtri.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.optimize', 'scipy.sparse'))))",
+        )
+        assert loaded.stdout.strip() == "[]"

@@ -236,6 +236,19 @@ class TestVerifyBounds:
         assert summary["errors"] == 0
         assert all(f == 1.0 for f in summary["fractions"].values())
 
+    def test_one_log_per_trial_near_a_frame(self, monkeypatch):
+        gt = gen_ground_truth(GeneratorSpec(d=4, n=3, seed=21))
+        calls = []
+
+        def counted(r):
+            calls.append(r)
+            return orthogonal_log(r)
+
+        monkeypatch.setattr(harness, "orthogonal_log", counted)
+        summary = verify_bounds(gt, 1e-4, trials=3)
+        assert summary["errors"] == 0
+        assert len(calls) == 3
+
     def test_converge_is_deterministic(self):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=19), sigma=1e-3)
         observed = gt.observed_matrices()

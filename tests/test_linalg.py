@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,22 @@ from jointtri.linalg import (
 def random_skew(rng, d):
     a = rng.standard_normal((d, d))
     return a - a.T
+
+
+def haar_rotation(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def assert_matches_logm(q):
+    """The closed-form log agrees with scipy's general-matrix logm."""
+    log_q = scipy.linalg.logm(q).real
+    x = 0.5 * (log_q - log_q.T)
+    err = np.max(np.abs(orthogonal_log(q) - x))
+    assert err <= 1e-12 * max(1.0, np.linalg.norm(x))
 
 
 class TestLowPartition:
@@ -149,6 +166,47 @@ class TestOrthogonalLog:
     def test_rejects_half_turn(self):
         with pytest.raises(LogBranchAmbiguous):
             orthogonal_log(np.diag([-1.0, -1.0, 1.0]))
+
+    def test_rejects_rotation_just_short_of_half_turn(self):
+        gen = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(LogBranchAmbiguous):
+            orthogonal_log(skew_exp(gen, np.pi - 1e-8))
+
+    def test_one_by_one(self):
+        assert np.array_equal(orthogonal_log(np.array([[1.0]])), [[0.0]])
+        with pytest.raises(NegativeDeterminant):
+            orthogonal_log(np.array([[-1.0]]))
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_haar_rotation_matches_logm(self, d, seed):
+        assert_matches_logm(haar_rotation(np.random.default_rng(seed), d))
+
+    @given(
+        st.integers(2, 8),
+        st.integers(0, 2**32 - 1),
+        st.floats(min_value=1e-9, max_value=3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_exponential_matches_logm(self, d, seed, t):
+        # odd d leaves an exact +1 eigenvalue
+        x = random_skew(np.random.default_rng(seed), d)
+        assert_matches_logm(skew_exp(x / np.linalg.norm(x), t))
+
+    @given(
+        st.integers(2, 8),
+        st.integers(0, 2**32 - 1),
+        st.floats(min_value=1e-9, max_value=3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_angle_pairs_match_logm(self, d, seed, theta):
+        # every plane turns by theta: an isoclinic rotation at d = 4
+        block = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        r = np.eye(d)
+        for j in range(0, d - 1, 2):
+            r[j : j + 2, j : j + 2] = block
+        z = haar_rotation(np.random.default_rng(seed), d)
+        assert_matches_logm(z @ r @ z.T)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
