@@ -54,16 +54,16 @@ from .triangularize import (
 from .bounds import (
     BoundReport,
     GroundTruthModel,
-    OperatorBundle,
     a_posteriori_bound,
     a_priori_bound,
-    assemble_t_tilde,
     eigenvalue_error_bound,
     explicit_bound,
     hessian_constants,
     init_noise_threshold,
     inverse_spectral_norm,
     predicted_direction,
+    t_beta,
+    t_tilde_gram,
 )
 from .tensor import (
     Tensor3,
@@ -106,10 +106,10 @@ __all__ = [
     "DescentTrace", "MatrixSet", "OptimizerConfig", "descend",
     "eigenvalue_separation", "find_separating_beta", "gradient",
     "hessian_form", "loss", "schur_initializer",
-    "BoundReport", "GroundTruthModel", "OperatorBundle", "a_posteriori_bound",
-    "a_priori_bound", "assemble_t_tilde", "eigenvalue_error_bound",
-    "explicit_bound", "hessian_constants", "init_noise_threshold",
-    "inverse_spectral_norm", "predicted_direction",
+    "BoundReport", "GroundTruthModel", "a_posteriori_bound", "a_priori_bound",
+    "eigenvalue_error_bound", "explicit_bound", "hessian_constants",
+    "init_noise_threshold", "inverse_spectral_norm", "predicted_direction",
+    "t_beta", "t_tilde_gram",
     "Tensor3", "component_error_bound", "component_gamma",
     "estimate_components", "first_order_model", "match_columns",
     "observable_matrices", "recover_scales", "slices",

@@ -1,15 +1,15 @@
 """Perturbation-bound quantities for approximate joint triangularizers.
 
-Covers the commutator operator restricted to the strictly-lower subspace,
-assembled directly on the strictly-lower index pairs, the a priori bound
-and its explicit eigengap form, the first-order direction prediction,
-the a posteriori bound from observable quantities, the
-certified-initialization noise threshold with its Hessian-positivity
-constants, and the joint-eigenvalue error bound.
+Covers the commutator operator on the strictly-lower index pairs, one
+operator per use, Gram accumulated per matrix; the a priori bound and its
+explicit eigengap form, the first-order direction prediction, the a
+posteriori bound from observable quantities, the certified-initialization
+noise threshold with its Hessian-positivity constants, and the
+joint-eigenvalue error bound.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,57 +102,50 @@ class GroundTruthModel:
         return float(m_norm), float(w_norm)
 
 
-@dataclass(frozen=True)
-class OperatorBundle:
-    """Per-matrix commutator operators on the strictly-lower subspace.
-
-    The Gram sum and its smallest singular value are computed when read.
-    """
-
-    t_tilde_list: tuple
-    beta_operator: np.ndarray | None
-
-    @cached_property
-    def t_tilde_sum(self):
-        t_sum = sum(t.T @ t for t in self.t_tilde_list)
-        return 0.5 * (t_sum + t_sum.T)
-
-    @cached_property
-    def smallest_singular(self):
-        if not self.t_tilde_sum.size:
-            return 0.0
-        return float(np.linalg.svd(self.t_tilde_sum, compute_uv=False)[-1])
+@lru_cache(maxsize=None)
+def _operator_index(d):
+    """Index arrays with T~[p1, q1] = A[k1, i1], then T~[p2, q2] -= A[j2, l2]."""
+    rows, cols = lower_index(d)
+    p1, q1 = np.nonzero(cols[:, None] == cols[None, :])
+    p2, q2 = np.nonzero(rows[:, None] == rows[None, :])
+    return p1, q1, rows[q1], rows[p1], p2, q2, cols[p2], cols[q2]
 
 
-def _commutator_operator(a, rows, cols):
-    """P_low (1 (x) A^T - A (x) 1) P_low^T for a rotated matrix A (or stack).
+def _commutator_operator(a):
+    """P_low (1 (x) A^T - A (x) 1) P_low^T for one rotated matrix A.
 
     Entry ((i, j), (k, l)) over the lower index pairs is
     A[k, i] [j = l] - [i = k] A[j, l], written only where a bracket is 1.
     """
-    p1, q1 = np.nonzero(cols[:, None] == cols[None, :])
-    p2, q2 = np.nonzero(rows[:, None] == rows[None, :])
-    t = np.zeros(a.shape[:-2] + (rows.size, rows.size))
-    t[..., p1, q1] = a[..., rows[q1], rows[p1]]
-    t[..., p2, q2] -= a[..., cols[p2], cols[q2]]
+    d = a.shape[0]
+    p1, q1, k1, i1, p2, q2, j2, l2 = _operator_index(d)
+    size = d * (d - 1) // 2
+    t = np.zeros((size, size))
+    t[p1, q1] = a[k1, i1]
+    t[p2, q2] -= a[j2, l2]
     return t
 
 
-def assemble_t_tilde(u, mset, beta=None):
-    """Operators t_n at the frame U.
+def _t_tilde_each(u, mset):
+    """The operators T~_n at the frame U, one at a time (O(L^2) memory)."""
+    for a in rotated(u, mset):
+        yield _commutator_operator(a)
 
-    When beta is given, also builds the beta-weighted operator used by
-    the a posteriori bound.
+
+def t_tilde_gram(u, mset):
+    """The symmetrized Gram sum_n T~_n^T T~_n, accumulated one matrix at a time."""
+    gram = sum(t.T @ t for t in _t_tilde_each(u, mset))
+    return 0.5 * (gram + gram.T)
+
+
+def t_beta(u, mset, beta):
+    """T_beta = sum_n beta_n T~_n at the frame U.
+
+    T~ is linear in the rotated matrix, so T_beta is the one operator of
+    U^T (sum_n beta_n M_n) U.  A wrong-length beta raises DimensionMismatch.
     """
-    rows, cols = lower_index(mset.d)
-    t_list = tuple(_commutator_operator(rotated(u, mset), rows, cols))
-    beta_op = None
-    if beta is not None:
-        beta = np.asarray(beta, dtype=float)
-        if beta.shape != (mset.n,):
-            raise DimensionMismatch("beta length must match the matrix set")
-        beta_op = sum(b * t for b, t in zip(beta, t_list))
-    return OperatorBundle(t_tilde_list=t_list, beta_operator=beta_op)
+    (a,) = rotated(u, MatrixSet((mset.combine(beta),)))
+    return _commutator_operator(a)
 
 
 def inverse_spectral_norm(op):
@@ -185,8 +178,7 @@ def a_priori_bound(gt, u_circ):
     """
     clean = gt.clean_matrices()
     _check_exact_triangularizer(u_circ, clean)
-    bundle = assemble_t_tilde(u_circ, clean)
-    inv_norm = inverse_spectral_norm(bundle.t_tilde_sum)
+    inv_norm = inverse_spectral_norm(t_tilde_gram(u_circ, clean))
     m_norm, w_norm = gt.norms()
     return 2.0 * np.sqrt(2.0) * gt.sigma * inv_norm * m_norm * w_norm
 
@@ -222,12 +214,12 @@ def predicted_direction(gt, u_circ):
     clean = gt.clean_matrices()
     _check_exact_triangularizer(u_circ, clean)
     rows, cols = lower_index(gt.d)
-    bundle = assemble_t_tilde(u_circ, clean)
-    system = sum(t @ t.T for t in bundle.t_tilde_list)
-    inverse_spectral_norm(system)  # singularity guard
+    system = np.zeros((rows.size, rows.size))
     rhs = np.zeros(rows.size)
-    for t_n, w in zip(bundle.t_tilde_list, gt.noise):
+    for t_n, w in zip(_t_tilde_each(u_circ, clean), gt.noise):
+        system += t_n @ t_n.T
         rhs += t_n @ (u_circ.T @ w @ u_circ)[rows, cols]
+    inverse_spectral_norm(system)  # singularity guard
     return skew_from_lower(-gt.sigma * np.linalg.solve(system, rhs), gt.d)
 
 
@@ -237,10 +229,9 @@ def a_posteriori_bound(mset, u, beta, sigma):
     sqrt(2) ||T_beta^{-1}||_2 (sqrt(loss(U)) + sigma sqrt(N)) for unit beta.
     """
     beta = np.asarray(beta, dtype=float)
-    if abs(np.linalg.norm(beta) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(beta) - 1.0) <= 1e-12:
         raise NonUnitBeta("beta must have unit Euclidean norm")
-    bundle = assemble_t_tilde(u, mset, beta=beta)
-    inv_norm = inverse_spectral_norm(bundle.beta_operator)
+    inv_norm = inverse_spectral_norm(t_beta(u, mset, beta))
     return float(
         np.sqrt(2.0) * inv_norm * (np.sqrt(loss(u, mset)) + sigma * np.sqrt(mset.n))
     )
@@ -271,10 +262,7 @@ def init_noise_threshold(gt, beta, u_init):
     the observed matrices at the Schur initializer.
     """
     epsilon, gamma, a_alpha, a_sigma = hessian_constants(gt)
-    observed = gt.observed_matrices()
-    beta = np.asarray(beta, dtype=float)
-    bundle = assemble_t_tilde(u_init, observed, beta=beta)
-    inv_norm = inverse_spectral_norm(bundle.beta_operator)
+    inv_norm = inverse_spectral_norm(t_beta(u_init, gt.observed_matrices(), beta))
     sigma_max = 2.0 * epsilon / (np.sqrt(2.0 * gt.n) * inv_norm * a_alpha + a_sigma)
     alpha_max = (2.0 * epsilon - gt.sigma * a_sigma) / a_alpha
     constants = {

@@ -17,6 +17,7 @@ from . import io
 from . import tensor as tn
 from . import triangularize as tri
 from .errors import DimensionMismatch, JointTriError
+from .linalg import require_orthogonal
 
 
 @cache
@@ -139,7 +140,9 @@ def _cmd_bounds(args):
     gt = io.ground_truth_from_dict(io.load(args.input))
     observed = gt.observed_matrices()
     if args.frame:
-        u = io.frame_from_dict(io.load(args.frame))
+        u = require_orthogonal(io.frame_from_dict(io.load(args.frame)))
+        if u.shape != (gt.d, gt.d):
+            raise DimensionMismatch("frame dimension does not match the model")
         beta, _ = tri.find_separating_beta(
             observed, strategy=args.beta, seed=args.seed
         )

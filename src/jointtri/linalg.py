@@ -57,16 +57,16 @@ def _require_square(a, name="matrix"):
 
 def _require_skew(x, tol=SKEW_TOL):
     x = _require_square(x, "skew direction")
-    if np.max(np.abs(x + x.T)) > tol:
+    if not (np.all(np.isfinite(x)) and np.max(np.abs(x + x.T)) <= tol):
         raise DimensionMismatch("matrix is not skew-symmetric within tolerance")
     return x
 
 
 def require_orthogonal(u, tol=ORTHO_TOL):
-    """Validate ||U^T U - I||_F <= tol and return U as a float array."""
+    """Validate that U is finite with ||U^T U - I||_F <= tol; return it as floats."""
     u = _require_square(u, "orthogonal frame")
     d = u.shape[0]
-    if np.linalg.norm(u.T @ u - np.eye(d)) > tol:
+    if not (np.all(np.isfinite(u)) and np.linalg.norm(u.T @ u - np.eye(d)) <= tol):
         raise DimensionMismatch("matrix is not orthogonal within tolerance")
     return u
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,17 @@ from hypothesis import strategies as st
 from jointtri.bounds import (
     GroundTruthModel,
     _commutator_operator,
+    _operator_index,
     a_posteriori_bound,
     a_priori_bound,
-    assemble_t_tilde,
     eigenvalue_error_bound,
     explicit_bound,
     hessian_constants,
     init_noise_threshold,
     inverse_spectral_norm,
     predicted_direction,
+    t_beta,
+    t_tilde_gram,
 )
 from jointtri.errors import (
     DegenerateSpectrum,
@@ -23,11 +27,12 @@ from jointtri.errors import (
     SingularOperator,
 )
 from jointtri.harness import GeneratorSpec, gen_ground_truth, sample_noise
-from jointtri.linalg import low_part, lower_index, lower_pairs
+from jointtri.linalg import low_part, lower_index, lower_pairs, skew_from_lower
 from jointtri.triangularize import (
     MatrixSet,
     find_separating_beta,
     loss,
+    rotated,
     schur_initializer,
 )
 
@@ -38,6 +43,29 @@ def diagonal_model(lam, sigma=0.0, seed=0):
     rng = np.random.default_rng(seed)
     noise = tuple(sample_noise(rng, d) for _ in range(n))
     return GroundTruthModel(v=np.eye(d), lambda_table=lam, noise=noise, sigma=sigma)
+
+
+def smallest_singular(op):
+    return float(np.linalg.svd(op, compute_uv=False)[-1])
+
+
+def per_matrix_operators(u, mset):
+    """T~_n from the index formula, one per matrix, stacked as (N, L, L)."""
+    rows, cols = lower_index(mset.d)
+    i, j = rows[:, None], cols[:, None]
+    k, l = rows[None, :], cols[None, :]
+    return np.stack(
+        [
+            np.where(j == l, a[k, i], 0.0) - np.where(i == k, a[j, l], 0.0)
+            for a in rotated(u, mset)
+        ]
+    )
+
+
+def exact_frame(gt):
+    clean = gt.clean_matrices()
+    beta, _ = find_separating_beta(clean)
+    return schur_initializer(clean, beta)
 
 
 class TestGroundTruthModel:
@@ -71,24 +99,23 @@ class TestAssembleOperators:
     def test_diagonal_model_gives_diagonal_operator(self):
         lam = np.array([[1.0, 2.0, 4.0], [0.0, 1.0, 3.0]])
         gt = diagonal_model(lam)
-        bundle = assemble_t_tilde(np.eye(3), gt.clean_matrices())
+        gram = t_tilde_gram(np.eye(3), gt.clean_matrices())
         expected = np.diag(
             [np.sum((lam[:, i] - lam[:, j]) ** 2) for i, j in lower_pairs(3)]
         )
-        assert np.allclose(bundle.t_tilde_sum, expected, atol=1e-12)
-        assert np.isclose(bundle.smallest_singular, gt.eigengap())
+        assert np.allclose(gram, expected, atol=1e-12)
+        assert np.isclose(smallest_singular(gram), gt.eigengap())
 
     def test_two_by_two_single_slot(self):
         gt = diagonal_model([[1.0, 3.0]])
-        bundle = assemble_t_tilde(np.eye(2), gt.clean_matrices())
-        assert bundle.t_tilde_sum.shape == (1, 1)
-        assert np.isclose(bundle.t_tilde_sum[0, 0], 4.0)
+        gram = t_tilde_gram(np.eye(2), gt.clean_matrices())
+        assert gram.shape == (1, 1)
+        assert np.isclose(gram[0, 0], 4.0)
 
     def test_gram_sum_is_symmetric_psd(self):
         rng = np.random.default_rng(3)
         mats = MatrixSet(tuple(rng.standard_normal((4, 4)) for _ in range(3)))
-        bundle = assemble_t_tilde(np.eye(4), mats)
-        t = bundle.t_tilde_sum
+        t = t_tilde_gram(np.eye(4), mats)
         assert np.linalg.norm(t - t.T) <= 1e-12
         assert np.min(np.linalg.eigvalsh(t)) >= -1e-10
 
@@ -115,10 +142,89 @@ class TestCommutatorOperator:
     @settings(max_examples=25, deadline=None)
     def test_matches_dense_kron_oracle(self, d, seed):
         a = np.random.default_rng(seed).standard_normal((d, d))
-        rows, cols = lower_index(d)
-        assert np.array_equal(
-            _commutator_operator(a, rows, cols), dense_commutator_oracle(a)
+        assert np.array_equal(_commutator_operator(a), dense_commutator_oracle(a))
+
+
+class TestOperatorOracles:
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_t_beta_is_the_weighted_operator_sum(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        mset = MatrixSet(tuple(rng.standard_normal((d, d)) for _ in range(n)))
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        beta = rng.standard_normal(n)
+        beta /= np.linalg.norm(beta)
+        expected = sum(b * t for b, t in zip(beta, per_matrix_operators(u, mset)))
+        got = t_beta(u, mset, beta)
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_streamed_gram_equals_stacked_sum_bit_for_bit(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        mset = MatrixSet(tuple(rng.standard_normal((d, d)) for _ in range(n)))
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        gram = sum(t.T @ t for t in per_matrix_operators(u, mset))
+        assert np.array_equal(t_tilde_gram(u, mset), 0.5 * (gram + gram.T))
+
+    @pytest.mark.parametrize("d, n, seed", [(3, 3, 1), (4, 5, 2), (5, 2, 3)])
+    def test_a_priori_bound_matches_per_matrix_construction(self, d, n, seed):
+        gt = gen_ground_truth(GeneratorSpec(d=d, n=n, seed=seed), sigma=1e-3)
+        u_circ = exact_frame(gt)
+        gram = sum(t.T @ t for t in per_matrix_operators(u_circ, gt.clean_matrices()))
+        m_norm, w_norm = gt.norms()
+        expected = (
+            2.0 * np.sqrt(2.0) * gt.sigma
+            * inverse_spectral_norm(0.5 * (gram + gram.T)) * m_norm * w_norm
         )
+        assert a_priori_bound(gt, u_circ) == expected
+
+    @pytest.mark.parametrize("d, n, seed", [(3, 3, 1), (4, 5, 2), (5, 2, 3)])
+    def test_predicted_direction_matches_per_matrix_construction(self, d, n, seed):
+        gt = gen_ground_truth(GeneratorSpec(d=d, n=n, seed=seed), sigma=1e-3)
+        u_circ = exact_frame(gt)
+        ops = per_matrix_operators(u_circ, gt.clean_matrices())
+        rows, cols = lower_index(d)
+        system = sum(t @ t.T for t in ops)
+        rhs = sum(
+            t @ (u_circ.T @ w @ u_circ)[rows, cols] for t, w in zip(ops, gt.noise)
+        )
+        expected = skew_from_lower(-gt.sigma * np.linalg.solve(system, rhs), d)
+        assert np.array_equal(predicted_direction(gt, u_circ), expected)
+
+    def test_wrong_length_beta_is_a_dimension_mismatch(self):
+        gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=3))
+        clean = gt.clean_matrices()
+        beta = np.ones(2) / np.sqrt(2.0)
+        with pytest.raises(DimensionMismatch):
+            t_beta(np.eye(3), clean, beta)
+        with pytest.raises(DimensionMismatch):
+            a_posteriori_bound(clean, np.eye(3), beta, 0.0)
+
+    def test_a_posteriori_bound_holds_one_operator_at_a_time(self):
+        d, n = 24, 16
+        size = d * (d - 1) // 2
+        rng = np.random.default_rng(0)
+        mset = MatrixSet(tuple(rng.standard_normal((d, d)) for _ in range(n)))
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        beta = np.ones(n) / np.sqrt(n)
+        _operator_index.cache_clear()  # count the index arrays too
+        tracemalloc.start()
+        try:
+            a_posteriori_bound(mset, u, beta, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * size**2 * 8
 
 
 class TestAPrioriBound:
@@ -191,6 +297,12 @@ class TestAPosterioriBound:
         with pytest.raises(NonUnitBeta):
             a_posteriori_bound(clean, np.eye(3), 2.0 * np.ones(2) / np.sqrt(2), 0.0)
 
+    def test_rejects_nan_beta(self):
+        gt = gen_ground_truth(GeneratorSpec(d=3, n=2, seed=3))
+        clean = gt.clean_matrices()
+        with pytest.raises(NonUnitBeta):
+            a_posteriori_bound(clean, np.eye(3), np.array([np.nan, 1.0]), 0.0)
+
 
 class TestNoiseThreshold:
     def test_epsilon_formula(self):
@@ -240,6 +352,6 @@ class TestOperatorSpectrumFloor:
             )
             beta, _ = find_separating_beta(gt.clean_matrices())
             u_circ = schur_initializer(gt.clean_matrices(), beta)
-            bundle = assemble_t_tilde(u_circ, gt.clean_matrices())
+            gram = t_tilde_gram(u_circ, gt.clean_matrices())
             kappa = np.linalg.cond(gt.v)
-            assert bundle.smallest_singular >= gt.eigengap() / kappa**4 - 1e-12
+            assert smallest_singular(gram) >= gt.eigengap() / kappa**4 - 1e-12

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,28 @@ class TestCliCommands:
         assert report["observed_alpha"] >= 0.0
         assert report["sigma_max"] > 0.0
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            np.where(np.eye(3) == 1.0, np.nan, 0.0),
+            np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.eye(4),
+        ],
+        ids=["nan_frame", "non_orthogonal_frame", "wrong_dimension_frame"],
+    )
+    def test_bounds_rejects_invalid_frame(self, model_file, tmp_path, capsys, frame):
+        src = tmp_path / "frame.json"
+        io.dump_canonical(io.frame_to_dict(frame), src)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli(
+                "bounds", "--input", model_file, "--frame", src,
+                "--output", tmp_path / "x.json",
+            )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "DimensionMismatch"
+        assert not caught
+
     def test_tensor_pipeline(self, tmp_path):
         src = tmp_path / "tensor.json"
         out = tmp_path / "decomp.json"
@@ -255,3 +278,10 @@ class TestProcessState:
             " if m.startswith(('scipy.optimize', 'scipy.sparse'))))",
         )
         assert loaded.stdout.strip() == "[]"
+
+    def test_every_public_name_resolves(self):
+        import jointtri
+
+        assert len(set(jointtri.__all__)) == len(jointtri.__all__)
+        missing = [name for name in jointtri.__all__ if not hasattr(jointtri, name)]
+        assert missing == []

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from jointtri.errors import (
     ComplexEigenvalues,
+    DimensionMismatch,
     LogBranchAmbiguous,
     NearDefective,
     NegativeDeterminant,
@@ -18,6 +19,7 @@ from jointtri.linalg import (
     ordered_schur,
     orthogonal_log,
     real_eigen,
+    require_orthogonal,
     skew_exp,
     unvec,
     up_part,
@@ -140,6 +142,31 @@ class TestSkewExp:
         u = skew_exp(random_skew(rng, 5), 0.3)
         assert np.linalg.norm(u.T @ u - np.eye(5)) <= 1e-12
         assert abs(np.linalg.det(u) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_direction(self, bad):
+        x = np.zeros((3, 3))
+        x[1, 0] = bad
+        x[0, 1] = -bad
+        with pytest.raises(DimensionMismatch):
+            skew_exp(x)
+
+
+class TestRequireOrthogonal:
+    def test_accepts_rotation(self):
+        q = skew_exp(random_skew(np.random.default_rng(2), 4), 0.5)
+        assert np.array_equal(require_orthogonal(q), q)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_frame(self, bad):
+        u = np.eye(3)
+        u[0, 0] = bad
+        with pytest.raises(DimensionMismatch):
+            require_orthogonal(u)
+
+    def test_rejects_non_orthogonal_frame(self):
+        with pytest.raises(DimensionMismatch):
+            require_orthogonal(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestOrthogonalLog:

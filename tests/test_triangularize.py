@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointtri import triangularize
-from jointtri.bounds import assemble_t_tilde
+from jointtri.bounds import _t_tilde_each
 from jointtri.errors import (
     ComplexEigenvalues,
     DimensionMismatch,
@@ -118,7 +118,7 @@ class TestBatchedMatchesLoopOracle:
         rows, cols = lower_index(d)
         i, j = rows[:, None], cols[:, None]
         k, l = rows[None, :], cols[None, :]
-        operators = assemble_t_tilde(u, mset).t_tilde_list
+        operators = list(_t_tilde_each(u, mset))
         assert len(operators) == n
         for t, m in zip(operators, mats):
             a = u.T @ m @ u
