@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import lapack_lite
+from scipy.linalg.blas import dtrmv, dtrsv
 
 from .errors import (
     DegenerateSpectrum,
@@ -23,6 +25,10 @@ from .linalg import lower_index, matrix_metrics, min_pairwise_gap, skew_from_low
 from .triangularize import MatrixSet, loss, rotated
 
 SINGULAR_REL_TOL = 1e-12
+# Operators of at least this many rows take the QR + Lanczos path in
+# inverse_spectral_norm; below it a dense SVD is faster (measured crossover).
+LANCZOS_MIN_SIZE = 190
+LANCZOS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -148,19 +154,99 @@ def t_beta(u, mset, beta):
     return _commutator_operator(a)
 
 
+def _largest_singular(apply, apply_t, n, tol):
+    """sigma_max of the n x n map x -> apply(x) by Golub-Kahan-Lanczos.
+
+    Full reorthogonalization, a fixed-seed start vector (deterministic
+    output), and a stop once the top Ritz triple's residual is at most
+    tol * theta; after n steps the bidiagonal is exact.
+    """
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
+    us, vs, alphas, betas = [], [v], [], []
+    u = apply(v)
+    for k in range(1, n + 1):
+        if us:  # full reorthogonalization, Gram-Schmidt twice
+            basis = np.array(us)
+            u -= basis.T @ (basis @ u)
+            u -= basis.T @ (basis @ u)
+        alphas.append(np.linalg.norm(u))
+        u /= alphas[-1]
+        us.append(u)
+        w = apply_t(u)
+        basis = np.array(vs)
+        w -= basis.T @ (basis @ w)
+        w -= basis.T @ (basis @ w)
+        beta = np.linalg.norm(w)
+        bidiag = np.diag(alphas) + np.diag(betas, 1)
+        left, s, _ = np.linalg.svd(bidiag)
+        if k == n or beta * abs(left[-1, 0]) <= tol * s[0]:
+            return float(s[0])
+        betas.append(beta)
+        v = w / beta
+        vs.append(v)
+        u = apply(v) - beta * u
+
+
+def _triangular_factor(op):
+    """R of op^T = QR, in the upper triangle of a Fortran-order array.
+
+    R has the singular values of op.  The factorization runs in numpy's
+    own LAPACK on one copy of op: np.linalg.qr would copy op twice, and
+    scipy's LAPACK runs in the second BLAS scipy bundles, whose work
+    buffers would stay in memory for the rest of the process.
+    """
+    size = op.shape[0]
+    a = np.array(op, order="C")  # read column-major, this is op^T
+    tau, work = np.empty(size), np.empty(1)
+    lapack_lite.dgeqrf(size, size, a, size, tau, work, -1, 0)  # workspace query
+    work = np.empty(int(work[0]))
+    lapack_lite.dgeqrf(size, size, a, size, tau, work, work.size, 0)
+    return a.T
+
+
 def inverse_spectral_norm(op):
     """1 / sigma_min(op); raises SingularOperator when numerically singular.
 
-    The empty operator (the map on the zero space, d = 1) has an inverse
-    of norm 0.
+    Below LANCZOS_MIN_SIZE rows sigma_min and sigma_max come from a dense
+    SVD.  From there on, op is QR-factored once and ||op^-1|| = ||R^-1||
+    is the largest singular value of the triangular solves, by
+    Golub-Kahan-Lanczos (sigma_max, for the singularity test, by the same
+    method on R).  The empty operator (the map on the zero space, d = 1)
+    has an inverse of norm 0.
     """
     op = np.asarray(op, dtype=float)
     if op.size == 0:
         return 0.0
-    s = np.linalg.svd(op, compute_uv=False)
-    if s[-1] < SINGULAR_REL_TOL * max(s[0], 1e-300):
+    size = op.shape[0]
+    if size < LANCZOS_MIN_SIZE:
+        s = np.linalg.svd(op, compute_uv=False)
+        if s[-1] < SINGULAR_REL_TOL * max(s[0], 1e-300):
+            raise SingularOperator("operator is numerically singular")
+        return float(1.0 / s[-1])
+    scale = max(op.max(), -op.min())
+    if not scale > 0.0:
         raise SingularOperator("operator is numerically singular")
-    return float(1.0 / s[-1])
+    r = _triangular_factor(op)
+    r /= scale  # now ||R||_F >= 1, so sigma_max(R) >= 1 / sqrt(size)
+    limit = np.sqrt(size) / SINGULAR_REL_TOL
+
+    def solve(x, trans=0):
+        # |R^-1 x| > limit for a unit x means sigma_min < SINGULAR_REL_TOL
+        # sigma_max; this also catches a zero pivot and keeps norms finite.
+        y = dtrsv(r, x, trans=trans)
+        if not np.abs(y).max() <= limit:
+            raise SingularOperator("operator is numerically singular")
+        return y
+
+    inv_norm = _largest_singular(solve, lambda x: solve(x, 1), size, LANCZOS_TOL)
+    # A loose sigma_max: it only scales the singularity threshold.
+    s_max = _largest_singular(
+        lambda x: dtrmv(r, x), lambda x: dtrmv(r, x, trans=1), size, 1e-2
+    )
+    if SINGULAR_REL_TOL * s_max * inv_norm > 1.0:
+        raise SingularOperator("operator is numerically singular")
+    return float(inv_norm / scale)
 
 
 def _check_exact_triangularizer(u_circ, clean):

@@ -36,9 +36,10 @@ class MatrixSet:
         for m in mats:
             if m.shape != (d, d):
                 raise DimensionMismatch("all matrices must share dimension d")
-            if not np.all(np.isfinite(m)):
-                raise DimensionMismatch("matrix entries must be finite")
-        object.__setattr__(self, "matrices", np.stack(mats))
+        matrices = np.stack(mats)
+        if not np.all(np.isfinite(matrices)):
+            raise DimensionMismatch("matrix entries must be finite")
+        object.__setattr__(self, "matrices", matrices)
         self.matrices.setflags(write=False)
 
     @property

@@ -1,11 +1,14 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointtri import bounds, cli, io
 from jointtri.bounds import (
+    LANCZOS_MIN_SIZE,
     GroundTruthModel,
     _commutator_operator,
     _operator_index,
@@ -26,7 +29,7 @@ from jointtri.errors import (
     NonUnitBeta,
     SingularOperator,
 )
-from jointtri.harness import GeneratorSpec, gen_ground_truth, sample_noise
+from jointtri.harness import GeneratorSpec, converge, gen_ground_truth, sample_noise
 from jointtri.linalg import low_part, lower_index, lower_pairs, skew_from_lower
 from jointtri.triangularize import (
     MatrixSet,
@@ -125,6 +128,129 @@ class TestAssembleOperators:
 
     def test_inverse_spectral_norm_of_empty_operator_is_zero(self):
         assert inverse_spectral_norm(np.zeros((0, 0))) == 0.0
+
+
+EPS = 2.2e-16
+# Operator sizes on either side of the SVD / QR + Lanczos switch.
+BELOW, ABOVE = LANCZOS_MIN_SIZE - 40, LANCZOS_MIN_SIZE + 110
+
+
+def operator_with_spectrum(s, seed):
+    """Q1 diag(s) Q2^T with random orthogonal Q1, Q2."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((s.size, s.size)))
+    q2, _ = np.linalg.qr(rng.standard_normal((s.size, s.size)))
+    return (q1 * s) @ q2.T
+
+
+def spectrum(kind, size):
+    s = np.geomspace(1.0, 1e-3, size)
+    if kind == "clustered":  # sigma_min and sigma_2 within 1e-8 relative
+        s[-2] = s[-1] * (1.0 + 1e-8)
+    elif kind == "repeated":
+        s[-2] = s[-1]
+    elif kind == "kappa_1e8":
+        s = np.geomspace(1.0, 1e-8, size)
+    return s
+
+
+def assert_matches_svd(op):
+    """Both methods err by O(eps kappa); allow 100 eps kappa(op) relative."""
+    s = np.linalg.svd(op, compute_uv=False)
+    assert abs(inverse_spectral_norm(op) * s[-1] - 1.0) <= 100 * EPS * s[0] / s[-1]
+
+
+@pytest.fixture(scope="module")
+def generated_t_beta(tmp_path_factory):
+    """T_beta at the converged frame of a `jointtri generate` model (N = 8)."""
+    built = {}
+
+    def build(d):
+        if d not in built:
+            path = tmp_path_factory.mktemp(f"d{d}") / "model.json"
+            argv = ["generate", "--kind", "model", "--d", str(d), "--N", "8",
+                    "--kappa", "3", "--gamma", "1", "--sigma", "1e-3",
+                    "--output", str(path)]
+            assert cli.run(argv) == 0
+            mset = io.ground_truth_from_dict(io.load(path)).observed_matrices()
+            u, beta, _ = converge(mset)
+            built[d] = t_beta(u, mset, beta)
+        return built[d]
+
+    return build
+
+
+class TestInverseSpectralNorm:
+    @pytest.mark.parametrize("d", [19, 32])
+    def test_generated_t_beta_matches_svd(self, generated_t_beta, d):
+        op = generated_t_beta(d)
+        assert (op.shape[0] >= LANCZOS_MIN_SIZE) == (d == 32)
+        assert_matches_svd(op)
+        assert inverse_spectral_norm(op) == inverse_spectral_norm(op)
+
+    @pytest.mark.parametrize("size", [BELOW, ABOVE])
+    def test_random_dense_operator_matches_svd(self, size):
+        assert_matches_svd(np.random.default_rng(size).standard_normal((size, size)))
+
+    @pytest.mark.parametrize("size", [BELOW, ABOVE])
+    @pytest.mark.parametrize("kind", ["clustered", "repeated", "kappa_1e8"])
+    def test_hard_spectra_match_svd(self, kind, size):
+        assert_matches_svd(operator_with_spectrum(spectrum(kind, size), seed=size))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scale_matches_svd_without_warnings(self, scale):
+        op = scale * np.random.default_rng(3).standard_normal((ABOVE, ABOVE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_svd(op)
+
+    @pytest.mark.parametrize(
+        "kind", ["zero", "zero_row", "rank_deficient", "ratio_1e-13", "pivot_1e-200"]
+    )
+    def test_singular_operator_above_the_constant_raises(self, kind):
+        rng = np.random.default_rng(1)
+        op = rng.standard_normal((ABOVE, ABOVE))
+        if kind == "zero":
+            op[:] = 0.0
+        elif kind == "zero_row":
+            op[7] = 0.0
+        elif kind == "rank_deficient":
+            op = rng.standard_normal((ABOVE, 3)) @ rng.standard_normal((3, ABOVE))
+        elif kind == "ratio_1e-13":
+            op = operator_with_spectrum(np.geomspace(1.0, 1e-13, ABOVE), seed=2)
+        else:  # a triangular solve would overflow
+            op = np.diag(np.r_[np.ones(ABOVE - 1), 1e-200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularOperator):
+                inverse_spectral_norm(op)
+
+    def test_d32_cost_guard(self, generated_t_beta, monkeypatch):
+        """At most 40 Lanczos steps per run, and no SVD of an L x L array."""
+        op = generated_t_beta(32)
+        size = op.shape[0]
+        calls = {"dtrsv": 0, "dtrmv": 0}
+        for name in calls:
+            monkeypatch.setattr(bounds, name, counted(calls, name, getattr(bounds, name)))
+        svd = np.linalg.svd
+
+        def small_svd(a, *args, **kwargs):
+            assert np.shape(a) != (size, size)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", small_svd)
+        inverse_spectral_norm(op)
+        # each step calls the map once and its transpose once
+        assert 0 < calls["dtrsv"] <= 2 * 40
+        assert 0 < calls["dtrmv"] <= 2 * 40
+
+
+def counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 def dense_commutator_oracle(a):
