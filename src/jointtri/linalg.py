@@ -38,9 +38,17 @@ def unvec(x, d):
     return np.asarray(x).reshape((d, d), order="F")
 
 
+@lru_cache(maxsize=None)
+def _low_mask(shape):
+    mask = np.tri(*shape, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def low_part(a):
-    """Strictly lower-triangular part: entries kept iff i > j."""
-    return np.tril(np.asarray(a, dtype=float), -1)
+    """Strictly lower-triangular part: entries kept iff i > j (np.tril(a, -1))."""
+    a = np.asarray(a, dtype=float)
+    return np.where(_low_mask(a.shape[-2:]), a, 0.0)
 
 
 def up_part(a):
@@ -185,13 +193,10 @@ def real_eigen(m):
 
 def _fix_column_signs(u, tol=1e-12):
     """Flip column signs so the first significant entry of each is positive."""
-    u = u.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(np.abs(col) > tol * max(np.max(np.abs(col)), 1.0))[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-    return u
+    mag = np.abs(u)
+    significant = mag > tol * mag.max(axis=0, initial=1.0)
+    first = u[np.argmax(significant, axis=0), np.arange(u.shape[1])]
+    return np.where(significant.any(axis=0) & (first < 0), -u, u)
 
 
 def ordered_schur(m, order=None):

@@ -5,6 +5,7 @@ the rotated matrices, minimized by Riemannian Gauss-Newton from the Schur
 factor of a separating linear combination of the inputs.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,24 +106,58 @@ def gauss_newton_product(a, x):
     return _commutator_adjoint(a, low_part(a @ t - t @ a))[lower_index(a.shape[1])]
 
 
+def gauss_newton_diagonal(a):
+    """diag(J^T J) in strictly-lower coordinates at the rotated stack a.
+
+    With q = sum_n A_n o A_n off its diagonal, the entry of pair (i, j) is
+    sum_n (A_n,ii - A_n,jj)^2 + sum_{r>j} q_ri + sum_{r>i} q_rj
+    + sum_{c<i} q_jc + sum_{c<j} q_ic: suffix sums down the columns and
+    prefix sums along the rows of q, O(N d^2) with no L x L object.
+    """
+    d = a.shape[1]
+    rows, cols = lower_index(d)
+    q = np.sum(a * a, axis=0)
+    np.fill_diagonal(q, 0.0)
+    below = np.zeros((d + 1, d))  # below[r, c] = sum_{r' >= r} q[r', c]
+    below[:d] = np.cumsum(q[::-1], axis=0)[::-1]
+    left = np.zeros((d, d + 1))  # left[r, c] = sum_{c' < c} q[r, c']
+    left[:, 1:] = np.cumsum(q, axis=1)
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    gap = np.sum((diag[:, rows] - diag[:, cols]) ** 2, axis=0)
+    return (
+        gap
+        + below[cols + 1, rows]
+        + below[rows + 1, cols]
+        + left[cols, rows]
+        + left[rows, cols]
+    )
+
+
 def _gauss_newton_step(a, b):
-    """Truncated CG on (J^T J) x = -b from x = 0, to the forcing tolerance
-    min(0.5, sqrt|b|) |b| or L iterations; each iterate is a descent direction."""
+    """Jacobi-preconditioned truncated CG on (J^T J) x = -b from x = 0, to the
+    forcing tolerance min(0.5, sqrt|b|) |b| on the residual or L iterations;
+    each iterate is a descent direction.  A zero diagonal entry (J e_k = 0)
+    is preconditioned by 1."""
+    diag = gauss_newton_diagonal(a)
+    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
     x = np.zeros_like(b)
-    res = p = -b
-    rr = res @ res
+    res = -b
+    p = z = inv_diag * res
+    rr, rz = res @ res, res @ z
     stop = min(0.25, np.sqrt(rr)) * rr  # the squared forcing tolerance
     for _ in range(b.size):
         hp = gauss_newton_product(a, p)
         curvature = p @ hp
         if curvature <= 0:  # only by rounding: J^T J is positive on its range
             break
-        x = x + rr / curvature * p
-        res = res - rr / curvature * hp
-        rr, rr_prev = res @ res, rr
+        x = x + rz / curvature * p
+        res = res - rz / curvature * hp
+        rr = res @ res
         if rr <= stop:
             break
-        p = res + rr / rr_prev * p
+        z = inv_diag * res
+        rz, rz_prev = res @ z, rz
+        p = z + rz / rz_prev * p
     return x
 
 
@@ -162,13 +197,15 @@ def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50):
     if strategy not in ("ones", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng(seed)
-    candidates = []
-    if strategy == "ones":
-        candidates.append(np.ones(mset.n) / np.sqrt(mset.n))
-    for _ in range(max_tries):
-        v = rng.standard_normal(mset.n)
-        candidates.append(v / np.linalg.norm(v))
-    for beta in candidates[:max_tries]:
+
+    def candidates():
+        if strategy == "ones":
+            yield np.ones(mset.n) / np.sqrt(mset.n)
+        while True:
+            v = rng.standard_normal(mset.n)
+            yield v / np.linalg.norm(v)
+
+    for beta in itertools.islice(candidates(), max_tries):
         pencil = mset.combine(beta)
         gap, all_real = eigenvalue_separation(pencil)
         if all_real and gap > SEPARATION_GAP_REL * np.linalg.norm(pencil):
@@ -208,7 +245,8 @@ class DescentTrace:
 
 
 def descend(mset, u_init, config=OptimizerConfig()):
-    """Riemannian Gauss-Newton: truncated-CG steps, Armijo backtracking on e^{tX}.
+    """Riemannian Gauss-Newton: Jacobi-preconditioned truncated-CG steps,
+    Armijo backtracking on e^{tX}.
 
     t halves from 1 until U e^{tX} lowers the loss strictly and by the
     Armijo fraction of t <grad, X>, the predicted decrease.  Raises

@@ -12,6 +12,7 @@ from jointtri.errors import (
     NegativeDeterminant,
 )
 from jointtri.linalg import (
+    _fix_column_signs,
     low_part,
     lower_index,
     lower_pairs,
@@ -64,6 +65,41 @@ class TestLowPartition:
         a = rng.standard_normal((3, 3))
         total = low_part(a) + up_part(a) + np.diag(np.diag(a))
         assert np.array_equal(total, a)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (4, 5), (2, 8)])
+    def test_stack_matches_tril_bit_for_bit(self, n, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((n, d, d))
+        a[rng.random((n, d, d)) < 0.3] = -0.0
+        a[rng.random((n, d, d)) < 0.2] = 0.0
+        for stack in (a, a.transpose(0, 2, 1), a[0]):
+            # the bytes tell -0.0 from +0.0
+            assert low_part(stack).tobytes() == np.tril(stack, -1).tobytes()
+
+
+class TestFixColumnSigns:
+    @staticmethod
+    def loop(u, tol=1e-12):
+        """Column by column: flip where the first significant entry is negative."""
+        u = u.copy()
+        for j in range(u.shape[1]):
+            col = u[:, j]
+            nz = np.nonzero(np.abs(col) > tol * max(np.max(np.abs(col)), 1.0))[0]
+            if nz.size and col[nz[0]] < 0:
+                u[:, j] = -col
+        return u
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 9])
+    def test_matches_column_loop(self, d):
+        rng = np.random.default_rng(d)
+        u = rng.standard_normal((d, d))
+        u[0, :] *= 1e-14  # leading entries below the significance floor
+        u[1:2, :] *= 1e-10  # significant in u, not in 1e-3 u (floor of 1e-12)
+        u[:, 0] = 0.0  # a zero column is left as it is
+        if d > 1:
+            u[:, 1] = -0.0
+        for v in (u, 1e-3 * u, -u):
+            assert _fix_column_signs(v).tobytes() == self.loop(v).tobytes()
 
 
 class TestLowProjector:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from jointtri.triangularize import (
     OptimizerConfig,
     descend,
     find_separating_beta,
+    gauss_newton_diagonal,
     gauss_newton_product,
     gradient,
     hessian_form,
@@ -257,6 +259,33 @@ class TestFindSeparatingBeta:
         with pytest.raises(NoSeparatingBeta):
             find_separating_beta(mset, strategy="random", seed=0, max_tries=10)
 
+    @pytest.mark.parametrize("strategy", ["ones", "random"])
+    def test_matches_eager_draws(self, strategy):
+        """The candidates are drawn lazily, in the order of drawing all
+        max_tries of them up front."""
+
+        def eager(mset, strategy, seed, max_tries=50):
+            rng = np.random.default_rng(seed)
+            candidates = []
+            if strategy == "ones":
+                candidates.append(np.ones(mset.n) / np.sqrt(mset.n))
+            for _ in range(max_tries):
+                v = rng.standard_normal(mset.n)
+                candidates.append(v / np.linalg.norm(v))
+            for beta in candidates[:max_tries]:
+                pencil = mset.combine(beta)
+                gap, all_real = triangularize.eigenvalue_separation(pencil)
+                if all_real and gap > triangularize.SEPARATION_GAP_REL * np.linalg.norm(pencil):
+                    return beta, gap
+            return None
+
+        degenerate = MatrixSet((np.diag([1.0, 1.0, 2.0]), np.diag([0.0, 1.0, 0.0])))
+        for seed in range(8):
+            for mset in (degenerate, commuting_set(seed, d=4, n=3)[1]):
+                beta, gap = find_separating_beta(mset, strategy=strategy, seed=seed)
+                beta_ref, gap_ref = eager(mset, strategy, seed)
+                assert beta.tobytes() == beta_ref.tobytes() and gap == gap_ref
+
 
 class TestSchurInitializer:
     def test_noiseless_set_starts_at_zero_loss(self):
@@ -349,6 +378,7 @@ class TestDescendCallCounts:
         gradient_calls = self.count_calls(monkeypatch, "gradient")
         _, trace = descend(observed, u0, config)
         assert trace.termination == termination
+        assert min(trace.step_lengths) < 1.0
 
         iterations = len(trace.step_lengths)
         backtracks = 0
@@ -358,7 +388,6 @@ class TestDescendCallCounts:
                 trial *= config.backtrack_factor
                 backtracks += 1
             assert trial == step
-        assert backtracks > 0
         assert len(loss_calls) == 1 + iterations + backtracks
         assert len(gradient_calls) == iterations + (termination == "grad_tol")
 
@@ -419,6 +448,91 @@ class TestGaussNewtonProduct:
                 assert math.isclose(
                     quadratic, hessian_form(u, clean, x), rel_tol=1e-13
                 )
+
+
+class TestGaussNewtonDiagonal:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_matches_unit_vector_products(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        for a in (rng.standard_normal((n, d, d)), np.triu(rng.standard_normal((n, d, d)))):
+            diag = gauss_newton_diagonal(a)
+            units = np.eye(d * (d - 1) // 2)
+            expected = np.array([e @ gauss_newton_product(a, e) for e in units])
+            assert diag.shape == expected.shape
+            assert np.allclose(diag, expected, rtol=1e-14, atol=0)
+            assert np.allclose(diag, np.sum(dense_jacobian(a) ** 2, axis=0), rtol=1e-14, atol=0)
+
+
+def zero_diagonal_stack():
+    """A_n,00 == A_n,11 in every matrix and no mass at (2, 0), (2, 1), so
+    J e_k = 0 for the pair (1, 0), while the other pairs carry residual."""
+    return np.array([
+        [[1.0, 0.5, 0.2], [0.3, 1.0, 0.7], [0.0, 0.0, 2.0]],
+        [[-1.0, 0.1, 0.4], [0.6, -1.0, 0.2], [0.0, 0.0, 3.0]],
+    ])
+
+
+class TestGaussNewtonStep:
+    """Jacobi-preconditioned CG on (J^T J) x = -b."""
+
+    @staticmethod
+    def iterates(monkeypatch, a, b):
+        """Every CG iterate: the k-th is the step returned when the
+        (k+1)-th product reports non-positive curvature."""
+        product = triangularize.gauss_newton_product
+        steps = []
+        for k in range(1, b.size + 1):
+            calls = []
+
+            def capped(stack, p):
+                calls.append(None)
+                return product(stack, p) if len(calls) <= k else -p
+
+            monkeypatch.setattr(triangularize, "gauss_newton_product", capped)
+            steps.append(triangularize._gauss_newton_step(a, b))
+            monkeypatch.undo()
+            if len(calls) <= k:  # stopped at the forcing tolerance first
+                break
+        return steps
+
+    @staticmethod
+    def systems():
+        """Small (stack, J^T r) systems, with b at unit and at small scale."""
+        rng = np.random.default_rng(5)
+        for d, n in [(2, 1), (3, 2), (4, 4), (5, 3), (6, 2)]:
+            a = rng.standard_normal((n, d, d))
+            a += np.diag(np.arange(d, dtype=float) * 3.0)  # separated diagonals
+            b = dense_jacobian(a).T @ rng.standard_normal(n * d * (d - 1) // 2)
+            yield a, b
+            yield a, 1e-6 * b
+        yield zero_diagonal_stack(), dense_jacobian(zero_diagonal_stack()).T @ np.ones(6)
+
+    def test_every_iterate_is_a_descent_direction(self, monkeypatch):
+        for a, b in self.systems():
+            steps = self.iterates(monkeypatch, a, b)
+            assert steps
+            for x in steps:
+                assert b @ x < 0
+
+    def test_step_meets_the_forcing_tolerance(self):
+        for a, b in self.systems():
+            x = triangularize._gauss_newton_step(a, b)
+            jac = dense_jacobian(a)
+            res = jac.T @ (jac @ x) + b
+            bb = b @ b
+            assert res @ res <= min(0.25, np.sqrt(bb)) * bb * (1 + 1e-9)
+
+    def test_zero_diagonal_entry_gives_finite_step(self):
+        a = zero_diagonal_stack()
+        diag = gauss_newton_diagonal(a)
+        k = lower_pairs(3).index((1, 0))
+        assert diag[k] == 0.0 and np.all(np.delete(diag, k) > 0)
+        b = dense_jacobian(a).T @ np.ones(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = triangularize._gauss_newton_step(a, b)
+        assert np.all(np.isfinite(x)) and b @ x < 0
 
 
 def armijo_descend(mset, u, max_iters=2000, grad_tol=1e-10):
