@@ -8,8 +8,8 @@ noise threshold with its Hessian-positivity constants, and the
 joint-eigenvalue error bound.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -22,13 +22,47 @@ from .errors import (
     SingularOperator,
 )
 from .linalg import lower_index, matrix_metrics, min_pairwise_gap, skew_from_lower, vec
-from .triangularize import MatrixSet, loss, rotated
+from .triangularize import MatrixSet, _check_frame, loss, rotated
 
 SINGULAR_REL_TOL = 1e-12
 # Operators of at least this many rows take the QR + Lanczos path in
 # inverse_spectral_norm; below it a dense SVD is faster (measured crossover).
 LANCZOS_MIN_SIZE = 190
 LANCZOS_TOL = 1e-14
+
+
+@dataclass
+class NoiseFree:
+    """Noise-free quantities of one eigenstructure, each computed on first use.
+
+    with_noise shares one instance across a study.  ``apriori_inv_norms``
+    maps an exact frame's bytes to its a priori ||(sum T~^T T~)^-1||.
+    """
+
+    v: np.ndarray
+    lambda_table: np.ndarray
+    apriori_inv_norms: dict = field(default_factory=dict)
+
+    @cached_property
+    def clean(self):
+        v_inv = np.linalg.inv(self.v)
+        return MatrixSet((self.v * self.lambda_table[:, None, :]) @ v_inv)
+
+    @cached_property
+    def clean_norms(self):
+        return tuple(np.linalg.norm(m) for m in self.clean.matrices)
+
+    @cached_property
+    def m_norm(self):
+        return float(np.sqrt(sum(x**2 for x in self.clean_norms)))
+
+    @cached_property
+    def gamma(self):
+        return min_pairwise_gap(self.lambda_table)
+
+    @cached_property
+    def kappa(self):
+        return matrix_metrics(self.v)[2]
 
 
 @dataclass(frozen=True)
@@ -41,9 +75,9 @@ class GroundTruthModel:
     sigma: float
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        lam = np.asarray(self.lambda_table, dtype=float)
-        noise = tuple(np.asarray(w, dtype=float) for w in self.noise)
+        v = np.array(self.v, dtype=float)
+        lam = np.array(self.lambda_table, dtype=float)
+        noise = tuple(np.array(w, dtype=float) for w in self.noise)
         d = v.shape[0]
         if v.shape != (d, d):
             raise DimensionMismatch("V must be square")
@@ -60,9 +94,12 @@ class GroundTruthModel:
             raise DimensionMismatch("V must be invertible")
         if self.sigma < 0:
             raise DimensionMismatch("sigma must be nonnegative")
+        for a in (v, lam, *noise):  # read-only copies keep noise_free valid
+            a.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "lambda_table", lam)
         object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "noise_free", NoiseFree(v, lam))
 
     @property
     def d(self):
@@ -74,38 +111,31 @@ class GroundTruthModel:
 
     def clean_matrices(self):
         """The commuting ground-truth matrices as a MatrixSet."""
-        v_inv = np.linalg.inv(self.v)
-        mats = tuple(
-            self.v @ np.diag(self.lambda_table[n]) @ v_inv for n in range(self.n)
-        )
-        return MatrixSet(mats)
+        return self.noise_free.clean
 
     def observed_matrices(self, sigma=None):
         """Noisy observations M_n + sigma W_n (sigma overridable)."""
         s = self.sigma if sigma is None else sigma
-        clean = self.clean_matrices()
-        return MatrixSet(
-            tuple(m + s * w for m, w in zip(clean.matrices, self.noise))
-        )
+        return MatrixSet(self.clean_matrices().matrices + s * np.stack(self.noise))
 
     def with_noise(self, noise, sigma):
-        """Same eigenstructure with replacement noise matrices and level."""
-        return GroundTruthModel(
+        """Same eigenstructure (and noise-free cache), new noise and level."""
+        child = GroundTruthModel(
             v=self.v, lambda_table=self.lambda_table, noise=tuple(noise), sigma=sigma
         )
+        object.__setattr__(child, "noise_free", self.noise_free)
+        return child
 
     def eigengap(self):
         """gamma = min over pairs i < i' of sum_n (lambda_ni - lambda_ni')^2."""
         if self.d < 2:
             raise DegenerateSpectrum("eigengap undefined for d = 1")
-        return min_pairwise_gap(self.lambda_table)
+        return self.noise_free.gamma
 
     def norms(self):
         """(sqrt(sum ||M_n||^2), sqrt(sum ||W_n||^2))."""
-        clean = self.clean_matrices()
-        m_norm = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in clean.matrices))
         w_norm = np.sqrt(sum(np.linalg.norm(w) ** 2 for w in self.noise))
-        return float(m_norm), float(w_norm)
+        return self.noise_free.m_norm, float(w_norm)
 
 
 @lru_cache(maxsize=None)
@@ -261,10 +291,15 @@ def a_priori_bound(gt, u_circ):
 
     2 sqrt(2) sigma ||T~^{-1}||_2 sqrt(sum ||M_n||^2) sqrt(sum ||W_n||^2),
     with T~ assembled from the noiseless matrices at the exact frame.
+    The inverse norm is cached per exact frame in ``gt.noise_free``.
     """
-    clean = gt.clean_matrices()
-    _check_exact_triangularizer(u_circ, clean)
-    inv_norm = inverse_spectral_norm(t_tilde_gram(u_circ, clean))
+    cache = gt.noise_free
+    u_circ = _check_frame(u_circ, cache.clean)
+    inv_norm = cache.apriori_inv_norms.get(u_circ.tobytes())
+    if inv_norm is None:
+        _check_exact_triangularizer(u_circ, cache.clean)
+        inv_norm = inverse_spectral_norm(t_tilde_gram(u_circ, cache.clean))
+        cache.apriori_inv_norms[u_circ.tobytes()] = inv_norm
     m_norm, w_norm = gt.norms()
     return 2.0 * np.sqrt(2.0) * gt.sigma * inv_norm * m_norm * w_norm
 
@@ -279,7 +314,7 @@ def explicit_bound(gt):
     if gamma <= 0.0:
         raise DegenerateSpectrum("two identical eigenvalue columns: gamma = 0")
     d = gt.d
-    _, _, kappa = matrix_metrics(gt.v)
+    kappa = gt.noise_free.kappa
     m_norm, w_norm = gt.norms()
     bound = (
         2.0 * gt.sigma * np.sqrt(d * (d - 1)) * kappa**4 / gamma * m_norm * w_norm
@@ -332,9 +367,8 @@ def hessian_constants(gt):
     gamma = gt.eigengap()
     if gamma <= 0.0:
         raise DegenerateSpectrum("gamma = 0; Hessian positivity constants undefined")
-    _, _, kappa = matrix_metrics(gt.v)
-    epsilon = gamma / (2.0 * kappa**4)
-    m_norm, _ = gt.norms()
+    epsilon = gamma / (2.0 * gt.noise_free.kappa**4)
+    m_norm = gt.noise_free.m_norm
     a_alpha = 32.0 * m_norm**2
     a_sigma = 16.0 * np.sqrt(gt.n) * m_norm
     return float(epsilon), float(gamma), float(a_alpha), float(a_sigma)

@@ -156,12 +156,9 @@ def _cmd_bounds(args):
     u_circ = family.frames[idx]
     u_init = tri.schur_initializer(observed, beta)
     sigma_max, alpha_max, constants = bd.init_noise_threshold(gt, beta, u_init)
-    clean = gt.clean_matrices()
     eig_bound = max(
-        bd.eigenvalue_error_bound(
-            alpha, gt.sigma, np.linalg.norm(m), np.linalg.norm(w)
-        )
-        for m, w in zip(clean.matrices, gt.noise)
+        bd.eigenvalue_error_bound(alpha, gt.sigma, m_norm, np.linalg.norm(w))
+        for m_norm, w in zip(gt.noise_free.clean_norms, gt.noise)
     )
     explicit, gamma = bd.explicit_bound(gt)
     report = bd.BoundReport(

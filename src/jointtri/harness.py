@@ -122,10 +122,14 @@ class TriangularizerFamily:
 
     ``frames`` is one (2^d d!, d, d) array: for each column permutation of
     V (in ``itertools.permutations`` order), its QR factor times every
-    sign pattern (in ``itertools.product`` order).
+    sign pattern (in ``itertools.product`` order); ``dets`` are their determinants.
     """
 
     frames: np.ndarray
+    dets: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dets", np.linalg.det(self.frames))
 
     def __len__(self):
         return len(self.frames)
@@ -138,12 +142,11 @@ def enumerate_exact_triangularizers(gt):
     if gt.d > 1 and gt.eigengap() <= 0.0:
         raise DegenerateSpectrum("gamma = 0; triangularizer family is not finite")
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=gt.d)))
-    frames = []
-    for perm in itertools.permutations(range(gt.d)):
-        q, r = np.linalg.qr(gt.v[:, perm])
-        q = q * np.sign(np.diag(r))
-        frames.append(q * signs[:, None, :])
-    return TriangularizerFamily(frames=np.concatenate(frames))
+    perms = np.array(list(itertools.permutations(range(gt.d))))
+    q, r = np.linalg.qr(gt.v[:, perms].transpose(1, 0, 2))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    frames = q[:, None] * signs[None, :, None, :]
+    return TriangularizerFamily(frames=frames.reshape(-1, gt.d, gt.d))
 
 
 def distance_to_nearest(u, family):
@@ -164,7 +167,7 @@ def distance_to_nearest(u, family):
         raise NoComparableFrame("empty triangularizer family")
     u = np.asarray(u, dtype=float)
     frames = family.frames
-    index = np.flatnonzero(np.linalg.det(frames.transpose(0, 2, 1) @ u) > 0)
+    index = np.flatnonzero(family.dets * np.linalg.det(u) > 0)
     if not index.size:
         raise NoComparableFrame("no frame shares the orientation of U")
     chordal = np.linalg.norm(frames[index] - u, axis=(1, 2))
@@ -292,14 +295,12 @@ def verify_bounds(gt, sigma, trials, seed=0):
             explicit, _ = bd.explicit_bound(model)
             aposteriori = bd.a_posteriori_bound(observed, u, beta, sigma)
             eig_ok = True
-            for m_hat, m_clean, w in zip(
-                observed.matrices, clean.matrices, model.noise
+            for m_hat, m_clean, m_norm, w in zip(
+                observed.matrices, clean.matrices, gt.noise_free.clean_norms, model.noise
             ):
                 observed_diag = np.diag(u.T @ m_hat @ u)
                 clean_diag = np.diag(u_circ.T @ m_clean @ u_circ)
-                limit = bd.eigenvalue_error_bound(
-                    alpha, sigma, np.linalg.norm(m_clean), np.linalg.norm(w)
-                )
+                limit = bd.eigenvalue_error_bound(alpha, sigma, m_norm, np.linalg.norm(w))
                 gap = np.max(np.abs(observed_diag - clean_diag))
                 if gap > CONTAINMENT_SLACK * limit + CONTAINMENT_ATOL:
                     eig_ok = False

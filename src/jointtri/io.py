@@ -16,25 +16,21 @@ from .tensor import Tensor3
 from .triangularize import MatrixSet
 
 
-def sanitize(obj):
-    """Recursively convert numpy scalars/arrays into plain Python values."""
-    if isinstance(obj, dict):
-        return {str(k): sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
+def _plain(obj):
+    """json ``default`` hook for numpy values (np.float64 is a float already)."""
     if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
+        return obj.tolist()
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dump_canonical(obj, path):
-    text = json.dumps(sanitize(obj), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -28,16 +28,16 @@ class MatrixSet:
     matrices: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=float) for m in self.matrices)
-        if not mats:
+        try:
+            matrices = np.array(self.matrices, dtype=float, order="C")
+        except ValueError as exc:  # ragged input
+            raise DimensionMismatch("all matrices must share dimension d") from exc
+        if matrices.shape[:1] == (0,):
             raise DimensionMismatch("matrix set must contain at least one matrix")
-        d = mats[0].shape[0]
-        if d == 0:
+        if matrices.ndim == 3 and matrices.shape[1] == 0:
             raise DimensionMismatch("matrix dimension d must be at least 1")
-        for m in mats:
-            if m.shape != (d, d):
-                raise DimensionMismatch("all matrices must share dimension d")
-        matrices = np.stack(mats)
+        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+            raise DimensionMismatch("all matrices must share dimension d")
         if not np.all(np.isfinite(matrices)):
             raise DimensionMismatch("matrix entries must be finite")
         object.__setattr__(self, "matrices", matrices)

@@ -29,7 +29,13 @@ from jointtri.errors import (
     NonUnitBeta,
     SingularOperator,
 )
-from jointtri.harness import GeneratorSpec, converge, gen_ground_truth, sample_noise
+from jointtri.harness import (
+    GeneratorSpec,
+    converge,
+    enumerate_exact_triangularizers,
+    gen_ground_truth,
+    sample_noise,
+)
 from jointtri.linalg import low_part, lower_index, lower_pairs, skew_from_lower
 from jointtri.triangularize import (
     MatrixSet,
@@ -78,6 +84,45 @@ class TestGroundTruthModel:
             GroundTruthModel(
                 v=np.eye(2), lambda_table=[[0.0, 1.0]], noise=(w,), sigma=0.1
             )
+
+    def test_with_noise_shares_the_noise_free_cache(self):
+        gt = gen_ground_truth(GeneratorSpec(d=4, n=3, kappa_target=3.0, seed=6))
+        rng = np.random.default_rng(6)
+        child = gt.with_noise(tuple(sample_noise(rng, 4) for _ in range(3)), 1e-2)
+        fresh = GroundTruthModel(
+            v=gt.v.copy(), lambda_table=gt.lambda_table.copy(),
+            noise=child.noise, sigma=1e-2,
+        )
+        assert child.noise_free is gt.noise_free
+        assert fresh.noise_free is not gt.noise_free
+        for name in ("clean_norms", "m_norm", "gamma", "kappa"):
+            assert getattr(child.noise_free, name) == getattr(fresh.noise_free, name)
+        v_inv = np.linalg.inv(gt.v)
+        per_matrix = [gt.v @ np.diag(row) @ v_inv for row in gt.lambda_table]
+        assert np.array_equal(child.clean_matrices().matrices, per_matrix)
+        assert np.array_equal(
+            child.observed_matrices().matrices,
+            [m + 1e-2 * w for m, w in zip(per_matrix, child.noise)],
+        )
+        u_circ = enumerate_exact_triangularizers(gt).frames[5]
+        for bound in (a_priori_bound, predicted_direction):
+            assert np.array_equal(bound(child, u_circ), bound(fresh, u_circ))
+        assert explicit_bound(child) == explicit_bound(fresh)
+        assert hessian_constants(child) == hessian_constants(fresh)
+        assert list(gt.noise_free.apriori_inv_norms) == [u_circ.tobytes()]
+
+    def test_model_is_immutable(self):
+        v, lam, w = np.eye(2), np.array([[0.0, 1.0]]), np.diag([0.6, 0.0])
+        gt = GroundTruthModel(v=v, lambda_table=lam, noise=(w,), sigma=0.1)
+        clean = gt.clean_matrices().matrices.copy()
+        for array in (gt.v, gt.lambda_table, gt.noise[0]):
+            with pytest.raises(ValueError):
+                array[0, 0] = 2.0
+        v[0, 0], lam[0, 0], w[0, 0] = 3.0, 5.0, 0.1
+        assert gt.v[0, 0] == 1.0
+        assert gt.lambda_table[0, 0] == 0.0
+        assert gt.noise[0][0, 0] == 0.6
+        assert np.array_equal(gt.clean_matrices().matrices, clean)
 
     def test_clean_matrices_commute(self):
         gt = gen_ground_truth(GeneratorSpec(d=4, n=3, seed=5))

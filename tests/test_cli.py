@@ -29,10 +29,25 @@ class TestCanonicalSerialization:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_numpy_scalars_are_sanitized(self, tmp_path):
-        payload = {"a": np.float64(1.5), "b": np.int64(3), "c": np.bool_(True)}
+        payload = {
+            "a": np.float64(1.5),
+            "b": np.int64(3),
+            "c": np.bool_(True),
+            "d": {"m": np.array([[1.0, 2.5], [np.int64(4), -0.0]])},
+            "e": np.float32(0.25),
+            "f": (1, np.float64(2.0), [np.array([True, False])]),
+            "g": np.float64("nan"),
+        }
         path = tmp_path / "c.json"
         io.dump_canonical(payload, path)
-        assert io.load(path) == {"a": 1.5, "b": 3, "c": True}
+        assert path.read_text() == (
+            '{"a":1.5,"b":3,"c":true,"d":{"m":[[1.0,2.5],[4.0,-0.0]]},'
+            '"e":0.25,"f":[1,2.0,[[true,false]]],"g":NaN}\n'
+        )
+
+    def test_unknown_objects_are_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            io.dump_canonical({"a": object()}, tmp_path / "d.json")
 
     def test_matrix_set_round_trip(self):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=2, seed=1))

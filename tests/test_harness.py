@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtri import harness
+from jointtri import bounds, harness
 from jointtri.errors import LogBranchAmbiguous, TooLarge
 from jointtri.harness import (
     GeneratorSpec,
@@ -98,6 +100,32 @@ class TestEnumerateTriangularizers:
             for j in range(i + 1, count):
                 assert np.linalg.norm(family.frames[i] - family.frames[j]) > 1e-6
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_batched_qr_matches_per_permutation_loop(self, d):
+        gt = gen_ground_truth(GeneratorSpec(d=d, n=3, kappa_target=3.0, seed=30 + d))
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
+        frames = []
+        for perm in itertools.permutations(range(d)):
+            q, r = np.linalg.qr(gt.v[:, perm])
+            q = q * np.sign(np.diag(r))
+            frames.append(q * signs[:, None, :])
+        family = enumerate_exact_triangularizers(gt)
+        assert np.array_equal(family.frames, np.concatenate(frames))
+        assert np.array_equal(family.dets, np.linalg.det(family.frames))
+
+    def test_one_qr_call(self, monkeypatch):
+        gt = gen_ground_truth(GeneratorSpec(d=4, n=3, seed=11))
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        enumerate_exact_triangularizers(gt)
+        assert calls == [(24, 4, 4)]
+
     def test_size_guard(self):
         gt = gen_ground_truth(GeneratorSpec(d=6, n=3, seed=11))
         with pytest.raises(TooLarge):
@@ -129,6 +157,20 @@ class TestDistanceToNearest:
         alpha, idx = distance_to_nearest(-family.frames[0], family)
         assert alpha <= 1e-10
         assert np.allclose(family.frames[idx], -family.frames[0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_orientation_filter_matches_relative_determinants(self, d):
+        # at odd d a negated frame has the opposite orientation
+        rng = np.random.default_rng(40 + d)
+        gt = gen_ground_truth(GeneratorSpec(d=d, n=3, seed=40 + d))
+        family = enumerate_exact_triangularizers(gt)
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        haar = q * np.sign(np.diag(r))
+        near = -family.frames[7] @ skew_exp(random_unit_skew(rng, d), 0.05)
+        for u in (haar, -haar, near, -family.frames[3]):
+            relative = np.linalg.det(family.frames.transpose(0, 2, 1) @ u) > 0
+            assert np.array_equal(family.dets * np.linalg.det(u) > 0, relative)
+            assert distance_to_nearest(u, family) == brute_force_nearest(u, family)
 
     def test_nearest_direction_round_trip(self):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=15))
@@ -248,6 +290,42 @@ class TestVerifyBounds:
         summary = verify_bounds(gt, 1e-4, trials=3)
         assert summary["errors"] == 0
         assert len(calls) == 3
+
+    def test_noise_free_work_is_done_once_per_study(self, monkeypatch):
+        gt = gen_ground_truth(GeneratorSpec(d=4, n=4, kappa_target=3.0, seed=22))
+        clean_builds, enumerations, grams, nearest = [], [], [], []
+        build = bounds.NoiseFree.clean.func
+
+        def counted_build(cache):
+            clean_builds.append(None)
+            return build(cache)
+
+        counted_clean = functools.cached_property(counted_build)
+        counted_clean.__set_name__(bounds.NoiseFree, "clean")
+        monkeypatch.setattr(bounds.NoiseFree, "clean", counted_clean)
+
+        def counting(log, fn):
+            def counted(*args):
+                result = fn(*args)
+                log.append(result)
+                return result
+
+            return counted
+
+        monkeypatch.setattr(
+            harness, "enumerate_exact_triangularizers",
+            counting(enumerations, enumerate_exact_triangularizers),
+        )
+        monkeypatch.setattr(bounds, "t_tilde_gram", counting(grams, bounds.t_tilde_gram))
+        monkeypatch.setattr(
+            harness, "distance_to_nearest", counting(nearest, distance_to_nearest)
+        )
+        summary = verify_bounds(gt, 1e-3, trials=4)
+        assert summary["errors"] == 0
+        assert len(clean_builds) == 1
+        assert len(enumerations) == 1
+        assert len(nearest) == 4
+        assert len(grams) == len({idx for _, idx in nearest})
 
     def test_converge_is_deterministic(self):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=19), sigma=1e-3)

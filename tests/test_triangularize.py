@@ -68,6 +68,20 @@ class TestMatrixSet:
         source[0, 0] = 5.0
         assert mset.matrices[0, 0, 0] == 1.0
 
+    def test_rejects_ragged_list(self):
+        with pytest.raises(DimensionMismatch):
+            MatrixSet([[[1.0, 0.0], [0.0, 1.0]], [[1.0]]])
+
+    def test_rejects_two_dimensional_array(self):
+        with pytest.raises(DimensionMismatch):
+            MatrixSet(np.eye(3))
+
+    def test_rejects_non_square_and_non_finite(self):
+        with pytest.raises(DimensionMismatch):
+            MatrixSet(np.zeros((2, 3, 4)))
+        with pytest.raises(DimensionMismatch):
+            MatrixSet((np.array([[1.0, np.nan], [0.0, 1.0]]),))
+
     def test_sequence_and_stack_give_equal_sets(self):
         rng = np.random.default_rng(15)
         mats = [rng.standard_normal((3, 3)) for _ in range(4)]
@@ -370,7 +384,7 @@ class TestDescendCallCounts:
         observed = gt.observed_matrices()
         beta, _ = find_separating_beta(observed)
         # rotated away from the Schur initializer, so that the unit
-        # Gauss-Newton step of the third iteration is halved
+        # Gauss-Newton step of the second iteration is halved
         u0 = schur_initializer(observed, beta) @ skew_exp(
             random_skew(np.random.default_rng(0), 6), 0.3
         )
