@@ -29,14 +29,12 @@ from .linalg import (
     EigenSystem,
     low_part,
     lower_index,
-    lower_pairs,
     matrix_metrics,
     ordered_schur,
     orthogonal_log,
     real_eigen,
     skew_exp,
     unvec,
-    up_part,
     vec,
 )
 from .triangularize import (
@@ -63,7 +61,6 @@ from .bounds import (
     inverse_spectral_norm,
     predicted_direction,
     t_beta,
-    t_tilde_gram,
 )
 from .tensor import (
     Tensor3,
@@ -100,16 +97,15 @@ __all__ = [
     "NearDefective", "NegativeDeterminant", "NoComparableFrame", "NonUnitBeta",
     "NoSeparatingBeta", "RankDeficient", "SingularOperator", "SingularY",
     "SingularZ", "TooLarge", "ZeroColumnSum",
-    "EigenSystem", "low_part", "lower_index", "lower_pairs", "matrix_metrics",
-    "ordered_schur", "orthogonal_log", "real_eigen", "skew_exp", "unvec",
-    "up_part", "vec",
+    "EigenSystem", "low_part", "lower_index", "matrix_metrics", "ordered_schur",
+    "orthogonal_log", "real_eigen", "skew_exp", "unvec", "vec",
     "DescentTrace", "MatrixSet", "OptimizerConfig", "descend",
     "eigenvalue_separation", "find_separating_beta", "gradient",
     "hessian_form", "loss", "schur_initializer",
     "BoundReport", "GroundTruthModel", "a_posteriori_bound", "a_priori_bound",
     "eigenvalue_error_bound", "explicit_bound", "hessian_constants",
     "init_noise_threshold", "inverse_spectral_norm", "predicted_direction",
-    "t_beta", "t_tilde_gram",
+    "t_beta",
     "Tensor3", "component_error_bound", "component_gamma",
     "estimate_components", "first_order_model", "match_columns",
     "observable_matrices", "recover_scales", "slices",

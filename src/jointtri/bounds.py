@@ -1,11 +1,11 @@
 """Perturbation-bound quantities for approximate joint triangularizers.
 
-Covers the commutator operator on the strictly-lower index pairs, one
-operator per use, Gram accumulated per matrix; the a priori bound and its
-explicit eigengap form, the first-order direction prediction, the a
-posteriori bound from observable quantities, the certified-initialization
-noise threshold with its Hessian-positivity constants, and the
-joint-eigenvalue error bound.
+Covers the commutator operator of the beta-pencil on the strictly-lower
+index pairs; the a priori bound and the first-order direction prediction,
+both from the descent's Gauss-Newton matrix J^T J at the exact frame; the
+explicit eigengap form of the a priori bound, the a posteriori bound from
+observable quantities, the certified-initialization noise threshold with
+its Hessian-positivity constants, and the joint-eigenvalue error bound.
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +21,22 @@ from .errors import (
     NonUnitBeta,
     SingularOperator,
 )
-from .linalg import lower_index, matrix_metrics, min_pairwise_gap, skew_from_lower, vec
-from .triangularize import MatrixSet, _check_frame, loss, rotated
+from .linalg import (
+    low_part,
+    lower_index,
+    matrix_metrics,
+    min_pairwise_gap,
+    skew_from_lower,
+    vec,
+)
+from .triangularize import (
+    MatrixSet,
+    _check_frame,
+    _commutator_adjoint,
+    gauss_newton_matrix,
+    loss,
+    rotated,
+)
 
 SINGULAR_REL_TOL = 1e-12
 # Operators of at least this many rows take the QR + Lanczos path in
@@ -36,7 +50,8 @@ class NoiseFree:
     """Noise-free quantities of one eigenstructure, each computed on first use.
 
     with_noise shares one instance across a study.  ``apriori_inv_norms``
-    maps an exact frame's bytes to its a priori ||(sum T~^T T~)^-1||.
+    maps an exact frame's bytes to its a priori ||(J^T J)^-1||, with J^T J
+    the descent's Gauss-Newton matrix of the clean set at that frame.
     """
 
     v: np.ndarray
@@ -162,18 +177,6 @@ def _commutator_operator(a):
     return t
 
 
-def _t_tilde_each(u, mset):
-    """The operators T~_n at the frame U, one at a time (O(L^2) memory)."""
-    for a in rotated(u, mset):
-        yield _commutator_operator(a)
-
-
-def t_tilde_gram(u, mset):
-    """The symmetrized Gram sum_n T~_n^T T~_n, accumulated one matrix at a time."""
-    gram = sum(t.T @ t for t in _t_tilde_each(u, mset))
-    return 0.5 * (gram + gram.T)
-
-
 def t_beta(u, mset, beta):
     """T_beta = sum_n beta_n T~_n at the frame U.
 
@@ -280,7 +283,8 @@ def inverse_spectral_norm(op):
 
 
 def _check_exact_triangularizer(u_circ, clean):
-    if loss(u_circ, clean) > 1e-8:
+    # finite first: an inf frame would warn inside the matmul of the loss
+    if not (np.all(np.isfinite(u_circ)) and loss(u_circ, clean) <= 1e-8):
         raise DimensionMismatch(
             "frame does not triangularize the noiseless matrices"
         )
@@ -289,16 +293,18 @@ def _check_exact_triangularizer(u_circ, clean):
 def a_priori_bound(gt, u_circ):
     """First-order a priori bound on the triangularizer perturbation.
 
-    2 sqrt(2) sigma ||T~^{-1}||_2 sqrt(sum ||M_n||^2) sqrt(sum ||W_n||^2),
-    with T~ assembled from the noiseless matrices at the exact frame.
-    The inverse norm is cached per exact frame in ``gt.noise_free``.
+    2 sqrt(2) sigma ||(J^T J)^{-1}||_2 sqrt(sum ||M_n||^2) sqrt(sum ||W_n||^2),
+    with J^T J the Gauss-Newton matrix of the noiseless matrices at the
+    exact frame.  The inverse norm is cached per exact frame in
+    ``gt.noise_free``.
     """
     cache = gt.noise_free
     u_circ = _check_frame(u_circ, cache.clean)
     inv_norm = cache.apriori_inv_norms.get(u_circ.tobytes())
     if inv_norm is None:
         _check_exact_triangularizer(u_circ, cache.clean)
-        inv_norm = inverse_spectral_norm(t_tilde_gram(u_circ, cache.clean))
+        a = rotated(u_circ, cache.clean)
+        inv_norm = inverse_spectral_norm(gauss_newton_matrix(a))
         cache.apriori_inv_norms[u_circ.tobytes()] = inv_norm
     m_norm, w_norm = gt.norms()
     return 2.0 * np.sqrt(2.0) * gt.sigma * inv_norm * m_norm * w_norm
@@ -325,21 +331,19 @@ def explicit_bound(gt):
 def predicted_direction(gt, u_circ):
     """First-order prediction of the perturbation alpha*X (a skew matrix).
 
-    Solves the linearized stationarity equation on the strictly-lower
-    subspace: x = -sigma (sum t_n t_n^T)^{-1} sum_n t_n P_low
-    vec(U0^T W_n U0), where P_low vec(B) is B at the lower index pairs;
-    the skew matrix is E - E^T with E the strictly-lower embedding of x.
-    The operator ordering is pinned by the finite-difference sweep oracle
-    (residual is O(sigma^2)).
+    One exact Gauss-Newton step at the exact frame U0 for the residual
+    sigma [low(U0^T W_n U0)]_n: x = -sigma (J^T J)^{-1} J^T w in the
+    strictly-lower coordinates, with J the Jacobian of the descent at the
+    noiseless matrices; the skew matrix is skew_from_lower(x).  The
+    ordering is pinned by the finite-difference sweep oracle (residual is
+    O(sigma^2)).
     """
     clean = gt.clean_matrices()
     _check_exact_triangularizer(u_circ, clean)
-    rows, cols = lower_index(gt.d)
-    system = np.zeros((rows.size, rows.size))
-    rhs = np.zeros(rows.size)
-    for t_n, w in zip(_t_tilde_each(u_circ, clean), gt.noise):
-        system += t_n @ t_n.T
-        rhs += t_n @ (u_circ.T @ w @ u_circ)[rows, cols]
+    a = rotated(u_circ, clean)
+    w = low_part(u_circ.T @ np.stack(gt.noise) @ u_circ)
+    rhs = _commutator_adjoint(a, w)[lower_index(gt.d)]
+    system = gauss_newton_matrix(a)
     inverse_spectral_norm(system)  # singularity guard
     return skew_from_lower(-gt.sigma * np.linalg.solve(system, rhs), gt.d)
 

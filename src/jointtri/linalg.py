@@ -1,9 +1,9 @@
 """Dense structured linear algebra.
 
-Triangular projections, the strictly-lower index pairs, skew
-exponential, the closed-form orthogonal logarithm (from the real Schur
-form), the real eigensolver, ordered Schur decomposition, and matrix
-metrics.  All vectorizations are column-major, fixed globally.
+The strictly-lower projection and index pairs, the skew exponential,
+the closed-form orthogonal logarithm (from the real Schur form), the
+real eigensolver, ordered Schur decomposition, and matrix metrics.  All
+vectorizations are column-major, fixed globally.
 """
 
 from dataclasses import dataclass
@@ -51,11 +51,6 @@ def low_part(a):
     return np.where(_low_mask(a.shape[-2:]), a, 0.0)
 
 
-def up_part(a):
-    """Strictly upper-triangular part: entries kept iff i < j."""
-    return np.triu(np.asarray(a, dtype=float), 1)
-
-
 def _require_square(a, name="matrix"):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -79,16 +74,11 @@ def require_orthogonal(u, tol=ORTHO_TOL):
     return u
 
 
-def lower_pairs(d):
-    """Strictly-lower index pairs (i, j), i > j, in column-major order."""
-    return [(i, j) for j in range(d) for i in range(j + 1, d)]
-
-
 @lru_cache(maxsize=None)
 def lower_index(d):
     """Strictly-lower index arrays (rows, cols), i > j, in column-major order.
 
-    The same order as :func:`lower_pairs`; ``a[rows, cols]`` is P_low vec(A).
+    Pairs run down each column in turn; ``a[rows, cols]`` is P_low vec(A).
     Cached per d, so the arrays are shared and read-only.
     """
     cols, rows = np.triu_indices(d, 1)

@@ -19,6 +19,8 @@ from .linalg import low_part, lower_index, ordered_schur, skew_exp, skew_from_lo
 
 SEPARATION_GAP_REL = 1e-8
 ROUNDING_ULPS = 4  # a predicted loss decrease below this many ulps is lost to rounding
+ARMIJO_C = 1e-4  # an accepted step lowers the loss by this share of its prediction
+BACKTRACK_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,17 @@ def gauss_newton_diagonal(a):
     )
 
 
+def gauss_newton_matrix(a):
+    """J^T J in strictly-lower coordinates at the rotated stack a, symmetrized.
+
+    Column k is gauss_newton_product(a, e_k), built one at a time, so the
+    working memory beyond the L x L result is O(N d^2).
+    """
+    size = lower_index(a.shape[1])[0].size
+    h = np.array([gauss_newton_product(a, e) for e in np.eye(size)]).reshape(size, size)
+    return 0.5 * (h + h.T)
+
+
 def _gauss_newton_step(a, b):
     """Jacobi-preconditioned truncated CG on (J^T J) x = -b from x = 0, to the
     forcing tolerance min(0.5, sqrt|b|) |b| on the residual or L iterations;
@@ -226,14 +239,10 @@ def schur_initializer(mset, beta):
 class OptimizerConfig:
     max_iters: int = 500
     grad_tol: float = 1e-12
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
 
     def __post_init__(self):
         if self.max_iters < 0 or self.grad_tol <= 0:
             raise ValueError("max_iters must be >= 0 and grad_tol > 0")
-        if not 0 < self.armijo_c < 1 or not 0 < self.backtrack_factor < 1:
-            raise ValueError("armijo_c and backtrack_factor must lie in (0,1)")
 
 
 @dataclass
@@ -269,9 +278,9 @@ def descend(mset, u_init, config=OptimizerConfig()):
         while step == 1.0 or step * -slope >= ROUNDING_ULPS * np.spacing(current):
             candidate = u @ skew_exp(skew_from_lower(x, mset.d), step)
             new = loss(candidate, mset)
-            if new < current + config.armijo_c * step * slope:
+            if new < current + ARMIJO_C * step * slope:
                 break
-            step *= config.backtrack_factor
+            step *= BACKTRACK_FACTOR
         else:
             trace.termination = "stalled"
             raise LineSearchStalled("no step lowers the loss", frame=u, trace=trace)

@@ -127,7 +127,7 @@ def test_criterion_4_operator_spectrum_floor():
         clean = gt.clean_matrices()
         beta, _ = tri.find_separating_beta(clean)
         u_circ = tri.schur_initializer(clean, beta)
-        gram = bd.t_tilde_gram(u_circ, clean)
+        gram = tri.gauss_newton_matrix(tri.rotated(u_circ, clean))
         smallest_singular = np.linalg.svd(gram, compute_uv=False)[-1]
         floor = gt.eigengap() / np.linalg.cond(gt.v) ** 4
         if smallest_singular < floor - 1e-12:

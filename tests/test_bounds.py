@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -21,7 +22,6 @@ from jointtri.bounds import (
     inverse_spectral_norm,
     predicted_direction,
     t_beta,
-    t_tilde_gram,
 )
 from jointtri.errors import (
     DegenerateSpectrum,
@@ -36,10 +36,11 @@ from jointtri.harness import (
     gen_ground_truth,
     sample_noise,
 )
-from jointtri.linalg import low_part, lower_index, lower_pairs, skew_from_lower
+from jointtri.linalg import low_part, lower_index, skew_from_lower
 from jointtri.triangularize import (
     MatrixSet,
     find_separating_beta,
+    gauss_newton_matrix,
     loss,
     rotated,
     schur_initializer,
@@ -69,6 +70,21 @@ def per_matrix_operators(u, mset):
             for a in rotated(u, mset)
         ]
     )
+
+
+def gram_at(u, mset):
+    """The Gauss-Newton matrix J^T J of the set at the frame U."""
+    return gauss_newton_matrix(rotated(u, mset))
+
+
+def per_matrix_system(u_circ, gt):
+    """The per-matrix construction of the first-order system at an
+    exact frame: (sum t_n t_n^T, sum t_n P_low vec(U0^T W_n U0))."""
+    ops = per_matrix_operators(u_circ, gt.clean_matrices())
+    rows, cols = lower_index(gt.d)
+    system = sum(t @ t.T for t in ops)
+    rhs = sum(t @ (u_circ.T @ w @ u_circ)[rows, cols] for t, w in zip(ops, gt.noise))
+    return system, rhs
 
 
 def exact_frame(gt):
@@ -147,23 +163,22 @@ class TestAssembleOperators:
     def test_diagonal_model_gives_diagonal_operator(self):
         lam = np.array([[1.0, 2.0, 4.0], [0.0, 1.0, 3.0]])
         gt = diagonal_model(lam)
-        gram = t_tilde_gram(np.eye(3), gt.clean_matrices())
-        expected = np.diag(
-            [np.sum((lam[:, i] - lam[:, j]) ** 2) for i, j in lower_pairs(3)]
-        )
+        gram = gram_at(np.eye(3), gt.clean_matrices())
+        pairs = [(1, 0), (2, 0), (2, 1)]
+        expected = np.diag([np.sum((lam[:, i] - lam[:, j]) ** 2) for i, j in pairs])
         assert np.allclose(gram, expected, atol=1e-12)
         assert np.isclose(smallest_singular(gram), gt.eigengap())
 
     def test_two_by_two_single_slot(self):
         gt = diagonal_model([[1.0, 3.0]])
-        gram = t_tilde_gram(np.eye(2), gt.clean_matrices())
+        gram = gram_at(np.eye(2), gt.clean_matrices())
         assert gram.shape == (1, 1)
         assert np.isclose(gram[0, 0], 4.0)
 
     def test_gram_sum_is_symmetric_psd(self):
         rng = np.random.default_rng(3)
         mats = MatrixSet(tuple(rng.standard_normal((4, 4)) for _ in range(3)))
-        t = t_tilde_gram(np.eye(4), mats)
+        t = gram_at(np.eye(4), mats)
         assert np.linalg.norm(t - t.T) <= 1e-12
         assert np.min(np.linalg.eigvalsh(t)) >= -1e-10
 
@@ -302,7 +317,8 @@ def dense_commutator_oracle(a):
     """P_low (kron(I, A^T) - kron(A, I)) P_low^T with a dense 0/1 selector."""
     d = a.shape[0]
     p_low = np.zeros((d * (d - 1) // 2, d * d))
-    for row, (i, j) in enumerate(lower_pairs(d)):
+    pairs = [(i, j) for j in range(d) for i in range(j + 1, d)]
+    for row, (i, j) in enumerate(pairs):
         p_low[row, i + j * d] = 1.0
     op = np.kron(np.eye(d), a.T) - np.kron(a, np.eye(d))
     return p_low @ op @ p_low.T
@@ -334,43 +350,37 @@ class TestOperatorOracles:
         assert got.shape == expected.shape
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    @given(
-        st.integers(min_value=1, max_value=7),
-        st.integers(min_value=1, max_value=5),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_streamed_gram_equals_stacked_sum_bit_for_bit(self, d, n, seed):
-        rng = np.random.default_rng(seed)
-        mset = MatrixSet(tuple(rng.standard_normal((d, d)) for _ in range(n)))
-        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        gram = sum(t.T @ t for t in per_matrix_operators(u, mset))
-        assert np.array_equal(t_tilde_gram(u, mset), 0.5 * (gram + gram.T))
+    def test_gauss_newton_matrix_is_the_operator_gram_at_exact_frames(self):
+        """At an exact frame J_n = T~_n^T, so J^T J = sum T~_n T~_n^T."""
+        for d, n, seed in [(3, 3, 1), (4, 5, 2), (5, 2, 3), (5, 8, 4)]:
+            gt = gen_ground_truth(GeneratorSpec(d=d, n=n, seed=seed))
+            clean = gt.clean_matrices()
+            frames = enumerate_exact_triangularizers(gt).frames
+            for u_circ in frames[:: len(frames) // 5]:
+                expected = sum(t @ t.T for t in per_matrix_operators(u_circ, clean))
+                err = np.linalg.norm(gram_at(u_circ, clean) - expected)
+                assert err <= 1e-14 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("d, n, seed", [(3, 3, 1), (4, 5, 2), (5, 2, 3)])
     def test_a_priori_bound_matches_per_matrix_construction(self, d, n, seed):
         gt = gen_ground_truth(GeneratorSpec(d=d, n=n, seed=seed), sigma=1e-3)
         u_circ = exact_frame(gt)
-        gram = sum(t.T @ t for t in per_matrix_operators(u_circ, gt.clean_matrices()))
+        system, _ = per_matrix_system(u_circ, gt)
         m_norm, w_norm = gt.norms()
         expected = (
             2.0 * np.sqrt(2.0) * gt.sigma
-            * inverse_spectral_norm(0.5 * (gram + gram.T)) * m_norm * w_norm
+            * inverse_spectral_norm(system) * m_norm * w_norm
         )
-        assert a_priori_bound(gt, u_circ) == expected
+        assert abs(a_priori_bound(gt, u_circ) - expected) <= 1e-12 * expected
 
     @pytest.mark.parametrize("d, n, seed", [(3, 3, 1), (4, 5, 2), (5, 2, 3)])
     def test_predicted_direction_matches_per_matrix_construction(self, d, n, seed):
         gt = gen_ground_truth(GeneratorSpec(d=d, n=n, seed=seed), sigma=1e-3)
         u_circ = exact_frame(gt)
-        ops = per_matrix_operators(u_circ, gt.clean_matrices())
-        rows, cols = lower_index(d)
-        system = sum(t @ t.T for t in ops)
-        rhs = sum(
-            t @ (u_circ.T @ w @ u_circ)[rows, cols] for t, w in zip(ops, gt.noise)
-        )
+        system, rhs = per_matrix_system(u_circ, gt)
         expected = skew_from_lower(-gt.sigma * np.linalg.solve(system, rhs), d)
-        assert np.array_equal(predicted_direction(gt, u_circ), expected)
+        got = predicted_direction(gt, u_circ)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_wrong_length_beta_is_a_dimension_mismatch(self):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=3))
@@ -439,7 +449,30 @@ class TestExplicitBound:
             explicit_bound(gt)
 
 
+class TestNonFiniteFrame:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("bound", [a_priori_bound, predicted_direction])
+    def test_is_a_dimension_mismatch(self, bound, value):
+        gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=1), sigma=1e-3)
+        with pytest.raises(DimensionMismatch):
+            bound(gt, np.full((3, 3), value))
+
+
 class TestPredictedDirection:
+    def test_bounded_by_the_a_priori_bound_at_exact_frames(self):
+        """The a priori bound covers the first-order perturbation that
+        predicted_direction solves for; both read the one J^T J.  Three
+        frames per model, 162 in all."""
+        frames_checked = 0
+        for d, n, seed in itertools.product((3, 4, 5), (2, 4, 8), range(6)):
+            gt = gen_ground_truth(GeneratorSpec(d=d, n=n, seed=seed), sigma=1e-3)
+            frames = enumerate_exact_triangularizers(gt).frames
+            for u_circ in frames[:: len(frames) // 3][:3]:
+                direction = np.linalg.norm(predicted_direction(gt, u_circ))
+                assert a_priori_bound(gt, u_circ) >= direction
+                frames_checked += 1
+        assert frames_checked == 162
+
     def test_zero_noise_gives_zero_matrix(self):
         gt = diagonal_model([[1.0, 2.0, 4.0]], sigma=0.0)
         assert np.allclose(predicted_direction(gt, np.eye(3)), 0.0)
@@ -523,6 +556,6 @@ class TestOperatorSpectrumFloor:
             )
             beta, _ = find_separating_beta(gt.clean_matrices())
             u_circ = schur_initializer(gt.clean_matrices(), beta)
-            gram = t_tilde_gram(u_circ, gt.clean_matrices())
+            gram = gram_at(u_circ, gt.clean_matrices())
             kappa = np.linalg.cond(gt.v)
             assert smallest_singular(gram) >= gt.eigengap() / kappa**4 - 1e-12

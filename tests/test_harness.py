@@ -316,7 +316,9 @@ class TestVerifyBounds:
             harness, "enumerate_exact_triangularizers",
             counting(enumerations, enumerate_exact_triangularizers),
         )
-        monkeypatch.setattr(bounds, "t_tilde_gram", counting(grams, bounds.t_tilde_gram))
+        monkeypatch.setattr(
+            bounds, "gauss_newton_matrix", counting(grams, bounds.gauss_newton_matrix)
+        )
         monkeypatch.setattr(
             harness, "distance_to_nearest", counting(nearest, distance_to_nearest)
         )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointtri import triangularize
-from jointtri.bounds import _t_tilde_each
+from jointtri.bounds import _commutator_operator
 from jointtri.errors import (
     ComplexEigenvalues,
     DimensionMismatch,
@@ -21,7 +22,7 @@ from jointtri.harness import (
     gen_ground_truth,
     gen_tensor,
 )
-from jointtri.linalg import low_part, lower_index, lower_pairs, skew_exp
+from jointtri.linalg import low_part, lower_index, skew_exp
 from jointtri.tensor import estimate_components, observable_matrices
 from jointtri.triangularize import (
     MatrixSet,
@@ -29,6 +30,7 @@ from jointtri.triangularize import (
     descend,
     find_separating_beta,
     gauss_newton_diagonal,
+    gauss_newton_matrix,
     gauss_newton_product,
     gradient,
     hessian_form,
@@ -134,7 +136,7 @@ class TestBatchedMatchesLoopOracle:
         rows, cols = lower_index(d)
         i, j = rows[:, None], cols[:, None]
         k, l = rows[None, :], cols[None, :]
-        operators = list(_t_tilde_each(u, mset))
+        operators = [_commutator_operator(a) for a in triangularize.rotated(u, mset)]
         assert len(operators) == n
         for t, m in zip(operators, mats):
             a = u.T @ m @ u
@@ -399,7 +401,7 @@ class TestDescendCallCounts:
         for step in trace.step_lengths:  # each search halves t from 1
             trial = 1.0
             while trial > step:
-                trial *= config.backtrack_factor
+                trial *= triangularize.BACKTRACK_FACTOR
                 backtracks += 1
             assert trial == step
         assert len(loss_calls) == 1 + iterations + backtracks
@@ -427,10 +429,11 @@ def dense_jacobian(a):
     d = a.shape[1]
     rows, cols = lower_index(d)
     columns = []
-    for i, j in lower_pairs(d):
-        x = np.zeros((d, d))
-        x[i, j], x[j, i] = 1.0, -1.0
-        columns.append(np.concatenate([(m @ x - x @ m)[rows, cols] for m in a]))
+    for j in range(d):
+        for i in range(j + 1, d):
+            x = np.zeros((d, d))
+            x[i, j], x[j, i] = 1.0, -1.0
+            columns.append(np.concatenate([(m @ x - x @ m)[rows, cols] for m in a]))
     return np.array(columns).T
 
 
@@ -462,6 +465,33 @@ class TestGaussNewtonProduct:
                 assert math.isclose(
                     quadratic, hessian_form(u, clean, x), rel_tol=1e-13
                 )
+
+
+class TestGaussNewtonMatrix:
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_jacobian(self, d, n, seed):
+        a = np.random.default_rng(seed).standard_normal((n, d, d))
+        h = gauss_newton_matrix(a)
+        jac = dense_jacobian(a).reshape(n * len(h), len(h))  # (0, 0) at d = 1
+        assert np.array_equal(h, h.T)
+        expected = jac.T @ jac
+        err = np.linalg.norm(h - expected)
+        assert err <= 1e-14 * max(np.linalg.norm(expected), 1.0)
+
+    def test_holds_no_basis_stack(self):
+        """Peak memory a few L x L arrays, far below an (N, L, d, d) stack."""
+        d, n = 24, 16
+        size = d * (d - 1) // 2
+        a = np.random.default_rng(0).standard_normal((n, d, d))
+        lower_index(d)  # cached index arrays are not working memory
+        tracemalloc.start()
+        try:
+            gauss_newton_matrix(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * size**2 * 8 < n * size * d * d * 8 / 3
 
 
 class TestGaussNewtonDiagonal:
@@ -540,7 +570,7 @@ class TestGaussNewtonStep:
     def test_zero_diagonal_entry_gives_finite_step(self):
         a = zero_diagonal_stack()
         diag = gauss_newton_diagonal(a)
-        k = lower_pairs(3).index((1, 0))
+        k = [(1, 0), (2, 0), (2, 1)].index((1, 0))
         assert diag[k] == 0.0 and np.all(np.delete(diag, k) > 0)
         b = dense_jacobian(a).T @ np.ones(6)
         with warnings.catch_warnings():
