@@ -8,8 +8,9 @@ observable quantities, the certified-initialization noise threshold with
 its Hessian-positivity constants, and the joint-eigenvalue error bound.
 """
 
+import copy
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -34,6 +35,7 @@ from .triangularize import (
     _check_frame,
     _commutator_adjoint,
     gauss_newton_matrix,
+    jacobian_index,
     loss,
     rotated,
 )
@@ -49,13 +51,15 @@ LANCZOS_TOL = 1e-14
 class NoiseFree:
     """Noise-free quantities of one eigenstructure, each computed on first use.
 
-    with_noise shares one instance across a study.  ``apriori_inv_norms``
-    maps an exact frame's bytes to its a priori ||(J^T J)^-1||, with J^T J
-    the descent's Gauss-Newton matrix of the clean set at that frame.
+    with_noise shares one instance across a study.  ``gauss_newton``
+    maps an exact frame's bytes to J^T J, the descent's Gauss-Newton matrix
+    of the clean set at that frame, and ``apriori_inv_norms`` to its
+    ||(J^T J)^-1||; a_priori_bound and predicted_direction share both.
     """
 
     v: np.ndarray
     lambda_table: np.ndarray
+    gauss_newton: dict = field(default_factory=dict)
     apriori_inv_norms: dict = field(default_factory=dict)
 
     @cached_property
@@ -92,29 +96,34 @@ class GroundTruthModel:
     def __post_init__(self):
         v = np.array(self.v, dtype=float)
         lam = np.array(self.lambda_table, dtype=float)
-        noise = tuple(np.array(w, dtype=float) for w in self.noise)
         d = v.shape[0]
         if v.shape != (d, d):
             raise DimensionMismatch("V must be square")
         if lam.ndim != 2 or lam.shape[1] != d:
             raise DimensionMismatch("lambda table must be N x d")
-        if len(noise) != lam.shape[0]:
-            raise DimensionMismatch("need one noise matrix per lambda row")
-        for w in noise:
-            if w.shape != (d, d):
-                raise DimensionMismatch("noise matrices must be d x d")
-            if np.linalg.norm(w) > 1.0 + 1e-12:
-                raise DimensionMismatch("noise matrices must have Frobenius norm <= 1")
         if not np.isfinite(np.linalg.cond(v)):
             raise DimensionMismatch("V must be invertible")
-        if self.sigma < 0:
-            raise DimensionMismatch("sigma must be nonnegative")
-        for a in (v, lam, *noise):  # read-only copies keep noise_free valid
+        for a in (v, lam):  # read-only copies keep noise_free valid
             a.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "lambda_table", lam)
-        object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "noise_free", NoiseFree(v, lam))
+        self._set_noise(self.noise, self.sigma)
+
+    def _set_noise(self, noise, sigma):
+        noise = tuple(np.array(w, dtype=float) for w in noise)
+        if len(noise) != self.n:
+            raise DimensionMismatch("need one noise matrix per lambda row")
+        for w in noise:
+            if w.shape != (self.d, self.d):
+                raise DimensionMismatch("noise matrices must be d x d")
+            if np.linalg.norm(w) > 1.0 + 1e-12:
+                raise DimensionMismatch("noise matrices must have Frobenius norm <= 1")
+            w.setflags(write=False)
+        if sigma < 0:
+            raise DimensionMismatch("sigma must be nonnegative")
+        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def d(self):
@@ -134,11 +143,13 @@ class GroundTruthModel:
         return MatrixSet(self.clean_matrices().matrices + s * np.stack(self.noise))
 
     def with_noise(self, noise, sigma):
-        """Same eigenstructure (and noise-free cache), new noise and level."""
-        child = GroundTruthModel(
-            v=self.v, lambda_table=self.lambda_table, noise=tuple(noise), sigma=sigma
-        )
-        object.__setattr__(child, "noise_free", self.noise_free)
+        """Same eigenstructure (and noise-free cache), new noise and level.
+
+        V and the lambda table were checked when this model was made; only
+        the new noise and sigma are.
+        """
+        child = copy.copy(self)
+        child._set_noise(noise, sigma)
         return child
 
     def eigengap(self):
@@ -153,28 +164,21 @@ class GroundTruthModel:
         return self.noise_free.m_norm, float(w_norm)
 
 
-@lru_cache(maxsize=None)
-def _operator_index(d):
-    """Index arrays with T~[p1, q1] = A[k1, i1], then T~[p2, q2] -= A[j2, l2]."""
-    rows, cols = lower_index(d)
-    p1, q1 = np.nonzero(cols[:, None] == cols[None, :])
-    p2, q2 = np.nonzero(rows[:, None] == rows[None, :])
-    return p1, q1, rows[q1], rows[p1], p2, q2, cols[p2], cols[q2]
-
-
 def _commutator_operator(a):
     """P_low (1 (x) A^T - A (x) 1) P_low^T for one rotated matrix A.
 
     Entry ((i, j), (k, l)) over the lower index pairs is
-    A[k, i] [j = l] - [i = k] A[j, l], written only where a bracket is 1.
+    A[k, i] [j = l] - [i = k] A[j, l]: the transpose of the first two terms
+    of the descent's Jacobian, read from the same jacobian_index table.
     """
     d = a.shape[0]
-    p1, q1, k1, i1, p2, q2, j2, l2 = _operator_index(d)
     size = d * (d - 1) // 2
-    t = np.zeros((size, size))
-    t[p1, q1] = a[k1, i1]
-    t[p2, q2] -= a[j2, l2]
-    return t
+    head = (d - 1) * d * (2 * d - 1) // 6
+    at, source, at_minus, source_minus = (x[:head] for x in jacobian_index(d))
+    t = np.zeros(size * size)
+    t[at % size * size + at // size] = a.reshape(-1)[source]  # transposed
+    t[at_minus % size * size + at_minus // size] -= a.reshape(-1)[source_minus]
+    return t.reshape(size, size)
 
 
 def t_beta(u, mset, beta):
@@ -290,22 +294,29 @@ def _check_exact_triangularizer(u_circ, clean):
         )
 
 
+def _exact_frame_gram(gt, u_circ):
+    """(J^T J, ||(J^T J)^-1||) of the noiseless matrices at an exact frame,
+    computed once per frame into ``gt.noise_free``; a singular J^T J raises
+    SingularOperator."""
+    cache = gt.noise_free
+    u_circ = _check_frame(u_circ, cache.clean)
+    key = u_circ.tobytes()
+    if key not in cache.gauss_newton:
+        _check_exact_triangularizer(u_circ, cache.clean)
+        gram = gauss_newton_matrix(rotated(u_circ, cache.clean))
+        cache.apriori_inv_norms[key] = inverse_spectral_norm(gram)
+        cache.gauss_newton[key] = gram
+    return cache.gauss_newton[key], cache.apriori_inv_norms[key]
+
+
 def a_priori_bound(gt, u_circ):
     """First-order a priori bound on the triangularizer perturbation.
 
     2 sqrt(2) sigma ||(J^T J)^{-1}||_2 sqrt(sum ||M_n||^2) sqrt(sum ||W_n||^2),
     with J^T J the Gauss-Newton matrix of the noiseless matrices at the
-    exact frame.  The inverse norm is cached per exact frame in
-    ``gt.noise_free``.
+    exact frame, cached per frame in ``gt.noise_free``.
     """
-    cache = gt.noise_free
-    u_circ = _check_frame(u_circ, cache.clean)
-    inv_norm = cache.apriori_inv_norms.get(u_circ.tobytes())
-    if inv_norm is None:
-        _check_exact_triangularizer(u_circ, cache.clean)
-        a = rotated(u_circ, cache.clean)
-        inv_norm = inverse_spectral_norm(gauss_newton_matrix(a))
-        cache.apriori_inv_norms[u_circ.tobytes()] = inv_norm
+    _, inv_norm = _exact_frame_gram(gt, u_circ)
     m_norm, w_norm = gt.norms()
     return 2.0 * np.sqrt(2.0) * gt.sigma * inv_norm * m_norm * w_norm
 
@@ -334,17 +345,14 @@ def predicted_direction(gt, u_circ):
     One exact Gauss-Newton step at the exact frame U0 for the residual
     sigma [low(U0^T W_n U0)]_n: x = -sigma (J^T J)^{-1} J^T w in the
     strictly-lower coordinates, with J the Jacobian of the descent at the
-    noiseless matrices; the skew matrix is skew_from_lower(x).  The
-    ordering is pinned by the finite-difference sweep oracle (residual is
-    O(sigma^2)).
+    noiseless matrices and J^T J shared with a_priori_bound; the skew
+    matrix is skew_from_lower(x).  The ordering is pinned by the
+    finite-difference sweep oracle (residual is O(sigma^2)).
     """
-    clean = gt.clean_matrices()
-    _check_exact_triangularizer(u_circ, clean)
-    a = rotated(u_circ, clean)
+    system, _ = _exact_frame_gram(gt, u_circ)
+    a = rotated(u_circ, gt.clean_matrices())
     w = low_part(u_circ.T @ np.stack(gt.noise) @ u_circ)
     rhs = _commutator_adjoint(a, w)[lower_index(gt.d)]
-    system = gauss_newton_matrix(a)
-    inverse_spectral_norm(system)  # singularity guard
     return skew_from_lower(-gt.sigma * np.linalg.solve(system, rhs), gt.d)
 
 

@@ -20,6 +20,29 @@ from .errors import DimensionMismatch, JointTriError
 from .linalg import require_orthogonal
 
 
+def _at_least(low, kind=int):
+    """argparse type: a finite number of the given kind, at least low."""
+
+    def parse(text):
+        value = kind(text)
+        if not (np.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _sigma_grid(text):
+    """argparse type: at least two finite, positive, strictly decreasing sigmas."""
+    sigmas = [float(s) for s in text.split(",") if s]
+    if len(sigmas) < 2 or not all(np.isfinite(s) and s > 0 for s in sigmas):
+        raise argparse.ArgumentTypeError("need at least two finite, positive sigmas")
+    if any(a <= b for a, b in zip(sigmas, sigmas[1:])):
+        raise argparse.ArgumentTypeError("sigmas must be strictly decreasing")
+    return sigmas
+
+
 @cache
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -42,7 +65,7 @@ def _build_parser():
     tria.add_argument("--input", required=True)
     tria.add_argument("--output", required=True)
     tria.add_argument("--beta", choices=["ones", "random"], default="ones")
-    tria.add_argument("--sigma", type=float, default=0.0)
+    tria.add_argument("--sigma", type=_at_least(0.0, float), default=0.0)
     tria.add_argument("--tol", type=float, default=1e-10)
     tria.add_argument("--max-iters", type=int, default=2000)
     tria.add_argument("--seed", type=int, default=0)
@@ -69,17 +92,17 @@ def _build_parser():
     swp.add_argument("--input", required=True)
     swp.add_argument("--output", required=True)
     swp.add_argument(
-        "--sigmas", default="1e-3,5e-4,2.5e-4,1.25e-4",
+        "--sigmas", type=_sigma_grid, default="1e-3,5e-4,2.5e-4,1.25e-4",
         help="comma-separated decreasing noise grid",
     )
-    swp.add_argument("--trials", type=int, default=1)
+    swp.add_argument("--trials", type=_at_least(1), default=1)
     swp.add_argument("--seed", type=int, default=0)
 
     ver = sub.add_parser("verify", help="bound containment study")
     ver.add_argument("--input", required=True)
     ver.add_argument("--output", required=True)
     ver.add_argument("--sigma", type=float, default=1e-3)
-    ver.add_argument("--trials", type=int, default=100)
+    ver.add_argument("--trials", type=_at_least(0), default=100)
     ver.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -220,8 +243,7 @@ def _cmd_tensor(args):
 
 def _cmd_sweep(args):
     gt = io.ground_truth_from_dict(io.load(args.input))
-    sigmas = [float(s) for s in args.sigmas.split(",") if s]
-    report = hz.sigma_sweep(gt, sigmas, trials=args.trials, seed=args.seed)
+    report = hz.sigma_sweep(gt, args.sigmas, trials=args.trials, seed=args.seed)
     io.dump_canonical(
         {
             "sigmas": report.sigmas,

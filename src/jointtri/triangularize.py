@@ -2,11 +2,17 @@
 
 The objective is the total squared Frobenius mass below the diagonal of
 the rotated matrices, minimized by Riemannian Gauss-Newton from the Schur
-factor of a separating linear combination of the inputs.
+factor of a separating linear combination of the inputs.  The residual's
+Jacobian J has a closed form over the strictly-lower index pairs
+(jacobian_index); small stacks take exact Gauss-Newton steps from J^T J,
+larger ones a Jacobi-preconditioned truncated CG on J^T J products.  Steps
+are accepted on the loss change computed from the change of the rotated
+stack, not on a difference of two rounded losses.
 """
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,9 +24,11 @@ from .errors import (
 from .linalg import low_part, lower_index, ordered_schur, skew_exp, skew_from_lower
 
 SEPARATION_GAP_REL = 1e-8
-ROUNDING_ULPS = 4  # a predicted loss decrease below this many ulps is lost to rounding
 ARMIJO_C = 1e-4  # an accepted step lowers the loss by this share of its prediction
 BACKTRACK_FACTOR = 0.5
+# descend takes exact Gauss-Newton steps while N L^3, the cost of forming
+# J^T J, is at most this, and truncated-CG steps above (measured crossover).
+EXACT_STEP_MAX_SIZE = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -100,10 +108,54 @@ def _commutator_adjoint(a, w):
     return s - s.T
 
 
-def gauss_newton_product(a, x):
-    """J^T J x in strictly-lower coordinates at the rotated stack a; J x =
-    [low(A_n X - X A_n)]_n, X = skew_from_lower(x, d), is the derivative
+@lru_cache(maxsize=None)
+def jacobian_index(d):
+    """Where each entry of the residual's Jacobian J_n sits, as four arrays.
+
+    Over the strictly-lower pairs p = (i, j) and q = (k, l) of lower_index(d),
+    J_n[p, q] = [j = l] A_ik - [i = k] A_lj - [j = k] A_il + [i = l] A_kj.
+    Returns (at, source, at_minus, source_minus): J_n.flat[at] +=
+    A_n.flat[source] for the first and fourth terms, and J_n.flat[at_minus]
+    -= A_n.flat[source_minus] for the second and third (flat positions
+    p L + q and r d + c).  No position repeats within a sign, and the two
+    signs share only the diagonal.  The first (d-1) d (2d-1) / 6 entries of
+    each sign are the first and second terms, whose transpose is the
+    commutator operator of bounds.
+    """
+    rows, cols = lower_index(d)
+    size = rows.size
+    p, q = np.arange(size)[:, None], np.arange(size)
+    i, j, k, l = rows[:, None], cols[:, None], rows, cols
+
+    def term(match, r, c):
+        p_, q_, r_, c_ = (np.broadcast_to(x, match.shape)[match] for x in (p, q, r, c))
+        return p_ * size + q_, r_ * d + c_
+
+    added = zip(term(j == l, i, k), term(i == l, k, j))
+    subtracted = zip(term(i == k, l, j), term(j == k, i, l))
+    index = tuple(np.concatenate(pair) for pair in (*added, *subtracted))
+    for x in index:
+        x.setflags(write=False)
+    return index
+
+
+def jacobian(a):
+    """J at the rotated stack a, one (N, L, L) array: J_n x is low(A_n X - X A_n)
+    in strictly-lower coordinates, X = skew_from_lower(x, d), the derivative
     of the residual [low(U^T M_n U)]_n along U e^{tX}."""
+    n, d, _ = a.shape
+    size = d * (d - 1) // 2
+    at, source, at_minus, source_minus = jacobian_index(d)
+    flat = a.reshape(n, d * d)
+    jac = np.zeros((n, size * size))
+    jac[:, at] = flat[:, source]
+    jac[:, at_minus] -= flat[:, source_minus]
+    return jac.reshape(n, size, size)
+
+
+def gauss_newton_product(a, x):
+    """J^T J x in strictly-lower coordinates at the rotated stack a, with no
+    L x L object: J x = [low(A_n X - X A_n)]_n, X = skew_from_lower(x, d)."""
     t = skew_from_lower(x, a.shape[1])
     return _commutator_adjoint(a, low_part(a @ t - t @ a))[lower_index(a.shape[1])]
 
@@ -136,17 +188,39 @@ def gauss_newton_diagonal(a):
 
 
 def gauss_newton_matrix(a):
-    """J^T J in strictly-lower coordinates at the rotated stack a, symmetrized.
+    """J^T J in strictly-lower coordinates at the rotated stack a (symmetric).
 
-    Column k is gauss_newton_product(a, e_k), built one at a time, so the
-    working memory beyond the L x L result is O(N d^2).
+    Summed over blocks of at most EXACT_STEP_MAX_SIZE / L^3 matrices (at
+    least one), so a stack that takes exact steps is one block, and the
+    working memory beyond the L x L result is at most max(L^2,
+    EXACT_STEP_MAX_SIZE / L) floats.
     """
-    size = lower_index(a.shape[1])[0].size
-    h = np.array([gauss_newton_product(a, e) for e in np.eye(size)]).reshape(size, size)
-    return 0.5 * (h + h.T)
+    n, d, _ = a.shape
+    size = d * (d - 1) // 2
+    block = max(1, EXACT_STEP_MAX_SIZE // max(size, 1) ** 3)
+    h = np.zeros((size, size))
+    for start in range(0, n, block):
+        jac = jacobian(a[start:start + block])
+        jac = jac.reshape(len(jac) * size, size)
+        h += jac.T @ jac  # numpy forms a product with its own transpose symmetrically
+    return h
 
 
-def _gauss_newton_step(a, b):
+def _exact_step(a, b):
+    """x with (J^T J + mu I) x = -b, mu = eps trace(J^T J), by one LU solve.
+
+    mu is at the level of the rounding error in the computed J^T J, so x is
+    the Gauss-Newton step to rounding (the least-squares solution of
+    J x = -r with a ridge of that size).  J^T J + mu I is positive
+    definite, so x stays finite on a singular J^T J, and b.x < 0 unless
+    b = 0.
+    """
+    h = gauss_newton_matrix(a)
+    h.flat[:: len(h) + 1] += np.finfo(float).eps * np.trace(h)
+    return np.linalg.solve(h, -b)
+
+
+def _cg_step(a, b):
     """Jacobi-preconditioned truncated CG on (J^T J) x = -b from x = 0, to the
     forcing tolerance min(0.5, sqrt|b|) |b| on the residual or L iterations;
     each iterate is a descent direction.  A zero diagonal entry (J e_k = 0)
@@ -172,6 +246,35 @@ def _gauss_newton_step(a, b):
         rz, rz_prev = res @ z, rz
         p = z + rz / rz_prev * p
     return x
+
+
+def _rotation_increment(x, step):
+    """F = e^{step X} - I for a skew X: summed from its Taylor series while
+    ||step X||_F < 0.5, so F keeps full relative accuracy on short steps,
+    and skew_exp(X, step) - I above.  The series stops before the first
+    term whose norm bound ||step X||^k / k! is at most eps ||step X||."""
+    y = step * x
+    norm = np.linalg.norm(y)
+    if norm >= 0.5:
+        return skew_exp(x, step) - np.eye(len(x))
+    terms, bound = 1, norm
+    while bound * norm / (terms + 1) > np.finfo(float).eps * norm:
+        terms += 1
+        bound *= norm / terms
+    f = y
+    for k in range(terms, 1, -1):  # Horner: Y + Y (Y + Y (...) / 3) / 2
+        f = y + y @ f / k
+    return f
+
+
+def _loss_change(a, f):
+    """loss(U (I + F)) - loss(U) at the rotated stack a = U^T M U, as
+    sum_n <low(dA_n), low(2 A_n + dA_n)> with dA = F^T A + A F + F^T A F,
+    formed as A F, then F^T (A + A F).  Built from dA rather than from two
+    rounded losses, its rounding error shrinks with ||F||."""
+    af = a @ f
+    da = af + f.T @ (a + af)
+    return float(np.vdot(low_part(da), da + 2.0 * a))
 
 
 def hessian_form(u, mset, x):
@@ -254,15 +357,30 @@ class DescentTrace:
 
 
 def descend(mset, u_init, config=OptimizerConfig()):
-    """Riemannian Gauss-Newton: Jacobi-preconditioned truncated-CG steps,
-    Armijo backtracking on e^{tX}.
+    """Riemannian Gauss-Newton with Armijo backtracking on U (I + F), F = e^{tX} - I.
 
-    t halves from 1 until U e^{tX} lowers the loss strictly and by the
-    Armijo fraction of t <grad, X>, the predicted decrease.  Raises
-    LineSearchStalled, carrying the last iterate and trace, once a halved
-    step's predicted decrease is below ROUNDING_ULPS ulps of the loss.
+    The step X solves (J^T J) x = -J^T r directly, to rounding
+    (_exact_step), while N L^3 <= EXACT_STEP_MAX_SIZE, else by truncated
+    CG (_cg_step).  t
+    halves from 1 until the loss change, computed from the change of the
+    rotated stack (_loss_change), is below the Armijo fraction of
+    t <grad, X>, the predicted change.  The trace's losses are the running
+    sum loss(U_0) + sum of accepted changes.
+
+    Raises LineSearchStalled, carrying the last iterate and trace, when
+    |<grad, X>| is at most the bound on the computed change's rounding error
+    per unit t, (2d + 2NL + 5) eps ||A|| ||X|| ||low(A)||, to first order
+    in t (matrix products with d terms, a dot product with NL terms, all
+    norms Frobenius over the stack); both scale with t, so no step can be
+    told from rounding.  It is also raised once halving has shrunk ||tX||
+    to eps, where the frame no longer moves.
     """
     u = _check_frame(u_init, mset)
+    d = mset.d
+    size = d * (d - 1) // 2
+    solve = _exact_step if mset.n * size**3 <= EXACT_STEP_MAX_SIZE else _cg_step
+    error_scale = (2 * d + 2 * mset.n * size + 5) * np.finfo(float).eps
+    error_scale *= np.linalg.norm(mset.matrices)  # ||A|| at every frame
     trace = DescentTrace()
     current = loss(u, mset)
     for _ in range(config.max_iters):
@@ -271,20 +389,25 @@ def descend(mset, u_init, config=OptimizerConfig()):
         if g_norm <= config.grad_tol:
             trace.termination = "grad_tol"
             return u, trace
-        b = g[lower_index(mset.d)]  # J^T r
-        x = _gauss_newton_step(rotated(u, mset), b)
+        a = rotated(u, mset)
+        b = g[lower_index(d)]  # J^T r
+        x = solve(a, b)
         slope = 2.0 * (b @ x)  # <grad, X>
+        skew = skew_from_lower(x, d)
+        x_norm = np.linalg.norm(skew)
+        floor = error_scale * x_norm * np.linalg.norm(low_part(a))
         step = 1.0
-        while step == 1.0 or step * -slope >= ROUNDING_ULPS * np.spacing(current):
-            candidate = u @ skew_exp(skew_from_lower(x, mset.d), step)
-            new = loss(candidate, mset)
-            if new < current + ARMIJO_C * step * slope:
+        while -slope > floor and step * x_norm > np.finfo(float).eps:
+            f = _rotation_increment(skew, step)
+            change = _loss_change(a, f)
+            if change < ARMIJO_C * step * slope:
                 break
             step *= BACKTRACK_FACTOR
         else:
             trace.termination = "stalled"
             raise LineSearchStalled("no step lowers the loss", frame=u, trace=trace)
-        u, current = candidate, new
+        u = u + u @ f
+        current += change
         trace.loss_values.append(current)
         trace.grad_norms.append(g_norm)
         trace.step_lengths.append(step)

@@ -12,7 +12,6 @@ from jointtri.bounds import (
     LANCZOS_MIN_SIZE,
     GroundTruthModel,
     _commutator_operator,
-    _operator_index,
     a_posteriori_bound,
     a_priori_bound,
     eigenvalue_error_bound,
@@ -41,6 +40,7 @@ from jointtri.triangularize import (
     MatrixSet,
     find_separating_beta,
     gauss_newton_matrix,
+    jacobian_index,
     loss,
     rotated,
     schur_initializer,
@@ -126,6 +126,28 @@ class TestGroundTruthModel:
         assert explicit_bound(child) == explicit_bound(fresh)
         assert hessian_constants(child) == hessian_constants(fresh)
         assert list(gt.noise_free.apriori_inv_norms) == [u_circ.tobytes()]
+
+    def test_with_noise_checks_only_the_new_noise(self, monkeypatch):
+        gt = gen_ground_truth(GeneratorSpec(d=4, n=3, kappa_target=3.0, seed=6))
+        noise = tuple(sample_noise(np.random.default_rng(6), 4) for _ in range(3))
+        conds = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(None) or cond(a))
+        child = gt.with_noise(noise, 1e-2)
+        assert conds == []
+        assert child.v is gt.v and child.lambda_table is gt.lambda_table
+        assert child.sigma == 1e-2 and not child.noise[0].flags.writeable
+        assert all(np.array_equal(w, x) for w, x in zip(child.noise, noise))
+        bad = [
+            (noise[:2], 1e-2),  # one matrix short
+            ((noise[0], noise[1], np.eye(3) / 2), 1e-2),  # wrong shape
+            ((noise[0], noise[1], 2.0 * noise[2]), 1e-2),  # norm above 1
+            (noise, -1e-3),  # negative sigma
+        ]
+        for w, sigma in bad:
+            with pytest.raises(DimensionMismatch):
+                gt.with_noise(w, sigma)
+        assert gt.noise_free is child.noise_free
 
     def test_model_is_immutable(self):
         v, lam, w = np.eye(2), np.array([[0.0, 1.0]]), np.diag([0.6, 0.0])
@@ -398,7 +420,7 @@ class TestOperatorOracles:
         mset = MatrixSet(tuple(rng.standard_normal((d, d)) for _ in range(n)))
         u, _ = np.linalg.qr(rng.standard_normal((d, d)))
         beta = np.ones(n) / np.sqrt(n)
-        _operator_index.cache_clear()  # count the index arrays too
+        jacobian_index.cache_clear()  # count the index arrays too
         tracemalloc.start()
         try:
             a_posteriori_bound(mset, u, beta, 1e-3)

@@ -247,6 +247,31 @@ class TestCliCommands:
         assert cli("no-such-command") == 1
         assert cli("--help") == 0
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("sweep", ("--trials", 0)),
+            ("sweep", ("--sigmas", "1e-3")),
+            ("sweep", ("--sigmas", "1e-3,0")),
+            ("sweep", ("--sigmas", "1e-3,-1e-4")),
+            ("sweep", ("--sigmas", "5e-4,1e-3")),
+            ("sweep", ("--sigmas", "1e-3,1e-3")),
+            ("sweep", ("--sigmas", "nan,1e-3")),
+            ("sweep", ("--sigmas", "1e-3,x")),
+            ("verify", ("--trials", -2)),
+            ("triangularize", ("--sigma", -1)),
+            ("triangularize", ("--sigma", "nan")),
+        ],
+    )
+    def test_invalid_arguments_are_usage_errors(
+        self, model_file, tmp_path, capsys, command, flags
+    ):
+        """Rejected while parsing, before any work: exit 1, no output."""
+        out = tmp_path / "out.json"
+        assert cli(command, "--input", model_file, *flags, "--output", out) == 1
+        assert not out.exists()
+        assert "usage:" in capsys.readouterr().err
+
     def test_verify_summary(self, model_file, tmp_path):
         out = tmp_path / "verify.json"
         assert cli(

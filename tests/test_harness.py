@@ -265,6 +265,31 @@ class TestSweep:
         assert report.records == []
         assert np.isnan(report.direction_residual_slope)
 
+    def test_one_gauss_newton_matrix_per_nearest_frame(self, monkeypatch):
+        """a_priori_bound and predicted_direction share each exact frame's
+        J^T J through the noise-free cache."""
+        gt = gen_ground_truth(GeneratorSpec(d=4, n=4, kappa_target=3.0, seed=22))
+        grams, nearest = [], []
+
+        def counting(log, fn):
+            def counted(*args):
+                result = fn(*args)
+                log.append(result)
+                return result
+
+            return counted
+
+        monkeypatch.setattr(
+            bounds, "gauss_newton_matrix", counting(grams, bounds.gauss_newton_matrix)
+        )
+        monkeypatch.setattr(
+            harness, "distance_to_nearest", counting(nearest, distance_to_nearest)
+        )
+        report = sigma_sweep(gt, [1e-3, 5e-4, 2.5e-4, 1.25e-4], trials=2, seed=0)
+        assert sum(len(records) for records in report.records) == len(nearest) == 8
+        assert len({idx for _, idx in nearest}) == 1
+        assert len(grams) == 1
+
 
 class TestVerifyBounds:
     def test_zero_trials_is_empty(self):

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from jointtri.bounds import _commutator_operator
 from jointtri.errors import (
     ComplexEigenvalues,
     DimensionMismatch,
+    LineSearchStalled,
     NoSeparatingBeta,
 )
 from jointtri.harness import (
@@ -21,8 +23,9 @@ from jointtri.harness import (
     gen_components,
     gen_ground_truth,
     gen_tensor,
+    sample_noise,
 )
-from jointtri.linalg import low_part, lower_index, skew_exp
+from jointtri.linalg import low_part, lower_index, skew_exp, skew_from_lower
 from jointtri.tensor import estimate_components, observable_matrices
 from jointtri.triangularize import (
     MatrixSet,
@@ -34,6 +37,7 @@ from jointtri.triangularize import (
     gauss_newton_product,
     gradient,
     hessian_form,
+    jacobian,
     loss,
     schur_initializer,
 )
@@ -359,8 +363,10 @@ class TestDescend:
 
 
 class TestDescendCallCounts:
-    """descend evaluates loss once per line-search trial, gradient once per
-    iteration; the per-layer call counts of a traced run rely on it."""
+    """descend evaluates the loss once, at the start, the gradient once per
+    iteration, and the exact loss change once per line-search trial: a trial
+    no longer evaluates the loss at the candidate frame, so the per-layer
+    call counts of a traced run read differently than before."""
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -374,24 +380,19 @@ class TestDescendCallCounts:
         monkeypatch.setattr(triangularize, name, counted)
         return calls
 
-    @pytest.mark.parametrize(
-        "config, termination",
-        [
-            (OptimizerConfig(grad_tol=1e-8), "grad_tol"),
-            (OptimizerConfig(max_iters=4), "max_iters"),
-        ],
-    )
-    def test_loss_and_gradient_calls(self, monkeypatch, config, termination):
+    def check_counts(self, monkeypatch, config, termination, step_path):
         gt = gen_ground_truth(GeneratorSpec(d=6, n=4, seed=0), sigma=1e-2)
         observed = gt.observed_matrices()
         beta, _ = find_separating_beta(observed)
-        # rotated away from the Schur initializer, so that the unit
-        # Gauss-Newton step of the second iteration is halved
+        # rotated away from the Schur initializer, so that one unit
+        # Gauss-Newton step is halved
         u0 = schur_initializer(observed, beta) @ skew_exp(
             random_skew(np.random.default_rng(0), 6), 0.3
         )
         loss_calls = self.count_calls(monkeypatch, "loss")
         gradient_calls = self.count_calls(monkeypatch, "gradient")
+        change_calls = self.count_calls(monkeypatch, "_loss_change")
+        step_calls = self.count_calls(monkeypatch, step_path)
         _, trace = descend(observed, u0, config)
         assert trace.termination == termination
         assert min(trace.step_lengths) < 1.0
@@ -404,13 +405,44 @@ class TestDescendCallCounts:
                 trial *= triangularize.BACKTRACK_FACTOR
                 backtracks += 1
             assert trial == step
-        assert len(loss_calls) == 1 + iterations + backtracks
+        assert len(loss_calls) == 1
+        assert len(change_calls) == iterations + backtracks
+        assert len(step_calls) == iterations
         assert len(gradient_calls) == iterations + (termination == "grad_tol")
+
+    CONFIGS = pytest.mark.parametrize(
+        "config, termination",
+        [
+            (OptimizerConfig(grad_tol=1e-8), "grad_tol"),
+            (OptimizerConfig(max_iters=4), "max_iters"),
+        ],
+    )
+
+    @CONFIGS
+    def test_loss_and_gradient_calls(self, monkeypatch, config, termination):
+        self.check_counts(monkeypatch, config, termination, "_exact_step")
+
+    @CONFIGS
+    def test_calls_on_the_cg_path(self, monkeypatch, config, termination):
+        monkeypatch.setattr(triangularize, "EXACT_STEP_MAX_SIZE", 0)
+        self.check_counts(monkeypatch, config, termination, "_cg_step")
+
+
+def verify_style_inputs(seed, models, trials):
+    """The observed sets of a `verify --sigma 1e-3` run on d=4, N=4 models."""
+    for k in range(models):
+        spec = GeneratorSpec(d=4, n=4, kappa_target=3, gamma_target=1, seed=seed + k)
+        gt = gen_ground_truth(spec, sigma=1e-3)
+        for t in range(trials):
+            rng = np.random.default_rng([0, t])
+            noise = tuple(sample_noise(rng, 4) for _ in range(4))
+            yield gt.with_noise(noise, 1e-3).observed_matrices()
 
 
 class TestRoundingLevelStop:
-    """Where the loss can no longer resolve a decrease, the descent ends
-    within a few iterations instead of running to max_iters."""
+    """Descents reach the CLI's default --tol; where the requested tolerance
+    is below what rounding can resolve, they end `stalled` within a few
+    iterations instead of running to max_iters."""
 
     @pytest.mark.parametrize("d, n, seed", [(12, 64, 11009), (4, 4, 11014)])
     def test_ends_early_near_stationarity(self, d, n, seed):
@@ -419,9 +451,41 @@ class TestRoundingLevelStop:
         spec = GeneratorSpec(d=d, n=n, kappa_target=3, gamma_target=1, seed=seed)
         observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
         u, _, trace = converge(observed)
-        assert trace.termination != "max_iters"
+        assert trace.termination == "grad_tol"
         assert len(trace.loss_values) <= 20
-        assert np.linalg.norm(gradient(u, observed)) <= 1e-9
+        assert np.linalg.norm(gradient(u, observed)) <= 1e-10
+
+    @pytest.mark.parametrize("d, n, seed", [(12, 64, 11009), (4, 4, 11014)])
+    def test_stalls_early_below_rounding(self, d, n, seed):
+        spec = GeneratorSpec(d=d, n=n, kappa_target=3, gamma_target=1, seed=seed)
+        observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
+        u, _, trace = converge(observed, grad_tol=1e-300)
+        assert trace.termination == "stalled"
+        assert len(trace.loss_values) <= 20
+        assert np.linalg.norm(gradient(u, observed)) <= 1e-12
+
+
+class TestBenchmarkPoolsReachTolerance:
+    """Every descent on a fixed sample of each benchmark workload's inputs
+    ends at the CLI's default --tol 1e-10, none `stalled`."""
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            pytest.param(lambda: verify_style_inputs(13000, 4, 4), id="verify_d4"),
+            pytest.param(lambda: (bench_input("tensor_d8", 13000 + k) for k in range(8)),
+                         id="tensor_d8"),
+            pytest.param(lambda: (bench_input("triangularize_n64", 13000 + k)
+                                  for k in range(4)), id="triangularize_n64"),
+            pytest.param(lambda: (bench_input("triangularize_d32", 13000 + k)
+                                  for k in range(2)), id="triangularize_d32"),
+        ],
+    )
+    def test_every_descent_ends_grad_tol(self, inputs):
+        for mset in inputs():
+            u, _, trace = converge(mset)
+            assert trace.termination == "grad_tol"
+            assert np.linalg.norm(gradient(u, mset)) <= 1e-10
 
 
 def dense_jacobian(a):
@@ -435,6 +499,32 @@ def dense_jacobian(a):
             x[i, j], x[j, i] = 1.0, -1.0
             columns.append(np.concatenate([(m @ x - x @ m)[rows, cols] for m in a]))
     return np.array(columns).T
+
+
+class TestJacobian:
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_dense_jacobian(self, d, n, seed):
+        a = np.random.default_rng(seed).standard_normal((n, d, d))
+        size = d * (d - 1) // 2
+        jac = jacobian(a)
+        assert jac.shape == (n, size, size)
+        expected = dense_jacobian(a).reshape(n * size, size)  # (0, 0) at d = 1
+        assert np.array_equal(jac.reshape(n * size, size), expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_first_two_terms_are_the_commutator_operator(self, d):
+        """T~^T x = low(A E - E A) for strictly-lower E, and at an upper
+        triangular A (an exact frame) J = T~^T entry for entry."""
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d))
+        x = rng.standard_normal(d * (d - 1) // 2)
+        e = np.zeros((d, d))
+        e[lower_index(d)] = x
+        expected = low_part(a @ e - e @ a)[lower_index(d)]
+        assert np.allclose(_commutator_operator(a).T @ x, expected, rtol=0, atol=1e-13)
+        upper = np.triu(a)
+        assert np.array_equal(jacobian(upper[None])[0], _commutator_operator(upper).T)
 
 
 class TestGaussNewtonProduct:
@@ -518,7 +608,8 @@ def zero_diagonal_stack():
 
 
 class TestGaussNewtonStep:
-    """Jacobi-preconditioned CG on (J^T J) x = -b."""
+    """Jacobi-preconditioned CG on (J^T J) x = -b, called directly: descend
+    takes it only above EXACT_STEP_MAX_SIZE."""
 
     @staticmethod
     def iterates(monkeypatch, a, b):
@@ -534,7 +625,7 @@ class TestGaussNewtonStep:
                 return product(stack, p) if len(calls) <= k else -p
 
             monkeypatch.setattr(triangularize, "gauss_newton_product", capped)
-            steps.append(triangularize._gauss_newton_step(a, b))
+            steps.append(triangularize._cg_step(a, b))
             monkeypatch.undo()
             if len(calls) <= k:  # stopped at the forcing tolerance first
                 break
@@ -561,7 +652,7 @@ class TestGaussNewtonStep:
 
     def test_step_meets_the_forcing_tolerance(self):
         for a, b in self.systems():
-            x = triangularize._gauss_newton_step(a, b)
+            x = triangularize._cg_step(a, b)
             jac = dense_jacobian(a)
             res = jac.T @ (jac @ x) + b
             bb = b @ b
@@ -575,8 +666,182 @@ class TestGaussNewtonStep:
         b = dense_jacobian(a).T @ np.ones(6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x = triangularize._gauss_newton_step(a, b)
+            x = triangularize._cg_step(a, b)
         assert np.all(np.isfinite(x)) and b @ x < 0
+
+
+def rank_deficient_stack(seed):
+    """Q^T blockdiag([[a, -b], [b, a]], c) Q for a random rotation Q: every
+    matrix commutes with the rotated generator Q^T (E10 - E01) Q, so J has a
+    null vector that is no coordinate axis, and diag(J^T J) > 0."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    mats = []
+    for a, b, c in rng.standard_normal((3, 3)):
+        mats.append(q.T @ np.array([[a, -b, 0.0], [b, a, 0.0], [0.0, 0.0, c]]) @ q)
+    return np.array(mats)
+
+
+class TestExactStep:
+    """Pivoted-Cholesky solve of (J^T J) x = -b."""
+
+    @staticmethod
+    def assert_solves(a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = triangularize._exact_step(a, b)
+        jac = dense_jacobian(a).reshape(len(a) * b.size, b.size)
+        h = jac.T @ jac
+        eps = np.finfo(float).eps
+        assert np.all(np.isfinite(x))
+        assert b @ x < 0
+        assert np.linalg.norm(h @ x + b) <= (
+            4 * b.size * eps * np.linalg.norm(h) * np.linalg.norm(x)
+        )
+        return h
+
+    def test_solves_to_rounding_level(self):
+        for a, b in TestGaussNewtonStep.systems():
+            self.assert_solves(a, b)
+
+    def test_zero_diagonal_entry(self):
+        a = zero_diagonal_stack()
+        h = self.assert_solves(a, dense_jacobian(a).T @ np.ones(6))
+        assert np.min(np.diag(h)) == 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_deficient_without_zero_diagonal(self, seed):
+        a = rank_deficient_stack(seed)
+        b = dense_jacobian(a).T @ np.random.default_rng(seed).standard_normal(9)
+        h = self.assert_solves(a, b)
+        assert np.min(np.diag(h)) > 0.0
+        assert abs(np.linalg.eigvalsh(h)[0]) <= 1e-14 * np.linalg.norm(h)
+
+
+def exact_loss_change(a, f):
+    """sum_n <low(dA_n), low(2 A_n + dA_n)>, dA = F^T A + A F + F^T A F, in
+    exact rational arithmetic on the float entries of a and f."""
+    d = f.shape[0]
+    fr = [[Fraction(v) for v in row] for row in f.tolist()]
+    total = Fraction(0)
+    for m in a.tolist():
+        m = [[Fraction(v) for v in row] for row in m]
+        mf = [[sum(m[i][s] * fr[s][j] for s in range(d)) for j in range(d)] for i in range(d)]
+        for i in range(d):
+            for j in range(i):
+                da = mf[i][j] + sum(fr[s][i] * (m[s][j] + mf[s][j]) for s in range(d))
+                total += da * (2 * m[i][j] + da)
+    return total
+
+
+class TestLossChange:
+    """The change the line search accepts on, against exact arithmetic."""
+
+    @staticmethod
+    def stacks():
+        """Rotated noisy sets at the Schur initializer and nearly converged."""
+        for d, n, seed in [(3, 2, 1), (4, 4, 2), (5, 3, 3)]:
+            spec = GeneratorSpec(d=d, n=n, kappa_target=3, gamma_target=1, seed=seed)
+            observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
+            u = schur_initializer(observed, find_separating_beta(observed)[0])
+            yield triangularize.rotated(u, observed)
+            u, _ = descend(observed, u, OptimizerConfig(grad_tol=1e-9))
+            yield triangularize.rotated(u, observed)
+
+    def test_matches_exact_arithmetic_within_the_stop_bound(self):
+        eps = np.finfo(float).eps
+        for a in self.stacks():
+            n, d, _ = a.shape
+            size = d * (d - 1) // 2
+            b = triangularize._commutator_adjoint(a, low_part(a))[lower_index(d)]
+            skew = skew_from_lower(triangularize._exact_step(a, b), d)
+            # the bound per unit step that descend's stop rule uses
+            floor = (2 * d + 2 * n * size + 5) * eps * (
+                np.linalg.norm(a) * np.linalg.norm(skew) * np.linalg.norm(low_part(a))
+            )
+            for step in (1.0, 0.5, 2.0**-10, 2.0**-30):
+                f = triangularize._rotation_increment(skew, step)
+                change = triangularize._loss_change(a, f)
+                exact = exact_loss_change(a, f)
+                assert abs(Fraction(change) - exact) <= Fraction(step * floor)
+
+    def test_rotation_increment_is_the_exponential(self):
+        x = random_skew(np.random.default_rng(4), 5)
+        x /= np.linalg.norm(x)
+        for step in (2.0**-40, 1e-6, 0.3, 0.49, 0.5, 2.0):
+            f = triangularize._rotation_increment(x, step)
+            q = np.eye(5) + f
+            assert np.linalg.norm(q - skew_exp(x, step)) <= 4e-15
+            assert np.linalg.norm(q.T @ q - np.eye(5)) <= 4e-15
+        for step in (2.0**-40, 1e-9):  # the third Taylor term is below rounding
+            y = step * x
+            f = triangularize._rotation_increment(x, step)
+            assert np.linalg.norm(f - (y + y @ y / 2)) <= 4e-16 * np.linalg.norm(y)
+
+
+class TestLineSearchStop:
+    @staticmethod
+    def start():
+        gt = gen_ground_truth(GeneratorSpec(d=4, n=4, seed=3), sigma=1e-2)
+        observed = gt.observed_matrices()
+        return observed, schur_initializer(observed, find_separating_beta(observed)[0])
+
+    def test_no_decrease_stalls_after_finitely_many_halvings(self, monkeypatch):
+        observed, u0 = self.start()
+        a = triangularize.rotated(u0, observed)
+        b = gradient(u0, observed)[lower_index(4)]
+        x_norm = np.linalg.norm(skew_from_lower(triangularize._exact_step(a, b), 4))
+        expected = 0
+        while 2.0**-expected * x_norm > np.finfo(float).eps:
+            expected += 1
+        trials = []
+
+        def no_decrease(a, f):
+            trials.append(None)
+            return 1.0
+
+        monkeypatch.setattr(triangularize, "_loss_change", no_decrease)
+        with pytest.raises(LineSearchStalled) as stall:
+            descend(observed, u0)
+        assert len(trials) == expected < 100
+        assert np.array_equal(stall.value.frame, u0)
+        assert stall.value.trace.termination == "stalled"
+
+    def test_stalls_at_the_first_slope_below_the_rounding_bound(self, monkeypatch):
+        """On a large-residual stack Gauss-Newton converges linearly until
+        |<grad, X>| falls below the loss change's rounding-error bound; the
+        descent stalls at the first such iteration and not before."""
+        rng = np.random.default_rng(0)
+        mats = MatrixSet(tuple(rng.standard_normal((4, 4)) for _ in range(3)))
+        u0 = skew_exp(random_skew(rng, 4), 0.2)
+        eps = np.finfo(float).eps
+        exact_step = triangularize._exact_step
+        ratios = []  # |<grad, X>| over the bound, per iteration
+
+        def recorded(a, b):
+            x = exact_step(a, b)
+            floor = (2 * 4 + 2 * 3 * 6 + 5) * eps * (
+                np.linalg.norm(mats.matrices)  # ||A||, which rotation keeps
+                * np.linalg.norm(skew_from_lower(x, 4))
+                * np.linalg.norm(low_part(a))
+            )
+            ratios.append(-2.0 * (b @ x) / floor)
+            return x
+
+        monkeypatch.setattr(triangularize, "_exact_step", recorded)
+        with pytest.raises(LineSearchStalled) as stall:
+            descend(mats, u0, OptimizerConfig(grad_tol=1e-300))
+        assert len(ratios) == len(stall.value.trace.step_lengths) + 1 > 10
+        assert min(ratios[:-1]) > 1.0 >= ratios[-1]
+
+    def test_ascent_direction_stalls_without_a_trial(self, monkeypatch):
+        observed, u0 = self.start()
+        exact_step = triangularize._exact_step
+        monkeypatch.setattr(triangularize, "_exact_step", lambda a, b: -exact_step(a, b))
+        trials = TestDescendCallCounts.count_calls(monkeypatch, "_loss_change")
+        with pytest.raises(LineSearchStalled):
+            descend(observed, u0)
+        assert trials == []
 
 
 def armijo_descend(mset, u, max_iters=2000, grad_tol=1e-10):
