@@ -10,7 +10,7 @@ its Hessian-positivity constants, and the joint-eigenvalue error bound.
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -35,7 +35,6 @@ from .triangularize import (
     _check_frame,
     _commutator_adjoint,
     gauss_newton_matrix,
-    jacobian_index,
     loss,
     rotated,
 )
@@ -120,8 +119,8 @@ class GroundTruthModel:
             if np.linalg.norm(w) > 1.0 + 1e-12:
                 raise DimensionMismatch("noise matrices must have Frobenius norm <= 1")
             w.setflags(write=False)
-        if sigma < 0:
-            raise DimensionMismatch("sigma must be nonnegative")
+        if not 0 <= sigma < np.inf:
+            raise DimensionMismatch("sigma must be finite and nonnegative")
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "sigma", sigma)
 
@@ -164,20 +163,31 @@ class GroundTruthModel:
         return self.noise_free.m_norm, float(w_norm)
 
 
-def _commutator_operator(a):
-    """P_low (1 (x) A^T - A (x) 1) P_low^T for one rotated matrix A.
+@lru_cache(maxsize=None)
+def _commutator_index(d):
+    """Flat positions p L + q and sources r d + c of the added term [j = l] A_ki
+    and of the subtracted term [i = k] A_jl of the commutator operator, over
+    the lower pairs p = (i, j), q = (k, l); the two share only the diagonal."""
+    rows, cols = lower_index(d)
+    i, j, k, l = rows[:, None], cols[:, None], rows, cols
+    index = []
+    for match, source in ((j == l, k * d + i), (i == k, j * d + l)):
+        p, q = np.nonzero(match)
+        index += [p * rows.size + q, np.broadcast_to(source, match.shape)[match]]
+    for x in index:
+        x.setflags(write=False)
+    return tuple(index)
 
-    Entry ((i, j), (k, l)) over the lower index pairs is
-    A[k, i] [j = l] - [i = k] A[j, l]: the transpose of the first two terms
-    of the descent's Jacobian, read from the same jacobian_index table.
-    """
-    d = a.shape[0]
-    size = d * (d - 1) // 2
-    head = (d - 1) * d * (2 * d - 1) // 6
-    at, source, at_minus, source_minus = (x[:head] for x in jacobian_index(d))
+
+def _commutator_operator(a):
+    """P_low (1 (x) A^T - A (x) 1) P_low^T for one rotated matrix A: entry ((i, j), (k, l))
+    is A[k, i] [j = l] - [i = k] A[j, l], the transpose of the first two terms
+    of the descent's Jacobian."""
+    size = len(a) * (len(a) - 1) // 2
+    at, source, at_minus, source_minus = _commutator_index(len(a))
     t = np.zeros(size * size)
-    t[at % size * size + at // size] = a.reshape(-1)[source]  # transposed
-    t[at_minus % size * size + at_minus // size] -= a.reshape(-1)[source_minus]
+    t[at] = a.reshape(-1)[source]
+    t[at_minus] -= a.reshape(-1)[source_minus]
     return t.reshape(size, size)
 
 

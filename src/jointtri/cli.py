@@ -20,13 +20,14 @@ from .errors import DimensionMismatch, JointTriError
 from .linalg import require_orthogonal
 
 
-def _at_least(low, kind=int):
-    """argparse type: a finite number of the given kind, at least low."""
+def _at_least(low, kind=int, strict=False):
+    """argparse type: a finite number of the given kind, >= low (> low if strict)."""
 
     def parse(text):
         value = kind(text)
-        if not (np.isfinite(value) and value >= low):
-            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}")
+        if not (np.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>' if strict else '>='} {low}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -55,9 +56,9 @@ def _build_parser():
     gen.add_argument("--kind", choices=["model", "tensor"], required=True)
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--N", type=int, required=True)
-    gen.add_argument("--kappa", type=float, default=2.0)
-    gen.add_argument("--gamma", type=float, default=1.0)
-    gen.add_argument("--sigma", type=float, default=0.0)
+    gen.add_argument("--kappa", type=_at_least(1.0, float), default=2.0)
+    gen.add_argument("--gamma", type=_at_least(0.0, float, strict=True), default=1.0)
+    gen.add_argument("--sigma", type=_at_least(0.0, float), default=0.0)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", required=True)
 
@@ -66,7 +67,7 @@ def _build_parser():
     tria.add_argument("--output", required=True)
     tria.add_argument("--beta", choices=["ones", "random"], default="ones")
     tria.add_argument("--sigma", type=_at_least(0.0, float), default=0.0)
-    tria.add_argument("--tol", type=float, default=1e-10)
+    tria.add_argument("--tol", type=_at_least(0.0, float, strict=True), default=1e-10)
     tria.add_argument("--max-iters", type=int, default=2000)
     tria.add_argument("--seed", type=int, default=0)
 
@@ -75,7 +76,7 @@ def _build_parser():
     bnd.add_argument("--frame", help="candidate frame JSON; computed if omitted")
     bnd.add_argument("--output", required=True)
     bnd.add_argument("--beta", choices=["ones", "random"], default="ones")
-    bnd.add_argument("--tol", type=float, default=1e-10)
+    bnd.add_argument("--tol", type=_at_least(0.0, float, strict=True), default=1e-10)
     bnd.add_argument("--max-iters", type=int, default=2000)
     bnd.add_argument("--seed", type=int, default=0)
 
@@ -84,7 +85,7 @@ def _build_parser():
     ten.add_argument("--output", required=True)
     ten.add_argument("--d", type=int, required=True)
     ten.add_argument("--theta", choices=["ones", "random"], default="ones")
-    ten.add_argument("--tol", type=float, default=1e-10)
+    ten.add_argument("--tol", type=_at_least(0.0, float, strict=True), default=1e-10)
     ten.add_argument("--max-iters", type=int, default=2000)
     ten.add_argument("--seed", type=int, default=0)
 

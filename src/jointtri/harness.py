@@ -42,8 +42,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.d < 1 or self.n < 1:
             raise ValueError("d and N must be >= 1")
-        if self.kappa_target < 1.0 or self.gamma_target <= 0.0:
-            raise ValueError("need kappa_target >= 1 and gamma_target > 0")
+        if not (1.0 <= self.kappa_target < np.inf and 0.0 < self.gamma_target < np.inf):
+            raise ValueError("need finite kappa_target >= 1 and gamma_target > 0")
         if self.noise_style not in ("dense", "sparse"):
             raise ValueError("noise_style must be 'dense' or 'sparse'")
 

@@ -2,12 +2,13 @@
 
 The objective is the total squared Frobenius mass below the diagonal of
 the rotated matrices, minimized by Riemannian Gauss-Newton from the Schur
-factor of a separating linear combination of the inputs.  The residual's
-Jacobian J has a closed form over the strictly-lower index pairs
-(jacobian_index); small stacks take exact Gauss-Newton steps from J^T J,
-larger ones a Jacobi-preconditioned truncated CG on J^T J products.  Steps
-are accepted on the loss change computed from the change of the rotated
-stack, not on a difference of two rounded losses.
+factor of a separating linear combination of the inputs.  J^T J, over the
+strictly-lower index pairs, is built from the stack's second moments with
+no Jacobian (gauss_newton_matrix).  Stacks whose L x L solve is cheap per
+matrix take exact Gauss-Newton steps from it; the others a
+Jacobi-preconditioned truncated CG on J^T J products.  Steps are accepted
+on the loss change computed from the change of the rotated stack, not on a
+difference of two rounded losses.
 """
 
 import itertools
@@ -26,9 +27,10 @@ from .linalg import low_part, lower_index, ordered_schur, skew_exp, skew_from_lo
 SEPARATION_GAP_REL = 1e-8
 ARMIJO_C = 1e-4  # an accepted step lowers the loss by this share of its prediction
 BACKTRACK_FACTOR = 0.5
-# descend takes exact Gauss-Newton steps while N L^3, the cost of forming
-# J^T J, is at most this, and truncated-CG steps above (measured crossover).
-EXACT_STEP_MAX_SIZE = 8_000_000
+# descend takes exact Gauss-Newton steps while L^3 / N, the LU solve's cost
+# per matrix, is at most this, and truncated-CG steps above (measured
+# crossover with the moment-built J^T J, whose cost grows with N like CG's).
+EXACT_STEP_MAX_SIZE = 200_000
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class MatrixSet:
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (self.n,):
             raise DimensionMismatch("beta length must equal the number of matrices")
-        return sum(b * m for b, m in zip(beta, self.matrices))
+        return np.sum(beta[:, None, None] * self.matrices, axis=0)
 
 
 def _check_frame(u, mset):
@@ -108,51 +110,6 @@ def _commutator_adjoint(a, w):
     return s - s.T
 
 
-@lru_cache(maxsize=None)
-def jacobian_index(d):
-    """Where each entry of the residual's Jacobian J_n sits, as four arrays.
-
-    Over the strictly-lower pairs p = (i, j) and q = (k, l) of lower_index(d),
-    J_n[p, q] = [j = l] A_ik - [i = k] A_lj - [j = k] A_il + [i = l] A_kj.
-    Returns (at, source, at_minus, source_minus): J_n.flat[at] +=
-    A_n.flat[source] for the first and fourth terms, and J_n.flat[at_minus]
-    -= A_n.flat[source_minus] for the second and third (flat positions
-    p L + q and r d + c).  No position repeats within a sign, and the two
-    signs share only the diagonal.  The first (d-1) d (2d-1) / 6 entries of
-    each sign are the first and second terms, whose transpose is the
-    commutator operator of bounds.
-    """
-    rows, cols = lower_index(d)
-    size = rows.size
-    p, q = np.arange(size)[:, None], np.arange(size)
-    i, j, k, l = rows[:, None], cols[:, None], rows, cols
-
-    def term(match, r, c):
-        p_, q_, r_, c_ = (np.broadcast_to(x, match.shape)[match] for x in (p, q, r, c))
-        return p_ * size + q_, r_ * d + c_
-
-    added = zip(term(j == l, i, k), term(i == l, k, j))
-    subtracted = zip(term(i == k, l, j), term(j == k, i, l))
-    index = tuple(np.concatenate(pair) for pair in (*added, *subtracted))
-    for x in index:
-        x.setflags(write=False)
-    return index
-
-
-def jacobian(a):
-    """J at the rotated stack a, one (N, L, L) array: J_n x is low(A_n X - X A_n)
-    in strictly-lower coordinates, X = skew_from_lower(x, d), the derivative
-    of the residual [low(U^T M_n U)]_n along U e^{tX}."""
-    n, d, _ = a.shape
-    size = d * (d - 1) // 2
-    at, source, at_minus, source_minus = jacobian_index(d)
-    flat = a.reshape(n, d * d)
-    jac = np.zeros((n, size * size))
-    jac[:, at] = flat[:, source]
-    jac[:, at_minus] -= flat[:, source_minus]
-    return jac.reshape(n, size, size)
-
-
 def gauss_newton_product(a, x):
     """J^T J x in strictly-lower coordinates at the rotated stack a, with no
     L x L object: J x = [low(A_n X - X A_n)]_n, X = skew_from_lower(x, d)."""
@@ -187,23 +144,55 @@ def gauss_newton_diagonal(a):
     )
 
 
-def gauss_newton_matrix(a):
-    """J^T J in strictly-lower coordinates at the rotated stack a (symmetric).
+@lru_cache(maxsize=None)
+def _moment_plan(d):
+    """gauss_newton_matrix's tables at dimension d: the (d, 2d) map from the
+    row and column Grams to H / 2, and per block of pair columns j0 <= j < j1
+    (rows r0:r1 of J^T J; one block up to d = 16, each S block at most
+    max(L^2, 2^16) floats) the mask of X and the flat positions of its terms."""
+    rows, cols = lower_index(d)
+    upper = np.triu(np.ones((d, d), dtype=np.int8), 1)  # upper[x, y] = [y > x]
+    spread = 0.5 * np.hstack((upper, upper.T))  # [r > c] / 2, then [c' < c] / 2
+    width = max(1, max(rows.size**2, 2**16) // d**3)
+    blocks = []
+    for j0 in range(0, d - 1, width):
+        j1 = min(j0 + width, d - 1)
+        w = j1 - j0
+        r0, r1 = j0 * d - j0 * (j0 + 1) // 2, j1 * d - j1 * (j1 + 1) // 2
+        mask = upper.T[:, None, None, j0:j1] + upper[None, :, :, None]  # [k > j] + [l > i]
+        rows_at = (rows[r0:r1] * d * w + cols[r0:r1] - j0)[:, None]
+        lower_at, upper_at = rows * d * d * w + cols * w, cols * d * d * w + rows * w
+        blocks.append((j0, j1, r0, r1, mask, rows_at, lower_at, upper_at))
+    return spread, tuple(blocks)
 
-    Summed over blocks of at most EXACT_STEP_MAX_SIZE / L^3 matrices (at
-    least one), so a stack that takes exact steps is one block, and the
-    working memory beyond the L x L result is at most max(L^2,
-    EXACT_STEP_MAX_SIZE / L) floats.
+
+def gauss_newton_matrix(a):
+    """J^T J in strictly-lower coordinates at the rotated stack a, exactly
+    symmetric, from the second moments S[k, i, l, j] = sum_n A_n,ki A_n,lj
+    with no Jacobian: O(N d^4 + L^2).
+
+    Over pairs p = (i, j), q = (k, l), J^T J = G + G^T with
+    G[p, q] = X[p, (l, k)] - X[p, (k, l)] and X[p, (k, l)] =
+    ([k > j] + [l > i]) S[k, i, l, j] - [l = j] H[j, i, k] / 2 - [k = i] H[i, j, l] / 2,
+    H[c] = sum_n (sum_{r > c} A_n[r, :]^T A_n[r, :] + sum_{c' < c} A_n[:, c'] A_n[:, c']^T).
+    S is formed in blocks of columns j, so the working memory beyond the
+    result stays a few L x L arrays.
     """
     n, d, _ = a.shape
-    size = d * (d - 1) // 2
-    block = max(1, EXACT_STEP_MAX_SIZE // max(size, 1) ** 3)
-    h = np.zeros((size, size))
-    for start in range(0, n, block):
-        jac = jacobian(a[start:start + block])
-        jac = jac.reshape(len(jac) * size, size)
-        h += jac.T @ jac  # numpy forms a product with its own transpose symmetrically
-    return h
+    spread, blocks = _moment_plan(d)
+    lines = np.concatenate((a.transpose(1, 2, 0), a.transpose(2, 1, 0)))
+    half = (spread @ (lines @ lines.transpose(0, 2, 1)).reshape(2 * d, -1)).reshape(d, d, d)
+    flat = a.reshape(n, d * d)
+    g = np.empty((d * (d - 1) // 2,) * 2)
+    for j0, j1, r0, r1, mask, rows_at, lower_at, upper_at in blocks:
+        x = (flat.T @ a[:, :, j0:j1].reshape(n, -1)).reshape(d, d, d, j1 - j0)
+        x *= mask
+        diag = np.einsum("kijj->jik", x[:, :, j0:j1])  # views of x[:, i, j, j]
+        diag -= half[j0:j1]
+        diag = np.einsum("iilj->ijl", x)  # and of x[i, i, :, j]
+        diag -= half[:, j0:j1]
+        np.subtract(x.take(rows_at + upper_at), x.take(rows_at + lower_at), out=g[r0:r1])
+    return g + g.T
 
 
 def _exact_step(a, b):
@@ -344,7 +333,7 @@ class OptimizerConfig:
     grad_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_iters < 0 or self.grad_tol <= 0:
+        if not (self.max_iters >= 0 and self.grad_tol > 0):
             raise ValueError("max_iters must be >= 0 and grad_tol > 0")
 
 
@@ -359,13 +348,12 @@ class DescentTrace:
 def descend(mset, u_init, config=OptimizerConfig()):
     """Riemannian Gauss-Newton with Armijo backtracking on U (I + F), F = e^{tX} - I.
 
-    The step X solves (J^T J) x = -J^T r directly, to rounding
-    (_exact_step), while N L^3 <= EXACT_STEP_MAX_SIZE, else by truncated
-    CG (_cg_step).  t
-    halves from 1 until the loss change, computed from the change of the
-    rotated stack (_loss_change), is below the Armijo fraction of
-    t <grad, X>, the predicted change.  The trace's losses are the running
-    sum loss(U_0) + sum of accepted changes.
+    The step X solves (J^T J) x = -J^T r directly, to rounding, from the
+    moment-built J^T J (_exact_step) while L^3 <= N EXACT_STEP_MAX_SIZE,
+    else by truncated CG (_cg_step).  t halves from 1 until the loss
+    change, computed from the change of the rotated stack (_loss_change),
+    is below the Armijo fraction of t <grad, X>, the predicted change.  The
+    trace's losses are the running sum loss(U_0) + sum of accepted changes.
 
     Raises LineSearchStalled, carrying the last iterate and trace, when
     |<grad, X>| is at most the bound on the computed change's rounding error
@@ -378,7 +366,7 @@ def descend(mset, u_init, config=OptimizerConfig()):
     u = _check_frame(u_init, mset)
     d = mset.d
     size = d * (d - 1) // 2
-    solve = _exact_step if mset.n * size**3 <= EXACT_STEP_MAX_SIZE else _cg_step
+    solve = _exact_step if size**3 <= EXACT_STEP_MAX_SIZE * mset.n else _cg_step
     error_scale = (2 * d + 2 * mset.n * size + 5) * np.finfo(float).eps
     error_scale *= np.linalg.norm(mset.matrices)  # ||A|| at every frame
     trace = DescentTrace()

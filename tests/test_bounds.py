@@ -11,6 +11,7 @@ from jointtri import bounds, cli, io
 from jointtri.bounds import (
     LANCZOS_MIN_SIZE,
     GroundTruthModel,
+    _commutator_index,
     _commutator_operator,
     a_posteriori_bound,
     a_priori_bound,
@@ -40,7 +41,6 @@ from jointtri.triangularize import (
     MatrixSet,
     find_separating_beta,
     gauss_newton_matrix,
-    jacobian_index,
     loss,
     rotated,
     schur_initializer,
@@ -143,6 +143,8 @@ class TestGroundTruthModel:
             ((noise[0], noise[1], np.eye(3) / 2), 1e-2),  # wrong shape
             ((noise[0], noise[1], 2.0 * noise[2]), 1e-2),  # norm above 1
             (noise, -1e-3),  # negative sigma
+            (noise, np.nan),
+            (noise, np.inf),
         ]
         for w, sigma in bad:
             with pytest.raises(DimensionMismatch):
@@ -420,7 +422,7 @@ class TestOperatorOracles:
         mset = MatrixSet(tuple(rng.standard_normal((d, d)) for _ in range(n)))
         u, _ = np.linalg.qr(rng.standard_normal((d, d)))
         beta = np.ones(n) / np.sqrt(n)
-        jacobian_index.cache_clear()  # count the index arrays too
+        _commutator_index.cache_clear()  # count the index arrays too
         tracemalloc.start()
         try:
             a_posteriori_bound(mset, u, beta, 1e-3)

@@ -261,6 +261,16 @@ class TestCliCommands:
             ("verify", ("--trials", -2)),
             ("triangularize", ("--sigma", -1)),
             ("triangularize", ("--sigma", "nan")),
+            ("generate", ("--sigma", "nan")),
+            ("generate", ("--sigma", "inf")),
+            ("generate", ("--gamma", "inf")),
+            ("generate", ("--gamma", "0")),
+            ("generate", ("--kappa", "nan")),
+            ("generate", ("--kappa", "0.5")),
+            ("triangularize", ("--tol", "nan")),
+            ("triangularize", ("--tol", "0")),
+            ("bounds", ("--tol", "nan")),
+            ("tensor", ("--d", 3, "--tol", "nan")),
         ],
     )
     def test_invalid_arguments_are_usage_errors(
@@ -268,7 +278,11 @@ class TestCliCommands:
     ):
         """Rejected while parsing, before any work: exit 1, no output."""
         out = tmp_path / "out.json"
-        assert cli(command, "--input", model_file, *flags, "--output", out) == 1
+        if command == "generate":  # otherwise a valid model file
+            source = ("--kind", "model", "--d", 3, "--N", 3)
+        else:
+            source = ("--input", model_file)
+        assert cli(command, *source, *flags, "--output", out) == 1
         assert not out.exists()
         assert "usage:" in capsys.readouterr().err
 

@@ -42,6 +42,14 @@ class TestGenGroundTruth:
         gt = gen_ground_truth(spec)
         assert abs(gt.eigengap() - 0.7) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "kappa, gamma",
+        [(np.nan, 1.0), (np.inf, 1.0), (0.5, 1.0), (2.0, np.nan), (2.0, np.inf), (2.0, 0.0)],
+    )
+    def test_rejects_non_finite_or_out_of_range_targets(self, kappa, gamma):
+        with pytest.raises(ValueError):
+            GeneratorSpec(d=3, n=3, kappa_target=kappa, gamma_target=gamma)
+
     def test_same_seed_is_bit_identical(self):
         spec = GeneratorSpec(d=4, n=4, seed=3)
         a = gen_ground_truth(spec, sigma=1e-3)
