@@ -7,7 +7,6 @@ the method to symmetric rank-d tensor decomposition.
 """
 
 from .errors import (
-    ComplexEigenvalues,
     DegenerateSpectrum,
     DimensionMismatch,
     JointTriError,
@@ -26,13 +25,10 @@ from .errors import (
     ZeroColumnSum,
 )
 from .linalg import (
-    EigenSystem,
     low_part,
     lower_index,
     matrix_metrics,
-    ordered_schur,
     orthogonal_log,
-    real_eigen,
     skew_exp,
     unvec,
     vec,
@@ -42,15 +38,12 @@ from .triangularize import (
     MatrixSet,
     OptimizerConfig,
     descend,
-    eigenvalue_separation,
     find_separating_beta,
     gradient,
     hessian_form,
     loss,
-    schur_initializer,
 )
 from .bounds import (
-    BoundReport,
     GroundTruthModel,
     a_posteriori_bound,
     a_priori_bound,
@@ -76,7 +69,6 @@ from .tensor import (
 )
 from .harness import (
     GeneratorSpec,
-    SweepReport,
     TriangularizerFamily,
     converge,
     distance_to_nearest,
@@ -92,17 +84,16 @@ from .harness import (
 )
 
 __all__ = [
-    "ComplexEigenvalues", "DegenerateSpectrum", "DimensionMismatch",
+    "DegenerateSpectrum", "DimensionMismatch",
     "JointTriError", "LineSearchStalled", "LogBranchAmbiguous",
     "NearDefective", "NegativeDeterminant", "NoComparableFrame", "NonUnitBeta",
     "NoSeparatingBeta", "RankDeficient", "SingularOperator", "SingularY",
     "SingularZ", "TooLarge", "ZeroColumnSum",
-    "EigenSystem", "low_part", "lower_index", "matrix_metrics", "ordered_schur",
-    "orthogonal_log", "real_eigen", "skew_exp", "unvec", "vec",
+    "low_part", "lower_index", "matrix_metrics", "orthogonal_log", "skew_exp",
+    "unvec", "vec",
     "DescentTrace", "MatrixSet", "OptimizerConfig", "descend",
-    "eigenvalue_separation", "find_separating_beta", "gradient",
-    "hessian_form", "loss", "schur_initializer",
-    "BoundReport", "GroundTruthModel", "a_posteriori_bound", "a_priori_bound",
+    "find_separating_beta", "gradient", "hessian_form", "loss",
+    "GroundTruthModel", "a_posteriori_bound", "a_priori_bound",
     "eigenvalue_error_bound", "explicit_bound", "hessian_constants",
     "init_noise_threshold", "inverse_spectral_norm", "predicted_direction",
     "t_beta",
@@ -110,7 +101,7 @@ __all__ = [
     "estimate_components", "first_order_model", "match_columns",
     "observable_matrices", "recover_scales", "slices",
     "tensor_from_components",
-    "GeneratorSpec", "SweepReport", "TriangularizerFamily", "converge",
+    "GeneratorSpec", "TriangularizerFamily", "converge",
     "distance_to_nearest", "enumerate_exact_triangularizers", "gen_components",
     "gen_ground_truth", "gen_tensor", "nearest_direction", "sample_noise",
     "sigma_sweep", "verify_bounds", "verify_component_bound",

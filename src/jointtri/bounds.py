@@ -28,7 +28,6 @@ from .linalg import (
     matrix_metrics,
     min_pairwise_gap,
     skew_from_lower,
-    vec,
 )
 from .triangularize import (
     MatrixSet,
@@ -422,44 +421,3 @@ def eigenvalue_error_bound(alpha, sigma, m_norm, w_norm):
     if min(alpha, sigma, m_norm, w_norm) < 0:
         raise ValueError("all inputs must be nonnegative")
     return float(2.0 * alpha * m_norm + sigma * w_norm)
-
-
-@dataclass
-class BoundReport:
-    """Every computed bound constant plus observed quantities."""
-
-    alpha_apriori: float = np.nan
-    alpha_explicit: float = np.nan
-    alpha_aposteriori: float = np.nan
-    gamma: float = np.nan
-    epsilon: float = np.nan
-    a_alpha: float = np.nan
-    a_sigma: float = np.nan
-    alpha_max: float = np.nan
-    sigma_max: float = np.nan
-    eigenvalue_error: float = np.nan
-    observed_alpha: float | None = None
-    predicted_direction: np.ndarray | None = None
-
-    def to_dict(self):
-        out = {}
-        for key in (
-            "alpha_apriori",
-            "alpha_explicit",
-            "alpha_aposteriori",
-            "gamma",
-            "epsilon",
-            "a_alpha",
-            "a_sigma",
-            "alpha_max",
-            "sigma_max",
-            "eigenvalue_error",
-        ):
-            out[key] = float(getattr(self, key))
-        if self.observed_alpha is not None:
-            out["observed_alpha"] = float(self.observed_alpha)
-        if self.predicted_direction is not None:
-            out["predicted_direction"] = [
-                float(v) for v in vec(self.predicted_direction)
-            ]
-        return out

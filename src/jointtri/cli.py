@@ -17,7 +17,7 @@ from . import io
 from . import tensor as tn
 from . import triangularize as tri
 from .errors import DimensionMismatch, JointTriError
-from .linalg import require_orthogonal
+from .linalg import require_orthogonal, vec
 
 
 def _at_least(low, kind=int, strict=False):
@@ -102,7 +102,7 @@ def _build_parser():
     ver = sub.add_parser("verify", help="bound containment study")
     ver.add_argument("--input", required=True)
     ver.add_argument("--output", required=True)
-    ver.add_argument("--sigma", type=float, default=1e-3)
+    ver.add_argument("--sigma", type=_at_least(0.0, float), default=1e-3)
     ver.add_argument("--trials", type=_at_least(0), default=100)
     ver.add_argument("--seed", type=int, default=0)
     return parser
@@ -163,43 +163,40 @@ def _cmd_triangularize(args):
 def _cmd_bounds(args):
     gt = io.ground_truth_from_dict(io.load(args.input))
     observed = gt.observed_matrices()
+    beta, u_init = tri.find_separating_beta(observed, strategy=args.beta, seed=args.seed)
     if args.frame:
         u = require_orthogonal(io.frame_from_dict(io.load(args.frame)))
         if u.shape != (gt.d, gt.d):
             raise DimensionMismatch("frame dimension does not match the model")
-        beta, _ = tri.find_separating_beta(
-            observed, strategy=args.beta, seed=args.seed
-        )
     else:
-        u, beta, _ = hz.converge(
+        u, _, _ = hz.converge(
             observed, beta_strategy=args.beta, seed=args.seed,
             max_iters=args.max_iters, grad_tol=args.tol,
         )
     family = hz.enumerate_exact_triangularizers(gt)
     alpha, idx = hz.distance_to_nearest(u, family)
     u_circ = family.frames[idx]
-    u_init = tri.schur_initializer(observed, beta)
     sigma_max, alpha_max, constants = bd.init_noise_threshold(gt, beta, u_init)
     eig_bound = max(
         bd.eigenvalue_error_bound(alpha, gt.sigma, m_norm, np.linalg.norm(w))
         for m_norm, w in zip(gt.noise_free.clean_norms, gt.noise)
     )
     explicit, gamma = bd.explicit_bound(gt)
-    report = bd.BoundReport(
-        alpha_apriori=bd.a_priori_bound(gt, u_circ),
-        alpha_explicit=explicit,
-        alpha_aposteriori=bd.a_posteriori_bound(observed, u, beta, gt.sigma),
-        gamma=gamma,
-        epsilon=constants["epsilon"],
-        a_alpha=constants["a_alpha"],
-        a_sigma=constants["a_sigma"],
-        alpha_max=alpha_max,
-        sigma_max=sigma_max,
-        eigenvalue_error=eig_bound,
-        observed_alpha=alpha,
-        predicted_direction=bd.predicted_direction(gt, u_circ),
-    )
-    io.dump_canonical(report.to_dict(), args.output)
+    report = {
+        "alpha_apriori": bd.a_priori_bound(gt, u_circ),
+        "alpha_explicit": explicit,
+        "alpha_aposteriori": bd.a_posteriori_bound(observed, u, beta, gt.sigma),
+        "gamma": gamma,
+        "epsilon": constants["epsilon"],
+        "a_alpha": constants["a_alpha"],
+        "a_sigma": constants["a_sigma"],
+        "alpha_max": alpha_max,
+        "sigma_max": sigma_max,
+        "eigenvalue_error": eig_bound,
+        "observed_alpha": alpha,
+        "predicted_direction": vec(bd.predicted_direction(gt, u_circ)),
+    }
+    io.dump_canonical(report, args.output)
     return 0
 
 
@@ -245,15 +242,7 @@ def _cmd_tensor(args):
 def _cmd_sweep(args):
     gt = io.ground_truth_from_dict(io.load(args.input))
     report = hz.sigma_sweep(gt, args.sigmas, trials=args.trials, seed=args.seed)
-    io.dump_canonical(
-        {
-            "sigmas": report.sigmas,
-            "records": report.records,
-            "direction_residual_slope": report.direction_residual_slope,
-            "observed_alpha_slope": report.observed_alpha_slope,
-        },
-        args.output,
-    )
+    io.dump_canonical(report, args.output)
     return 0
 
 

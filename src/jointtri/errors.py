@@ -9,10 +9,6 @@ class DimensionMismatch(JointTriError):
     pass
 
 
-class ComplexEigenvalues(JointTriError):
-    pass
-
-
 class NearDefective(JointTriError):
     pass
 

@@ -198,22 +198,13 @@ def converge(mset, beta_strategy="ones", seed=0, max_iters=2000, grad_tol=1e-10)
 
     Returns (frame, beta, trace).
     """
-    beta, _ = tri.find_separating_beta(mset, strategy=beta_strategy, seed=seed)
-    u_init = tri.schur_initializer(mset, beta)
+    beta, u_init = tri.find_separating_beta(mset, strategy=beta_strategy, seed=seed)
     config = tri.OptimizerConfig(max_iters=max_iters, grad_tol=grad_tol)
     try:
         u, trace = tri.descend(mset, u_init, config)
     except LineSearchStalled as stall:
         u, trace = stall.frame, stall.trace
     return u, beta, trace
-
-
-@dataclass
-class SweepReport:
-    sigmas: list = field(default_factory=list)
-    records: list = field(default_factory=list)
-    direction_residual_slope: float = np.nan
-    observed_alpha_slope: float = np.nan
 
 
 def _fit_slope(xs, ys):
@@ -228,13 +219,12 @@ def sigma_sweep(gt, sigmas, trials=1, seed=0):
     Per sigma and trial: certified init + descent, observed distance to
     the nearest exact triangularizer, all bounds, and the residual of the
     first-order direction prediction.  Log-log slopes are fitted on the
-    per-sigma trial means.
+    per-sigma trial means.  Returns a dict with the sigmas, the per-sigma
+    lists of trial records and the two slopes (NaN below two sigmas).
     """
     sigmas = list(sigmas)
-    report = SweepReport(sigmas=sigmas)
-    if not sigmas:
-        return report
-    family = enumerate_exact_triangularizers(gt)
+    records = []
+    family = enumerate_exact_triangularizers(gt) if sigmas else None
     for sigma in sigmas:
         per_trial = []
         for t in range(trials):
@@ -259,12 +249,15 @@ def sigma_sweep(gt, sigmas, trials=1, seed=0):
                     ),
                 }
             )
-        report.records.append(per_trial)
-    mean_resid = [np.mean([r["direction_residual"] for r in recs]) for recs in report.records]
-    mean_alpha = [np.mean([r["observed_alpha"] for r in recs]) for recs in report.records]
-    report.direction_residual_slope = _fit_slope(sigmas, mean_resid)
-    report.observed_alpha_slope = _fit_slope(sigmas, mean_alpha)
-    return report
+        records.append(per_trial)
+    mean_resid = [np.mean([r["direction_residual"] for r in recs]) for recs in records]
+    mean_alpha = [np.mean([r["observed_alpha"] for r in recs]) for recs in records]
+    return {
+        "sigmas": sigmas,
+        "records": records,
+        "direction_residual_slope": _fit_slope(sigmas, mean_resid),
+        "observed_alpha_slope": _fit_slope(sigmas, mean_alpha),
+    }
 
 
 def verify_bounds(gt, sigma, trials, seed=0):

@@ -1,30 +1,21 @@
 """Dense structured linear algebra.
 
 The strictly-lower projection and index pairs, the skew exponential,
-the closed-form orthogonal logarithm (from the real Schur form), the
-real eigensolver, ordered Schur decomposition, and matrix metrics.  All
-vectorizations are column-major, fixed globally.
+the closed-form orthogonal logarithm (from the real Schur form), column
+sign normalization, and matrix metrics.  All vectorizations are
+column-major, fixed globally.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    ComplexEigenvalues,
-    DimensionMismatch,
-    LogBranchAmbiguous,
-    NearDefective,
-    NegativeDeterminant,
-)
+from .errors import DimensionMismatch, LogBranchAmbiguous, NegativeDeterminant
 
 # Tolerances pinned by the module contracts.
 SKEW_TOL = 1e-12
 ORTHO_TOL = 1e-10
-EIG_RESIDUAL_TOL = 1e-8
-EIG_GAP_TOL = 1e-10
 LOG_BRANCH_TOL = 1e-6
 
 
@@ -147,72 +138,12 @@ def orthogonal_log(q):
     return x
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Real simple spectrum: values ascending, unit-norm right eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def real_eigen(m):
-    """Eigendecomposition of a matrix with real simple eigenvalues.
-
-    Values are sorted ascending; each eigenvector has unit Euclidean norm
-    and its first significant entry positive.
-    """
-    m = _require_square(m)
-    scale = np.linalg.norm(m)
-    values, vectors = np.linalg.eig(m)
-    tol = EIG_GAP_TOL * max(scale, 1.0)
-    if np.max(np.abs(values.imag)) > tol:
-        raise ComplexEigenvalues("matrix has complex eigenvalues")
-    values = values.real
-    order = np.argsort(values)
-    values = values[order]
-    vectors = vectors[:, order].real
-    if np.min(np.diff(values), initial=np.inf) < EIG_GAP_TOL * max(scale, 1.0):
-        raise NearDefective("eigenvalue gap below tolerance; nearly defective")
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
-    vectors = _fix_column_signs(vectors)
-    residual = np.linalg.norm(m @ vectors - vectors * values, axis=0)
-    if np.any(residual > EIG_RESIDUAL_TOL * max(scale, 1.0)):
-        raise NearDefective("eigenvector residual above tolerance")
-    return EigenSystem(values=values, vectors=vectors)
-
-
 def _fix_column_signs(u, tol=1e-12):
     """Flip column signs so the first significant entry of each is positive."""
     mag = np.abs(u)
     significant = mag > tol * mag.max(axis=0, initial=1.0)
     first = u[np.argmax(significant, axis=0), np.arange(u.shape[1])]
     return np.where(significant.any(axis=0) & (first < 0), -u, u)
-
-
-def ordered_schur(m, order=None):
-    """Schur factor with eigenvalues on the diagonal in a requested order.
-
-    order[k] indexes into the ascending eigenvalue list; position k of the
-    diagonal of U^T M U receives that eigenvalue.  Defaults to ascending.
-    Built by QR of the permuted eigenvector matrix, valid for real simple
-    spectra; column signs are normalized (first significant entry positive).
-    """
-    m = _require_square(m)
-    eig = real_eigen(m)
-    d = m.shape[0]
-    if order is None:
-        order = np.arange(d)
-    order = np.asarray(order, dtype=int)
-    if sorted(order.tolist()) != list(range(d)):
-        raise DimensionMismatch("order must be a permutation of 0..d-1")
-    w = eig.vectors[:, order]
-    q, r = np.linalg.qr(w)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
-    q = _fix_column_signs(q)
-    t = q.T @ m @ q
-    return q, t
 
 
 def matrix_metrics(a):

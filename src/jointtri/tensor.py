@@ -112,13 +112,11 @@ def first_order_model(z, noise):
         raise DimensionMismatch("first-order model requires a square Z (N = d)")
     if np.linalg.matrix_rank(z) < d:
         raise SingularZ("Z is singular")
-    col_sums = z.sum(axis=0)
-    if np.min(np.abs(col_sums)) == 0.0:
-        raise ZeroColumnSum("a column of Z sums to zero")
+    _, m_bound, w_bound = _observable_bounds(z, float(np.linalg.norm(noise.data)))
     if noise.n != d:
         raise DimensionMismatch("noise tensor dimension must match Z")
     m_slices = [z @ np.diag(z[n]) @ z.T for n in range(d)]
-    m = z @ np.diag(col_sums) @ z.T
+    m = z @ np.diag(z.sum(axis=0)) @ z.T
     m_inv = np.linalg.inv(m)
     e_slices = slices(noise)
     e_sum = sum(e_slices)
@@ -126,13 +124,24 @@ def first_order_model(z, noise):
     for n in range(d):
         m_list.append(m_slices[n] @ m_inv)
         w_list.append(e_slices[n] @ m_inv - m_slices[n] @ m_inv @ e_sum @ m_inv)
-    eps = float(np.linalg.norm(noise.data))
-    _, _, kappa = matrix_metrics(z)
-    z_norm = np.linalg.norm(z)
-    min_col = float(np.min(np.abs(col_sums)))
-    m_bound = d * kappa**2 * np.max(np.abs(z)) / min_col
-    w_bound = eps * np.sqrt(d) * kappa**2 / (z_norm**2 * min_col) * (1.0 + m_bound)
     return m_list, w_list, float(m_bound), float(w_bound)
+
+
+def _observable_bounds(z, eps):
+    """(kappa(Z), M, W) for a square Z and a noise tensor of norm eps: M bounds
+    each noise-free observable matrix and W each first-order noise term,
+    M = d kappa^2 max|Z| / m and W = eps sqrt(d) kappa^2 (1 + M) / (||Z||^2 m)
+    with m = min |1^T Z|.  Raises ZeroColumnSum when m = 0."""
+    d = len(z)
+    min_col = float(np.min(np.abs(z.sum(axis=0))))
+    if min_col == 0.0:
+        raise ZeroColumnSum("a column of Z sums to zero")
+    _, _, kappa = matrix_metrics(z)
+    m_bound = d * kappa**2 * np.max(np.abs(z)) / min_col
+    w_bound = (
+        eps * np.sqrt(d) * kappa**2 / (np.linalg.norm(z) ** 2 * min_col) * (1.0 + m_bound)
+    )
+    return kappa, m_bound, w_bound
 
 
 def estimate_components(u, mset):
@@ -182,16 +191,7 @@ def component_error_bound(z, eps, sigma):
     gamma = component_gamma(z)
     if gamma <= 0.0:
         raise DegenerateSpectrum("two identical component columns: gamma = 0")
-    _, _, kappa = matrix_metrics(z)
-    col_sums = z.sum(axis=0)
-    min_col = float(np.min(np.abs(col_sums)))
-    if min_col == 0.0:
-        raise ZeroColumnSum("a column of Z sums to zero")
-    m_const = n * kappa**2 * np.max(np.abs(z)) / min_col
-    w_const = (
-        eps * np.sqrt(n) * kappa**2 / (np.linalg.norm(z) ** 2 * min_col)
-        * (1.0 + m_const)
-    )
+    kappa, m_const, w_const = _observable_bounds(z, eps)
     bound = (
         4.0 * n * sigma * np.sqrt(d * (d - 1)) * kappa**4 / gamma
         * m_const**2 * w_const

@@ -20,11 +20,19 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     LineSearchStalled,
+    NearDefective,
     NoSeparatingBeta,
 )
-from .linalg import low_part, lower_index, ordered_schur, skew_exp, skew_from_lower
+from .linalg import (
+    _fix_column_signs,
+    low_part,
+    lower_index,
+    skew_exp,
+    skew_from_lower,
+)
 
 SEPARATION_GAP_REL = 1e-8
+EIG_RESIDUAL_TOL = 1e-8
 ARMIJO_C = 1e-4  # an accepted step lowers the loss by this share of its prediction
 BACKTRACK_FACTOR = 0.5
 # descend takes exact Gauss-Newton steps while L^3 / N, the LU solve's cost
@@ -86,7 +94,12 @@ def rotated(u, mset):
 
 def loss(u, mset):
     """Sum of squared strictly-lower entries of the rotated matrices."""
-    sums = np.sum(low_part(rotated(u, mset)) ** 2, axis=(1, 2))
+    return _stack_loss(rotated(u, mset))
+
+
+def _stack_loss(a):
+    """loss at the rotated stack a."""
+    sums = np.sum(low_part(a) ** 2, axis=(1, 2))
     total = 0.0
     for s in sums.tolist():  # a running sum in order n = 0, ..., N-1
         total += s
@@ -282,22 +295,21 @@ def hessian_form(u, mset, x):
     return float(total)
 
 
-def eigenvalue_separation(m):
-    """(min real gap, all-real flag) for the spectrum of a pencil."""
-    eigs = np.linalg.eigvals(m)
-    scale = max(np.linalg.norm(m), 1.0)
-    all_real = bool(np.max(np.abs(eigs.imag)) <= 1e-8 * scale)
-    re = np.sort(eigs.real)
-    gap = float(np.min(np.diff(re))) if re.size > 1 else np.inf
-    return gap, all_real
-
-
 def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50):
-    """Unit vector beta whose pencil has real, well-separated eigenvalues.
+    """Certified initialization: a unit beta whose pencil P = sum_n beta_n M_n
+    has a real, well-separated spectrum, and the Schur frame U0 of P.
 
     Tries the normalized ones vector first (strategy "ones"), then seeded
-    random unit vectors.  The separation floor is relative to the pencil
-    norm.  Returns (beta, achieved_gap).
+    random unit vectors, with one eigendecomposition each.  P is accepted
+    when its ascending eigenvalue real parts are pairwise more than
+    SEPARATION_GAP_REL ||P|| apart; a complex pair shares its real part, so
+    this also rules out complex eigenvalues.  U0 is the Q factor of the unit
+    eigenvectors in that order, each column's first significant entry made
+    positive, so U0^T P U0 is upper triangular with ascending diagonal.
+    Both floors are relative to ||P||, so a scaled set gets the same beta.
+    Raises NoSeparatingBeta after max_tries candidates, and NearDefective
+    when an eigenvector of the accepted P has a residual above
+    EIG_RESIDUAL_TOL ||P||.  Returns (beta, U0).
     """
     if strategy not in ("ones", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -312,19 +324,20 @@ def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50):
 
     for beta in itertools.islice(candidates(), max_tries):
         pencil = mset.combine(beta)
-        gap, all_real = eigenvalue_separation(pencil)
-        if all_real and gap > SEPARATION_GAP_REL * np.linalg.norm(pencil):
-            return beta, gap
+        scale = np.linalg.norm(pencil)
+        values, vectors = np.linalg.eig(pencil)
+        order = np.argsort(values.real)
+        values = values.real[order]
+        if np.all(np.diff(values) > SEPARATION_GAP_REL * scale):
+            vectors = vectors[:, order].real
+            vectors /= np.linalg.norm(vectors, axis=0)
+            residual = np.linalg.norm(pencil @ vectors - vectors * values, axis=0)
+            if np.any(residual > EIG_RESIDUAL_TOL * scale):
+                raise NearDefective("eigenvector residual above tolerance")
+            return beta, _fix_column_signs(np.linalg.qr(vectors)[0])
     raise NoSeparatingBeta(
         f"no separating combination found after {max_tries} tries"
     )
-
-
-def schur_initializer(mset, beta):
-    """Orthogonal frame triangularizing the beta-pencil of the set."""
-    pencil = mset.combine(beta)
-    u, _ = ordered_schur(pencil)
-    return u
 
 
 @dataclass(frozen=True)
@@ -354,6 +367,8 @@ def descend(mset, u_init, config=OptimizerConfig()):
     change, computed from the change of the rotated stack (_loss_change),
     is below the Armijo fraction of t <grad, X>, the predicted change.  The
     trace's losses are the running sum loss(U_0) + sum of accepted changes.
+    The rotated stack A = U^T M U is formed once per iteration; the
+    gradient, the step and the line search all read it.
 
     Raises LineSearchStalled, carrying the last iterate and trace, when
     |<grad, X>| is at most the bound on the computed change's rounding error
@@ -370,20 +385,21 @@ def descend(mset, u_init, config=OptimizerConfig()):
     error_scale = (2 * d + 2 * mset.n * size + 5) * np.finfo(float).eps
     error_scale *= np.linalg.norm(mset.matrices)  # ||A|| at every frame
     trace = DescentTrace()
-    current = loss(u, mset)
+    a = rotated(u, mset)
+    current = _stack_loss(a)
     for _ in range(config.max_iters):
-        g = gradient(u, mset)
+        low = low_part(a)
+        g = _commutator_adjoint(a, low)  # the gradient at U
         g_norm = np.linalg.norm(g)
         if g_norm <= config.grad_tol:
             trace.termination = "grad_tol"
             return u, trace
-        a = rotated(u, mset)
         b = g[lower_index(d)]  # J^T r
         x = solve(a, b)
         slope = 2.0 * (b @ x)  # <grad, X>
         skew = skew_from_lower(x, d)
         x_norm = np.linalg.norm(skew)
-        floor = error_scale * x_norm * np.linalg.norm(low_part(a))
+        floor = error_scale * x_norm * np.linalg.norm(low)
         step = 1.0
         while -slope > floor and step * x_norm > np.finfo(float).eps:
             f = _rotation_increment(skew, step)
@@ -395,6 +411,7 @@ def descend(mset, u_init, config=OptimizerConfig()):
             trace.termination = "stalled"
             raise LineSearchStalled("no step lowers the loss", frame=u, trace=trace)
         u = u + u @ f
+        a = rotated(u, mset)
         current += change
         trace.loss_values.append(current)
         trace.grad_norms.append(g_norm)

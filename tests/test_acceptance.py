@@ -125,8 +125,7 @@ def test_criterion_4_operator_spectrum_floor():
             GeneratorSpec(d=3 + seed % 2, n=3, kappa_target=kappa, seed=seed)
         )
         clean = gt.clean_matrices()
-        beta, _ = tri.find_separating_beta(clean)
-        u_circ = tri.schur_initializer(clean, beta)
+        _, u_circ = tri.find_separating_beta(clean)
         gram = tri.gauss_newton_matrix(tri.rotated(u_circ, clean))
         smallest_singular = np.linalg.svd(gram, compute_uv=False)[-1]
         floor = gt.eigengap() / np.linalg.cond(gt.v) ** 4
@@ -144,8 +143,8 @@ def test_criterion_5_first_order_scaling():
         GeneratorSpec(d=3, n=3, kappa_target=2.0, seed=300), sigma=0.0
     )
     report = sigma_sweep(gt, [1e-3, 5e-4, 2.5e-4, 1.25e-4], trials=1, seed=0)
-    resid_slope = report.direction_residual_slope
-    alpha_slope = report.observed_alpha_slope
+    resid_slope = report["direction_residual_slope"]
+    alpha_slope = report["observed_alpha_slope"]
     ok = resid_slope >= 1.7 and abs(alpha_slope - 1.0) <= 0.2
     record_acceptance(
         "criterion 5 first-order scaling "
@@ -190,8 +189,7 @@ def test_criterion_7_certified_initialization():
             GeneratorSpec(d=3, n=3, kappa_target=2.0, seed=500 + seed), sigma=0.0
         )
         observed = gt.observed_matrices()
-        beta, _ = tri.find_separating_beta(observed)
-        u_init = tri.schur_initializer(observed, beta)
+        beta, u_init = tri.find_separating_beta(observed)
         sigma_max, _, _ = bd.init_noise_threshold(gt, beta, u_init)
         model = gt.with_noise(gt.noise, 0.5 * sigma_max)
         u, _, _ = converge(model.observed_matrices(), grad_tol=1e-12)

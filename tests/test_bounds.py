@@ -43,7 +43,6 @@ from jointtri.triangularize import (
     gauss_newton_matrix,
     loss,
     rotated,
-    schur_initializer,
 )
 
 
@@ -88,9 +87,7 @@ def per_matrix_system(u_circ, gt):
 
 
 def exact_frame(gt):
-    clean = gt.clean_matrices()
-    beta, _ = find_separating_beta(clean)
-    return schur_initializer(clean, beta)
+    return find_separating_beta(gt.clean_matrices())[1]
 
 
 class TestGroundTruthModel:
@@ -515,8 +512,7 @@ class TestAPosterioriBound:
     def test_zero_for_noiseless_exact_triangularizer(self):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=2))
         clean = gt.clean_matrices()
-        beta, _ = find_separating_beta(clean)
-        u = schur_initializer(clean, beta)
+        beta, u = find_separating_beta(clean)
         assert a_posteriori_bound(clean, u, beta, 0.0) <= 1e-9
 
     def test_rejects_non_unit_beta(self):
@@ -541,8 +537,8 @@ class TestNoiseThreshold:
 
     def test_single_matrix_plug_in(self):
         gt = diagonal_model([[0.0, 1.0]], sigma=0.0, seed=5)
-        beta = np.array([1.0])
-        u_init = schur_initializer(gt.observed_matrices(), beta)
+        beta, u_init = find_separating_beta(gt.observed_matrices())
+        assert beta.tolist() == [1.0]
         sigma_max, alpha_max, constants = init_noise_threshold(gt, beta, u_init)
         assert np.isclose(constants["gamma"], 1.0)
         assert np.isclose(constants["epsilon"], 0.5)
@@ -554,8 +550,7 @@ class TestNoiseThreshold:
     def test_basin_radius_at_the_boundary(self):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=6), sigma=0.0)
         observed = gt.observed_matrices()
-        beta, _ = find_separating_beta(observed)
-        u_init = schur_initializer(observed, beta)
+        beta, u_init = find_separating_beta(observed)
         sigma_max, _, constants = init_noise_threshold(gt, beta, u_init)
         at_boundary = gt.with_noise(gt.noise, sigma_max)
         _, alpha_max, _ = init_noise_threshold(at_boundary, beta, u_init)
@@ -578,8 +573,7 @@ class TestOperatorSpectrumFloor:
             gt = gen_ground_truth(
                 GeneratorSpec(d=4, n=3, kappa_target=2.0, seed=seed)
             )
-            beta, _ = find_separating_beta(gt.clean_matrices())
-            u_circ = schur_initializer(gt.clean_matrices(), beta)
+            _, u_circ = find_separating_beta(gt.clean_matrices())
             gram = gram_at(u_circ, gt.clean_matrices())
             kappa = np.linalg.cond(gt.v)
             assert smallest_singular(gram) >= gt.eigengap() / kappa**4 - 1e-12

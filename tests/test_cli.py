@@ -271,6 +271,9 @@ class TestCliCommands:
             ("triangularize", ("--tol", "0")),
             ("bounds", ("--tol", "nan")),
             ("tensor", ("--d", 3, "--tol", "nan")),
+            ("verify", ("--sigma", "nan")),
+            ("verify", ("--sigma", "inf")),
+            ("verify", ("--sigma", -1)),
         ],
     )
     def test_invalid_arguments_are_usage_errors(

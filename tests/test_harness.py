@@ -270,8 +270,9 @@ class TestSweep:
     def test_empty_grid_yields_empty_report(self):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=16))
         report = sigma_sweep(gt, [], trials=1, seed=0)
-        assert report.records == []
-        assert np.isnan(report.direction_residual_slope)
+        assert report["sigmas"] == report["records"] == []
+        assert np.isnan(report["direction_residual_slope"])
+        assert np.isnan(report["observed_alpha_slope"])
 
     def test_one_gauss_newton_matrix_per_nearest_frame(self, monkeypatch):
         """a_priori_bound and predicted_direction share each exact frame's
@@ -294,7 +295,7 @@ class TestSweep:
             harness, "distance_to_nearest", counting(nearest, distance_to_nearest)
         )
         report = sigma_sweep(gt, [1e-3, 5e-4, 2.5e-4, 1.25e-4], trials=2, seed=0)
-        assert sum(len(records) for records in report.records) == len(nearest) == 8
+        assert sum(len(records) for records in report["records"]) == len(nearest) == 8
         assert len({idx for _, idx in nearest}) == 1
         assert len(grams) == 1
 

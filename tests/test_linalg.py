@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointtri.errors import (
-    ComplexEigenvalues,
     DimensionMismatch,
     LogBranchAmbiguous,
-    NearDefective,
     NegativeDeterminant,
 )
 from jointtri.linalg import (
@@ -16,9 +14,7 @@ from jointtri.linalg import (
     low_part,
     lower_index,
     matrix_metrics,
-    ordered_schur,
     orthogonal_log,
-    real_eigen,
     require_orthogonal,
     skew_exp,
     unvec,
@@ -277,53 +273,6 @@ class TestOrthogonalLog:
         x = random_skew(rng, 3)
         q = skew_exp(x / np.linalg.norm(x), 0.8)
         assert np.linalg.norm(skew_exp(orthogonal_log(q)) - q) <= 1e-10
-
-
-class TestRealEigen:
-    def test_diagonal_matrix(self):
-        eig = real_eigen(np.diag([1.0, 2.0, 3.0]))
-        assert np.allclose(eig.values, [1.0, 2.0, 3.0])
-        assert np.allclose(eig.vectors, np.eye(3))
-
-    def test_symmetric_flip(self):
-        eig = real_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(eig.values, [-1.0, 1.0])
-
-    def test_rejects_complex_spectrum(self):
-        with pytest.raises(ComplexEigenvalues):
-            real_eigen(np.array([[0.0, -1.0], [1.0, 0.0]]))
-
-    def test_rejects_defective_matrix(self):
-        with pytest.raises(NearDefective):
-            real_eigen(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-class TestOrderedSchur:
-    def test_upper_triangular_ascending_is_fixed(self):
-        m = np.triu(np.random.default_rng(0).standard_normal((4, 4)), 1)
-        m += np.diag([1.0, 2.0, 3.0, 4.0])
-        u, t = ordered_schur(m)
-        assert np.allclose(u, np.eye(4), atol=1e-10)
-
-    def test_symmetric_two_by_two(self):
-        u, t = ordered_schur(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(np.diag(t), [1.0, 3.0])
-        expected = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2)
-        assert np.allclose(u, expected, atol=1e-12)
-
-    def test_triangularizes_and_matches_spectrum(self):
-        rng = np.random.default_rng(11)
-        v = rng.standard_normal((4, 4)) + 3 * np.eye(4)
-        m = v @ np.diag([0.5, 1.0, 2.0, 4.0]) @ np.linalg.inv(v)
-        u, t = ordered_schur(m)
-        assert np.linalg.norm(low_part(u.T @ m @ u)) <= 1e-10
-        assert np.linalg.norm(u.T @ u - np.eye(4)) <= 1e-10
-        assert np.allclose(np.diag(t), real_eigen(m).values, atol=1e-8)
-
-    def test_requested_order_is_respected(self):
-        m = np.diag([1.0, 2.0, 3.0])
-        _, t = ordered_schur(m, order=[2, 0, 1])
-        assert np.allclose(np.diag(t), [3.0, 1.0, 2.0])
 
 
 class TestMatrixMetrics:

@@ -25,7 +25,7 @@ from jointtri.tensor import (
     slices,
     tensor_from_components,
 )
-from jointtri.triangularize import find_separating_beta, schur_initializer
+from jointtri.triangularize import find_separating_beta
 
 
 def unit_theta(n):
@@ -170,8 +170,7 @@ def exact_pipeline(z):
     d = z.shape[0]
     t = tensor_from_components(z)
     mset, _ = observable_matrices(t, d, unit_theta(d))
-    beta, _ = find_separating_beta(mset)
-    u = schur_initializer(mset, beta)
+    _, u = find_separating_beta(mset)
     return t, mset, u
 
 

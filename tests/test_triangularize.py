@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from jointtri import triangularize
 from jointtri.bounds import _commutator_operator
 from jointtri.errors import (
-    ComplexEigenvalues,
     DimensionMismatch,
     LineSearchStalled,
+    NearDefective,
     NoSeparatingBeta,
 )
 from jointtri.harness import (
@@ -25,7 +25,13 @@ from jointtri.harness import (
     gen_tensor,
     sample_noise,
 )
-from jointtri.linalg import low_part, lower_index, skew_exp, skew_from_lower
+from jointtri.linalg import (
+    _fix_column_signs,
+    low_part,
+    lower_index,
+    skew_exp,
+    skew_from_lower,
+)
 from jointtri.tensor import estimate_components, observable_matrices
 from jointtri.triangularize import (
     MatrixSet,
@@ -38,7 +44,6 @@ from jointtri.triangularize import (
     gradient,
     hessian_form,
     loss,
-    schur_initializer,
 )
 
 
@@ -166,8 +171,7 @@ class TestBatchedMatchesLoopOracle:
 class TestLoss:
     def test_zero_at_exact_triangularizer(self):
         gt, clean = commuting_set(0)
-        beta, _ = find_separating_beta(clean)
-        u = schur_initializer(clean, beta)
+        _, u = find_separating_beta(clean)
         assert loss(u, clean) <= 1e-20
 
     def test_one_dimensional_sets_have_zero_loss(self):
@@ -198,8 +202,7 @@ class TestLoss:
 class TestGradient:
     def test_vanishes_at_exact_triangularizer(self):
         gt, clean = commuting_set(1)
-        beta, _ = find_separating_beta(clean)
-        u = schur_initializer(clean, beta)
+        _, u = find_separating_beta(clean)
         assert np.linalg.norm(gradient(u, clean)) <= 1e-12
 
     def test_exactly_skew(self):
@@ -233,8 +236,7 @@ class TestHessianForm:
 
     def test_leading_term_at_exact_triangularizer(self):
         gt, clean = commuting_set(7)
-        beta, _ = find_separating_beta(clean)
-        u = schur_initializer(clean, beta)
+        _, u = find_separating_beta(clean)
         rng = np.random.default_rng(8)
         for _ in range(5):
             x = random_skew(rng, 3)
@@ -277,16 +279,17 @@ class TestHessianForm:
 class TestFindSeparatingBeta:
     def test_single_matrix_uses_unit_weight(self):
         mset = MatrixSet((np.diag([1.0, 2.0, 4.0]),))
-        beta, gap = find_separating_beta(mset)
+        beta, u0 = find_separating_beta(mset)
         assert np.allclose(beta, [1.0])
-        assert gap > 0
+        assert np.array_equal(u0, np.eye(3))
 
     def test_random_combination_separates_degenerate_pair(self):
         # neither matrix alone separates, but generic combinations do
         mset = MatrixSet((np.diag([1.0, 1.0, 2.0]), np.diag([0.0, 1.0, 0.0])))
-        beta, gap = find_separating_beta(mset, strategy="random", seed=0)
+        beta, u0 = find_separating_beta(mset, strategy="random", seed=0)
         assert np.isclose(np.linalg.norm(beta), 1.0)
-        assert gap > 0
+        diagonal = np.diag(u0.T @ mset.combine(beta) @ u0)
+        assert np.min(np.diff(diagonal)) > 0
 
     def test_unseparable_spectrum_is_rejected(self):
         # two columns identical in every matrix: no combination separates
@@ -297,7 +300,9 @@ class TestFindSeparatingBeta:
     @pytest.mark.parametrize("strategy", ["ones", "random"])
     def test_matches_eager_draws(self, strategy):
         """The candidates are drawn lazily, in the order of drawing all
-        max_tries of them up front."""
+        max_tries of them up front, and one eigendecomposition per candidate
+        gives the bits of accepting on the eigenvalues alone, then building
+        the frame from a second eigendecomposition."""
 
         def eager(mset, strategy, seed, max_tries=50):
             rng = np.random.default_rng(seed)
@@ -309,24 +314,82 @@ class TestFindSeparatingBeta:
                 candidates.append(v / np.linalg.norm(v))
             for beta in candidates[:max_tries]:
                 pencil = mset.combine(beta)
-                gap, all_real = triangularize.eigenvalue_separation(pencil)
-                if all_real and gap > triangularize.SEPARATION_GAP_REL * np.linalg.norm(pencil):
-                    return beta, gap
+                scale = np.linalg.norm(pencil)
+                eigs = np.linalg.eigvals(pencil)
+                gap = np.min(np.diff(np.sort(eigs.real)), initial=np.inf)
+                if (
+                    np.max(np.abs(eigs.imag)) <= 1e-8 * max(scale, 1.0)
+                    and gap > triangularize.SEPARATION_GAP_REL * scale
+                ):
+                    values, vectors = np.linalg.eig(pencil)
+                    vectors = vectors[:, np.argsort(values.real)].real
+                    vectors = _fix_column_signs(vectors / np.linalg.norm(vectors, axis=0))
+                    q, r = np.linalg.qr(vectors)
+                    signs = np.sign(np.diag(r))
+                    signs[signs == 0] = 1.0
+                    return beta, _fix_column_signs(q * signs)
             return None
 
         degenerate = MatrixSet((np.diag([1.0, 1.0, 2.0]), np.diag([0.0, 1.0, 0.0])))
         for seed in range(8):
             for mset in (degenerate, commuting_set(seed, d=4, n=3)[1]):
-                beta, gap = find_separating_beta(mset, strategy=strategy, seed=seed)
-                beta_ref, gap_ref = eager(mset, strategy, seed)
-                assert beta.tobytes() == beta_ref.tobytes() and gap == gap_ref
+                beta, u0 = find_separating_beta(mset, strategy=strategy, seed=seed)
+                beta_ref, u0_ref = eager(mset, strategy, seed)
+                assert beta.tobytes() == beta_ref.tobytes()
+                assert u0.tobytes() == u0_ref.tobytes()
+
+    @pytest.mark.parametrize("strategy", ["ones", "random"])
+    def test_scaled_set_gets_the_same_init(self, strategy):
+        """Every floor is relative to the pencil norm: a power-of-two scaling
+        keeps every bit, and 1e-12 keeps beta and U0 to rounding."""
+        gt = gen_ground_truth(GeneratorSpec(d=6, n=4, seed=1), sigma=1e-3)
+        matrices = gt.observed_matrices().matrices
+        beta, u0 = find_separating_beta(MatrixSet(matrices), strategy=strategy)
+        scaled_beta, scaled_u0 = find_separating_beta(
+            MatrixSet(matrices * 2.0**-30), strategy=strategy
+        )
+        assert scaled_beta.tobytes() == beta.tobytes()
+        assert scaled_u0.tobytes() == u0.tobytes()
+        scaled_beta, scaled_u0 = find_separating_beta(
+            MatrixSet(matrices * 1e-12), strategy=strategy
+        )
+        assert np.linalg.norm(scaled_beta - beta) <= 1e-12
+        assert np.linalg.norm(scaled_u0 - u0) <= 1e-12 * np.linalg.norm(u0)
+
+    def test_one_eigendecomposition_per_candidate(self, monkeypatch):
+        """converge combines and eigendecomposes each candidate pencil once,
+        and never calls eigvals."""
+        calls = {"combine": 0, "eig": 0, "eigvals": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(MatrixSet, "combine")
+        counted(np.linalg, "eig")
+        counted(np.linalg, "eigvals")
+        gt = gen_ground_truth(GeneratorSpec(d=4, n=4, seed=3), sigma=1e-3)
+        converge(gt.observed_matrices())
+        assert calls == {"combine": 1, "eig": 1, "eigvals": 0}
+        # the ones pencil of this set has a double eigenvalue, so several
+        # candidates are tried
+        degenerate = MatrixSet((np.diag([1.0, 1.0, 2.0]), np.diag([0.0, 1.0, 0.0])))
+        calls.update(combine=0, eig=0)
+        converge(degenerate)
+        assert calls["combine"] == calls["eig"] > 1 and calls["eigvals"] == 0
 
 
 class TestSchurInitializer:
+    """The U0 of find_separating_beta: the Schur frame of the beta-pencil."""
+
     def test_noiseless_set_starts_at_zero_loss(self):
         gt, clean = commuting_set(10, d=4, n=4)
-        beta, _ = find_separating_beta(clean)
-        u = schur_initializer(clean, beta)
+        _, u = find_separating_beta(clean)
         assert loss(u, clean) <= 1e-18
 
     def test_triangular_ascending_set_is_fixed(self):
@@ -337,13 +400,57 @@ class TestSchurInitializer:
             m += np.diag([1.0 + shift, 2.0 + shift, 3.0 + shift])
             mats.append(m)
         mset = MatrixSet(tuple(mats))
-        u = schur_initializer(mset, np.ones(2) / np.sqrt(2))
+        beta, u = find_separating_beta(mset)
+        assert np.array_equal(beta, np.ones(2) / np.sqrt(2))
         assert np.allclose(u, np.eye(3), atol=1e-10)
+        m = np.triu(rng.standard_normal((4, 4)), 1) + np.diag([1.0, 2.0, 3.0, 4.0])
+        _, u = find_separating_beta(MatrixSet((m,)))
+        assert np.allclose(u, np.eye(4), atol=1e-10)
+        _, u = find_separating_beta(MatrixSet((np.diag([1.0, 2.0, 3.0]),)))
+        assert np.array_equal(u, np.eye(3))
+
+    def test_symmetric_two_by_two(self):
+        expected = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2)
+        for shift in (0.0, 2.0):
+            m = np.array([[shift, 1.0], [1.0, shift]])
+            _, u = find_separating_beta(MatrixSet((m,)))
+            assert np.allclose(np.diag(u.T @ m @ u), [shift - 1.0, shift + 1.0])
+            assert np.allclose(u, expected, atol=1e-12)
+
+    def test_triangularizes_and_matches_spectrum(self):
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal((4, 4)) + 3 * np.eye(4)
+        m = v @ np.diag([0.5, 1.0, 2.0, 4.0]) @ np.linalg.inv(v)
+        _, u = find_separating_beta(MatrixSet((m,)))
+        t = u.T @ m @ u
+        assert np.linalg.norm(low_part(t)) <= 1e-10
+        assert np.linalg.norm(u.T @ u - np.eye(4)) <= 1e-10
+        assert np.allclose(np.diag(t), [0.5, 1.0, 2.0, 4.0], atol=1e-8)
 
     def test_complex_pencil_spectrum_is_surfaced(self):
         mset = MatrixSet((np.array([[0.0, -1.0], [1.0, 0.0]]),))
-        with pytest.raises(ComplexEigenvalues):
-            schur_initializer(mset, np.array([1.0]))
+        with pytest.raises(NoSeparatingBeta):
+            find_separating_beta(mset)
+
+    def test_rejects_defective_matrix(self):
+        # a Jordan block's double eigenvalue separates under no weight
+        with pytest.raises(NoSeparatingBeta):
+            find_separating_beta(MatrixSet((np.array([[1.0, 1.0], [0.0, 1.0]]),)))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-30])
+    def test_inaccurate_eigenvectors_are_near_defective(self, monkeypatch, scale):
+        """The eigenvector residual is checked relative to the pencil norm."""
+        eig = np.linalg.eig
+
+        def perturbed(m):
+            values, vectors = eig(m)
+            vectors[0, 1] += 1e-6
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        mset = MatrixSet((scale * np.diag([1.0, 2.0, 3.0]),))
+        with pytest.raises(NearDefective):
+            find_separating_beta(mset)
 
 
 class TestDescend:
@@ -356,8 +463,7 @@ class TestDescend:
 
     def test_noiseless_convergence_to_machine_zero(self):
         gt, clean = commuting_set(12, d=4, n=4)
-        beta, _ = find_separating_beta(clean)
-        u0 = schur_initializer(clean, beta)
+        _, u0 = find_separating_beta(clean)
         config = OptimizerConfig(max_iters=200, grad_tol=1e-12)
         u, trace = descend(clean, u0, config)
         assert loss(u, clean) <= 1e-20
@@ -385,10 +491,10 @@ class TestDescend:
 
 
 class TestDescendCallCounts:
-    """descend evaluates the loss once, at the start, the gradient once per
-    iteration, and the exact loss change once per line-search trial: a trial
-    no longer evaluates the loss at the candidate frame, so the per-layer
-    call counts of a traced run read differently than before."""
+    """descend forms the rotated stack once at the start and once per
+    accepted step, and reads the loss and each gradient off it, so it calls
+    neither loss nor gradient; it evaluates the exact loss change once per
+    line-search trial, never the loss at a candidate frame."""
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -405,14 +511,14 @@ class TestDescendCallCounts:
     def check_counts(self, monkeypatch, config, termination, step_path):
         gt = gen_ground_truth(GeneratorSpec(d=6, n=4, seed=0), sigma=1e-2)
         observed = gt.observed_matrices()
-        beta, _ = find_separating_beta(observed)
         # rotated away from the Schur initializer, so that one unit
         # Gauss-Newton step is halved
-        u0 = schur_initializer(observed, beta) @ skew_exp(
+        u0 = find_separating_beta(observed)[1] @ skew_exp(
             random_skew(np.random.default_rng(0), 6), 0.3
         )
         loss_calls = self.count_calls(monkeypatch, "loss")
         gradient_calls = self.count_calls(monkeypatch, "gradient")
+        rotated_calls = self.count_calls(monkeypatch, "rotated")
         change_calls = self.count_calls(monkeypatch, "_loss_change")
         step_calls = self.count_calls(monkeypatch, step_path)
         _, trace = descend(observed, u0, config)
@@ -427,10 +533,10 @@ class TestDescendCallCounts:
                 trial *= triangularize.BACKTRACK_FACTOR
                 backtracks += 1
             assert trial == step
-        assert len(loss_calls) == 1
+        assert len(loss_calls) == len(gradient_calls) == 0
+        assert len(rotated_calls) == iterations + 1
         assert len(change_calls) == iterations + backtracks
         assert len(step_calls) == iterations
-        assert len(gradient_calls) == iterations + (termination == "grad_tol")
 
     CONFIGS = pytest.mark.parametrize(
         "config, termination",
@@ -455,7 +561,7 @@ class TestDescendCallCounts:
     def test_path_follows_the_measured_crossover(self, monkeypatch, workload, path):
         """Many matrices of moderate d take exact steps, few large ones CG."""
         mset = bench_input(workload, 13000)
-        u0 = schur_initializer(mset, find_separating_beta(mset)[0])
+        u0 = find_separating_beta(mset)[1]
         exact = self.count_calls(monkeypatch, "_exact_step")
         cg = self.count_calls(monkeypatch, "_cg_step")
         products = self.count_calls(monkeypatch, "gauss_newton_product")
@@ -576,7 +682,7 @@ class TestGaussNewtonProduct:
         for seed in range(3):
             gt = gen_ground_truth(GeneratorSpec(d=5, n=3, seed=seed))
             clean = gt.clean_matrices()
-            u = schur_initializer(clean, find_separating_beta(clean)[0])
+            u = find_separating_beta(clean)[1]
             rng = np.random.default_rng(seed)
             for _ in range(3):
                 x = random_skew(rng, 5)
@@ -785,7 +891,7 @@ class TestLossChange:
         for d, n, seed in [(3, 2, 1), (4, 4, 2), (5, 3, 3)]:
             spec = GeneratorSpec(d=d, n=n, kappa_target=3, gamma_target=1, seed=seed)
             observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
-            u = schur_initializer(observed, find_separating_beta(observed)[0])
+            u = find_separating_beta(observed)[1]
             yield triangularize.rotated(u, observed)
             u, _ = descend(observed, u, OptimizerConfig(grad_tol=1e-9))
             yield triangularize.rotated(u, observed)
@@ -826,7 +932,7 @@ class TestLineSearchStop:
     def start():
         gt = gen_ground_truth(GeneratorSpec(d=4, n=4, seed=3), sigma=1e-2)
         observed = gt.observed_matrices()
-        return observed, schur_initializer(observed, find_separating_beta(observed)[0])
+        return observed, find_separating_beta(observed)[1]
 
     def test_no_decrease_stalls_after_finitely_many_halvings(self, monkeypatch):
         observed, u0 = self.start()
@@ -931,6 +1037,6 @@ def bench_input(workload, seed):
 )
 def test_gauss_newton_loss_is_no_worse_than_armijo_oracle(workload):
     mset = bench_input(workload, seed=11000)
-    u, beta, _ = converge(mset)
-    oracle = armijo_descend(mset, schur_initializer(mset, beta))
+    u, _, _ = converge(mset)
+    oracle = armijo_descend(mset, find_separating_beta(mset)[1])
     assert loss(u, mset) <= loss(oracle, mset) * (1 + 1e-9) + 1e-15
