@@ -8,6 +8,7 @@ from jointtri.errors import (
     DimensionMismatch,
     LogBranchAmbiguous,
     NegativeDeterminant,
+    NoSeparatingBeta,
 )
 from jointtri.linalg import (
     _fix_column_signs,
@@ -20,6 +21,7 @@ from jointtri.linalg import (
     unvec,
     vec,
 )
+from jointtri.triangularize import MatrixSet, find_separating_beta
 
 
 def random_skew(rng, d):
@@ -33,6 +35,14 @@ def haar_rotation(rng, d):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def schur_frame(m):
+    """The ascending Schur frame of one matrix: the U0 that
+    find_separating_beta builds from its single eigendecomposition."""
+    beta, u = find_separating_beta(MatrixSet((m,)))
+    assert beta.tolist() == [1.0]
+    return u
 
 
 def assert_matches_logm(q):
@@ -273,6 +283,41 @@ class TestOrthogonalLog:
         x = random_skew(rng, 3)
         q = skew_exp(x / np.linalg.norm(x), 0.8)
         assert np.linalg.norm(skew_exp(orthogonal_log(q)) - q) <= 1e-10
+
+
+class TestRealEigen:
+    """The eigenvalues of a one-matrix pencil, read off the diagonal of
+    U0^T M U0 in ascending order."""
+
+    def test_diagonal_matrix(self):
+        m = np.diag([1.0, 2.0, 3.0])
+        u = schur_frame(m)
+        assert np.allclose(np.diag(u.T @ m @ u), [1.0, 2.0, 3.0])
+        assert np.allclose(u, np.eye(3))
+
+    def test_symmetric_flip(self):
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        u = schur_frame(m)
+        assert np.allclose(np.diag(u.T @ m @ u), [-1.0, 1.0])
+
+    def test_rejects_complex_spectrum(self):
+        with pytest.raises(NoSeparatingBeta):
+            schur_frame(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+class TestOrderedSchur:
+    def test_upper_triangular_ascending_is_fixed(self):
+        m = np.triu(np.random.default_rng(0).standard_normal((4, 4)), 1)
+        m += np.diag([1.0, 2.0, 3.0, 4.0])
+        u = schur_frame(m)
+        assert np.allclose(u, np.eye(4), atol=1e-10)
+
+    def test_symmetric_two_by_two(self):
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        u = schur_frame(m)
+        assert np.allclose(np.diag(u.T @ m @ u), [1.0, 3.0])
+        expected = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2)
+        assert np.allclose(u, expected, atol=1e-12)
 
 
 class TestMatrixMetrics:

@@ -403,19 +403,6 @@ class TestSchurInitializer:
         beta, u = find_separating_beta(mset)
         assert np.array_equal(beta, np.ones(2) / np.sqrt(2))
         assert np.allclose(u, np.eye(3), atol=1e-10)
-        m = np.triu(rng.standard_normal((4, 4)), 1) + np.diag([1.0, 2.0, 3.0, 4.0])
-        _, u = find_separating_beta(MatrixSet((m,)))
-        assert np.allclose(u, np.eye(4), atol=1e-10)
-        _, u = find_separating_beta(MatrixSet((np.diag([1.0, 2.0, 3.0]),)))
-        assert np.array_equal(u, np.eye(3))
-
-    def test_symmetric_two_by_two(self):
-        expected = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2)
-        for shift in (0.0, 2.0):
-            m = np.array([[shift, 1.0], [1.0, shift]])
-            _, u = find_separating_beta(MatrixSet((m,)))
-            assert np.allclose(np.diag(u.T @ m @ u), [shift - 1.0, shift + 1.0])
-            assert np.allclose(u, expected, atol=1e-12)
 
     def test_triangularizes_and_matches_spectrum(self):
         rng = np.random.default_rng(11)
