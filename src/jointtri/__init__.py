@@ -21,7 +21,6 @@ from .errors import (
     SingularOperator,
     SingularY,
     SingularZ,
-    TooLarge,
     ZeroColumnSum,
 )
 from .linalg import (
@@ -69,14 +68,11 @@ from .tensor import (
 )
 from .harness import (
     GeneratorSpec,
-    TriangularizerFamily,
     converge,
-    distance_to_nearest,
-    enumerate_exact_triangularizers,
     gen_components,
     gen_ground_truth,
     gen_tensor,
-    nearest_direction,
+    nearest_exact_frame,
     sample_noise,
     sigma_sweep,
     verify_bounds,
@@ -88,7 +84,7 @@ __all__ = [
     "JointTriError", "LineSearchStalled", "LogBranchAmbiguous",
     "NearDefective", "NegativeDeterminant", "NoComparableFrame", "NonUnitBeta",
     "NoSeparatingBeta", "RankDeficient", "SingularOperator", "SingularY",
-    "SingularZ", "TooLarge", "ZeroColumnSum",
+    "SingularZ", "ZeroColumnSum",
     "low_part", "lower_index", "matrix_metrics", "orthogonal_log", "skew_exp",
     "unvec", "vec",
     "DescentTrace", "MatrixSet", "OptimizerConfig", "descend",
@@ -101,10 +97,9 @@ __all__ = [
     "estimate_components", "first_order_model", "match_columns",
     "observable_matrices", "recover_scales", "slices",
     "tensor_from_components",
-    "GeneratorSpec", "TriangularizerFamily", "converge",
-    "distance_to_nearest", "enumerate_exact_triangularizers", "gen_components",
-    "gen_ground_truth", "gen_tensor", "nearest_direction", "sample_noise",
-    "sigma_sweep", "verify_bounds", "verify_component_bound",
+    "GeneratorSpec", "converge", "gen_components", "gen_ground_truth",
+    "gen_tensor", "nearest_exact_frame", "sample_noise", "sigma_sweep",
+    "verify_bounds", "verify_component_bound",
 ]
 
 __version__ = "0.1.0"

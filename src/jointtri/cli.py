@@ -140,7 +140,7 @@ def _cmd_triangularize(args):
     else:
         # model file: assemble the observed (noisy) matrix set
         mset = io.ground_truth_from_dict(data).observed_matrices()
-    u, beta, trace = hz.converge(
+    u, beta, trace, _ = hz.converge(
         mset, beta_strategy=args.beta, seed=args.seed,
         max_iters=args.max_iters, grad_tol=args.tol,
     )
@@ -163,19 +163,19 @@ def _cmd_triangularize(args):
 def _cmd_bounds(args):
     gt = io.ground_truth_from_dict(io.load(args.input))
     observed = gt.observed_matrices()
-    beta, u_init = tri.find_separating_beta(observed, strategy=args.beta, seed=args.seed)
     if args.frame:
         u = require_orthogonal(io.frame_from_dict(io.load(args.frame)))
         if u.shape != (gt.d, gt.d):
             raise DimensionMismatch("frame dimension does not match the model")
+        beta, u_init = tri.find_separating_beta(
+            observed, strategy=args.beta, seed=args.seed)
     else:
-        u, _, _ = hz.converge(
+        u, beta, _, u_init = hz.converge(
             observed, beta_strategy=args.beta, seed=args.seed,
             max_iters=args.max_iters, grad_tol=args.tol,
         )
-    family = hz.enumerate_exact_triangularizers(gt)
-    alpha, idx = hz.distance_to_nearest(u, family)
-    u_circ = family.frames[idx]
+    u_circ, log = hz.nearest_exact_frame(gt, u)
+    alpha = np.linalg.norm(log)
     sigma_max, alpha_max, constants = bd.init_noise_threshold(gt, beta, u_init)
     eig_bound = max(
         bd.eigenvalue_error_bound(alpha, gt.sigma, m_norm, np.linalg.norm(w))
@@ -210,7 +210,7 @@ def _cmd_tensor(args):
         theta = rng.standard_normal(t.n)
         theta /= np.linalg.norm(theta)
     mset, reduction = tn.observable_matrices(t, args.d, theta)
-    u, _, _ = hz.converge(
+    u, _, _, _ = hz.converge(
         mset, beta_strategy="ones", seed=args.seed,
         max_iters=args.max_iters, grad_tol=args.tol,
     )

@@ -66,9 +66,5 @@ class NonUnitBeta(JointTriError):
     pass
 
 
-class TooLarge(JointTriError):
-    pass
-
-
 class NoComparableFrame(JointTriError):
     pass

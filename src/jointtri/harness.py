@@ -1,12 +1,14 @@
-"""Synthetic ground truth, exact-triangularizer enumeration, and studies.
+"""Synthetic ground truth, the exact triangularizer a frame perturbs, and studies.
 
-Random draws use numpy's PCG64 generator; every generator is a pure
-function of its seed, and per-trial streams are derived from
+The studies measure each computed frame against the one exact
+triangularizer it perturbs (nearest_exact_frame), found by assigning
+eigenvalue columns instead of listing all 2^d d! exact frames, so they run
+at any d.  Random draws use numpy's PCG64 generator; every generator is a
+pure function of its seed, and per-trial streams are derived from
 (seed, trial index) so trials are order-independent.
 """
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +19,10 @@ from .errors import (
     DegenerateSpectrum,
     JointTriError,
     LineSearchStalled,
-    LogBranchAmbiguous,
     NoComparableFrame,
-    TooLarge,
 )
 from .linalg import min_pairwise_gap, orthogonal_log
 
-ENUMERATION_MAX_D = 5
 CONTAINMENT_SLACK = 1.1
 # absolute floor so noiseless runs (bound exactly 0, observed error at
 # machine precision) still count as contained
@@ -116,87 +115,48 @@ def gen_tensor(z, sigma, eps, seed):
     return tn.Tensor3(n=ground.n, data=ground.data + sigma * e)
 
 
-@dataclass(frozen=True)
-class TriangularizerFamily:
-    """All 2^d d! exact joint triangularizers of a noiseless model.
+def nearest_exact_frame(gt, u):
+    """The exact triangularizer that U perturbs, and the logarithm of U
+    relative to it; returns (frame, log(frame^T U)), with alpha the norm of
+    the log.
 
-    ``frames`` is one (2^d d!, d, d) array: for each column permutation of
-    V (in ``itertools.permutations`` order), its QR factor times every
-    sign pattern (in ``itertools.product`` order); ``dets`` are their determinants.
+    Every exact triangularizer is QR(V[:, pi]) S, pi a column permutation
+    and S a diagonal sign matrix.  Column k of the diagonals of U^T M_n U
+    over the clean set is assigned to its nearest column of the lambda
+    table (Euclidean distance over the N rows), which gives pi; then
+    S = sign(diag(Q^T U)).  pi is accepted only when it is a permutation
+    and every assigned distance is below sqrt(gamma) / 2, half the smallest
+    distance between two lambda columns, so no column could have been
+    assigned elsewhere; otherwise, or on a zero sign, NoComparableFrame is
+    raised.  The returned alpha is the distance to an exact frame, so it is
+    never below the distance to the nearest one.
     """
-
-    frames: np.ndarray
-    dets: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dets", np.linalg.det(self.frames))
-
-    def __len__(self):
-        return len(self.frames)
-
-
-def enumerate_exact_triangularizers(gt):
-    """Every exact triangularizer: QR of column-permuted V times sign flips."""
-    if gt.d > ENUMERATION_MAX_D:
-        raise TooLarge(f"enumeration limited to d <= {ENUMERATION_MAX_D}")
-    if gt.d > 1 and gt.eigengap() <= 0.0:
-        raise DegenerateSpectrum("gamma = 0; triangularizer family is not finite")
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=gt.d)))
-    perms = np.array(list(itertools.permutations(range(gt.d))))
-    q, r = np.linalg.qr(gt.v[:, perms].transpose(1, 0, 2))
-    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-    frames = q[:, None] * signs[None, :, None, :]
-    return TriangularizerFamily(frames=frames.reshape(-1, gt.d, gt.d))
-
-
-def distance_to_nearest(u, family):
-    """Geodesic distance from U to the nearest family frame, exactly.
-
-    Restricted to frames in the same connected component (determinant +1
-    relative rotation).  For a rotation R with principal angles theta_k,
-    ||I - R||_F^2 = sum 8 sin^2(theta_k / 2) <= sum 2 theta_k^2 =
-    ||log R||_F^2, so the chordal distance ||F - U||_F is a lower bound on
-    the geodesic distance ||log(F^T U)||_F.  Frames are visited in
-    (chordal distance, index) order and the search stops at the first one
-    whose chordal distance reaches the best geodesic distance so far: the
-    result is the minimum over every comparable frame, usually after one
-    matrix logarithm.  Frames whose logarithm hits the branch cut are
-    skipped.  Returns (alpha, index of the nearest frame).
-    """
-    if not len(family):
-        raise NoComparableFrame("empty triangularizer family")
     u = np.asarray(u, dtype=float)
-    frames = family.frames
-    index = np.flatnonzero(family.dets * np.linalg.det(u) > 0)
-    if not index.size:
-        raise NoComparableFrame("no frame shares the orientation of U")
-    chordal = np.linalg.norm(frames[index] - u, axis=(1, 2))
-    best = (np.inf, -1)
-    for k in np.lexsort((index, chordal)):
-        if chordal[k] >= best[0]:
-            break
-        i = int(index[k])
-        try:
-            alpha = np.linalg.norm(orthogonal_log(frames[i].T @ u))
-        except LogBranchAmbiguous:
-            continue
-        if alpha < best[0]:
-            best = (alpha, i)
-    if best[1] < 0:
-        raise NoComparableFrame("all candidate logarithms hit the branch cut")
-    return best
-
-
-def nearest_direction(u, family):
-    """(alpha, index, alpha*X) of the relative rotation onto the family."""
-    alpha, idx = distance_to_nearest(u, family)
-    return alpha, idx, orthogonal_log(family.frames[idx].T @ u)
+    d = gt.d
+    diagonals = np.diagonal(tri.rotated(u, gt.clean_matrices()), axis1=1, axis2=2)
+    distance = np.linalg.norm(
+        diagonals[:, :, None] - gt.lambda_table[:, None, :], axis=0
+    )
+    perm = np.argmin(distance, axis=1)
+    radius = np.sqrt(gt.eigengap()) / 2 if d > 1 else np.inf
+    if not (
+        np.all(distance[np.arange(d), perm] < radius)
+        and np.unique(perm).size == d
+    ):
+        raise NoComparableFrame("U is not near a unique exact triangularizer")
+    q, r = np.linalg.qr(gt.v[:, perm])
+    q = q * np.sign(np.diag(r))
+    signs = np.sign(np.diag(q.T @ u))
+    if not np.all(signs):
+        raise NoComparableFrame("U is orthogonal to a column of the exact frame")
+    frame = q * signs
+    return frame, orthogonal_log(frame.T @ u)
 
 
 def converge(mset, beta_strategy="ones", seed=0, max_iters=2000, grad_tol=1e-10):
     """Certified init plus Gauss-Newton descent; a stall at rounding is accepted.
 
-    Returns (frame, beta, trace).
+    Returns (frame, beta, trace, U0), U0 the certified initial frame.
     """
     beta, u_init = tri.find_separating_beta(mset, strategy=beta_strategy, seed=seed)
     config = tri.OptimizerConfig(max_iters=max_iters, grad_tol=grad_tol)
@@ -204,7 +164,7 @@ def converge(mset, beta_strategy="ones", seed=0, max_iters=2000, grad_tol=1e-10)
         u, trace = tri.descend(mset, u_init, config)
     except LineSearchStalled as stall:
         u, trace = stall.frame, stall.trace
-    return u, beta, trace
+    return u, beta, trace, u_init
 
 
 def _fit_slope(xs, ys):
@@ -224,7 +184,6 @@ def sigma_sweep(gt, sigmas, trials=1, seed=0):
     """
     sigmas = list(sigmas)
     records = []
-    family = enumerate_exact_triangularizers(gt) if sigmas else None
     for sigma in sigmas:
         per_trial = []
         for t in range(trials):
@@ -232,15 +191,14 @@ def sigma_sweep(gt, sigmas, trials=1, seed=0):
             noise = tuple(sample_noise(rng, gt.d) for _ in range(gt.n))
             model = gt.with_noise(noise, sigma)
             observed = model.observed_matrices()
-            u, beta, _ = converge(observed, seed=seed)
-            alpha, idx, ax_obs = nearest_direction(u, family)
-            u_circ = family.frames[idx]
+            u, beta, _, _ = converge(observed, seed=seed)
+            u_circ, ax_obs = nearest_exact_frame(gt, u)
             ax_pred = bd.predicted_direction(model, u_circ)
             per_trial.append(
                 {
                     "sigma": sigma,
                     "trial": t,
-                    "observed_alpha": alpha,
+                    "observed_alpha": np.linalg.norm(ax_obs),
                     "direction_residual": float(np.linalg.norm(ax_obs - ax_pred)),
                     "alpha_apriori": bd.a_priori_bound(model, u_circ),
                     "alpha_explicit": bd.explicit_bound(model)[0],
@@ -270,7 +228,6 @@ def verify_bounds(gt, sigma, trials, seed=0):
     summary = {"trials": trials, "sigma": sigma, "records": [], "fractions": {}}
     if trials == 0:
         return summary
-    family = enumerate_exact_triangularizers(gt)
     clean = gt.clean_matrices()
     keys = ("apriori", "explicit", "aposteriori", "eigenvalue", "order")
     counts = dict.fromkeys(keys, 0)
@@ -281,9 +238,9 @@ def verify_bounds(gt, sigma, trials, seed=0):
         model = gt.with_noise(noise, sigma)
         observed = model.observed_matrices()
         try:
-            u, beta, _ = converge(observed, seed=seed)
-            alpha, idx = distance_to_nearest(u, family)
-            u_circ = family.frames[idx]
+            u, beta, _, _ = converge(observed, seed=seed)
+            u_circ, log = nearest_exact_frame(gt, u)
+            alpha = np.linalg.norm(log)
             apriori = bd.a_priori_bound(model, u_circ)
             explicit, _ = bd.explicit_bound(model)
             aposteriori = bd.a_posteriori_bound(observed, u, beta, sigma)
@@ -336,7 +293,7 @@ def verify_component_bound(z, sigma, eps, trials, seed=0):
         try:
             noisy = gen_tensor(z, sigma, eps, seed=[seed, t])
             observed, _ = tn.observable_matrices(noisy, d, theta)
-            u, _, _ = converge(observed, seed=seed)
+            u, _, _, _ = converge(observed, seed=seed)
             estimate = tn.estimate_components(u, observed)
             matched, _ = tn.match_columns(estimate, reference)
             err = float(np.max(np.abs(matched - reference)))

@@ -313,11 +313,11 @@ def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50):
     """
     if strategy not in ("ones", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    rng = np.random.default_rng(seed)
 
     def candidates():
         if strategy == "ones":
             yield np.ones(mset.n) / np.sqrt(mset.n)
+        rng = np.random.default_rng(seed)  # built only if a random draw is needed
         while True:
             v = rng.standard_normal(mset.n)
             yield v / np.linalg.norm(v)

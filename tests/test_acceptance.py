@@ -18,10 +18,9 @@ from jointtri.cli import run as cli_run
 from jointtri.harness import (
     GeneratorSpec,
     converge,
-    distance_to_nearest,
-    enumerate_exact_triangularizers,
     gen_components,
     gen_ground_truth,
+    nearest_exact_frame,
     sample_noise,
     sigma_sweep,
     verify_bounds,
@@ -29,6 +28,7 @@ from jointtri.harness import (
 )
 from jointtri.linalg import skew_exp
 from jointtri.triangularize import loss
+from oracle import enumerate_exact_triangularizers
 
 
 def random_unit_skew(rng, d):
@@ -43,9 +43,9 @@ def test_criterion_1_noiseless_exactness():
     for seed in range(20):
         gt = gen_ground_truth(GeneratorSpec(d=4, n=4, kappa_target=3.0, seed=seed))
         clean = gt.clean_matrices()
-        u, _, _ = converge(clean, grad_tol=1e-12)
-        family = enumerate_exact_triangularizers(gt)
-        alpha, _ = distance_to_nearest(u, family)
+        u, _, _, _ = converge(clean, grad_tol=1e-12)
+        _, log = nearest_exact_frame(gt, u)
+        alpha = np.linalg.norm(log)
         worst_loss = max(worst_loss, loss(u, clean))
         worst_dist = max(worst_dist, alpha)
     ok = worst_loss <= 1e-20 and worst_dist <= 1e-8
@@ -62,13 +62,13 @@ def test_criterion_2_triangularizer_census():
     details = []
     for d, n in ((2, 2), (3, 3)):
         gt = gen_ground_truth(GeneratorSpec(d=d, n=n, kappa_target=2.0, seed=100 + d))
-        family = enumerate_exact_triangularizers(gt)
+        frames = enumerate_exact_triangularizers(gt)
         clean = gt.clean_matrices()
-        count = len(family)
+        count = len(frames)
         expected = 2**d * math.factorial(d)
-        max_loss = max(loss(f, clean) for f in family.frames)
+        max_loss = max(loss(f, clean) for f in frames)
         min_gap = min(
-            np.linalg.norm(family.frames[i] - family.frames[j])
+            np.linalg.norm(frames[i] - frames[j])
             for i in range(count)
             for j in range(i + 1, count)
         )
@@ -192,10 +192,10 @@ def test_criterion_7_certified_initialization():
         beta, u_init = tri.find_separating_beta(observed)
         sigma_max, _, _ = bd.init_noise_threshold(gt, beta, u_init)
         model = gt.with_noise(gt.noise, 0.5 * sigma_max)
-        u, _, _ = converge(model.observed_matrices(), grad_tol=1e-12)
-        family = enumerate_exact_triangularizers(gt)
-        alpha, idx = distance_to_nearest(u, family)
-        limit = bd.a_priori_bound(model, family.frames[idx])
+        u, _, _, _ = converge(model.observed_matrices(), grad_tol=1e-12)
+        u_circ, log = nearest_exact_frame(gt, u)
+        alpha = np.linalg.norm(log)
+        limit = bd.a_priori_bound(model, u_circ)
         contained += alpha <= 1.1 * limit + 1e-12
     ok = contained >= 0.95 * trials
     record_acceptance(
@@ -210,7 +210,7 @@ def test_criterion_8_tensor_pipeline():
     t = tn.tensor_from_components(z)
     theta = np.ones(4) / 2.0
     mset, _ = tn.observable_matrices(t, 4, theta)
-    u, _, _ = converge(mset, grad_tol=1e-12)
+    u, _, _, _ = converge(mset, grad_tol=1e-12)
     y = tn.estimate_components(u, mset)
     weights = 2.0 * theta
     pencil = sum(w * m for w, m in zip(weights, tn.slices(t)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from jointtri import io
+from jointtri import triangularize as tri
 from jointtri.cli import _build_parser, run
 from jointtri.harness import GeneratorSpec, gen_components, gen_ground_truth
 from jointtri.tensor import Tensor3, tensor_from_components
@@ -178,6 +179,64 @@ class TestCliCommands:
         assert code == 2
         assert capsys.readouterr().err.strip() == "DimensionMismatch"
         assert not caught
+
+    def test_bounds_runs_the_certified_init_once(self, model_file, tmp_path, monkeypatch):
+        calls = []
+        search = tri.find_separating_beta
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(tri, "find_separating_beta", counted)
+        frame = tmp_path / "frame.json"
+        assert cli("triangularize", "--input", model_file, "--output", frame) == 0
+        calls.clear()
+        assert cli("bounds", "--input", model_file, "--output", tmp_path / "b.json") == 0
+        assert len(calls) == 1
+        calls.clear()
+        frame_dict = json.loads(frame.read_text())["frame"]
+        io.dump_canonical(frame_dict, frame)
+        assert cli(
+            "bounds", "--input", model_file, "--frame", frame,
+            "--output", tmp_path / "bf.json",
+        ) == 0
+        assert len(calls) == 1
+
+    def test_bounds_rejects_a_frame_near_no_exact_frame(self, tmp_path, capsys):
+        # a Haar-random frame perturbs no exact triangularizer, so no
+        # certificate refers to it
+        model = tmp_path / "model.json"
+        assert cli(
+            "generate", "--kind", "model", "--d", 5, "--N", 3,
+            "--sigma", 1e-3, "--seed", 7, "--output", model,
+        ) == 0
+        q, r = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
+        src = tmp_path / "frame.json"
+        io.dump_canonical(io.frame_to_dict(q * np.sign(np.diag(r))), src)
+        out = tmp_path / "x.json"
+        assert cli("bounds", "--input", model, "--frame", src, "--output", out) == 2
+        assert capsys.readouterr().err.strip() == "NoComparableFrame"
+        assert not out.exists()
+
+    def test_studies_run_above_five_dimensions(self, tmp_path):
+        model = tmp_path / "model.json"
+        assert cli(
+            "generate", "--kind", "model", "--d", 8, "--N", 4, "--kappa", 2,
+            "--gamma", 1, "--sigma", 1e-3, "--seed", 3, "--output", model,
+        ) == 0
+        runs = {
+            "verify": ("--sigma", 1e-3, "--trials", 2),
+            "bounds": (),
+            "sweep": ("--sigmas", "1e-3,5e-4", "--trials", 1),
+        }
+        for command, flags in runs.items():
+            out = tmp_path / f"{command}.json"
+            assert cli(command, "--input", model, *flags, "--output", out) == 0
+            assert "NaN" not in out.read_text() and "Infinity" not in out.read_text()
+        summary = json.loads((tmp_path / "verify.json").read_text())
+        assert summary["errors"] == 0
+        assert all(f == 1.0 for f in summary["fractions"].values())
 
     def test_tensor_pipeline(self, tmp_path):
         src = tmp_path / "tensor.json"

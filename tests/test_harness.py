@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointtri import bounds, harness
-from jointtri.errors import LogBranchAmbiguous, TooLarge
+from jointtri.errors import NoComparableFrame
 from jointtri.harness import (
     GeneratorSpec,
     converge,
-    distance_to_nearest,
-    enumerate_exact_triangularizers,
     gen_components,
     gen_ground_truth,
     gen_tensor,
-    nearest_direction,
+    nearest_exact_frame,
     sample_noise,
     sigma_sweep,
     verify_bounds,
@@ -26,6 +24,7 @@ from jointtri.harness import (
 from jointtri.linalg import orthogonal_log, skew_exp
 from jointtri.tensor import tensor_from_components
 from jointtri.triangularize import loss
+from oracle import brute_force_nearest, enumerate_exact_triangularizers
 
 
 class TestGenGroundTruth:
@@ -98,15 +97,15 @@ class TestEnumerateTriangularizers:
     @pytest.mark.parametrize("d,count", [(2, 8), (3, 48)])
     def test_census(self, d, count):
         gt = gen_ground_truth(GeneratorSpec(d=d, n=3, seed=10))
-        family = enumerate_exact_triangularizers(gt)
-        assert len(family) == count == 2**d * math.factorial(d)
+        frames = enumerate_exact_triangularizers(gt)
+        assert len(frames) == count == 2**d * math.factorial(d)
         clean = gt.clean_matrices()
-        for frame in family.frames:
+        for frame in frames:
             assert loss(frame, clean) <= 1e-18
         # pairwise distinct
         for i in range(count):
             for j in range(i + 1, count):
-                assert np.linalg.norm(family.frames[i] - family.frames[j]) > 1e-6
+                assert np.linalg.norm(frames[i] - frames[j]) > 1e-6
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_batched_qr_matches_per_permutation_loop(self, d):
@@ -117,102 +116,101 @@ class TestEnumerateTriangularizers:
             q, r = np.linalg.qr(gt.v[:, perm])
             q = q * np.sign(np.diag(r))
             frames.append(q * signs[:, None, :])
-        family = enumerate_exact_triangularizers(gt)
-        assert np.array_equal(family.frames, np.concatenate(frames))
-        assert np.array_equal(family.dets, np.linalg.det(family.frames))
-
-    def test_one_qr_call(self, monkeypatch):
-        gt = gen_ground_truth(GeneratorSpec(d=4, n=3, seed=11))
-        calls = []
-        qr = np.linalg.qr
-
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape)
-            return qr(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", counted)
-        enumerate_exact_triangularizers(gt)
-        assert calls == [(24, 4, 4)]
-
-    def test_size_guard(self):
-        gt = gen_ground_truth(GeneratorSpec(d=6, n=3, seed=11))
-        with pytest.raises(TooLarge):
-            enumerate_exact_triangularizers(gt)
-
-
-class TestDistanceToNearest:
-    def test_member_has_zero_distance(self):
-        gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=12))
-        family = enumerate_exact_triangularizers(gt)
-        alpha, idx = distance_to_nearest(family.frames[5], family)
-        assert alpha <= 1e-10
-        assert idx == 5
-
-    def test_small_rotation_measured_exactly(self):
-        rng = np.random.default_rng(13)
-        gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=13))
-        family = enumerate_exact_triangularizers(gt)
-        x = rng.standard_normal((3, 3))
-        x = x - x.T
-        x /= np.linalg.norm(x)
-        u = family.frames[0] @ skew_exp(x, 0.01)
-        alpha, _ = distance_to_nearest(u, family)
-        assert abs(alpha - 0.01) <= 1e-6
-
-    def test_sign_flipped_frame_is_in_the_family(self):
-        gt = gen_ground_truth(GeneratorSpec(d=2, n=2, seed=14))
-        family = enumerate_exact_triangularizers(gt)
-        alpha, idx = distance_to_nearest(-family.frames[0], family)
-        assert alpha <= 1e-10
-        assert np.allclose(family.frames[idx], -family.frames[0])
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_orientation_filter_matches_relative_determinants(self, d):
-        # at odd d a negated frame has the opposite orientation
-        rng = np.random.default_rng(40 + d)
-        gt = gen_ground_truth(GeneratorSpec(d=d, n=3, seed=40 + d))
-        family = enumerate_exact_triangularizers(gt)
-        q, r = np.linalg.qr(rng.standard_normal((d, d)))
-        haar = q * np.sign(np.diag(r))
-        near = -family.frames[7] @ skew_exp(random_unit_skew(rng, d), 0.05)
-        for u in (haar, -haar, near, -family.frames[3]):
-            relative = np.linalg.det(family.frames.transpose(0, 2, 1) @ u) > 0
-            assert np.array_equal(family.dets * np.linalg.det(u) > 0, relative)
-            assert distance_to_nearest(u, family) == brute_force_nearest(u, family)
-
-    def test_nearest_direction_round_trip(self):
-        gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=15))
-        family = enumerate_exact_triangularizers(gt)
-        rng = np.random.default_rng(15)
-        x = rng.standard_normal((3, 3))
-        x = x - x.T
-        x /= np.linalg.norm(x)
-        u = family.frames[3] @ skew_exp(x, 0.02)
-        alpha, idx, ax = nearest_direction(u, family)
-        assert idx == 3
-        assert np.allclose(ax, 0.02 * x, atol=1e-8)
-        assert np.isclose(np.linalg.norm(ax), alpha)
-
-
-def brute_force_nearest(u, family):
-    """Geodesic minimum over every comparable frame, one log per frame."""
-    best = (np.inf, -1)
-    for i, frame in enumerate(family.frames):
-        if np.linalg.det(frame.T @ u) <= 0:
-            continue
-        try:
-            alpha = np.linalg.norm(orthogonal_log(frame.T @ u))
-        except LogBranchAmbiguous:
-            continue
-        if alpha < best[0]:
-            best = (alpha, i)
-    return best
+        assert np.array_equal(enumerate_exact_triangularizers(gt), np.concatenate(frames))
 
 
 def random_unit_skew(rng, d):
     x = rng.standard_normal((d, d))
     x = x - x.T
     return x / np.linalg.norm(x)
+
+
+def assert_matches_oracle(gt, u, frames):
+    """nearest_exact_frame returns the brute-force nearest frame bit for bit,
+    with the same alpha, and the log of U relative to it.
+
+    ||log(F^T U)||_F >= ||F - U||_F, so a frame farther from U than the
+    returned alpha in chordal distance cannot be nearer; the brute force
+    runs over the others.
+    """
+    frame, log = nearest_exact_frame(gt, u)
+    alpha = np.linalg.norm(log)
+    keep = np.flatnonzero(np.linalg.norm(frames - u, axis=(1, 2)) <= alpha)
+    best, k = brute_force_nearest(u, frames[keep])
+    assert np.array_equal(frame, frames[keep[k]])
+    assert alpha == best
+    assert np.array_equal(log, orthogonal_log(frame.T @ u))
+    return keep[k]
+
+
+class TestDistanceToNearest:
+    def test_member_has_zero_distance(self):
+        gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=12))
+        frames = enumerate_exact_triangularizers(gt)
+        frame, log = nearest_exact_frame(gt, frames[5])
+        assert np.linalg.norm(log) <= 1e-10
+        assert np.array_equal(frame, frames[5])
+
+    def test_small_rotation_measured_exactly(self):
+        rng = np.random.default_rng(13)
+        gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=13))
+        frames = enumerate_exact_triangularizers(gt)
+        x = rng.standard_normal((3, 3))
+        x = x - x.T
+        x /= np.linalg.norm(x)
+        u = frames[0] @ skew_exp(x, 0.01)
+        _, log = nearest_exact_frame(gt, u)
+        assert abs(np.linalg.norm(log) - 0.01) <= 1e-6
+
+    def test_sign_flipped_frame_is_in_the_family(self):
+        gt = gen_ground_truth(GeneratorSpec(d=2, n=2, seed=14))
+        frames = enumerate_exact_triangularizers(gt)
+        frame, log = nearest_exact_frame(gt, -frames[0])
+        assert np.linalg.norm(log) <= 1e-10
+        assert np.array_equal(frame, -frames[0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_orientation_filter_matches_relative_determinants(self, d):
+        # at odd d a negated frame has the opposite orientation; the signs
+        # S pick the frame of U's orientation
+        rng = np.random.default_rng(40 + d)
+        gt = gen_ground_truth(GeneratorSpec(d=d, n=3, seed=40 + d))
+        frames = enumerate_exact_triangularizers(gt)
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        haar = q * np.sign(np.diag(r))
+        near = -frames[7] @ skew_exp(random_unit_skew(rng, d), 0.05)
+        for u in (near, -frames[3]):
+            idx = assert_matches_oracle(gt, u, frames)
+            assert np.linalg.det(frames[idx].T @ u) > 0
+        # a Haar-random frame perturbs no exact frame: at d >= 4 its
+        # diagonals miss the lambda columns and nothing is certified; at
+        # d <= 3 these two land within sqrt(gamma) / 2 of a permutation,
+        # and the frame certified is then the brute-force nearest
+        for u in (haar, -haar):
+            if d >= 4:
+                with pytest.raises(NoComparableFrame):
+                    nearest_exact_frame(gt, u)
+            else:
+                assert_matches_oracle(gt, u, frames)
+
+    def test_nearest_direction_round_trip(self):
+        gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=15))
+        frames = enumerate_exact_triangularizers(gt)
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((3, 3))
+        x = x - x.T
+        x /= np.linalg.norm(x)
+        u = frames[3] @ skew_exp(x, 0.02)
+        frame, ax = nearest_exact_frame(gt, u)
+        assert np.array_equal(frame, frames[3])
+        assert np.allclose(ax, 0.02 * x, atol=1e-8)
+
+    def test_one_dimensional_frames_are_plus_and_minus_one(self):
+        gt = gen_ground_truth(GeneratorSpec(d=1, n=2, seed=16))
+        for sign in (1.0, -1.0):
+            frame, log = nearest_exact_frame(gt, np.array([[sign]]))
+            assert frame.tolist() == [[sign]]
+            assert log.tolist() == [[0.0]]
 
 
 class TestNearestSearchIsExact:
@@ -223,37 +221,42 @@ class TestNearestSearchIsExact:
     )
     @settings(max_examples=25, deadline=None)
     def test_matches_brute_force_minimum(self, d, seed, t):
-        # t is None: a Haar-random U; otherwise a frame moved by t
+        # t is None: a Haar-random U; otherwise a frame moved by t.  Near a
+        # frame the assignment is the brute-force nearest; farther out it
+        # may refuse, and a frame it does return is an exact frame whose
+        # distance is at least the nearest one's
         rng = np.random.default_rng(seed)
         gt = gen_ground_truth(GeneratorSpec(d=d, n=3, seed=seed))
-        family = enumerate_exact_triangularizers(gt)
+        frames = enumerate_exact_triangularizers(gt)
         if t is None:
             q, r = np.linalg.qr(rng.standard_normal((d, d)))
             u = q * np.sign(np.diag(r))
         else:
-            frame = family.frames[rng.integers(len(family))]
-            u = frame @ skew_exp(random_unit_skew(rng, d), t)
-        assert distance_to_nearest(u, family) == brute_force_nearest(u, family)
+            u = frames[rng.integers(len(frames))] @ skew_exp(random_unit_skew(rng, d), t)
+        if t is not None and t <= 0.01:
+            assert_matches_oracle(gt, u, frames)
+            return
+        try:
+            frame, log = nearest_exact_frame(gt, u)
+        except NoComparableFrame:
+            return
+        assert any(np.array_equal(frame, f) for f in frames)
+        assert np.linalg.norm(log) >= brute_force_nearest(u, frames)[0]
 
-    def test_search_goes_past_a_chordally_nearer_frame(self):
-        # U lies 1.5 from frame 0, but frame 232 is nearer in chordal distance
+    def test_frame_far_from_every_exact_frame_raises(self):
+        # U lies 1.5 from frame 0, past any frame's basin: no guess is made
         gt = gen_ground_truth(GeneratorSpec(d=4, n=3, seed=24))
-        family = enumerate_exact_triangularizers(gt)
+        frames = enumerate_exact_triangularizers(gt)
         x = random_unit_skew(np.random.default_rng(186), 4)
-        u = family.frames[0] @ skew_exp(x, 1.5)
-        chordal = np.linalg.norm(family.frames - u, axis=(1, 2))
-        assert chordal[232] < chordal[0]
-        assert np.linalg.det(family.frames[232].T @ u) > 0
-        alpha, idx = distance_to_nearest(u, family)
-        assert (alpha, idx) == brute_force_nearest(u, family)
-        assert idx == 0
-        assert abs(alpha - 1.5) <= 1e-12
+        with pytest.raises(NoComparableFrame):
+            nearest_exact_frame(gt, frames[0] @ skew_exp(x, 1.5))
+        assert_matches_oracle(gt, frames[0] @ skew_exp(x, 0.5), frames)
 
-    def test_nearest_direction_takes_two_logs_near_a_frame(self, monkeypatch):
+    def test_takes_one_log_near_a_frame(self, monkeypatch):
         gt = gen_ground_truth(GeneratorSpec(d=4, n=3, seed=21))
-        family = enumerate_exact_triangularizers(gt)
+        frames = enumerate_exact_triangularizers(gt)
         rng = np.random.default_rng(21)
-        u = family.frames[100] @ skew_exp(random_unit_skew(rng, 4), 1e-3)
+        u = frames[100] @ skew_exp(random_unit_skew(rng, 4), 1e-3)
         calls = []
 
         def counted(r):
@@ -261,9 +264,36 @@ class TestNearestSearchIsExact:
             return orthogonal_log(r)
 
         monkeypatch.setattr(harness, "orthogonal_log", counted)
-        _, idx, _ = nearest_direction(u, family)
-        assert idx == 100
-        assert len(calls) == 2
+        frame, _ = nearest_exact_frame(gt, u)
+        assert np.array_equal(frame, frames[100])
+        assert len(calls) == 1
+
+
+class TestMatchesEnumerationOracle:
+    """At d <= 5 the assigned frame is the enumeration's nearest, bit for
+    bit, with the same alpha, on converged frames of real studies."""
+
+    def test_criterion_6_study(self):
+        gt = gen_ground_truth(
+            GeneratorSpec(d=4, n=4, kappa_target=3.0, seed=400), sigma=1e-3
+        )
+        frames = enumerate_exact_triangularizers(gt)
+        for t in range(100):
+            rng = np.random.default_rng([0, t])
+            noise = tuple(sample_noise(rng, gt.d) for _ in range(gt.n))
+            u, _, _, _ = converge(gt.with_noise(noise, 1e-3).observed_matrices())
+            assert_matches_oracle(gt, u, frames)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("sigma", [1e-2, 1e-3, 1e-4])
+    def test_seeded_models(self, d, sigma):
+        for seed in range(3):
+            gt = gen_ground_truth(
+                GeneratorSpec(d=d, n=3, kappa_target=2.0, seed=1000 * d + seed),
+                sigma=sigma,
+            )
+            u, _, _, _ = converge(gt.observed_matrices())
+            assert_matches_oracle(gt, u, enumerate_exact_triangularizers(gt))
 
 
 class TestSweep:
@@ -292,11 +322,11 @@ class TestSweep:
             bounds, "gauss_newton_matrix", counting(grams, bounds.gauss_newton_matrix)
         )
         monkeypatch.setattr(
-            harness, "distance_to_nearest", counting(nearest, distance_to_nearest)
+            harness, "nearest_exact_frame", counting(nearest, nearest_exact_frame)
         )
         report = sigma_sweep(gt, [1e-3, 5e-4, 2.5e-4, 1.25e-4], trials=2, seed=0)
         assert sum(len(records) for records in report["records"]) == len(nearest) == 8
-        assert len({idx for _, idx in nearest}) == 1
+        assert len({frame.tobytes() for frame, _ in nearest}) == 1
         assert len(grams) == 1
 
 
@@ -327,7 +357,7 @@ class TestVerifyBounds:
 
     def test_noise_free_work_is_done_once_per_study(self, monkeypatch):
         gt = gen_ground_truth(GeneratorSpec(d=4, n=4, kappa_target=3.0, seed=22))
-        clean_builds, enumerations, grams, nearest = [], [], [], []
+        clean_builds, grams, nearest = [], [], []
         build = bounds.NoiseFree.clean.func
 
         def counted_build(cache):
@@ -347,27 +377,22 @@ class TestVerifyBounds:
             return counted
 
         monkeypatch.setattr(
-            harness, "enumerate_exact_triangularizers",
-            counting(enumerations, enumerate_exact_triangularizers),
-        )
-        monkeypatch.setattr(
             bounds, "gauss_newton_matrix", counting(grams, bounds.gauss_newton_matrix)
         )
         monkeypatch.setattr(
-            harness, "distance_to_nearest", counting(nearest, distance_to_nearest)
+            harness, "nearest_exact_frame", counting(nearest, nearest_exact_frame)
         )
         summary = verify_bounds(gt, 1e-3, trials=4)
         assert summary["errors"] == 0
         assert len(clean_builds) == 1
-        assert len(enumerations) == 1
         assert len(nearest) == 4
-        assert len(grams) == len({idx for _, idx in nearest})
+        assert len(grams) == len({frame.tobytes() for frame, _ in nearest})
 
     def test_converge_is_deterministic(self):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=19), sigma=1e-3)
         observed = gt.observed_matrices()
-        u1, b1, _ = converge(observed, seed=0)
-        u2, b2, _ = converge(observed, seed=0)
+        u1, b1, _, _ = converge(observed, seed=0)
+        u2, b2, _, _ = converge(observed, seed=0)
         assert np.array_equal(u1, u2)
         assert np.array_equal(b1, b2)
 

@@ -384,6 +384,24 @@ class TestFindSeparatingBeta:
         assert calls["combine"] == calls["eig"] > 1 and calls["eigvals"] == 0
 
 
+    def test_passing_ones_candidate_builds_no_generator(self, monkeypatch):
+        _, clean = commuting_set(10, d=4, n=4)
+        degenerate = MatrixSet((np.diag([1.0, 1.0, 2.0]), np.diag([0.0, 1.0, 0.0])))
+        built = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        find_separating_beta(clean)
+        assert built == []
+        # the ones pencil of this set has a double eigenvalue
+        find_separating_beta(degenerate, seed=5)
+        assert built == [(5,)]
+
+
 class TestSchurInitializer:
     """The U0 of find_separating_beta: the Schur frame of the beta-pencil."""
 
@@ -582,7 +600,7 @@ class TestRoundingLevelStop:
         # `triangularize` with its default --tol 1e-10 and --max-iters 2000
         spec = GeneratorSpec(d=d, n=n, kappa_target=3, gamma_target=1, seed=seed)
         observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
-        u, _, trace = converge(observed)
+        u, _, trace, _ = converge(observed)
         assert trace.termination == "grad_tol"
         assert len(trace.loss_values) <= 20
         assert np.linalg.norm(gradient(u, observed)) <= 1e-10
@@ -591,7 +609,7 @@ class TestRoundingLevelStop:
     def test_stalls_early_below_rounding(self, d, n, seed):
         spec = GeneratorSpec(d=d, n=n, kappa_target=3, gamma_target=1, seed=seed)
         observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
-        u, _, trace = converge(observed, grad_tol=1e-300)
+        u, _, trace, _ = converge(observed, grad_tol=1e-300)
         assert trace.termination == "stalled"
         assert len(trace.loss_values) <= 20
         assert np.linalg.norm(gradient(u, observed)) <= 1e-12
@@ -615,7 +633,7 @@ class TestBenchmarkPoolsReachTolerance:
     )
     def test_every_descent_ends_grad_tol(self, inputs):
         for mset in inputs():
-            u, _, trace = converge(mset)
+            u, _, trace, _ = converge(mset)
             assert trace.termination == "grad_tol"
             assert np.linalg.norm(gradient(u, mset)) <= 1e-10
 
@@ -1024,6 +1042,6 @@ def bench_input(workload, seed):
 )
 def test_gauss_newton_loss_is_no_worse_than_armijo_oracle(workload):
     mset = bench_input(workload, seed=11000)
-    u, _, _ = converge(mset)
+    u, _, _, _ = converge(mset)
     oracle = armijo_descend(mset, find_separating_beta(mset)[1])
     assert loss(u, mset) <= loss(oracle, mset) * (1 + 1e-9) + 1e-15
