@@ -131,11 +131,14 @@ def assert_matches_oracle(gt, u, frames):
 
     ||log(F^T U)||_F >= ||F - U||_F, so a frame farther from U than the
     returned alpha in chordal distance cannot be nearer; the brute force
-    runs over the others.
+    runs over the others.  At small alpha the two distances differ by
+    about alpha^3 / 24, below the rounding of the chordal one, so the cut
+    allows for that rounding or it would drop the nearest frame itself.
     """
     frame, log = nearest_exact_frame(gt, u)
     alpha = np.linalg.norm(log)
-    keep = np.flatnonzero(np.linalg.norm(frames - u, axis=(1, 2)) <= alpha)
+    rounding = 64 * np.finfo(float).eps * gt.d
+    keep = np.flatnonzero(np.linalg.norm(frames - u, axis=(1, 2)) <= alpha + rounding)
     best, k = brute_force_nearest(u, frames[keep])
     assert np.array_equal(frame, frames[keep[k]])
     assert alpha == best
