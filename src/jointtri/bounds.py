@@ -6,6 +6,9 @@ both from the descent's Gauss-Newton matrix J^T J at the exact frame; the
 explicit eigengap form of the a priori bound, the a posteriori bound from
 observable quantities, the certified-initialization noise threshold with
 its Hessian-positivity constants, and the joint-eigenvalue error bound.
+t_beta, inverse_spectral_norm and a_posteriori_bound also take a batch of
+trials on a leading axis (one SVD call for the whole stack of small
+operators), with per-trial failures going to an ``errors`` list.
 """
 
 import copy
@@ -19,10 +22,12 @@ from scipy.linalg.blas import dtrmv, dtrsv
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
+    Failures,
     NonUnitBeta,
     SingularOperator,
 )
 from .linalg import (
+    blockwise_norm,
     low_part,
     lower_index,
     matrix_metrics,
@@ -179,25 +184,29 @@ def _commutator_index(d):
 
 
 def _commutator_operator(a):
-    """P_low (1 (x) A^T - A (x) 1) P_low^T for one rotated matrix A: entry ((i, j), (k, l))
-    is A[k, i] [j = l] - [i = k] A[j, l], the transpose of the first two terms
-    of the descent's Jacobian."""
-    size = len(a) * (len(a) - 1) // 2
-    at, source, at_minus, source_minus = _commutator_index(len(a))
-    t = np.zeros(size * size)
-    t[at] = a.reshape(-1)[source]
-    t[at_minus] -= a.reshape(-1)[source_minus]
-    return t.reshape(size, size)
+    """P_low (1 (x) A^T - A (x) 1) P_low^T for one rotated matrix A (or each of
+    a leading trial axis): entry ((i, j), (k, l)) is A[k, i] [j = l] -
+    [i = k] A[j, l], the transpose of the first two terms of the descent's
+    Jacobian."""
+    d = a.shape[-1]
+    size = d * (d - 1) // 2
+    at, source, at_minus, source_minus = _commutator_index(d)
+    flat = a.reshape(*a.shape[:-2], d * d)
+    t = np.zeros(a.shape[:-2] + (size * size,))
+    t[..., at] = flat[..., source]
+    t[..., at_minus] -= flat[..., source_minus]
+    return t.reshape(*a.shape[:-2], size, size)
 
 
 def t_beta(u, mset, beta):
-    """T_beta = sum_n beta_n T~_n at the frame U.
+    """T_beta = sum_n beta_n T~_n at the frame U (per trial of a batch of
+    sets, with one frame and one beta per trial).
 
     T~ is linear in the rotated matrix, so T_beta is the one operator of
     U^T (sum_n beta_n M_n) U.  A wrong-length beta raises DimensionMismatch.
     """
-    (a,) = rotated(u, MatrixSet((mset.combine(beta),)))
-    return _commutator_operator(a)
+    pencil = mset.combine(beta)
+    return _commutator_operator(rotated(u, MatrixSet(pencil[..., None, :, :]))[..., 0, :, :])
 
 
 def _largest_singular(apply, apply_t, n, tol):
@@ -251,25 +260,46 @@ def _triangular_factor(op):
     return a.T
 
 
-def inverse_spectral_norm(op):
-    """1 / sigma_min(op); raises SingularOperator when numerically singular.
+def inverse_spectral_norm(op, errors=None):
+    """1 / sigma_min(op); a numerically singular op fails with
+    SingularOperator.  op may be a (T, L, L) stack, one operator per trial:
+    with ``errors`` (one slot per trial) a trial that fails gets its error
+    there and the value 0, and without it the first failure is raised.
 
     Below LANCZOS_MIN_SIZE rows sigma_min and sigma_max come from a dense
-    SVD.  From there on, op is QR-factored once and ||op^-1|| = ||R^-1||
-    is the largest singular value of the triangular solves, by
-    Golub-Kahan-Lanczos (sigma_max, for the singularity test, by the same
-    method on R).  The empty operator (the map on the zero space, d = 1)
-    has an inverse of norm 0.
+    SVD, one call for the whole stack.  From there on, each op is
+    QR-factored once and ||op^-1|| = ||R^-1|| is the largest singular value
+    of the triangular solves, by Golub-Kahan-Lanczos (sigma_max, for the
+    singularity test, by the same method on R).  The empty operator (the
+    map on the zero space, d = 1) has an inverse of norm 0.
     """
     op = np.asarray(op, dtype=float)
     if op.size == 0:
-        return 0.0
+        return np.zeros(len(op)) if op.ndim == 3 else 0.0
+    stack = op if op.ndim == 3 else op[None]
+    fail = Failures(len(stack), errors)
+    values = np.zeros(len(stack))
+    if stack.shape[-1] < LANCZOS_MIN_SIZE:
+        s = np.linalg.svd(stack, compute_uv=False)
+        (s,) = fail.drop(
+            s[:, -1] < SINGULAR_REL_TOL * np.maximum(s[:, 0], 1e-300),
+            SingularOperator("operator is numerically singular"), s,
+        )
+        values[fail.rows] = 1.0 / s[:, -1]
+    else:
+        for k, single in enumerate(stack):
+            try:
+                values[k] = _lanczos_inverse_norm(single)
+            except SingularOperator as exc:
+                if errors is None:
+                    raise
+                errors[k] = exc
+    return values if op.ndim == 3 else float(values[0])
+
+
+def _lanczos_inverse_norm(op):
+    """inverse_spectral_norm of one operator of at least LANCZOS_MIN_SIZE rows."""
     size = op.shape[0]
-    if size < LANCZOS_MIN_SIZE:
-        s = np.linalg.svd(op, compute_uv=False)
-        if s[-1] < SINGULAR_REL_TOL * max(s[0], 1e-300):
-            raise SingularOperator("operator is numerically singular")
-        return float(1.0 / s[-1])
     scale = max(op.max(), -op.min())
     if not scale > 0.0:
         raise SingularOperator("operator is numerically singular")
@@ -365,18 +395,36 @@ def predicted_direction(gt, u_circ):
     return skew_from_lower(-gt.sigma * np.linalg.solve(system, rhs), gt.d)
 
 
-def a_posteriori_bound(mset, u, beta, sigma):
+def a_posteriori_bound(mset, u, beta, sigma, errors=None):
     """Bound on alpha from observable quantities plus sigma.
 
     sqrt(2) ||T_beta^{-1}||_2 (sqrt(loss(U)) + sigma sqrt(N)) for unit beta.
+    For a batch of sets U, beta, sigma and the result carry the trial axis;
+    with ``errors`` (one slot per trial) a trial that fails gets its error
+    there, and without it the first failure is raised.
     """
+    batched = mset.matrices.ndim == 4
     beta = np.asarray(beta, dtype=float)
-    if not abs(np.linalg.norm(beta) - 1.0) <= 1e-12:
-        raise NonUnitBeta("beta must have unit Euclidean norm")
-    inv_norm = inverse_spectral_norm(t_beta(u, mset, beta))
-    return float(
-        np.sqrt(2.0) * inv_norm * (np.sqrt(loss(u, mset)) + sigma * np.sqrt(mset.n))
+    if not batched:
+        mset, u, beta = mset.as_batch(), np.asarray(u)[None], beta[None]
+    fail = Failures(len(beta), errors)
+    fail.drop(
+        ~(np.abs(blockwise_norm(beta, 1) - 1.0) <= 1e-12),
+        NonUnitBeta("beta must have unit Euclidean norm"),
     )
+    rows, values = fail.rows, np.zeros(len(beta))
+    sigma = np.asarray(sigma, dtype=float)
+    if rows.size < len(beta):
+        mset, u, beta = mset.take(rows), u[rows], beta[rows]
+        sigma = sigma if sigma.ndim == 0 else sigma[rows]
+    if rows.size:
+        inv_errors = None if errors is None else [None] * rows.size
+        inv_norm = inverse_spectral_norm(t_beta(u, mset, beta), inv_errors)
+        values[rows] = np.sqrt(2.0) * inv_norm * (np.sqrt(loss(u, mset)) + sigma * np.sqrt(mset.n))
+        for row, error in zip(rows, inv_errors or ()):
+            if error is not None:
+                errors[row] = error
+    return values if batched else float(values[0])
 
 
 def hessian_constants(gt):
@@ -417,7 +465,9 @@ def init_noise_threshold(gt, beta, u_init):
 
 
 def eigenvalue_error_bound(alpha, sigma, m_norm, w_norm):
-    """Per-matrix joint-eigenvalue error: 2 alpha ||M_n|| + sigma ||W_n||."""
-    if min(alpha, sigma, m_norm, w_norm) < 0:
+    """Per-matrix joint-eigenvalue error: 2 alpha ||M_n|| + sigma ||W_n||
+    (elementwise over arrays)."""
+    if any(np.any(np.asarray(x) < 0) for x in (alpha, sigma, m_norm, w_norm)):
         raise ValueError("all inputs must be nonnegative")
-    return float(2.0 * alpha * m_norm + sigma * w_norm)
+    bound = 2.0 * alpha * m_norm + sigma * w_norm
+    return float(bound) if np.ndim(bound) == 0 else bound

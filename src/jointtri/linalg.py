@@ -3,7 +3,10 @@
 The strictly-lower projection and index pairs, the skew exponential,
 the closed-form orthogonal logarithm (from the real Schur form), column
 sign normalization, and matrix metrics.  All vectorizations are
-column-major, fixed globally.
+column-major, fixed globally.  Functions marked so take a leading trial
+axis; each trial's result has the bits of the same call on that trial
+alone, and blockwise_dot / blockwise_norm are the per-trial np.vdot and
+np.linalg.norm that keep this true for reductions.
 """
 
 from functools import lru_cache
@@ -11,7 +14,12 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, LogBranchAmbiguous, NegativeDeterminant
+from .errors import (
+    DimensionMismatch,
+    Failures,
+    LogBranchAmbiguous,
+    NegativeDeterminant,
+)
 
 # Tolerances pinned by the module contracts.
 SKEW_TOL = 1e-12
@@ -42,6 +50,22 @@ def low_part(a):
     return np.where(_low_mask(a.shape[-2:]), a, 0.0)
 
 
+def blockwise_dot(x, y, ndim):
+    """np.vdot of each pair of trailing ndim-axis blocks of C-contiguous x
+    and y, over their leading axes.  np.vecdot takes one BLAS dot per
+    block, the call np.vdot and np.linalg.norm make, so each value has the
+    bits of the unbatched call; a sum over axes would not."""
+    if not x.size:
+        return np.zeros(x.shape[:-ndim])
+    shape = x.shape[:-ndim] + (-1,)
+    return np.vecdot(x.reshape(shape), y.reshape(shape))[()]
+
+
+def blockwise_norm(x, ndim=2):
+    """np.linalg.norm of each trailing ndim-axis block of C-contiguous x."""
+    return np.sqrt(blockwise_dot(x, x, ndim))
+
+
 def _require_square(a, name="matrix"):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -50,8 +74,10 @@ def _require_square(a, name="matrix"):
 
 
 def _require_skew(x, tol=SKEW_TOL):
-    x = _require_square(x, "skew direction")
-    if not (np.all(np.isfinite(x)) and np.max(np.abs(x + x.T)) <= tol):
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
+        raise DimensionMismatch(f"skew direction must be square, got shape {x.shape}")
+    if not (np.all(np.isfinite(x)) and np.max(np.abs(x + x.swapaxes(-1, -2))) <= tol):
         raise DimensionMismatch("matrix is not skew-symmetric within tolerance")
     return x
 
@@ -79,10 +105,12 @@ def lower_index(d):
 
 
 def skew_from_lower(x, d):
-    """The skew matrix E - E^T whose strictly-lower entries E[lower_index(d)] are x."""
-    e = np.zeros((d, d))
-    e[lower_index(d)] = x
-    return e - e.T
+    """The skew matrix E - E^T whose strictly-lower entries E[lower_index(d)]
+    are x (a leading trial axis is kept)."""
+    x = np.asarray(x)
+    e = np.zeros(x.shape[:-1] + (d, d))
+    e[(..., *lower_index(d))] = x
+    return e - e.swapaxes(-1, -2)
 
 
 def min_pairwise_gap(t):
@@ -96,54 +124,89 @@ def min_pairwise_gap(t):
 
 
 def skew_exp(x, scale=1.0):
-    """Orthogonal frame e^{scale X} for a skew-symmetric X."""
+    """Orthogonal frame e^{scale X} for a skew-symmetric X, or for each of a
+    (T, d, d) stack from one expm call (exactly I where X = 0)."""
     x = _require_skew(x)
-    if scale == 0.0 or not np.any(x):
-        return np.eye(x.shape[0])
-    return scipy.linalg.expm(scale * x)
+    moved = np.any(x, axis=(-2, -1)) & (scale != 0.0)
+    eye = np.eye(x.shape[-1])
+    if not moved.any():
+        return np.broadcast_to(eye, x.shape).copy()
+    e = scipy.linalg.expm(scale * x)
+    return e if moved.all() else np.where(moved[..., None, None], e, eye)
 
 
-def orthogonal_log(q):
-    """Principal logarithm of a rotation, returned as a skew matrix.
+def orthogonal_log(q, errors=None):
+    """Principal logarithm of a rotation, returned as a skew matrix; q is
+    one frame or a (T, d, d) stack of them.
 
     Closed form from the real Schur form Q = Z T Z^T, which is block
     diagonal because Q is normal: a 1x1 block (+1) has log 0, and a
     standardized block [[c, b], [a, c]] with ab < 0, whose eigenvalues are
     c +- i s with s = sqrt(-ab), has log (theta / s) [[0, b], [a, 0]] with
     theta = atan2(s, c) (Higham, Functions of Matrices, section 11).
-    Rejects frames with determinant -1 and rotations with an eigenvalue
-    within LOG_BRANCH_TOL of -1, where the principal branch is ambiguous.
+    Rejects frames that are not orthogonal, frames with determinant -1 and
+    rotations with an eigenvalue within LOG_BRANCH_TOL of -1, where the
+    principal branch is ambiguous, and checks the round trip exp(log Q) = Q.
+    A stack takes one schur and one expm call.  With ``errors`` (one slot
+    per frame of a stack) a frame that fails gets its error there and a
+    zero log; without it the first failure is raised.
     """
-    q = require_orthogonal(q)
-    d = q.shape[0]
-    if np.linalg.det(q) < 0:
-        raise NegativeDeterminant("frame has determinant -1; no real skew logarithm")
-    t, z = scipy.linalg.schur(q, output="real")
-    k = np.flatnonzero(np.diag(t, -1))  # upper-left corner of each 2x2 block
-    c, b, a = t[k, k], t[k, k + 1], t[k + 1, k]
+    q = np.asarray(q, dtype=float)
+    if q.ndim not in (2, 3) or q.shape[-1] != q.shape[-2]:
+        raise DimensionMismatch(f"orthogonal frame must be square, got shape {q.shape}")
+    stack = q.reshape(-1, *q.shape[-2:])
+    count, d, _ = stack.shape
+    fail = Failures(count, errors)
+    (stack,) = fail.drop(
+        ~np.all(np.isfinite(stack), axis=(1, 2)),
+        DimensionMismatch("matrix is not orthogonal within tolerance"), stack,
+    )
+    (stack,) = fail.drop(
+        ~(blockwise_norm(stack.swapaxes(1, 2) @ stack - np.eye(d)) <= ORTHO_TOL),
+        DimensionMismatch("matrix is not orthogonal within tolerance"), stack,
+    )
+    (stack,) = fail.drop(
+        np.linalg.det(stack) < 0,
+        NegativeDeterminant("frame has determinant -1; no real skew logarithm"), stack,
+    )
+    logs = np.zeros((count, d, d))
+    if not len(stack):
+        return logs.reshape(q.shape)
+    t, z = scipy.linalg.schur(stack, output="real")
+    trial, k = np.nonzero(t.diagonal(-1, 1, 2))  # upper-left corner of each 2x2 block
+    c, b, a = t[trial, k, k], t[trial, k, k + 1], t[trial, k + 1, k]
     s = np.sqrt(-a * b)
     # |lambda + 1| per eigenvalue: |t + 1| on a 1x1 block, |c + 1 +- i s| on a 2x2
-    dist = np.abs(np.diag(t) + 1.0)
-    dist[k] = dist[k + 1] = np.hypot(c + 1.0, s)
-    if np.min(dist) < LOG_BRANCH_TOL:
-        raise LogBranchAmbiguous("eigenvalue near -1; principal log branch ambiguous")
-    log_t = np.zeros((d, d))
+    dist = np.abs(t.diagonal(0, 1, 2) + 1.0)
+    dist[trial, k] = dist[trial, k + 1] = np.hypot(c + 1.0, s)
+    log_t = np.zeros_like(t)
     scale = np.arctan2(s, c) / s
-    log_t[k, k + 1] = scale * b
-    log_t[k + 1, k] = scale * a
-    log_q = z @ log_t @ z.T
-    x = 0.5 * (log_q - log_q.T)
-    if np.linalg.norm(skew_exp(x) - q) > 1e-10 * max(1.0, np.sqrt(d)):
-        raise LogBranchAmbiguous("log round trip failed; input too close to branch cut")
-    return x
+    log_t[trial, k, k + 1] = scale * b
+    log_t[trial, k + 1, k] = scale * a
+    log_q = z @ log_t @ z.swapaxes(1, 2)
+    x = 0.5 * (log_q - log_q.swapaxes(1, 2))
+    x, stack = fail.drop(
+        np.min(dist, axis=1) < LOG_BRANCH_TOL,
+        LogBranchAmbiguous("eigenvalue near -1; principal log branch ambiguous"),
+        x, stack,
+    )
+    if len(x):
+        (x,) = fail.drop(
+            blockwise_norm(skew_exp(x) - stack) > 1e-10 * max(1.0, np.sqrt(d)),
+            LogBranchAmbiguous("log round trip failed; input too close to branch cut"),
+            x,
+        )
+    logs[fail.rows] = x
+    return logs.reshape(q.shape)
 
 
 def _fix_column_signs(u, tol=1e-12):
-    """Flip column signs so the first significant entry of each is positive."""
+    """Flip column signs so the first significant entry of each is positive
+    (over a leading trial axis too)."""
     mag = np.abs(u)
-    significant = mag > tol * mag.max(axis=0, initial=1.0)
-    first = u[np.argmax(significant, axis=0), np.arange(u.shape[1])]
-    return np.where(significant.any(axis=0) & (first < 0), -u, u)
+    significant = mag > tol * mag.max(axis=-2, initial=1.0, keepdims=True)
+    first = np.take_along_axis(u, np.argmax(significant, axis=-2)[..., None, :], axis=-2)
+    return np.where(significant.any(axis=-2, keepdims=True) & (first < 0), -u, u)
 
 
 def matrix_metrics(a):

@@ -145,8 +145,9 @@ def _observable_bounds(z, eps):
 
 
 def estimate_components(u, mset):
-    """Ratio matrix Y with Y_ni = [U^T M_n U]_ii (components over column sums)."""
-    return np.diagonal(rotated(u, mset), axis1=1, axis2=2).copy()
+    """Ratio matrix Y with Y_ni = [U^T M_n U]_ii (components over column
+    sums), per trial of a batch of sets."""
+    return np.diagonal(rotated(u, mset), axis1=-2, axis2=-1).copy()
 
 
 def recover_scales(m_theta_hat, y, theta):

@@ -9,6 +9,13 @@ matrix take exact Gauss-Newton steps from it; the others a
 Jacobi-preconditioned truncated CG on J^T J products.  Steps are accepted
 on the loss change computed from the change of the rotated stack, not on a
 difference of two rounded losses.
+
+A MatrixSet may hold T sets on a leading trial axis.  The certified
+initialization and the descent then run every trial at once, one eig per
+candidate round and one rotated stack, J^T J and LU solve per iteration,
+and a trial leaves the batch at its stopping point or its first failure.
+Each trial's result has the bits of the same call on that trial alone; a
+single problem runs as a batch of one.
 """
 
 import itertools
@@ -25,14 +32,19 @@ from .errors import (
 )
 from .linalg import (
     _fix_column_signs,
+    blockwise_dot,
+    blockwise_norm,
     low_part,
     lower_index,
     skew_exp,
     skew_from_lower,
 )
 
+_EPS = np.finfo(float).eps
 SEPARATION_GAP_REL = 1e-8
-EIG_RESIDUAL_TOL = 1e-8
+# U0 is rejected as near defective when ||low(U0^T P U0)|| exceeds this
+# share of ||P||; well-separated sets leave at most about 2e-15 at d = 4-64.
+SCHUR_RESIDUAL_TOL = 1e-12
 ARMIJO_C = 1e-4  # an accepted step lowers the loss by this share of its prediction
 BACKTRACK_FACTOR = 0.5
 # descend takes exact Gauss-Newton steps while L^3 / N, the LU solve's cost
@@ -43,7 +55,8 @@ EXACT_STEP_MAX_SIZE = 200_000
 
 @dataclass(frozen=True)
 class MatrixSet:
-    """N square matrices of shared dimension d, one read-only (N, d, d) array."""
+    """N square matrices of shared dimension d, one read-only (N, d, d) array;
+    or a batch of T such sets on a leading trial axis, (T, N, d, d)."""
 
     matrices: np.ndarray
 
@@ -52,11 +65,11 @@ class MatrixSet:
             matrices = np.array(self.matrices, dtype=float, order="C")
         except ValueError as exc:  # ragged input
             raise DimensionMismatch("all matrices must share dimension d") from exc
-        if matrices.shape[:1] == (0,):
+        if matrices.shape[:1] == (0,) or matrices.ndim == 4 and matrices.shape[1] == 0:
             raise DimensionMismatch("matrix set must contain at least one matrix")
-        if matrices.ndim == 3 and matrices.shape[1] == 0:
+        if matrices.ndim in (3, 4) and matrices.shape[-1] == 0:
             raise DimensionMismatch("matrix dimension d must be at least 1")
-        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+        if matrices.ndim not in (3, 4) or matrices.shape[-2] != matrices.shape[-1]:
             raise DimensionMismatch("all matrices must share dimension d")
         if not np.all(np.isfinite(matrices)):
             raise DimensionMismatch("matrix entries must be finite")
@@ -65,45 +78,66 @@ class MatrixSet:
 
     @property
     def d(self):
-        return self.matrices.shape[1]
+        return self.matrices.shape[-1]
 
     @property
     def n(self):
-        return self.matrices.shape[0]
+        return self.matrices.shape[-3]
+
+    def as_batch(self):
+        """The set as a batch of one set; a batch is returned as it is."""
+        return self if self.matrices.ndim == 4 else _checked_set(self.matrices[None])
+
+    def take(self, trials):
+        """The given trials of a batch: a batch for indices or a mask, one
+        set for a single index."""
+        return _checked_set(self.matrices[trials])
 
     def combine(self, beta):
-        """The pencil sum_n beta_n M_n."""
+        """The pencil sum_n beta_n M_n (per trial of a batch; beta may carry
+        the trial axis too)."""
         beta = np.asarray(beta, dtype=float)
-        if beta.shape != (self.n,):
+        if beta.shape[-1:] != (self.n,) or beta.ndim > self.matrices.ndim - 2:
             raise DimensionMismatch("beta length must equal the number of matrices")
-        return np.sum(beta[:, None, None] * self.matrices, axis=0)
+        return np.sum(beta[..., None, None] * self.matrices, axis=-3)
+
+
+def _checked_set(matrices):
+    """A MatrixSet of matrices the constructor has already checked, made
+    without its copy and checks."""
+    matrices.setflags(write=False)
+    mset = object.__new__(MatrixSet)
+    object.__setattr__(mset, "matrices", matrices)
+    return mset
 
 
 def _check_frame(u, mset):
+    """U as floats: one frame, or a (T, d, d) stack, one per trial of a batch
+    or applied to every matrix of a single set."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (mset.d, mset.d):
+    if u.shape[-2:] != (mset.d, mset.d) or u.ndim not in (2, 3):
         raise DimensionMismatch("frame dimension does not match matrix set")
     return u
 
 
 def rotated(u, mset):
-    """The rotated matrices A_n = U^T M_n U as one (N, d, d) array."""
+    """The rotated matrices A_n = U^T M_n U as one (N, d, d) array, with a
+    leading trial axis for a stack of frames or a batch of sets."""
     u = _check_frame(u, mset)
-    return u.T @ mset.matrices @ u
+    if u.ndim == 2:
+        return u.T @ mset.matrices @ u
+    return u.swapaxes(1, 2)[:, None] @ mset.matrices @ u[:, None]
 
 
 def loss(u, mset):
-    """Sum of squared strictly-lower entries of the rotated matrices."""
+    """Sum of squared strictly-lower entries of the rotated matrices (per trial)."""
     return _stack_loss(rotated(u, mset))
 
 
 def _stack_loss(a):
-    """loss at the rotated stack a."""
-    sums = np.sum(low_part(a) ** 2, axis=(1, 2))
-    total = 0.0
-    for s in sums.tolist():  # a running sum in order n = 0, ..., N-1
-        total += s
-    return total
+    """loss at the rotated stack a: a running sum in order n = 0, ..., N-1."""
+    sums = np.sum(low_part(a) ** 2, axis=(-2, -1))
+    return np.add.accumulate(sums, axis=-1)[..., -1][()]
 
 
 def gradient(u, mset):
@@ -118,9 +152,9 @@ def gradient(u, mset):
 
 def _commutator_adjoint(a, w):
     """S - S^T with S = sum_n [A_n^T, W_n]; its strictly-lower entries are J^T w."""
-    a_t = a.transpose(0, 2, 1)
-    s = np.sum(a_t @ w - w @ a_t, axis=0)
-    return s - s.T
+    a_t = a.swapaxes(-1, -2)
+    s = np.sum(a_t @ w - w @ a_t, axis=-3)
+    return s - s.swapaxes(-1, -2)
 
 
 def gauss_newton_product(a, x):
@@ -160,13 +194,15 @@ def gauss_newton_diagonal(a):
 @lru_cache(maxsize=None)
 def _moment_plan(d):
     """gauss_newton_matrix's tables at dimension d: the (d, 2d) map from the
-    row and column Grams to H / 2, and per block of pair columns j0 <= j < j1
+    row and column Grams to H / 2; per block of pair columns j0 <= j < j1
     (rows r0:r1 of J^T J; one block up to d = 16, each S block at most
-    max(L^2, 2^16) floats) the mask of X and the flat positions of its terms."""
+    max(L^2, 2^16) floats) the mask of X and the flat positions of its
+    terms; and how many trials of a batch share that working memory."""
     rows, cols = lower_index(d)
     upper = np.triu(np.ones((d, d), dtype=np.int8), 1)  # upper[x, y] = [y > x]
     spread = 0.5 * np.hstack((upper, upper.T))  # [r > c] / 2, then [c' < c] / 2
-    width = max(1, max(rows.size**2, 2**16) // d**3)
+    budget = max(rows.size**2, 2**16)
+    width = max(1, budget // d**3)
     blocks = []
     for j0 in range(0, d - 1, width):
         j1 = min(j0 + width, d - 1)
@@ -175,41 +211,59 @@ def _moment_plan(d):
         mask = upper.T[:, None, None, j0:j1] + upper[None, :, :, None]  # [k > j] + [l > i]
         rows_at = (rows[r0:r1] * d * w + cols[r0:r1] - j0)[:, None]
         lower_at, upper_at = rows * d * d * w + cols * w, cols * d * d * w + rows * w
-        blocks.append((j0, j1, r0, r1, mask, rows_at, lower_at, upper_at))
-    return spread, tuple(blocks)
+        blocks.append((j0, j1, r0, r1, mask, rows_at + upper_at, rows_at + lower_at))
+    # trials per chunk: S blocks of about 2^15 floats in all (measured; at
+    # d = 12 one trial's block is already larger and chunks of one are fastest)
+    trials = max(1, 2**15 // (d**3 * min(width, max(d - 1, 1))))
+    return spread, tuple(blocks), trials
 
 
 def gauss_newton_matrix(a):
-    """J^T J in strictly-lower coordinates at the rotated stack a, exactly
-    symmetric, from the second moments S[k, i, l, j] = sum_n A_n,ki A_n,lj
-    with no Jacobian: O(N d^4 + L^2).
+    """J^T J in strictly-lower coordinates at the rotated stack a (per trial
+    of a leading trial axis), exactly symmetric, from the second moments
+    S[k, i, l, j] = sum_n A_n,ki A_n,lj with no Jacobian: O(N d^4 + L^2).
 
     Over pairs p = (i, j), q = (k, l), J^T J = G + G^T with
     G[p, q] = X[p, (l, k)] - X[p, (k, l)] and X[p, (k, l)] =
     ([k > j] + [l > i]) S[k, i, l, j] - [l = j] H[j, i, k] / 2 - [k = i] H[i, j, l] / 2,
     H[c] = sum_n (sum_{r > c} A_n[r, :]^T A_n[r, :] + sum_{c' < c} A_n[:, c'] A_n[:, c']^T).
-    S is formed in blocks of columns j, so the working memory beyond the
-    result stays a few L x L arrays.
+    A batch runs in chunks of trials and S in blocks of columns j, so the
+    working memory beyond the result stays a few L x L arrays per trial.
     """
-    n, d, _ = a.shape
-    spread, blocks = _moment_plan(d)
-    lines = np.concatenate((a.transpose(1, 2, 0), a.transpose(2, 1, 0)))
-    half = (spread @ (lines @ lines.transpose(0, 2, 1)).reshape(2 * d, -1)).reshape(d, d, d)
-    flat = a.reshape(n, d * d)
-    g = np.empty((d * (d - 1) // 2,) * 2)
-    for j0, j1, r0, r1, mask, rows_at, lower_at, upper_at in blocks:
-        x = (flat.T @ a[:, :, j0:j1].reshape(n, -1)).reshape(d, d, d, j1 - j0)
+    *batch, n, d, _ = a.shape
+    a = a.reshape(-1, n, d, d)
+    size = d * (d - 1) // 2
+    out = np.empty((len(a), size, size))
+    trials = _moment_plan(d)[2]
+    for t0 in range(0, len(a), trials):
+        _moment_chunk(a[t0 : t0 + trials], out[t0 : t0 + trials])
+    return out.reshape(*batch, size, size)
+
+
+def _moment_chunk(a, out):
+    """gauss_newton_matrix of the (T, N, d, d) stack a, into out."""
+    count, n, d, _ = a.shape
+    spread, blocks, _ = _moment_plan(d)
+    lines = np.concatenate((a.transpose(0, 2, 3, 1), a.transpose(0, 3, 2, 1)), axis=1)
+    grams = (lines @ lines.transpose(0, 1, 3, 2)).reshape(count, 2 * d, -1)
+    half = (spread @ grams).reshape(count, d, d, d)
+    flat = a.reshape(count, n, d * d).transpose(0, 2, 1)
+    g = np.empty(out.shape)
+    for j0, j1, r0, r1, mask, plus, minus in blocks:
+        x = (flat @ a[:, :, :, j0:j1].reshape(count, n, -1)).reshape(count, d, d, d, j1 - j0)
         x *= mask
-        diag = np.einsum("kijj->jik", x[:, :, j0:j1])  # views of x[:, i, j, j]
-        diag -= half[j0:j1]
-        diag = np.einsum("iilj->ijl", x)  # and of x[i, i, :, j]
+        diag = np.einsum("tkijj->tjik", x[:, :, :, j0:j1])  # views of x[:, :, i, j, j]
         diag -= half[:, j0:j1]
-        np.subtract(x.take(rows_at + upper_at), x.take(rows_at + lower_at), out=g[r0:r1])
-    return g + g.T
+        diag = np.einsum("tiilj->tijl", x)  # and of x[:, i, i, :, j]
+        diag -= half[:, :, j0:j1]
+        x = x.reshape(count, -1)
+        np.subtract(x.take(plus, axis=1), x.take(minus, axis=1), out=g[:, r0:r1])
+    np.add(g, g.transpose(0, 2, 1), out=out)
 
 
 def _exact_step(a, b):
-    """x with (J^T J + mu I) x = -b, mu = eps trace(J^T J), by one LU solve.
+    """x with (J^T J + mu I) x = -b, mu = eps trace(J^T J), by one LU solve
+    (per trial of a leading trial axis).
 
     mu is at the level of the rounding error in the computed J^T J, so x is
     the Gauss-Newton step to rounding (the least-squares solution of
@@ -218,8 +272,9 @@ def _exact_step(a, b):
     b = 0.
     """
     h = gauss_newton_matrix(a)
-    h.flat[:: len(h) + 1] += np.finfo(float).eps * np.trace(h)
-    return np.linalg.solve(h, -b)
+    size = h.shape[-1]
+    h.reshape(*h.shape[:-2], -1)[..., :: size + 1] += _EPS * h.trace(axis1=-2, axis2=-1)[..., None]
+    return np.linalg.solve(h, -b[..., None])[..., 0]
 
 
 def _cg_step(a, b):
@@ -251,32 +306,43 @@ def _cg_step(a, b):
 
 
 def _rotation_increment(x, step):
-    """F = e^{step X} - I for a skew X: summed from its Taylor series while
+    """F = e^{step X} - I for a skew X (per trial of a leading trial axis,
+    step then one per trial): summed from its Taylor series while
     ||step X||_F < 0.5, so F keeps full relative accuracy on short steps,
     and skew_exp(X, step) - I above.  The series stops before the first
     term whose norm bound ||step X||^k / k! is at most eps ||step X||."""
-    y = step * x
-    norm = np.linalg.norm(y)
-    if norm >= 0.5:
-        return skew_exp(x, step) - np.eye(len(x))
-    terms, bound = 1, norm
-    while bound * norm / (terms + 1) > np.finfo(float).eps * norm:
-        terms += 1
-        bound *= norm / terms
+    y = np.asarray(step)[..., None, None] * x
+    norms = blockwise_norm(y)
+    terms = []  # 0 where ||step X|| >= 0.5
+    for norm in norms.ravel().tolist():
+        count, bound = 0, norm
+        if norm < 0.5:
+            count = 1
+            while bound * norm / (count + 1) > _EPS * norm:
+                count += 1
+                bound *= norm / count
+        terms.append(count)
+    fewest, most = min(terms), max(terms)
     f = y
-    for k in range(terms, 1, -1):  # Horner: Y + Y (Y + Y (...) / 3) / 2
+    for k in range(most, 1, -1):  # Horner: Y + Y (Y + Y (...) / 3) / 2
         f = y + y @ f / k
+        if k > fewest:  # trials with fewer terms start later
+            f = np.where((np.reshape(terms, norms.shape) >= k)[..., None, None], f, y)
+    if fewest == 0:
+        large = (norms >= 0.5)[..., None, None]
+        f = np.where(large, skew_exp(y) - np.eye(x.shape[-1]), f)
     return f
 
 
 def _loss_change(a, f):
-    """loss(U (I + F)) - loss(U) at the rotated stack a = U^T M U, as
-    sum_n <low(dA_n), low(2 A_n + dA_n)> with dA = F^T A + A F + F^T A F,
-    formed as A F, then F^T (A + A F).  Built from dA rather than from two
-    rounded losses, its rounding error shrinks with ||F||."""
-    af = a @ f
-    da = af + f.T @ (a + af)
-    return float(np.vdot(low_part(da), da + 2.0 * a))
+    """loss(U (I + F)) - loss(U) at the rotated stack a = U^T M U (per trial
+    of a leading trial axis), as sum_n <low(dA_n), low(2 A_n + dA_n)> with
+    dA = F^T A + A F + F^T A F, formed as A F, then F^T (A + A F).  Built
+    from dA rather than from two rounded losses, its rounding error shrinks
+    with ||F||."""
+    af = a @ f[..., None, :, :]
+    da = af + f.swapaxes(-1, -2)[..., None, :, :] @ (a + af)
+    return blockwise_dot(low_part(da), da + 2.0 * a, 3)
 
 
 def hessian_form(u, mset, x):
@@ -295,7 +361,7 @@ def hessian_form(u, mset, x):
     return float(total)
 
 
-def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50):
+def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50, errors=None):
     """Certified initialization: a unit beta whose pencil P = sum_n beta_n M_n
     has a real, well-separated spectrum, and the Schur frame U0 of P.
 
@@ -307,12 +373,23 @@ def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50):
     eigenvectors in that order, each column's first significant entry made
     positive, so U0^T P U0 is upper triangular with ascending diagonal.
     Both floors are relative to ||P||, so a scaled set gets the same beta.
-    Raises NoSeparatingBeta after max_tries candidates, and NearDefective
-    when an eigenvector of the accepted P has a residual above
-    EIG_RESIDUAL_TOL ||P||.  Returns (beta, U0).
+    Fails with NoSeparatingBeta after max_tries candidates, and with
+    NearDefective when U0 leaves ||low(U0^T P U0)|| above
+    SCHUR_RESIDUAL_TOL ||P||: an ill-conditioned eigenvector basis whose Q
+    factor is no Schur frame.  Returns (beta, U0).
+
+    For a batch of sets, every trial draws the same candidates, each round
+    makes one eig call over the trials still unresolved, and the results
+    carry the trial axis; with ``errors`` (one slot per trial) a trial that
+    fails gets its error there, and without it the first failure is raised.
     """
     if strategy not in ("ones", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    batch = mset.as_batch()
+    count = len(batch.matrices)
+    betas = np.zeros((count, mset.n))
+    frames = np.zeros((count, mset.d, mset.d))
+    failures = {}
 
     def candidates():
         if strategy == "ones":
@@ -322,22 +399,44 @@ def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50):
             v = rng.standard_normal(mset.n)
             yield v / np.linalg.norm(v)
 
+    pending = np.arange(count)  # trials without a separating candidate yet
     for beta in itertools.islice(candidates(), max_tries):
-        pencil = mset.combine(beta)
-        scale = np.linalg.norm(pencil)
+        pencil = (batch if pending.size == count else batch.take(pending)).combine(beta)
+        scale = blockwise_norm(pencil)
         values, vectors = np.linalg.eig(pencil)
-        order = np.argsort(values.real)
-        values = values.real[order]
-        if np.all(np.diff(values) > SEPARATION_GAP_REL * scale):
-            vectors = vectors[:, order].real
-            vectors /= np.linalg.norm(vectors, axis=0)
-            residual = np.linalg.norm(pencil @ vectors - vectors * values, axis=0)
-            if np.any(residual > EIG_RESIDUAL_TOL * scale):
-                raise NearDefective("eigenvector residual above tolerance")
-            return beta, _fix_column_signs(np.linalg.qr(vectors)[0])
-    raise NoSeparatingBeta(
-        f"no separating combination found after {max_tries} tries"
-    )
+        values = values.real
+        order = values.argsort(axis=-1)
+        values = np.sort(values, axis=-1)  # values[order]
+        gaps = values[:, 1:] - values[:, :-1]
+        separated = (gaps > SEPARATION_GAP_REL * scale[:, None]).all(axis=-1)
+        if separated.any():
+            rows = slice(None) if separated.all() else separated
+            # the unit eigenvectors in ascending order, as rows: each summed
+            # pairwise along its contiguous length, as np.linalg.norm(axis=0)
+            # sums eig's column-major output of one set
+            columns = np.take_along_axis(
+                vectors[rows].real.swapaxes(1, 2), order[rows, :, None], axis=1)
+            columns /= np.sqrt(np.add.reduce(columns * columns, axis=-1, keepdims=True))
+            u0 = _fix_column_signs(np.linalg.qr(columns.swapaxes(1, 2))[0])
+            found = pending[rows]
+            betas[found], frames[found] = beta, u0
+            schur = u0.swapaxes(1, 2) @ pencil[rows] @ u0
+            defective = blockwise_norm(low_part(schur)) > SCHUR_RESIDUAL_TOL * scale[rows]
+            for trial in found[defective].tolist():
+                failures[trial] = NearDefective("Schur residual of the initial frame above tolerance")
+            pending = pending[~separated]
+        if not pending.size:
+            break
+    for trial in pending.tolist():
+        failures[trial] = NoSeparatingBeta(f"no separating combination found after {max_tries} tries")
+    if failures:
+        if errors is None:
+            raise failures[min(failures)]
+        for trial, error in failures.items():
+            errors[trial] = error
+    if mset.matrices.ndim == 3:
+        return betas[0], frames[0]
+    return betas, frames
 
 
 @dataclass(frozen=True)
@@ -359,62 +458,153 @@ class DescentTrace:
 
 
 def descend(mset, u_init, config=OptimizerConfig()):
-    """Riemannian Gauss-Newton with Armijo backtracking on U (I + F), F = e^{tX} - I.
+    """Riemannian Gauss-Newton from U0 = u_init: descend_batch on a batch of
+    one.  Returns (U, trace); raises LineSearchStalled, carrying the last
+    iterate and trace, where the batch would record it."""
+    u = _check_frame(u_init, mset)
+    if u.ndim != 2 or mset.matrices.ndim != 3:
+        raise DimensionMismatch("descend takes one matrix set and one frame")
+    frames, traces = descend_batch(mset.as_batch(), u[None], config)
+    return frames[0], traces[0]
+
+
+def descend_batch(mset, u_init, config=OptimizerConfig(), errors=None):
+    """Riemannian Gauss-Newton with Armijo backtracking on U (I + F),
+    F = e^{tX} - I, for every trial of a batch of sets from its initial frame.
 
     The step X solves (J^T J) x = -J^T r directly, to rounding, from the
     moment-built J^T J (_exact_step) while L^3 <= N EXACT_STEP_MAX_SIZE,
-    else by truncated CG (_cg_step).  t halves from 1 until the loss
-    change, computed from the change of the rotated stack (_loss_change),
-    is below the Armijo fraction of t <grad, X>, the predicted change.  The
-    trace's losses are the running sum loss(U_0) + sum of accepted changes.
-    The rotated stack A = U^T M U is formed once per iteration; the
-    gradient, the step and the line search all read it.
+    else by truncated CG (_cg_step, one trial at a time).  t halves from 1
+    until the loss change, computed from the change of the rotated stack
+    (_loss_change), is below the Armijo fraction of t <grad, X>, the
+    predicted change.  The trace's losses are the running sum
+    loss(U_0) + sum of accepted changes.  The trials iterate in lockstep:
+    the rotated stacks are formed once per iteration, and the gradients,
+    one J^T J build and one LU solve, and each round of the line search
+    (over the trials still searching) read them.  A trial leaves the batch
+    once ||grad|| <= grad_tol, or when it stalls.
 
-    Raises LineSearchStalled, carrying the last iterate and trace, when
-    |<grad, X>| is at most the bound on the computed change's rounding error
-    per unit t, (2d + 2NL + 5) eps ||A|| ||X|| ||low(A)||, to first order
-    in t (matrix products with d terms, a dot product with NL terms, all
-    norms Frobenius over the stack); both scale with t, so no step can be
-    told from rounding.  It is also raised once halving has shrunk ||tX||
-    to eps, where the frame no longer moves.
+    A trial stalls when |<grad, X>| is at most the bound on the computed
+    change's rounding error per unit t, (2d + 2NL + 5) eps ||A|| ||X||
+    ||low(A)||, to first order in t (matrix products with d terms, a dot
+    product with NL terms, all norms Frobenius over the stack); both scale
+    with t, so no step can be told from rounding.  It also stalls once
+    halving has shrunk ||tX|| to eps, where the frame no longer moves.  Its
+    LineSearchStalled, carrying its last iterate and trace, goes to its
+    slot of ``errors``, or is raised without it.  Returns (frames, traces).
     """
     u = _check_frame(u_init, mset)
-    d = mset.d
+    if u.ndim != 3 or mset.matrices.ndim != 4 or len(u) != len(mset.matrices):
+        raise DimensionMismatch("descend_batch takes one frame per set of the batch")
+    d, n = mset.d, mset.n
     size = d * (d - 1) // 2
-    solve = _exact_step if size**3 <= EXACT_STEP_MAX_SIZE * mset.n else _cg_step
-    error_scale = (2 * d + 2 * mset.n * size + 5) * np.finfo(float).eps
-    error_scale *= np.linalg.norm(mset.matrices)  # ||A|| at every frame
-    trace = DescentTrace()
+    exact = size**3 <= EXACT_STEP_MAX_SIZE * n
+    frames = u.copy()
+    traces = [DescentTrace() for _ in range(len(u))]
+    live = list(range(len(u)))  # the trial of each row still descending
+    # A batch of one runs on its arrays without the trial axis: the kernels
+    # take either, and the axis would cost a few numpy calls per iteration.
+    single = len(u) == 1
+    if single:
+        u, mset = u[0], mset.take(0)
+
+    def rows_of(values):
+        """Per-row scalars as Python floats: the same IEEE operations as on
+        one problem, without a numpy call each."""
+        return [float(values)] if single else values.tolist()
+
+    error_scales = rows_of((2 * d + 2 * n * size + 5) * _EPS * blockwise_norm(mset.matrices, 3))
     a = rotated(u, mset)
-    current = _stack_loss(a)
+    current = rows_of(_stack_loss(a))
+    pairs = (..., *lower_index(d))
+
+    def leave(rows, termination):
+        """Close the traces of the given rows, and drop them from the batch."""
+        nonlocal u, a, mset
+        for k in rows:
+            trial = live[k]
+            frames[trial] = u if single else u[k]
+            traces[trial].termination = termination
+            if termination == "stalled":
+                stall = LineSearchStalled(
+                    "no step lowers the loss", frame=frames[trial], trace=traces[trial]
+                )
+                if errors is None:
+                    raise stall
+                errors[trial] = stall
+        if len(rows) == len(live):
+            return None
+        keep = np.ones(len(live), dtype=bool)
+        keep[list(rows)] = False
+        u, a, mset = u[keep], a[keep], mset.take(keep)
+        return keep.tolist()
+
+    def kept(values, keep):
+        return [v for v, k in zip(values, keep) if k]
+
     for _ in range(config.max_iters):
         low = low_part(a)
-        g = _commutator_adjoint(a, low)  # the gradient at U
-        g_norm = np.linalg.norm(g)
-        if g_norm <= config.grad_tol:
-            trace.termination = "grad_tol"
-            return u, trace
-        b = g[lower_index(d)]  # J^T r
-        x = solve(a, b)
-        slope = 2.0 * (b @ x)  # <grad, X>
-        skew = skew_from_lower(x, d)
-        x_norm = np.linalg.norm(skew)
-        floor = error_scale * x_norm * np.linalg.norm(low)
-        step = 1.0
-        while -slope > floor and step * x_norm > np.finfo(float).eps:
-            f = _rotation_increment(skew, step)
-            change = _loss_change(a, f)
-            if change < ARMIJO_C * step * slope:
-                break
-            step *= BACKTRACK_FACTOR
+        g = _commutator_adjoint(a, low)  # the gradients
+        g_norms = rows_of(blockwise_norm(g))
+        if any(norm <= config.grad_tol for norm in g_norms):
+            keep = leave([k for k, norm in enumerate(g_norms) if norm <= config.grad_tol],
+                         "grad_tol")
+            if keep is None:
+                return frames, traces
+            live, g_norms, current, error_scales = (
+                kept(v, keep) for v in (live, g_norms, current, error_scales))
+            low, g = low[keep], g[keep]
+        b = g[pairs]  # J^T r
+        if exact:
+            x = _exact_step(a, b)
+        elif single:
+            x = _cg_step(a, b)
         else:
-            trace.termination = "stalled"
-            raise LineSearchStalled("no step lowers the loss", frame=u, trace=trace)
+            x = np.array([_cg_step(a_k, b_k) for a_k, b_k in zip(a, b)])
+        slopes = [2.0 * v for v in rows_of(np.vecdot(b, x))]  # <grad, X>
+        skew = skew_from_lower(x, d)
+        x_norms = rows_of(blockwise_norm(skew))
+        low_norms = rows_of(blockwise_norm(low, 3))
+        # the line search, one round per halving over the trials still searching
+        steps, changes, accepted, f = [1.0] * len(live), [0.0] * len(live), [False] * len(live), None
+        searching = [
+            k for k, (scale, slope, x_norm, low_norm) in enumerate(
+                zip(error_scales, slopes, x_norms, low_norms))
+            if -slope > scale * x_norm * low_norm and x_norm > _EPS
+        ]
+        while searching:
+            every = len(searching) == len(live)
+            rows = slice(None) if every else searching
+            step_k = steps[0] if single else np.array([steps[k] for k in searching])
+            f_k = _rotation_increment(skew[rows], step_k)
+            change_k = rows_of(_loss_change(a[rows], f_k))
+            ok = [change < ARMIJO_C * steps[k] * slopes[k] for k, change in zip(searching, change_k)]
+            if every and all(ok):
+                f, changes, accepted = f_k, change_k, ok
+                break
+            if f is None:
+                f = np.zeros_like(skew)
+            for j, k in enumerate(searching):
+                if ok[j]:
+                    f[k], changes[k], accepted[k] = f_k[j], change_k[j], True
+            searching = [k for k, good in zip(searching, ok) if not good]
+            for k in searching:
+                steps[k] *= BACKTRACK_FACTOR
+            searching = [k for k in searching if steps[k] * x_norms[k] > _EPS]
+        if not all(accepted):
+            keep = leave([k for k, good in enumerate(accepted) if not good], "stalled")
+            if keep is None:
+                return frames, traces
+            live, g_norms, current, error_scales, changes, steps = (
+                kept(v, keep) for v in (live, g_norms, current, error_scales, changes, steps))
+            f = f[keep]
         u = u + u @ f
         a = rotated(u, mset)
-        current += change
-        trace.loss_values.append(current)
-        trace.grad_norms.append(g_norm)
-        trace.step_lengths.append(step)
-    trace.termination = "max_iters"
-    return u, trace
+        current = [loss_value + change for loss_value, change in zip(current, changes)]
+        for trial, loss_value, grad_norm, length in zip(live, current, g_norms, steps):
+            trace = traces[trial]
+            trace.loss_values.append(loss_value)
+            trace.grad_norms.append(grad_norm)
+            trace.step_lengths.append(length)
+    leave(range(len(live)), "max_iters")
+    return frames, traces

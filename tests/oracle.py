@@ -1,15 +1,22 @@
-"""Slow reference oracles for the nearest exact triangularizer.
+"""Slow reference oracles.
 
 enumerate_exact_triangularizers lists every exact joint triangularizer of
 a noiseless model, and brute_force_nearest takes one matrix logarithm per
 listed frame; tests check the assignment in jointtri.harness against both.
+verify_bounds_per_trial and sigma_sweep_per_trial run the studies one trial
+at a time through the single-problem functions; tests check the batched
+studies in jointtri.harness against them.  They call every stage through
+its module, so a test that patches a stage patches it here too.
 """
 
 import itertools
 
 import numpy as np
 
-from jointtri.errors import LogBranchAmbiguous
+from jointtri import bounds as bd
+from jointtri import harness as hz
+from jointtri import tensor as tn
+from jointtri.errors import JointTriError, LogBranchAmbiguous
 from jointtri.linalg import orthogonal_log
 
 
@@ -42,3 +49,126 @@ def brute_force_nearest(u, frames):
         if alpha < best[0]:
             best = (alpha, i)
     return best
+
+
+def _trial_model(gt, sigma, seed, t):
+    rng = np.random.default_rng([seed, t])
+    noise = tuple(hz.sample_noise(rng, gt.d) for _ in range(gt.n))
+    return gt.with_noise(noise, sigma)
+
+
+def sigma_sweep_per_trial(gt, sigmas, trials=1, seed=0):
+    """harness.sigma_sweep, one (sigma, trial) pair after the other."""
+    sigmas = list(sigmas)
+    records = []
+    for sigma in sigmas:
+        per_trial = []
+        for t in range(trials):
+            model = _trial_model(gt, sigma, seed, t)
+            observed = model.observed_matrices()
+            u, beta, _, _ = hz.converge(observed, seed=seed)
+            u_circ, ax_obs = hz.nearest_exact_frame(gt, u)
+            ax_pred = bd.predicted_direction(model, u_circ)
+            per_trial.append(
+                {
+                    "sigma": sigma,
+                    "trial": t,
+                    "observed_alpha": np.linalg.norm(ax_obs),
+                    "direction_residual": float(np.linalg.norm(ax_obs - ax_pred)),
+                    "alpha_apriori": bd.a_priori_bound(model, u_circ),
+                    "alpha_explicit": bd.explicit_bound(model)[0],
+                    "alpha_aposteriori": bd.a_posteriori_bound(observed, u, beta, sigma),
+                }
+            )
+        records.append(per_trial)
+    mean_resid = [np.mean([r["direction_residual"] for r in recs]) for recs in records]
+    mean_alpha = [np.mean([r["observed_alpha"] for r in recs]) for recs in records]
+    return {
+        "sigmas": sigmas,
+        "records": records,
+        "direction_residual_slope": hz._fit_slope(sigmas, mean_resid),
+        "observed_alpha_slope": hz._fit_slope(sigmas, mean_alpha),
+    }
+
+
+def verify_bounds_per_trial(gt, sigma, trials, seed=0):
+    """harness.verify_bounds, one trial after the other."""
+    summary = {"trials": trials, "sigma": sigma, "records": [], "fractions": {}}
+    if trials == 0:
+        return summary
+    clean = gt.clean_matrices()
+    keys = ("apriori", "explicit", "aposteriori", "eigenvalue", "order")
+    counts = dict.fromkeys(keys, 0)
+    errors = 0
+    slack, atol = hz.CONTAINMENT_SLACK, hz.CONTAINMENT_ATOL
+    for t in range(trials):
+        model = _trial_model(gt, sigma, seed, t)
+        observed = model.observed_matrices()
+        try:
+            u, beta, _, _ = hz.converge(observed, seed=seed)
+            u_circ, log = hz.nearest_exact_frame(gt, u)
+            alpha = np.linalg.norm(log)
+            apriori = bd.a_priori_bound(model, u_circ)
+            explicit, _ = bd.explicit_bound(model)
+            aposteriori = bd.a_posteriori_bound(observed, u, beta, sigma)
+            eig_ok = True
+            for m_hat, m_clean, m_norm, w in zip(
+                observed.matrices, clean.matrices, gt.noise_free.clean_norms, model.noise
+            ):
+                observed_diag = np.diag(u.T @ m_hat @ u)
+                clean_diag = np.diag(u_circ.T @ m_clean @ u_circ)
+                limit = bd.eigenvalue_error_bound(alpha, sigma, m_norm, np.linalg.norm(w))
+                gap = np.max(np.abs(observed_diag - clean_diag))
+                if gap > slack * limit + atol:
+                    eig_ok = False
+            record = {
+                "trial": t,
+                "observed_alpha": alpha,
+                "apriori": bool(alpha <= slack * apriori + atol),
+                "explicit": bool(alpha <= slack * explicit + atol),
+                "aposteriori": bool(alpha <= slack * aposteriori + atol),
+                "eigenvalue": eig_ok,
+                "order": bool(apriori <= explicit),
+            }
+        except JointTriError as exc:
+            errors += 1
+            record = {"trial": t, "error": type(exc).__name__}
+        summary["records"].append(record)
+        for key in keys:
+            if record.get(key):
+                counts[key] += 1
+    summary["errors"] = errors
+    summary["fractions"] = {key: counts[key] / trials for key in keys}
+    return summary
+
+
+def verify_component_bound_per_trial(z, sigma, eps, trials, seed=0):
+    """harness.verify_component_bound, one trial after the other."""
+    z = np.asarray(z, dtype=float)
+    d = z.shape[0]
+    summary = {"trials": trials, "sigma": sigma, "records": [], "fraction": np.nan}
+    if trials == 0:
+        return summary
+    theta = np.ones(d) / np.sqrt(d)
+    reference = z / z.sum(axis=0)
+    bound = tn.component_error_bound(z, eps, sigma)
+    passed = 0
+    errors = 0
+    for t in range(trials):
+        try:
+            noisy = hz.gen_tensor(z, sigma, eps, seed=[seed, t])
+            observed, _ = tn.observable_matrices(noisy, d, theta)
+            u, _, _, _ = hz.converge(observed, seed=seed)
+            estimate = tn.estimate_components(u, observed)
+            matched, _ = tn.match_columns(estimate, reference)
+            err = float(np.max(np.abs(matched - reference)))
+            ok = err <= hz.CONTAINMENT_SLACK * bound + hz.CONTAINMENT_ATOL
+            record = {"trial": t, "error_max": err, "bound": bound, "contained": ok}
+            passed += ok
+        except JointTriError as exc:
+            errors += 1
+            record = {"trial": t, "error": type(exc).__name__}
+        summary["records"].append(record)
+    summary["errors"] = errors
+    summary["fraction"] = passed / trials
+    return summary

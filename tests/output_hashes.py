@@ -1,0 +1,101 @@
+"""Byte-identity protocol: the SHA-256 of every canonical output of a fixed
+command set, to compare two versions of the package.
+
+    PYTHONPATH=src python tests/output_hashes.py
+
+Each command runs in-process through ``jointtri.cli.run`` in a temporary
+directory.  One line is printed per command, ``<sha256> <exit> <command>``
+(the hash of the output file, or ``-`` when none was written), then the
+SHA-256 of all those lines.  Two versions produce byte-identical canonical
+outputs with unchanged exit codes exactly when the last lines agree.
+
+The set:
+- ``generate`` plus ``verify --trials 4`` on the verify_d4 benchmark pool
+  (d=4, N=4, kappa=3, sigma=1e-3, seeds s*1000+k for s < 6, k < 64);
+- ``generate``, ``verify --trials 100`` and ``bounds`` on the criterion-6
+  model (d=4, N=4, kappa=3, seed 400);
+- ``generate``, ``triangularize --sigma 1e-3``, ``bounds``, ``bounds
+  --frame`` (the triangularize output's frame, extracted to its own file), ``sweep --trials 2`` and ``verify
+  --trials 3`` on d in {3, 4, 5}, N=3, kappa=2, seeds 0-5;
+- the timed command of each benchmark workload on its first input (seed 0);
+- ``sweep --trials 3`` on the criterion-6 model and on the d in {3, 4, 5}
+  models above.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from jointtri import cli, io  # noqa: E402
+
+
+def _model(d, n, kappa, seed, sigma="1e-3"):
+    return ["generate", "--kind", "model", "--d", str(d), "--N", str(n),
+            "--kappa", str(kappa), "--sigma", sigma, "--seed", str(seed)]
+
+
+def commands():
+    """(argv, output name) pairs in protocol order; "@name" in an argv is
+    the path of that file in the temporary directory."""
+    for s in range(6):
+        for k in range(64):
+            name = f"v{s}-{k}"
+            yield _model(4, 4, 3, s * 1000 + k) + ["--output", "@" + name], name
+            yield ["verify", "--sigma", "1e-3", "--trials", "4", "--input", "@" + name,
+                   "--output", f"@{name}.verify"], f"{name}.verify"
+    yield _model(4, 4, 3, 400) + ["--output", "@c6"], "c6"
+    yield ["verify", "--trials", "100", "--input", "@c6", "--output", "@c6.verify"], "c6.verify"
+    yield ["bounds", "--input", "@c6", "--output", "@c6.bounds"], "c6.bounds"
+    small = [f"m{d}-{seed}" for d in (3, 4, 5) for seed in range(6)]
+    for name in small:
+        d, seed = (int(x) for x in name[1:].split("-"))
+        yield _model(d, 3, 2, seed) + ["--output", "@" + name], name
+        steps = (
+            ("tri", ["triangularize", "--sigma", "1e-3"]),
+            ("bounds", ["bounds"]),
+            ("frame", ["bounds", "--frame", f"@{name}.tri.frame"]),
+            ("sweep", ["sweep", "--trials", "2"]),
+            ("verify", ["verify", "--trials", "3"]),
+        )
+        for suffix, argv in steps:
+            out = f"{name}.{suffix}"
+            yield argv + ["--input", "@" + name, "--output", "@" + out], out
+    pools = (
+        ("d32", _model(32, 8, 3, 0), ["triangularize", "--sigma", "1e-3"]),
+        ("n64", _model(12, 64, 3, 0), ["triangularize", "--sigma", "1e-3"]),
+        ("t8", ["generate", "--kind", "tensor", "--d", "8", "--N", "8", "--kappa", "2",
+                "--sigma", "1e-4", "--seed", "0"], ["tensor", "--d", "8"]),
+    )
+    for name, generate, timed in pools:
+        yield generate + ["--output", "@" + name], name
+        yield timed + ["--input", "@" + name, "--output", f"@{name}.out"], f"{name}.out"
+    for name in ["c6"] + small:
+        out = f"{name}.sweep3"
+        yield ["sweep", "--trials", "3", "--input", "@" + name,
+               "--output", "@" + out], out
+
+
+def main():
+    lines = []
+    with tempfile.TemporaryDirectory() as workdir:
+        root = Path(workdir)
+        for argv, output in commands():
+            target = root / output
+            code = cli.run([str(root / a[1:]) if a[:1] == "@" else a for a in argv])
+            digest = hashlib.sha256(target.read_bytes()).hexdigest() if target.exists() else "-"
+            if argv[0] == "triangularize" and target.exists():
+                frame = io.load(str(target))["frame"]
+                io.dump_canonical(frame, str(root / f"{output}.frame"))
+            line = f"{digest} {code} {' '.join(argv)}"
+            lines.append(line)
+            print(line)
+    print(hashlib.sha256("\n".join(lines).encode()).hexdigest())
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtri import bounds, harness
-from jointtri.errors import NoComparableFrame
+from jointtri import bounds, harness, io, linalg, triangularize
+from jointtri.errors import (
+    LogBranchAmbiguous,
+    NoComparableFrame,
+    NoSeparatingBeta,
+    SingularOperator,
+)
 from jointtri.harness import (
     GeneratorSpec,
     converge,
@@ -24,7 +29,13 @@ from jointtri.harness import (
 from jointtri.linalg import orthogonal_log, skew_exp
 from jointtri.tensor import tensor_from_components
 from jointtri.triangularize import loss
-from oracle import brute_force_nearest, enumerate_exact_triangularizers
+from oracle import (
+    brute_force_nearest,
+    enumerate_exact_triangularizers,
+    sigma_sweep_per_trial,
+    verify_bounds_per_trial,
+    verify_component_bound_per_trial,
+)
 
 
 class TestGenGroundTruth:
@@ -262,9 +273,9 @@ class TestNearestSearchIsExact:
         u = frames[100] @ skew_exp(random_unit_skew(rng, 4), 1e-3)
         calls = []
 
-        def counted(r):
+        def counted(r, *args):
             calls.append(r)
-            return orthogonal_log(r)
+            return orthogonal_log(r, *args)
 
         monkeypatch.setattr(harness, "orthogonal_log", counted)
         frame, _ = nearest_exact_frame(gt, u)
@@ -308,7 +319,8 @@ class TestSweep:
         assert np.isnan(report["observed_alpha_slope"])
 
     def test_one_gauss_newton_matrix_per_nearest_frame(self, monkeypatch):
-        """a_priori_bound and predicted_direction share each exact frame's
+        """All (sigma, trial) pairs take one nearest-frame call, and
+        a_priori_bound and predicted_direction share each exact frame's
         J^T J through the noise-free cache."""
         gt = gen_ground_truth(GeneratorSpec(d=4, n=4, kappa_target=3.0, seed=22))
         grams, nearest = [], []
@@ -328,8 +340,9 @@ class TestSweep:
             harness, "nearest_exact_frame", counting(nearest, nearest_exact_frame)
         )
         report = sigma_sweep(gt, [1e-3, 5e-4, 2.5e-4, 1.25e-4], trials=2, seed=0)
-        assert sum(len(records) for records in report["records"]) == len(nearest) == 8
-        assert len({frame.tobytes() for frame, _ in nearest}) == 1
+        assert sum(len(records) for records in report["records"]) == 8
+        assert len(nearest) == 1 and len(nearest[0][0]) == 8
+        assert len({frame.tobytes() for frame in nearest[0][0]}) == 1
         assert len(grams) == 1
 
 
@@ -346,21 +359,34 @@ class TestVerifyBounds:
         assert all(f == 1.0 for f in summary["fractions"].values())
 
     def test_one_log_per_trial_near_a_frame(self, monkeypatch):
+        """The study takes its trials' logs in one orthogonal_log call, one
+        batched real Schur form."""
         gt = gen_ground_truth(GeneratorSpec(d=4, n=3, seed=21))
-        calls = []
+        calls, schurs = [], []
+        schur = linalg.scipy.linalg.schur
 
-        def counted(r):
+        def counted(r, *args):
             calls.append(r)
-            return orthogonal_log(r)
+            return orthogonal_log(r, *args)
+
+        def counted_schur(q, *args, **kwargs):
+            schurs.append(q)
+            return schur(q, *args, **kwargs)
 
         monkeypatch.setattr(harness, "orthogonal_log", counted)
+        monkeypatch.setattr(linalg.scipy.linalg, "schur", counted_schur)
         summary = verify_bounds(gt, 1e-4, trials=3)
         assert summary["errors"] == 0
-        assert len(calls) == 3
+        assert [r.shape for r in calls] == [(3, 4, 4)]
+        assert [q.shape for q in schurs] == [(3, 4, 4)]
 
     def test_noise_free_work_is_done_once_per_study(self, monkeypatch):
+        """The noise-free set is built once, the trials take one
+        nearest-frame call, one J^T J per distinct exact frame for the a
+        priori bound, one eig per candidate round of the certified init and
+        one descent J^T J build per lockstep iteration."""
         gt = gen_ground_truth(GeneratorSpec(d=4, n=4, kappa_target=3.0, seed=22))
-        clean_builds, grams, nearest = [], [], []
+        clean_builds, grams, nearest, eigs, builds, descents = [], [], [], [], [], []
         build = bounds.NoiseFree.clean.func
 
         def counted_build(cache):
@@ -385,11 +411,27 @@ class TestVerifyBounds:
         monkeypatch.setattr(
             harness, "nearest_exact_frame", counting(nearest, nearest_exact_frame)
         )
+        monkeypatch.setattr(np.linalg, "eig", counting(eigs, np.linalg.eig))
+        monkeypatch.setattr(
+            triangularize, "gauss_newton_matrix",
+            counting(builds, triangularize.gauss_newton_matrix),
+        )
+        monkeypatch.setattr(
+            triangularize, "descend_batch", counting(descents, triangularize.descend_batch)
+        )
         summary = verify_bounds(gt, 1e-3, trials=4)
         assert summary["errors"] == 0
         assert len(clean_builds) == 1
-        assert len(nearest) == 4
-        assert len(grams) == len({frame.tobytes() for frame, _ in nearest})
+        assert len(nearest) == 1 and len(nearest[0][0]) == 4
+        assert len(grams) == len({frame.tobytes() for frame in nearest[0][0]})
+        assert [values.shape for values, _ in eigs] == [(4, 4)]  # the ones candidate
+        (_, traces), = descents
+        assert all(trace.termination == "grad_tol" for trace in traces)
+        lockstep = max(len(trace.step_lengths) for trace in traces)
+        assert len(builds) == lockstep > 0
+        assert [h.shape for h in builds] == [(4, 6, 6)] + [
+            (sum(len(t.step_lengths) > i for t in traces), 6, 6) for i in range(1, lockstep)
+        ]
 
     def test_converge_is_deterministic(self):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=19), sigma=1e-3)
@@ -411,3 +453,135 @@ class TestVerifyComponentBound:
         summary = verify_component_bound(z, 1e-4, 1.0, trials=3)
         assert summary["errors"] == 0
         assert summary["fraction"] == 1.0
+
+
+def outcome(study, *args, tmp_path, **kwargs):
+    """The canonical JSON bytes of a study's result, or the name of the
+    error it raised."""
+    try:
+        result = study(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the comparison is on the type
+        return type(exc).__name__
+    path = tmp_path / "outcome.json"
+    io.dump_canonical(result, str(path))
+    return path.read_bytes()
+
+
+class TestBatchedStudiesMatchOracle:
+    """The batched studies give the canonical JSON of the one-trial-at-a-time
+    oracles in tests/oracle.py, and a trial that fails at any stage leaves
+    the same record with the others untouched."""
+
+    SIGMAS = (1e-3, 5e-4)
+
+    @pytest.mark.parametrize("trials", [0, 1, 3, 17])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_verify_and_sweep(self, d, n, trials, tmp_path):
+        gt = gen_ground_truth(GeneratorSpec(d=d, n=n, kappa_target=2.0, seed=10 * d + n))
+        for study, oracle, args in (
+            (verify_bounds, verify_bounds_per_trial, (gt, 1e-3, trials)),
+            (sigma_sweep, sigma_sweep_per_trial, (gt, self.SIGMAS, trials)),
+        ):
+            expected = outcome(oracle, *args, seed=3, tmp_path=tmp_path)
+            assert outcome(study, *args, seed=3, tmp_path=tmp_path) == expected
+        if d in (2, 3) and trials:
+            summary = verify_bounds(gt, 1e-3, trials, seed=3)
+            assert summary["errors"] == 0
+
+    @pytest.mark.parametrize("trials", [0, 1, 5])
+    def test_component_study(self, trials, tmp_path):
+        z = gen_components(4, kappa_target=2.0, seed=23)
+        expected = outcome(verify_component_bound_per_trial, z, 1e-4, 1.0, trials,
+                           tmp_path=tmp_path)
+        assert outcome(verify_component_bound, z, 1e-4, 1.0, trials,
+                       tmp_path=tmp_path) == expected
+
+    @staticmethod
+    def target(gt, sigma, seed, trial):
+        """The stage inputs of one trial of a study, from the single-problem path."""
+        rng = np.random.default_rng([seed, trial])
+        noise = tuple(sample_noise(rng, gt.d) for _ in range(gt.n))
+        observed = gt.with_noise(noise, sigma).observed_matrices()
+        u, beta, _, u0 = converge(observed, seed=seed)
+        frame, _ = nearest_exact_frame(gt, u)
+        return {
+            "observed": observed.matrices.tobytes(),
+            "start": triangularize.rotated(u0, observed).tobytes(),
+            "frame": u.tobytes(),
+            "log": (frame.T @ u).tobytes(),
+            "t_beta": bounds.t_beta(u, observed, beta).tobytes(),
+        }
+
+    @staticmethod
+    def failing(real, rows_of, target, error=None, value=None):
+        """real with every row of rows_of(*args) whose bytes are target
+        failing with error, or with value(rows, result) as its result."""
+
+        def wrapped(*args, **kwargs):
+            result = real(*args, **kwargs)
+            hits = [k for k, row in enumerate(rows_of(*args)) if row.tobytes() == target]
+            if not hits:
+                return result
+            if value is not None:
+                return value(hits, result)
+            errors = kwargs.get("errors", args[-1] if isinstance(args[-1], list) else None)
+            if errors is None:
+                raise error
+            for k in hits:
+                errors[k] = error
+            return result
+
+        return wrapped
+
+    def inject(self, monkeypatch, stage, target):
+        def frames(x):
+            return np.reshape(x, (-1,) + np.shape(x)[-2:])
+
+        def no_decrease(rows, change):
+            if np.ndim(change) == 0:  # a single problem's change
+                return 1.0
+            change = np.array(change)
+            change[rows] = 1.0
+            return change
+
+        module, name, rows_of, key = {
+            "NoSeparatingBeta": (triangularize, "find_separating_beta",
+                                 lambda mset, *_, **__: mset.matrices, "observed"),
+            "stall": (triangularize, "_loss_change", lambda a, f: a.reshape(-1, *a.shape[-3:]),
+                      "start"),
+            "NoComparableFrame": (harness, "nearest_exact_frame",
+                                  lambda gt, u, *_: frames(u), "frame"),
+            "LogBranchAmbiguous": (harness, "orthogonal_log", lambda q, *_: frames(q), "log"),
+            "SingularOperator": (bounds, "inverse_spectral_norm",
+                                 lambda op, *_: frames(op), "t_beta"),
+        }[stage]
+        error = {
+            "NoSeparatingBeta": NoSeparatingBeta, "NoComparableFrame": NoComparableFrame,
+            "LogBranchAmbiguous": LogBranchAmbiguous, "SingularOperator": SingularOperator,
+        }.get(stage)
+        monkeypatch.setattr(module, name, self.failing(
+            getattr(module, name), rows_of, target[key],
+            error=error and error("injected"), value=no_decrease if stage == "stall" else None,
+        ))
+
+    STAGES = ["NoSeparatingBeta", "stall", "NoComparableFrame", "LogBranchAmbiguous",
+              "SingularOperator"]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_one_failing_trial_leaves_the_same_records(self, stage, monkeypatch, tmp_path):
+        gt = gen_ground_truth(GeneratorSpec(d=3, n=3, kappa_target=2.0, seed=31))
+        self.inject(monkeypatch, stage, self.target(gt, 1e-3, 0, 1))
+        expected = outcome(verify_bounds_per_trial, gt, 1e-3, 4, tmp_path=tmp_path)
+        assert outcome(verify_bounds, gt, 1e-3, 4, tmp_path=tmp_path) == expected
+        records = verify_bounds(gt, 1e-3, 4)["records"]
+        failed = [r["trial"] for r in records if "error" in r]
+        assert failed == ([] if stage == "stall" else [1])
+        if stage != "stall":
+            assert records[1]["error"] == stage
+        # the sweep raises the first failure, or takes the stall as converged
+        for sigmas in ([1e-3], [1e-3, 5e-4]):
+            expected = outcome(sigma_sweep_per_trial, gt, sigmas, 3, tmp_path=tmp_path)
+            assert outcome(sigma_sweep, gt, sigmas, 3, tmp_path=tmp_path) == expected
+        assert (expected == stage) == (stage != "stall")
+

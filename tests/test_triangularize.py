@@ -444,18 +444,62 @@ class TestSchurInitializer:
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-30])
     def test_inaccurate_eigenvectors_are_near_defective(self, monkeypatch, scale):
-        """The eigenvector residual is checked relative to the pencil norm."""
+        """Eigenvectors whose Q factor is no Schur frame fail, relative to
+        the pencil norm: the first one tilted towards e_1 leaves
+        ||low(U0^T P U0)|| = 1e-6 ||P|| / sqrt(14)."""
         eig = np.linalg.eig
 
         def perturbed(m):
             values, vectors = eig(m)
-            vectors[0, 1] += 1e-6
+            vectors[..., 1, 0] += 1e-6
             return values, vectors
 
         monkeypatch.setattr(np.linalg, "eig", perturbed)
         mset = MatrixSet((scale * np.diag([1.0, 2.0, 3.0]),))
         with pytest.raises(NearDefective):
             find_separating_beta(mset)
+
+
+def rotated_triangular_pencil(seed, upper_scale=1.0):
+    """Q T Q^T for an upper-triangular T with eigenvalues 1, 1 + 1e-6, 2, 3
+    and a random strictly-upper part: the eigenvectors of the close pair
+    are nearly parallel, so their basis is ill conditioned."""
+    rng = np.random.default_rng(seed)
+    t = upper_scale * np.triu(rng.standard_normal((4, 4)), 1) + np.diag([1, 1 + 1e-6, 2, 3])
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return q @ t @ q.T
+
+
+class TestNearDefective:
+    """NearDefective reads U0's Schur residual ||low(U0^T P U0)|| / ||P||,
+    which an eigenvector residual cannot see: eig is backward stable, so
+    its residual is O(eps ||P||) however ill conditioned the basis."""
+
+    @pytest.mark.parametrize(
+        "seed, upper_scale, residual", [(0, 1.0, 1.7e-11), (3, 10.0, 2.1e-9)]
+    )
+    def test_close_eigenvalue_pair_is_near_defective(self, seed, upper_scale, residual):
+        p = rotated_triangular_pencil(seed, upper_scale)
+        vectors = np.linalg.eig(p)[1]
+        assert np.linalg.cond(vectors) > 1e5
+        with pytest.raises(NearDefective):
+            find_separating_beta(MatrixSet((p,)))
+        # the Schur frame of the same pencil from the QR of its eigenvectors
+        values, vectors = np.linalg.eig(p)
+        vectors = vectors[:, np.argsort(values.real)].real
+        u0 = np.linalg.qr(vectors / np.linalg.norm(vectors, axis=0))[0]
+        measured = np.linalg.norm(low_part(u0.T @ p @ u0)) / np.linalg.norm(p)
+        assert residual / 2 < measured < 2 * residual
+        assert measured > 10 * triangularize.SCHUR_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("d, n", [(4, 4), (12, 64), (32, 8), (64, 4)])
+    def test_tolerance_has_a_hundredfold_margin_on_separated_sets(self, d, n):
+        spec = GeneratorSpec(d=d, n=n, kappa_target=3, gamma_target=1, seed=d + n)
+        observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
+        beta, u0 = find_separating_beta(observed)
+        p = observed.combine(beta)
+        residual = np.linalg.norm(low_part(u0.T @ p @ u0)) / np.linalg.norm(p)
+        assert residual <= triangularize.SCHUR_RESIDUAL_TOL / 100
 
 
 class TestDescend:
@@ -576,6 +620,65 @@ class TestDescendCallCounts:
             assert (len(exact), len(cg), len(products)) == (2, 0, 0)
         else:
             assert len(exact) == 0 and len(cg) == 2 and len(products) > 0
+
+
+class TestDescendBatch:
+    """A batch descends trial by trial as descend does, bit for bit: trials
+    that halve next to trials that take full steps, that stop at different
+    iterations, stall, or run out of iterations, on both step paths."""
+
+    @staticmethod
+    def batch():
+        """Structured noisy sets from their Schur frames, which take full
+        steps, and random sets from rotated starts, which converge slowly
+        and halve some steps (seeds 1 and 5), at d = 4, N = 3."""
+        sets, starts = [], []
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            if seed % 2:
+                sets.append(rng.standard_normal((3, 4, 4)))
+                starts.append(skew_exp(random_skew(rng, 4), 0.2))
+            else:
+                spec = GeneratorSpec(d=4, n=3, kappa_target=3, gamma_target=1, seed=seed)
+                observed = gen_ground_truth(spec, sigma=1e-2).observed_matrices()
+                sets.append(observed.matrices)
+                starts.append(find_separating_beta(observed)[1])
+        return MatrixSet(np.array(sets)), np.array(starts)
+
+    @pytest.mark.parametrize("config", [
+        OptimizerConfig(max_iters=60, grad_tol=1e-10),
+        OptimizerConfig(max_iters=3),
+        OptimizerConfig(max_iters=300, grad_tol=1e-300),  # most trials stall
+    ])
+    @pytest.mark.parametrize("cg", [False, True])
+    def test_matches_single_descents(self, monkeypatch, config, cg):
+        if cg:
+            monkeypatch.setattr(triangularize, "EXACT_STEP_MAX_SIZE", 0)
+        batch, starts = self.batch()
+        errors = [None] * len(starts)
+        frames, traces = triangularize.descend_batch(batch, starts, config, errors)
+        for k, (mats, u0) in enumerate(zip(batch.matrices, starts)):
+            try:
+                u, trace = descend(MatrixSet(mats), u0, config)
+                assert errors[k] is None
+            except LineSearchStalled as stall:
+                u, trace = stall.frame, stall.trace
+                assert errors[k].frame.tobytes() == u.tobytes()
+                assert errors[k].trace is traces[k]
+            assert frames[k].tobytes() == u.tobytes()
+            assert traces[k] == trace
+        endings = {trace.termination for trace in traces}
+        if config.max_iters == 60:  # trials leave at different iterations
+            assert len({len(trace.step_lengths) for trace in traces}) > 1
+            assert endings == {"grad_tol", "max_iters"}
+            assert 0.5 in traces[1].step_lengths + traces[5].step_lengths
+        if config.grad_tol == 1e-300:
+            assert "stalled" in endings
+
+    def test_stall_without_errors_raises(self):
+        batch, starts = self.batch()
+        with pytest.raises(LineSearchStalled):
+            triangularize.descend_batch(batch, starts, OptimizerConfig(grad_tol=1e-300))
 
 
 def verify_style_inputs(seed, models, trials):
