@@ -8,7 +8,8 @@ observable quantities, the certified-initialization noise threshold with
 its Hessian-positivity constants, and the joint-eigenvalue error bound.
 t_beta, inverse_spectral_norm and a_posteriori_bound also take a batch of
 trials on a leading axis (one SVD call for the whole stack of small
-operators), with per-trial failures going to an ``errors`` list.
+operators).  The last two take the caller's errors.Failures: a trial that
+fails leaves the batch, and the values are over the trials still running.
 """
 
 import copy
@@ -260,11 +261,12 @@ def _triangular_factor(op):
     return a.T
 
 
-def inverse_spectral_norm(op, errors=None):
+def inverse_spectral_norm(op, fail=None):
     """1 / sigma_min(op); a numerically singular op fails with
     SingularOperator.  op may be a (T, L, L) stack, one operator per trial:
-    with ``errors`` (one slot per trial) a trial that fails gets its error
-    there and the value 0, and without it the first failure is raised.
+    with ``fail`` (the stack is over its rows) a trial that fails leaves
+    it, and the values are over the trials still running.  Without it the
+    first failure is raised.
 
     Below LANCZOS_MIN_SIZE rows sigma_min and sigma_max come from a dense
     SVD, one call for the whole stack.  From there on, each op is
@@ -274,26 +276,19 @@ def inverse_spectral_norm(op, errors=None):
     map on the zero space, d = 1) has an inverse of norm 0.
     """
     op = np.asarray(op, dtype=float)
-    if op.size == 0:
-        return np.zeros(len(op)) if op.ndim == 3 else 0.0
     stack = op if op.ndim == 3 else op[None]
-    fail = Failures(len(stack), errors)
-    values = np.zeros(len(stack))
-    if stack.shape[-1] < LANCZOS_MIN_SIZE:
+    fail = Failures(len(stack)) if fail is None else fail
+    if op.size == 0:
+        values = np.zeros(len(stack))
+    elif stack.shape[-1] < LANCZOS_MIN_SIZE:
         s = np.linalg.svd(stack, compute_uv=False)
         (s,) = fail.drop(
             s[:, -1] < SINGULAR_REL_TOL * np.maximum(s[:, 0], 1e-300),
             SingularOperator("operator is numerically singular"), s,
         )
-        values[fail.rows] = 1.0 / s[:, -1]
+        values = 1.0 / s[:, -1]
     else:
-        for k, single in enumerate(stack):
-            try:
-                values[k] = _lanczos_inverse_norm(single)
-            except SingularOperator as exc:
-                if errors is None:
-                    raise
-                errors[k] = exc
+        values = fail.each(_lanczos_inverse_norm, stack)
     return values if op.ndim == 3 else float(values[0])
 
 
@@ -395,35 +390,33 @@ def predicted_direction(gt, u_circ):
     return skew_from_lower(-gt.sigma * np.linalg.solve(system, rhs), gt.d)
 
 
-def a_posteriori_bound(mset, u, beta, sigma, errors=None):
+def a_posteriori_bound(mset, u, beta, sigma, fail=None):
     """Bound on alpha from observable quantities plus sigma.
 
     sqrt(2) ||T_beta^{-1}||_2 (sqrt(loss(U)) + sigma sqrt(N)) for unit beta.
     For a batch of sets U, beta, sigma and the result carry the trial axis;
-    with ``errors`` (one slot per trial) a trial that fails gets its error
-    there, and without it the first failure is raised.
+    with ``fail`` (the batch is over its rows) a trial that fails leaves
+    it, and the bounds are over the trials still running.  Without it the
+    first failure is raised.
     """
     batched = mset.matrices.ndim == 4
     beta = np.asarray(beta, dtype=float)
     if not batched:
         mset, u, beta = mset.as_batch(), np.asarray(u)[None], beta[None]
-    fail = Failures(len(beta), errors)
-    fail.drop(
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), len(beta))
+    fail = Failures(len(beta)) if fail is None else fail
+    mset, u, beta, sigma = fail.drop(
         ~(np.abs(blockwise_norm(beta, 1) - 1.0) <= 1e-12),
         NonUnitBeta("beta must have unit Euclidean norm"),
+        mset, u, beta, sigma,
     )
-    rows, values = fail.rows, np.zeros(len(beta))
-    sigma = np.asarray(sigma, dtype=float)
-    if rows.size < len(beta):
-        mset, u, beta = mset.take(rows), u[rows], beta[rows]
-        sigma = sigma if sigma.ndim == 0 else sigma[rows]
-    if rows.size:
-        inv_errors = None if errors is None else [None] * rows.size
-        inv_norm = inverse_spectral_norm(t_beta(u, mset, beta), inv_errors)
-        values[rows] = np.sqrt(2.0) * inv_norm * (np.sqrt(loss(u, mset)) + sigma * np.sqrt(mset.n))
-        for row, error in zip(rows, inv_errors or ()):
-            if error is not None:
-                errors[row] = error
+    if not len(beta):  # every trial failed; t_beta takes no empty batch
+        return np.zeros(0)
+    rows = fail.rows
+    residual = np.sqrt(loss(u, mset)) + sigma * np.sqrt(mset.n)
+    inv_norm = inverse_spectral_norm(t_beta(u, mset, beta), fail)
+    (residual,) = fail.since(rows, residual)
+    values = np.sqrt(2.0) * inv_norm * residual
     return values if batched else float(values[0])
 
 

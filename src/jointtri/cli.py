@@ -210,8 +210,9 @@ def _cmd_tensor(args):
         theta = rng.standard_normal(t.n)
         theta /= np.linalg.norm(theta)
     mset, reduction = tn.observable_matrices(t, args.d, theta)
+    # with theta = ones, sum_n M_n = I: the ones pencil never separates
     u, _, _, _ = hz.converge(
-        mset, beta_strategy="ones", seed=args.seed,
+        mset, beta_strategy="random" if args.theta == "ones" else "ones", seed=args.seed,
         max_iters=args.max_iters, grad_tol=args.tol,
     )
     y = tn.estimate_components(u, mset)

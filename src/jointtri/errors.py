@@ -9,19 +9,21 @@ class JointTriError(Exception):
 
 
 class Failures:
-    """The rows of a trial batch still running through a stage, and where
-    each trial that fails goes.
+    """The trials of a batch still running through a pipeline of stages,
+    and the first failure of each trial that left.
 
-    With ``errors``, a list with one slot per trial, a failing trial's
-    error is put in its slot and the trial leaves the batch, so the
-    stage's later checks never see it and each slot holds the trial's
-    first failure.  Without it the first failure is raised, which is the
-    single-problem behaviour of a batch of one.
+    A batched stage takes its caller's Failures, reads its arrays over
+    ``rows`` (the trial of each running row), drops a trial as soon as it
+    fails, and returns arrays over the trials still running; the caller
+    re-aligns its own arrays with ``since``.  With ``record`` each failing
+    trial's error goes to its slot of ``errors``; without it the first
+    failure is raised, which is the single-problem behaviour of a batch of
+    one.
     """
 
-    def __init__(self, count, errors=None):
-        self.rows = np.arange(count)  # the trial of each running row
-        self.errors = errors
+    def __init__(self, count, record=False):
+        self.rows = np.arange(count)
+        self.errors = [None] * count if record else None
 
     def drop(self, failed, error, *arrays):
         """Fail the running rows where ``failed`` holds with ``error``, and
@@ -31,10 +33,34 @@ class Failures:
             return arrays
         if self.errors is None:
             raise error
-        for row in self.rows[failed]:
-            self.errors[row] = error
+        for trial in self.rows[failed].tolist():
+            self.errors[trial] = error
         keep = ~failed
         self.rows = self.rows[keep]
+        return tuple(a[keep] for a in arrays)
+
+    def each(self, call, *inputs):
+        """call(*row) over the rows of ``inputs`` (indexed by running row),
+        as an array over the rows still running; a row whose call raises a
+        JointTriError fails with it."""
+        values, keep = [], np.ones(len(self.rows), dtype=bool)
+        for k, row in enumerate(zip(*inputs)):
+            try:
+                values.append(call(*row))
+            except JointTriError as exc:
+                if self.errors is None:
+                    raise
+                self.errors[self.rows[k]] = exc
+                keep[k] = False
+        self.rows = self.rows[keep]
+        return np.array(values, dtype=float)
+
+    def since(self, rows, *arrays):
+        """``arrays`` over ``rows``, an earlier value of ``rows``, cut to the
+        trials still running."""
+        if len(rows) == len(self.rows):
+            return arrays
+        keep = np.isin(rows, self.rows)
         return tuple(a[keep] for a in arrays)
 
 

@@ -9,10 +9,11 @@ pure function of its seed, and per-trial streams are derived from
 
 The studies run all their trials as one batch: the certified init and
 descent, the nearest frame (one QR, one batched orthogonal log) and the a
-posteriori certificate (one batched SVD) each take a leading trial axis.
-Stages run in the order one trial alone takes them, and a trial leaves at
-its first JointTriError, so every record is the one-trial-at-a-time
-record, bit for bit.
+posteriori certificate (one batched SVD) each take a leading trial axis
+and the study's errors.Failures.  Stages run in the order one trial alone
+takes them; a trial leaves at its first JointTriError, which goes to its
+slot, and each stage returns arrays over the trials still running, so
+every record is the one-trial-at-a-time record, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from . import triangularize as tri
 from .errors import (
     DegenerateSpectrum,
     Failures,
-    JointTriError,
     NoComparableFrame,
 )
 from .linalg import blockwise_norm, min_pairwise_gap, orthogonal_log
@@ -42,7 +42,6 @@ class GeneratorSpec:
     n: int
     kappa_target: float = 2.0
     gamma_target: float = 1.0
-    noise_style: str = "dense"
     seed: int = 0
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class GeneratorSpec:
             raise ValueError("d and N must be >= 1")
         if not (1.0 <= self.kappa_target < np.inf and 0.0 < self.gamma_target < np.inf):
             raise ValueError("need finite kappa_target >= 1 and gamma_target > 0")
-        if self.noise_style not in ("dense", "sparse"):
-            raise ValueError("noise_style must be 'dense' or 'sparse'")
 
 
 def _random_orthogonal(rng, d):
@@ -59,14 +56,9 @@ def _random_orthogonal(rng, d):
     return q * np.sign(np.diag(r))
 
 
-def sample_noise(rng, d, style="dense"):
+def sample_noise(rng, d):
     """A unit-Frobenius-norm noise matrix."""
     w = rng.standard_normal((d, d))
-    if style == "sparse":
-        mask = rng.random((d, d)) < 0.3
-        if not mask.any():
-            mask.flat[rng.integers(d * d)] = True
-        w = w * mask
     return w / np.linalg.norm(w)
 
 
@@ -89,7 +81,7 @@ def gen_ground_truth(spec, sigma=0.0):
             lam = rng.standard_normal((spec.n, spec.d))
             gamma0 = min_pairwise_gap(lam)
         lam = lam * np.sqrt(spec.gamma_target / gamma0)
-    noise = tuple(sample_noise(rng, spec.d, spec.noise_style) for _ in range(spec.n))
+    noise = tuple(sample_noise(rng, spec.d) for _ in range(spec.n))
     return bd.GroundTruthModel(v=v, lambda_table=lam, noise=noise, sigma=sigma)
 
 
@@ -122,7 +114,7 @@ def gen_tensor(z, sigma, eps, seed):
     return tn.Tensor3(n=ground.n, data=ground.data + sigma * e)
 
 
-def nearest_exact_frame(gt, u, errors=None):
+def nearest_exact_frame(gt, u, fail=None):
     """The exact triangularizer that U perturbs, and the logarithm of U
     relative to it; returns (frame, log(frame^T U)), with alpha the norm of
     the log.  U may be a (T, d, d) stack, one frame per trial.
@@ -137,20 +129,19 @@ def nearest_exact_frame(gt, u, errors=None):
     assigned elsewhere; otherwise, or on a zero sign, NoComparableFrame is
     raised.  The returned alpha is the distance to an exact frame, so it is
     never below the distance to the nearest one.  A stack takes one QR and
-    one orthogonal_log call; with ``errors`` (one slot per trial) a trial
-    that fails gets its error there, and without it the first failure is
-    raised.
+    one orthogonal_log call; with ``fail`` (the stack is over its rows) a
+    trial that fails leaves it, and the results are over the trials still
+    running.  Without it the first failure is raised.
     """
     u = np.asarray(u, dtype=float)
     stack = u.reshape(-1, *u.shape[-2:])
-    d = gt.d
-    fail = Failures(len(stack), errors)
+    fail = Failures(len(stack)) if fail is None else fail
     diagonals = np.diagonal(tri.rotated(stack, gt.clean_matrices()), axis1=-2, axis2=-1)
     distance = np.linalg.norm(
         diagonals[..., None] - gt.lambda_table[:, None, :], axis=-3
     )
     perm = np.argmin(distance, axis=-1)
-    radius = np.sqrt(gt.eigengap()) / 2 if d > 1 else np.inf
+    radius = np.sqrt(gt.eigengap()) / 2 if gt.d > 1 else np.inf
     certified = np.all(np.take_along_axis(distance, perm[..., None], -1) < radius, axis=(1, 2))
     certified &= np.all(np.diff(np.sort(perm, axis=-1), axis=-1) > 0, axis=-1)
     stack, perm = fail.drop(
@@ -166,45 +157,34 @@ def nearest_exact_frame(gt, u, errors=None):
         stack, q, signs,
     )
     frame = q * signs[:, None, :]
-    log_errors = None if errors is None else [None] * len(frame)
-    logs = orthogonal_log(frame.swapaxes(1, 2) @ stack, log_errors)
-    for row, error in zip(fail.rows, log_errors or ()):
-        if error is not None:
-            errors[row] = error
-    frames, log_out = np.zeros((2, len(u) if u.ndim == 3 else 1, d, d))
-    frames[fail.rows], log_out[fail.rows] = frame, logs
+    rows = fail.rows
+    logs = orthogonal_log(frame.swapaxes(1, 2) @ stack, fail)
+    (frame,) = fail.since(rows, frame)
     if u.ndim == 2:
-        return frames[0], log_out[0]
-    return frames, log_out
+        return frame[0], logs[0]
+    return frame, logs
 
 
 def converge(mset, beta_strategy="ones", seed=0, max_iters=2000, grad_tol=1e-10,
-             errors=None):
+             fail=None):
     """Certified init plus Gauss-Newton descent; a stall at rounding is accepted.
 
     Returns (frame, beta, trace, U0), U0 the certified initial frame.  For
     a batch of sets the trials run as one batch and every output carries
-    the trial axis (the traces as a list); with ``errors`` (one slot per
-    trial) a trial whose init fails gets its error there, and without it
-    the first failure is raised.
+    the trial axis (the traces as a list); with ``fail`` (the batch is over
+    its rows) a trial whose init fails leaves it, and the outputs are over
+    the trials still running.  Without it the first failure is raised.
     """
     batch = mset.as_batch()
-    count = len(batch.matrices)
-    init_errors = None if errors is None else [None] * count
+    fail = Failures(len(batch.matrices)) if fail is None else fail
+    rows = fail.rows
     betas, inits = tri.find_separating_beta(
-        batch, strategy=beta_strategy, seed=seed, errors=init_errors)
-    rows = np.arange(count)
-    if init_errors is not None:
-        rows = np.flatnonzero([error is None for error in init_errors])
-        errors[:] = init_errors
-    frames, traces = inits.copy(), [None] * count
-    if rows.size:
+        batch, strategy=beta_strategy, seed=seed, fail=fail)
+    (batch,) = fail.since(rows, batch)
+    frames, traces = inits, []
+    if len(inits):
         config = tri.OptimizerConfig(max_iters=max_iters, grad_tol=grad_tol)
-        descents = batch if rows.size == count else batch.take(rows)
-        stalls = [None] * rows.size  # a stalled trial keeps its last iterate
-        frames[rows], descended = tri.descend_batch(descents, inits[rows], config, stalls)
-        for row, trace in zip(rows, descended):
-            traces[row] = trace
+        frames, traces = tri.descend_batch(batch, inits, config)
     if mset.matrices.ndim == 3:
         return frames[0], betas[0], traces[0], inits[0]
     return frames, betas, traces, inits
@@ -216,28 +196,6 @@ def _fit_slope(xs, ys):
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def _advance(live, failures, stage):
-    """Record each stage failure at its pair, and keep the values of the
-    pairs that go on; live maps names to arrays over the surviving pairs,
-    "pair" among them."""
-    for pair, error in zip(live["pair"], stage):
-        if error is not None:
-            failures[pair] = error
-    keep = np.array([error is None for error in stage], dtype=bool)
-    return {key: value[keep] for key, value in live.items()}
-
-
-def _per_pair(live, bound):
-    """bound(k, pair) over the surviving pairs: (values, stage errors)."""
-    values, stage = np.zeros(len(live["pair"])), [None] * len(live["pair"])
-    for k, pair in enumerate(live["pair"]):
-        try:
-            values[k] = bound(k, pair)
-        except JointTriError as exc:
-            stage[k] = exc
-    return values, stage
-
-
 def _study(gt, sigmas, trials, seed):
     """The pipeline shared by sigma_sweep and verify_bounds, with every
     (sigma, trial) pair in one batch, sigma-major.
@@ -246,43 +204,43 @@ def _study(gt, sigmas, trials, seed):
     drawn from the stream (seed, trial).  The stages run in the order one
     trial alone takes them: certified init and descent, the nearest exact
     frame, the a priori, explicit and a posteriori bounds.  A pair leaves
-    at its first JointTriError, recorded in ``failures``; the others carry
-    on.  Returns (failures, models, observed, live), live the arrays over
+    at its first JointTriError, recorded in ``errors``; the others carry
+    on.  Returns (errors, models, observed, live), live the arrays over
     the surviving pairs.
     """
     noise = [
         tuple(sample_noise(rng, gt.d) for _ in range(gt.n))
         for rng in (np.random.default_rng([seed, t]) for t in range(trials))
     ]
-    models = [gt.with_noise(noise[t], sigma) for sigma in sigmas for t in range(trials)]
-    failures = [None] * len(models)
-    if not models:
-        return failures, models, None, {"pair": np.arange(0)}
+    models = np.array(
+        [gt.with_noise(noise[t], sigma) for sigma in sigmas for t in range(trials)],
+        dtype=object,
+    )
+    fail = Failures(len(models), record=True)
+    if not len(models):
+        return fail.errors, models, None, {"pair": fail.rows}
     sigma = np.array([model.sigma for model in models], dtype=float)
     observed = tri.MatrixSet(
         gt.clean_matrices().matrices
         + sigma[:, None, None, None] * np.array([model.noise for model in models])
     )
-    live, stage = {"pair": np.arange(len(models))}, [None] * len(models)
-    live["u"], live["beta"], _, _ = converge(observed, seed=seed, errors=stage)
-    live = _advance(live, failures, stage)
-    stage = [None] * len(live["pair"])
-    live["frame"], live["log"] = nearest_exact_frame(gt, live["u"], stage)
-    live = _advance(live, failures, stage)
-    live["apriori"], stage = _per_pair(
-        live, lambda k, pair: bd.a_priori_bound(models[pair], live["frame"][k]))
-    live = _advance(live, failures, stage)
-    live["explicit"], stage = _per_pair(
-        live, lambda k, pair: bd.explicit_bound(models[pair])[0])
-    live = _advance(live, failures, stage)
-    stage = [None] * len(live["pair"])
-    live["aposteriori"] = bd.a_posteriori_bound(
-        observed.take(live["pair"]), live["u"], live["beta"],
-        sigma[live["pair"]], stage,
-    )
-    live = _advance(live, failures, stage)
+    u, beta, _, _ = converge(observed, seed=seed, fail=fail)
+    converged = fail.rows
+    frame, log = nearest_exact_frame(gt, u, fail)
+    framed = fail.rows
+    apriori = fail.each(bd.a_priori_bound, models[framed], frame)
+    bounded = fail.rows
+    explicit = fail.each(lambda model: bd.explicit_bound(model)[0], models[bounded])
+    checked = fail.rows
+    aposteriori = bd.a_posteriori_bound(
+        observed[checked], *fail.since(converged, u, beta), sigma[checked], fail)
+    live = {"pair": fail.rows, "aposteriori": aposteriori}
+    (live["u"],) = fail.since(converged, u)
+    live["frame"], live["log"] = fail.since(framed, frame, log)
+    (live["apriori"],) = fail.since(bounded, apriori)
+    (live["explicit"],) = fail.since(checked, explicit)
     live["alpha"] = blockwise_norm(live["log"])
-    return failures, models, observed, live
+    return fail.errors, models, observed, live
 
 
 def sigma_sweep(gt, sigmas, trials=1, seed=0):
@@ -340,7 +298,7 @@ def verify_bounds(gt, sigma, trials, seed=0):
     # per matrix, the diagonal at U of the observed set against that of the
     # clean set at the exact frame: the joint-eigenvalue error
     observed_diag = np.diagonal(tri.rotated(
-        live["u"], observed.take(live["pair"])), axis1=-2, axis2=-1)
+        live["u"], observed[live["pair"]]), axis1=-2, axis2=-1)
     clean_diag = np.diagonal(
         tri.rotated(live["frame"], gt.clean_matrices()), axis1=-2, axis2=-1)
     limit = bd.eigenvalue_error_bound(
@@ -381,34 +339,31 @@ def verify_component_bound(z, sigma, eps, trials, seed=0):
     theta = np.ones(d) / np.sqrt(d)
     reference = z / z.sum(axis=0)
     bound = tn.component_error_bound(z, eps, sigma)
-    failures, sets = [None] * trials, []
-    for t in range(trials):
-        try:
-            noisy = gen_tensor(z, sigma, eps, seed=[seed, t])
-            sets.append(tn.observable_matrices(noisy, d, theta)[0].matrices)
-        except JointTriError as exc:
-            failures[t] = exc
-    live = {"pair": np.flatnonzero([error is None for error in failures])}
-    if sets:
-        batch, stage = tri.MatrixSet(np.array(sets)), [None] * len(sets)
-        u, _, _, _ = converge(batch, seed=seed, errors=stage)
-        live["estimate"] = tn.estimate_components(u, batch)
-        live = _advance(live, failures, stage)
-    estimates = dict(zip(live["pair"].tolist(), live.get("estimate", ())))
+    fail = Failures(trials, record=True)
+
+    def observed(t):
+        noisy = gen_tensor(z, sigma, eps, seed=[seed, t])
+        return tn.observable_matrices(noisy, d, theta)[0].matrices
+
+    sets = fail.each(observed, range(trials))
+    estimates = ()
+    if len(sets):
+        # with theta = ones, sum_n M_n = I: the ones pencil never separates
+        batch, rows = tri.MatrixSet(sets), fail.rows
+        u, _, _, _ = converge(batch, beta_strategy="random", seed=seed, fail=fail)
+        (batch,) = fail.since(rows, batch)
+        estimates = tn.estimate_components(u, batch)
+    matched = fail.each(lambda estimate: tn.match_columns(estimate, reference)[0], estimates)
+    matched = dict(zip(fail.rows.tolist(), matched))  # trial -> matched estimate
     passed = 0
     for t in range(trials):
-        if failures[t] is None:
-            try:
-                matched, _ = tn.match_columns(estimates[t], reference)
-            except JointTriError as exc:
-                failures[t] = exc
-        if failures[t] is not None:
-            summary["records"].append({"trial": t, "error": type(failures[t]).__name__})
+        if t not in matched:
+            summary["records"].append({"trial": t, "error": type(fail.errors[t]).__name__})
             continue
-        err = float(np.max(np.abs(matched - reference)))
+        err = float(np.max(np.abs(matched[t] - reference)))
         ok = err <= CONTAINMENT_SLACK * bound + CONTAINMENT_ATOL
         summary["records"].append({"trial": t, "error_max": err, "bound": bound, "contained": ok})
         passed += ok
-    summary["errors"] = sum(error is not None for error in failures)
+    summary["errors"] = trials - len(matched)
     summary["fraction"] = passed / trials
     return summary

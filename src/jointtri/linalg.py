@@ -135,7 +135,7 @@ def skew_exp(x, scale=1.0):
     return e if moved.all() else np.where(moved[..., None, None], e, eye)
 
 
-def orthogonal_log(q, errors=None):
+def orthogonal_log(q, fail=None):
     """Principal logarithm of a rotation, returned as a skew matrix; q is
     one frame or a (T, d, d) stack of them.
 
@@ -147,16 +147,16 @@ def orthogonal_log(q, errors=None):
     Rejects frames that are not orthogonal, frames with determinant -1 and
     rotations with an eigenvalue within LOG_BRANCH_TOL of -1, where the
     principal branch is ambiguous, and checks the round trip exp(log Q) = Q.
-    A stack takes one schur and one expm call.  With ``errors`` (one slot
-    per frame of a stack) a frame that fails gets its error there and a
-    zero log; without it the first failure is raised.
+    A stack takes one schur and one expm call; with ``fail`` (the stack
+    is over its rows) a frame that fails leaves it, and the logs are over
+    the frames still running.  Without it the first failure is raised.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim not in (2, 3) or q.shape[-1] != q.shape[-2]:
         raise DimensionMismatch(f"orthogonal frame must be square, got shape {q.shape}")
     stack = q.reshape(-1, *q.shape[-2:])
-    count, d, _ = stack.shape
-    fail = Failures(count, errors)
+    d = stack.shape[-1]
+    fail = Failures(len(stack)) if fail is None else fail
     (stack,) = fail.drop(
         ~np.all(np.isfinite(stack), axis=(1, 2)),
         DimensionMismatch("matrix is not orthogonal within tolerance"), stack,
@@ -169,9 +169,8 @@ def orthogonal_log(q, errors=None):
         np.linalg.det(stack) < 0,
         NegativeDeterminant("frame has determinant -1; no real skew logarithm"), stack,
     )
-    logs = np.zeros((count, d, d))
     if not len(stack):
-        return logs.reshape(q.shape)
+        return stack
     t, z = scipy.linalg.schur(stack, output="real")
     trial, k = np.nonzero(t.diagonal(-1, 1, 2))  # upper-left corner of each 2x2 block
     c, b, a = t[trial, k, k], t[trial, k, k + 1], t[trial, k + 1, k]
@@ -196,8 +195,7 @@ def orthogonal_log(q, errors=None):
             LogBranchAmbiguous("log round trip failed; input too close to branch cut"),
             x,
         )
-    logs[fail.rows] = x
-    return logs.reshape(q.shape)
+    return x if q.ndim == 3 else x[0]
 
 
 def _fix_column_signs(u, tol=1e-12):

@@ -12,10 +12,12 @@ difference of two rounded losses.
 
 A MatrixSet may hold T sets on a leading trial axis.  The certified
 initialization and the descent then run every trial at once, one eig per
-candidate round and one rotated stack, J^T J and LU solve per iteration,
-and a trial leaves the batch at its stopping point or its first failure.
-Each trial's result has the bits of the same call on that trial alone; a
-single problem runs as a batch of one.
+candidate round and one rotated stack, J^T J and LU solve per iteration.
+A trial leaves the init at its first failure, through the caller's
+errors.Failures, and the descent at its stopping point; a stall is only
+its trace's "stalled" termination.  Each trial's result has the bits of
+the same call on that trial alone; a single problem runs the same code as
+a batch of one.
 """
 
 import itertools
@@ -26,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    Failures,
     LineSearchStalled,
     NearDefective,
     NoSeparatingBeta,
@@ -88,7 +91,7 @@ class MatrixSet:
         """The set as a batch of one set; a batch is returned as it is."""
         return self if self.matrices.ndim == 4 else _checked_set(self.matrices[None])
 
-    def take(self, trials):
+    def __getitem__(self, trials):
         """The given trials of a batch: a batch for indices or a mask, one
         set for a single index."""
         return _checked_set(self.matrices[trials])
@@ -361,7 +364,7 @@ def hessian_form(u, mset, x):
     return float(total)
 
 
-def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50, errors=None):
+def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50, fail=None):
     """Certified initialization: a unit beta whose pencil P = sum_n beta_n M_n
     has a real, well-separated spectrum, and the Schur frame U0 of P.
 
@@ -380,16 +383,18 @@ def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50, errors=Non
 
     For a batch of sets, every trial draws the same candidates, each round
     makes one eig call over the trials still unresolved, and the results
-    carry the trial axis; with ``errors`` (one slot per trial) a trial that
-    fails gets its error there, and without it the first failure is raised.
+    carry the trial axis; with ``fail`` (the batch is over its rows) a
+    trial that fails leaves it, and the results are over the trials still
+    running.  Without it the first failure is raised.
     """
     if strategy not in ("ones", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     batch = mset.as_batch()
     count = len(batch.matrices)
+    fail = Failures(count) if fail is None else fail
     betas = np.zeros((count, mset.n))
     frames = np.zeros((count, mset.d, mset.d))
-    failures = {}
+    pending = np.ones(count, dtype=bool)  # no separating candidate yet
 
     def candidates():
         if strategy == "ones":
@@ -399,9 +404,9 @@ def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50, errors=Non
             v = rng.standard_normal(mset.n)
             yield v / np.linalg.norm(v)
 
-    pending = np.arange(count)  # trials without a separating candidate yet
     for beta in itertools.islice(candidates(), max_tries):
-        pencil = (batch if pending.size == count else batch.take(pending)).combine(beta)
+        todo = np.flatnonzero(pending)
+        pencil = (batch if todo.size == len(pending) else batch[todo]).combine(beta)
         scale = blockwise_norm(pencil)
         values, vectors = np.linalg.eig(pencil)
         values = values.real
@@ -418,22 +423,21 @@ def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50, errors=Non
                 vectors[rows].real.swapaxes(1, 2), order[rows, :, None], axis=1)
             columns /= np.sqrt(np.add.reduce(columns * columns, axis=-1, keepdims=True))
             u0 = _fix_column_signs(np.linalg.qr(columns.swapaxes(1, 2))[0])
-            found = pending[rows]
-            betas[found], frames[found] = beta, u0
+            found = todo[rows]
+            betas[found], frames[found], pending[found] = beta, u0, False
             schur = u0.swapaxes(1, 2) @ pencil[rows] @ u0
-            defective = blockwise_norm(low_part(schur)) > SCHUR_RESIDUAL_TOL * scale[rows]
-            for trial in found[defective].tolist():
-                failures[trial] = NearDefective("Schur residual of the initial frame above tolerance")
-            pending = pending[~separated]
-        if not pending.size:
+            defective = np.zeros_like(pending)
+            defective[found] = blockwise_norm(low_part(schur)) > SCHUR_RESIDUAL_TOL * scale[rows]
+            batch, betas, frames, pending = fail.drop(
+                defective, NearDefective("Schur residual of the initial frame above tolerance"),
+                batch, betas, frames, pending,
+            )
+        if not pending.any():
             break
-    for trial in pending.tolist():
-        failures[trial] = NoSeparatingBeta(f"no separating combination found after {max_tries} tries")
-    if failures:
-        if errors is None:
-            raise failures[min(failures)]
-        for trial, error in failures.items():
-            errors[trial] = error
+    betas, frames = fail.drop(
+        pending, NoSeparatingBeta(f"no separating combination found after {max_tries} tries"),
+        betas, frames,
+    )
     if mset.matrices.ndim == 3:
         return betas[0], frames[0]
     return betas, frames
@@ -459,16 +463,18 @@ class DescentTrace:
 
 def descend(mset, u_init, config=OptimizerConfig()):
     """Riemannian Gauss-Newton from U0 = u_init: descend_batch on a batch of
-    one.  Returns (U, trace); raises LineSearchStalled, carrying the last
-    iterate and trace, where the batch would record it."""
+    one.  Returns (U, trace); a descent that ends "stalled" raises
+    LineSearchStalled, carrying its last iterate and trace."""
     u = _check_frame(u_init, mset)
     if u.ndim != 2 or mset.matrices.ndim != 3:
         raise DimensionMismatch("descend takes one matrix set and one frame")
-    frames, traces = descend_batch(mset.as_batch(), u[None], config)
-    return frames[0], traces[0]
+    (frame,), (trace,) = descend_batch(mset.as_batch(), u[None], config)
+    if trace.termination == "stalled":
+        raise LineSearchStalled("no step lowers the loss", frame=frame, trace=trace)
+    return frame, trace
 
 
-def descend_batch(mset, u_init, config=OptimizerConfig(), errors=None):
+def descend_batch(mset, u_init, config=OptimizerConfig()):
     """Riemannian Gauss-Newton with Armijo backtracking on U (I + F),
     F = e^{tX} - I, for every trial of a batch of sets from its initial frame.
 
@@ -490,8 +496,9 @@ def descend_batch(mset, u_init, config=OptimizerConfig(), errors=None):
     product with NL terms, all norms Frobenius over the stack); both scale
     with t, so no step can be told from rounding.  It also stalls once
     halving has shrunk ||tX|| to eps, where the frame no longer moves.  Its
-    LineSearchStalled, carrying its last iterate and trace, goes to its
-    slot of ``errors``, or is raised without it.  Returns (frames, traces).
+    trace then ends "stalled" at its last iterate; nothing is raised.
+    Per-trial scalars are Python floats: the same IEEE operations as on
+    one problem, without a numpy call each.  Returns (frames, traces).
     """
     u = _check_frame(u_init, mset)
     if u.ndim != 3 or mset.matrices.ndim != 4 or len(u) != len(mset.matrices):
@@ -502,41 +509,22 @@ def descend_batch(mset, u_init, config=OptimizerConfig(), errors=None):
     frames = u.copy()
     traces = [DescentTrace() for _ in range(len(u))]
     live = list(range(len(u)))  # the trial of each row still descending
-    # A batch of one runs on its arrays without the trial axis: the kernels
-    # take either, and the axis would cost a few numpy calls per iteration.
-    single = len(u) == 1
-    if single:
-        u, mset = u[0], mset.take(0)
-
-    def rows_of(values):
-        """Per-row scalars as Python floats: the same IEEE operations as on
-        one problem, without a numpy call each."""
-        return [float(values)] if single else values.tolist()
-
-    error_scales = rows_of((2 * d + 2 * n * size + 5) * _EPS * blockwise_norm(mset.matrices, 3))
+    error_scales = ((2 * d + 2 * n * size + 5) * _EPS * blockwise_norm(mset.matrices, 3)).tolist()
     a = rotated(u, mset)
-    current = rows_of(_stack_loss(a))
+    current = _stack_loss(a).tolist()
     pairs = (..., *lower_index(d))
 
     def leave(rows, termination):
         """Close the traces of the given rows, and drop them from the batch."""
         nonlocal u, a, mset
         for k in rows:
-            trial = live[k]
-            frames[trial] = u if single else u[k]
-            traces[trial].termination = termination
-            if termination == "stalled":
-                stall = LineSearchStalled(
-                    "no step lowers the loss", frame=frames[trial], trace=traces[trial]
-                )
-                if errors is None:
-                    raise stall
-                errors[trial] = stall
+            frames[live[k]] = u[k]
+            traces[live[k]].termination = termination
         if len(rows) == len(live):
             return None
         keep = np.ones(len(live), dtype=bool)
         keep[list(rows)] = False
-        u, a, mset = u[keep], a[keep], mset.take(keep)
+        u, a, mset = u[keep], a[keep], mset[keep]
         return keep.tolist()
 
     def kept(values, keep):
@@ -545,7 +533,7 @@ def descend_batch(mset, u_init, config=OptimizerConfig(), errors=None):
     for _ in range(config.max_iters):
         low = low_part(a)
         g = _commutator_adjoint(a, low)  # the gradients
-        g_norms = rows_of(blockwise_norm(g))
+        g_norms = blockwise_norm(g).tolist()
         if any(norm <= config.grad_tol for norm in g_norms):
             keep = leave([k for k, norm in enumerate(g_norms) if norm <= config.grad_tol],
                          "grad_tol")
@@ -557,14 +545,12 @@ def descend_batch(mset, u_init, config=OptimizerConfig(), errors=None):
         b = g[pairs]  # J^T r
         if exact:
             x = _exact_step(a, b)
-        elif single:
-            x = _cg_step(a, b)
         else:
             x = np.array([_cg_step(a_k, b_k) for a_k, b_k in zip(a, b)])
-        slopes = [2.0 * v for v in rows_of(np.vecdot(b, x))]  # <grad, X>
+        slopes = [2.0 * v for v in np.vecdot(b, x).tolist()]  # <grad, X>
         skew = skew_from_lower(x, d)
-        x_norms = rows_of(blockwise_norm(skew))
-        low_norms = rows_of(blockwise_norm(low, 3))
+        x_norms = blockwise_norm(skew).tolist()
+        low_norms = blockwise_norm(low, 3).tolist()
         # the line search, one round per halving over the trials still searching
         steps, changes, accepted, f = [1.0] * len(live), [0.0] * len(live), [False] * len(live), None
         searching = [
@@ -575,9 +561,8 @@ def descend_batch(mset, u_init, config=OptimizerConfig(), errors=None):
         while searching:
             every = len(searching) == len(live)
             rows = slice(None) if every else searching
-            step_k = steps[0] if single else np.array([steps[k] for k in searching])
-            f_k = _rotation_increment(skew[rows], step_k)
-            change_k = rows_of(_loss_change(a[rows], f_k))
+            f_k = _rotation_increment(skew[rows], np.array([steps[k] for k in searching]))
+            change_k = _loss_change(a[rows], f_k).tolist()
             ok = [change < ARMIJO_C * steps[k] * slopes[k] for k, change in zip(searching, change_k)]
             if every and all(ok):
                 f, changes, accepted = f_k, change_k, ok

@@ -158,7 +158,7 @@ def verify_component_bound_per_trial(z, sigma, eps, trials, seed=0):
         try:
             noisy = hz.gen_tensor(z, sigma, eps, seed=[seed, t])
             observed, _ = tn.observable_matrices(noisy, d, theta)
-            u, _, _, _ = hz.converge(observed, seed=seed)
+            u, _, _, _ = hz.converge(observed, beta_strategy="random", seed=seed)
             estimate = tn.estimate_components(u, observed)
             matched, _ = tn.match_columns(estimate, reference)
             err = float(np.max(np.abs(matched - reference)))

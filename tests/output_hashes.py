@@ -19,7 +19,10 @@ The set:
   --trials 3`` on d in {3, 4, 5}, N=3, kappa=2, seeds 0-5;
 - the timed command of each benchmark workload on its first input (seed 0);
 - ``sweep --trials 3`` on the criterion-6 model and on the d in {3, 4, 5}
-  models above.
+  models above;
+- ``generate --kind tensor`` plus ``tensor`` on d in {2, 3, 4, 5, 6, 8, 10}
+  (N = d, kappa=2, sigma=1e-4, seeds 7000-7011), and ``tensor --theta
+  random`` on the d in {4, 8} inputs among them.
 """
 
 import hashlib
@@ -78,6 +81,16 @@ def commands():
         out = f"{name}.sweep3"
         yield ["sweep", "--trials", "3", "--input", "@" + name,
                "--output", "@" + out], out
+    for d in (2, 3, 4, 5, 6, 8, 10):
+        for seed in range(7000, 7012):
+            name = f"t{d}-{seed}"
+            yield ["generate", "--kind", "tensor", "--d", str(d), "--N", str(d), "--kappa", "2",
+                   "--sigma", "1e-4", "--seed", str(seed), "--output", "@" + name], name
+            thetas = ("ones", "random") if d in (4, 8) else ("ones",)
+            for theta in thetas:
+                out = f"{name}.{theta}"
+                yield ["tensor", "--d", str(d), "--theta", theta, "--input", "@" + name,
+                       "--output", "@" + out], out
 
 
 def main():
