@@ -90,11 +90,12 @@ class NoiseFree:
 
 @dataclass(frozen=True)
 class GroundTruthModel:
-    """Generative model: M_n = V diag(lambda row n) V^{-1} plus sigma W_n."""
+    """Generative model: M_n = V diag(lambda row n) V^{-1} plus sigma W_n,
+    the W_n held as one read-only (N, d, d) array."""
 
     v: np.ndarray
     lambda_table: np.ndarray
-    noise: tuple
+    noise: np.ndarray
     sigma: float
 
     def __post_init__(self):
@@ -115,15 +116,19 @@ class GroundTruthModel:
         self._set_noise(self.noise, self.sigma)
 
     def _set_noise(self, noise, sigma):
-        noise = tuple(np.array(w, dtype=float) for w in noise)
-        if len(noise) != self.n:
+        # one (N, d, d) copy; order K keeps each matrix's memory order, so
+        # the per-matrix norms keep their bits
+        try:
+            noise = np.array(noise, dtype=float)
+        except ValueError as exc:  # ragged input
+            raise DimensionMismatch("noise matrices must be d x d") from exc
+        if noise.shape[:1] != (self.n,):
             raise DimensionMismatch("need one noise matrix per lambda row")
-        for w in noise:
-            if w.shape != (self.d, self.d):
-                raise DimensionMismatch("noise matrices must be d x d")
-            if np.linalg.norm(w) > 1.0 + 1e-12:
-                raise DimensionMismatch("noise matrices must have Frobenius norm <= 1")
-            w.setflags(write=False)
+        if noise.shape[1:] != (self.d, self.d):
+            raise DimensionMismatch("noise matrices must be d x d")
+        if np.any(np.linalg.norm(noise, axis=(1, 2)) > 1.0 + 1e-12):
+            raise DimensionMismatch("noise matrices must have Frobenius norm <= 1")
+        noise.setflags(write=False)
         if not 0 <= sigma < np.inf:
             raise DimensionMismatch("sigma must be finite and nonnegative")
         object.__setattr__(self, "noise", noise)
@@ -144,7 +149,7 @@ class GroundTruthModel:
     def observed_matrices(self, sigma=None):
         """Noisy observations M_n + sigma W_n (sigma overridable)."""
         s = self.sigma if sigma is None else sigma
-        return MatrixSet(self.clean_matrices().matrices + s * np.stack(self.noise))
+        return MatrixSet(self.clean_matrices().matrices + s * self.noise)
 
     def with_noise(self, noise, sigma):
         """Same eigenstructure (and noise-free cache), new noise and level.

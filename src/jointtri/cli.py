@@ -228,10 +228,9 @@ def _cmd_tensor(args):
         "loss": tri.loss(u, mset),
         "frame": io.frame_to_dict(u),
     }
-    if "Z" in data:
-        z = np.asarray(data["Z"], dtype=float)
-        eps = float(data.get("eps", 1.0))
-        sigma = float(data.get("sigma", 0.0))
+    components = io.components_from_dict(data)
+    if components is not None:
+        z, eps, sigma = components
         report["component_bound"] = tn.component_error_bound(z, eps, sigma)
         reference = z / z.sum(axis=0)
         matched, _ = tn.match_columns(y, reference)

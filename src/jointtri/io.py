@@ -3,11 +3,19 @@
 Matrices are stored as flat column-major lists; files are written with
 sorted keys and compact separators so identical values produce identical
 bytes.  Numbers round-trip exactly (shortest repr of binary64).
+
+Files are read as bytes and parsed by orjson.  Only bytes orjson rejects
+are parsed again by the stdlib json module: the NaN/Infinity tokens that
+dump_canonical writes for non-finite values load as before, and malformed
+JSON fails with the stdlib's own JSONDecodeError message.  Each field is
+then converted to one float array; a top level that is not an object, or a
+field of the wrong JSON type, raises ValueError.
 """
 
 import json
 
 import numpy as np
+import orjson
 
 from .bounds import GroundTruthModel
 from .errors import DimensionMismatch
@@ -36,8 +44,58 @@ def dump_canonical(obj, path):
 
 
 def load(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON object in a file.  An integer beyond 64 bits reads as the
+    nearest float, as orjson parses it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        data = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        with open(path) as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("input file must hold a JSON object")
+    return data
+
+
+def _integer(data, key):
+    value = data[key]
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer")
+    return value
+
+
+def _real(data, key):
+    value = data[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{key!r} must be a number")
+    return float(value)
+
+
+def _floats(data, key):
+    """A list field as one float array; its entries go through numpy's
+    float conversion."""
+    value = data[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list of numbers")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # an object, a string or ragged nesting
+        raise ValueError(f"{key!r} must be a rectangular list of numbers") from None
+
+
+def _matrices(data, key, d, mismatch):
+    """A list field of flat column-major d x d matrices as one (n, d, d)
+    array whose matrices are column-major in memory, as unvec makes them;
+    an entry of another length raises mismatch."""
+    rows = data[key]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"{key!r} must be a list of lists of numbers")
+    if any(len(row) != d * d for row in rows):
+        raise mismatch(f"each of {key!r} must be a flat list of d^2 entries")
+    return _floats(data, key).reshape(len(rows), d, d).transpose(0, 2, 1)
 
 
 def matrix_set_to_dict(mset):
@@ -49,13 +107,13 @@ def matrix_set_to_dict(mset):
 
 
 def matrix_set_from_dict(data):
-    d = int(data["d"])
-    entries = [np.asarray(m, dtype=float) for m in data["matrices"]]
-    if len(entries) != int(data["N"]):
+    d, n = _integer(data, "d"), _integer(data, "N")
+    if d < 0:
+        raise DimensionMismatch("d must be nonnegative")
+    matrices = _matrices(data, "matrices", d, DimensionMismatch)
+    if len(matrices) != n:
         raise DimensionMismatch("matrix count does not match N")
-    if d < 0 or any(m.shape != (d * d,) for m in entries):
-        raise DimensionMismatch("each matrix must be a flat list of d^2 entries")
-    return MatrixSet(tuple(unvec(m, d) for m in entries))
+    return MatrixSet(matrices)
 
 
 def ground_truth_to_dict(gt):
@@ -70,12 +128,12 @@ def ground_truth_to_dict(gt):
 
 
 def ground_truth_from_dict(data):
-    d = int(data["d"])
+    d = _integer(data, "d")
     return GroundTruthModel(
-        v=unvec(np.asarray(data["V"], dtype=float), d),
-        lambda_table=np.asarray(data["lambda"], dtype=float),
-        noise=tuple(unvec(np.asarray(w, dtype=float), d) for w in data["W"]),
-        sigma=float(data["sigma"]),
+        v=unvec(_floats(data, "V"), d),
+        lambda_table=_floats(data, "lambda"),
+        noise=_matrices(data, "W", d, ValueError),
+        sigma=_real(data, "sigma"),
     )
 
 
@@ -87,7 +145,15 @@ def tensor_to_dict(t, extra=None):
 
 
 def tensor_from_dict(data):
-    return Tensor3(n=int(data["N"]), data=np.asarray(data["data"], dtype=float))
+    return Tensor3(n=_integer(data, "N"), data=_floats(data, "data"))
+
+
+def components_from_dict(data):
+    """(Z, eps, sigma) of a generated tensor file, or None without "Z"."""
+    if "Z" not in data:
+        return None
+    data = {"eps": 1.0, "sigma": 0.0, **data}
+    return _floats(data, "Z"), _real(data, "eps"), _real(data, "sigma")
 
 
 def frame_to_dict(u):
@@ -96,4 +162,4 @@ def frame_to_dict(u):
 
 
 def frame_from_dict(data):
-    return unvec(np.asarray(data["U"], dtype=float), int(data["d"]))
+    return unvec(_floats(data, "U"), _integer(data, "d"))

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jointtri import io
 from jointtri import triangularize as tri
 from jointtri.cli import _build_parser, run
 from jointtri.harness import GeneratorSpec, gen_components, gen_ground_truth
+from jointtri.linalg import unvec
 from jointtri.tensor import Tensor3, tensor_from_components
 
 
@@ -66,6 +69,16 @@ class TestCanonicalSerialization:
         for a, b in zip(gt.noise, back.noise):
             assert np.array_equal(a, b)
 
+    def test_loaded_noise_keeps_the_per_matrix_norms(self):
+        """The stacked noise keeps each matrix's column-major memory order, so
+        its norms have the bits of the per-matrix reading of the file."""
+        gt = gen_ground_truth(GeneratorSpec(d=12, n=64, seed=3), sigma=1e-3)
+        data = io.ground_truth_to_dict(gt)
+        back = io.ground_truth_from_dict(data)
+        per_matrix = [np.linalg.norm(unvec(np.asarray(w), 12)) for w in data["W"]]
+        assert [np.linalg.norm(w) for w in back.noise] == per_matrix
+        assert back.norms()[1] == float(np.sqrt(sum(x**2 for x in per_matrix)))
+
     def test_tensor_round_trip(self):
         z = gen_components(3, seed=3)
         t = tensor_from_components(z)
@@ -77,6 +90,102 @@ class TestCanonicalSerialization:
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         assert np.array_equal(io.frame_from_dict(io.frame_to_dict(q)), q)
+
+
+def _bits(value):
+    """value with each float replaced by its binary64 bit pattern, each other
+    scalar tagged with its type."""
+    if isinstance(value, float):
+        return "float", int(np.float64(value).view(np.int64))
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    return type(value).__name__, value
+
+
+def _stdlib_load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+_JSON = st.recursive(
+    _FLOATS | st.integers(-(2**63), 2**64 - 1),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=20,
+)
+
+
+class TestLoadMatchesStdlib:
+    """io.load parses with orjson and reparses only rejected bytes with the
+    stdlib: every file reads as json.load reads it, except that an integer
+    beyond 64 bits reads as the nearest float."""
+
+    @given(st.dictionaries(st.text(max_size=4), _JSON, max_size=4))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_canonical_files_are_bit_identical(self, tmp_path, payload):
+        path = tmp_path / "x.json"
+        io.dump_canonical(payload, path)
+        assert _bits(io.load(path)) == _bits(_stdlib_load(path))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"x":NaN}',
+            b'{"x":[Infinity,-Infinity,1.5]}',
+            b'{"x":1e400,"y":-1e400}',
+            b'\xef\xbb\xbf{"x":1.0}',
+            b'{"x":[1.0,2',
+            b'',
+            b'{"x":1.0}{',
+        ],
+        ids=["nan", "infinity", "overflow", "utf8_bom", "truncated", "empty", "extra_data"],
+    )
+    def test_edge_files_read_as_the_stdlib_reads_them(self, tmp_path, raw):
+        path = tmp_path / "x.json"
+        path.write_bytes(raw)
+        try:
+            expected = _stdlib_load(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                io.load(path)
+            assert type(caught.value) is type(exc)
+            assert str(caught.value) == str(exc)
+        else:
+            assert _bits(io.load(path)) == _bits(expected)
+
+    def test_integers_beyond_64_bits_read_as_the_nearest_float(self, tmp_path):
+        """orjson reads them as floats: the value that each field's float
+        conversion makes of the stdlib's integer."""
+        path = tmp_path / "x.json"
+        path.write_bytes(b'{"x":18446744073709551617,"y":[-36893488147419103233,1]}')
+        expected = _stdlib_load(path)
+        loaded = io.load(path)
+        assert _bits(loaded["x"]) == _bits(float(expected["x"]))
+        assert _bits(loaded["y"]) == _bits([float(expected["y"][0]), 1])
+
+    def test_valid_files_never_reach_the_stdlib_parser(self, tmp_path, monkeypatch):
+        model, tensor = tmp_path / "model.json", tmp_path / "tensor.json"
+        for kind, path in (("model", model), ("tensor", tensor)):
+            assert cli("generate", "--kind", kind, "--d", 3, "--N", 3,
+                       "--sigma", 1e-3, "--seed", 1, "--output", path) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stdlib parser read a valid file")
+
+        monkeypatch.setattr(json, "load", refuse)
+        monkeypatch.setattr(json, "loads", refuse)
+        assert io.ground_truth_from_dict(io.load(model)).d == 3
+        data = io.load(tensor)
+        assert io.tensor_from_dict(data).n == 3
+        assert io.components_from_dict(data)[0].shape == (3, 3)
 
 
 def cli(*args):
@@ -103,6 +212,34 @@ def model_file(tmp_path):
     )
     assert code == 0
     return path
+
+
+# (file kind, the subcommands that read it, (name, edit of a valid file))
+_WRONG_TYPE_INPUTS = [
+    ("model", ("triangularize", "bounds", "sweep", "verify"), [
+        ("top_level_list", lambda m: [1, 2]),
+        ("d_null", lambda m: {**m, "d": None}),
+        ("W_number", lambda m: {**m, "W": 5}),
+        ("V_object", lambda m: {**m, "V": {"a": 1.0}}),
+        ("W_objects", lambda m: {**m, "W": [{}] * len(m["W"])}),
+        ("sigma_string", lambda m: {**m, "sigma": "1e-3"}),
+    ]),
+    ("matrices", ("triangularize",), [
+        ("matrices_null", lambda m: {**m, "matrices": None}),
+        ("N_list", lambda m: {**m, "N": [1]}),
+    ]),
+    ("tensor", ("tensor",), [
+        ("top_level_list", lambda t: [1, 2]),
+        ("N_null", lambda t: {**t, "N": None}),
+        ("data_number", lambda t: {**t, "data": 5}),
+        ("eps_null", lambda t: {**t, "eps": None}),
+    ]),
+    ("frame", ("bounds",), [
+        ("top_level_string", lambda f: "frame"),
+        ("d_null", lambda f: {**f, "d": None}),
+        ("U_number", lambda f: {**f, "U": 5}),
+    ]),
+]
 
 
 class TestCliCommands:
@@ -287,6 +424,40 @@ class TestCliCommands:
         code = cli("triangularize", "--input", src, "--output", tmp_path / "x.json")
         assert code == 2
         assert "DimensionMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, kind, edit",
+        [
+            pytest.param(command, kind, edit, id=f"{command}-{kind}-{name}")
+            for kind, commands, edits in _WRONG_TYPE_INPUTS
+            for command in commands
+            for name, edit in edits
+        ],
+    )
+    def test_input_of_the_wrong_json_type_exits_1(
+        self, model_file, tmp_path, capsys, command, kind, edit
+    ):
+        """A field of the wrong JSON type is a ValueError: exit 1 with one line
+        on stderr, whichever subcommand reads the file."""
+        good = tmp_path / "good.json"
+        if kind == "matrices":
+            io.dump_canonical(io.matrix_set_to_dict(tri.MatrixSet(np.eye(2)[None])), good)
+        elif kind == "tensor":
+            assert cli("generate", "--kind", "tensor", "--d", 3, "--N", 3,
+                       "--seed", 1, "--output", good) == 0
+        elif kind == "frame":
+            io.dump_canonical(io.frame_to_dict(np.eye(3)), good)
+        else:
+            good = model_file
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(good.read_text()))))
+        source = ("--input", model_file, "--frame", bad) if kind == "frame" else ("--input", bad)
+        flags = ("--d", 3) if command == "tensor" else ()
+        out = tmp_path / "out.json"
+        assert cli(command, *source, *flags, "--output", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_mismatched_tensor_generation_exits_2(self, tmp_path):
         code = cli(
