@@ -10,6 +10,12 @@ t_beta, inverse_spectral_norm and a_posteriori_bound also take a batch of
 trials on a leading axis (one SVD call for the whole stack of small
 operators).  The last two take the caller's errors.Failures: a trial that
 fails leaves the batch, and the values are over the trials still running.
+
+An operator of at least LANCZOS_MIN_SIZE rows is QR-factored once and
+||op^-1|| comes from one Golub-Kahan-Lanczos run on the triangular solves;
+the singularity test scales by ||op||_F >= sigma_max(op).  The T_beta that
+a_posteriori_bound and init_noise_threshold build is factored in place;
+any other operator (a caller's array, the cached J^T J) is copied first.
 """
 
 import copy
@@ -18,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.linalg import lapack_lite
-from scipy.linalg.blas import dtrmv, dtrsv
+from scipy.linalg.blas import dnrm2, dtrsv
 
 from .errors import (
     DegenerateSpectrum,
@@ -106,6 +112,8 @@ class GroundTruthModel:
             raise DimensionMismatch("V must be square")
         if lam.ndim != 2 or lam.shape[1] != d:
             raise DimensionMismatch("lambda table must be N x d")
+        if not np.all(np.isfinite(v)):  # before cond, whose SVD fails on NaN
+            raise DimensionMismatch("V must be finite")
         if not np.isfinite(np.linalg.cond(v)):
             raise DimensionMismatch("V must be invertible")
         for a in (v, lam):  # read-only copies keep noise_free valid
@@ -126,7 +134,7 @@ class GroundTruthModel:
             raise DimensionMismatch("need one noise matrix per lambda row")
         if noise.shape[1:] != (self.d, self.d):
             raise DimensionMismatch("noise matrices must be d x d")
-        if np.any(np.linalg.norm(noise, axis=(1, 2)) > 1.0 + 1e-12):
+        if not np.all(np.linalg.norm(noise, axis=(1, 2)) <= 1.0 + 1e-12):  # NaN fails
             raise DimensionMismatch("noise matrices must have Frobenius norm <= 1")
         noise.setflags(write=False)
         if not 0 <= sigma < np.inf:
@@ -249,16 +257,16 @@ def _largest_singular(apply, apply_t, n, tol):
         u = apply(v) - beta * u
 
 
-def _triangular_factor(op):
-    """R of op^T = QR, in the upper triangle of a Fortran-order array.
+def _triangular_factor(a):
+    """R of op^T = QR, in the upper triangle of a Fortran-order array, for
+    a C-order op held in ``a``, which the factorization overwrites.
 
     R has the singular values of op.  The factorization runs in numpy's
-    own LAPACK on one copy of op: np.linalg.qr would copy op twice, and
-    scipy's LAPACK runs in the second BLAS scipy bundles, whose work
-    buffers would stay in memory for the rest of the process.
+    own LAPACK: np.linalg.qr would copy op twice, and scipy's LAPACK runs
+    in the second BLAS scipy bundles, whose work buffers would stay in
+    memory for the rest of the process.
     """
-    size = op.shape[0]
-    a = np.array(op, order="C")  # read column-major, this is op^T
+    size = a.shape[0]  # a read column-major is op^T
     tau, work = np.empty(size), np.empty(1)
     lapack_lite.dgeqrf(size, size, a, size, tau, work, -1, 0)  # workspace query
     work = np.empty(int(work[0]))
@@ -266,19 +274,22 @@ def _triangular_factor(op):
     return a.T
 
 
-def inverse_spectral_norm(op, fail=None):
+def inverse_spectral_norm(op, fail=None, *, _overwrite=False):
     """1 / sigma_min(op); a numerically singular op fails with
     SingularOperator.  op may be a (T, L, L) stack, one operator per trial:
     with ``fail`` (the stack is over its rows) a trial that fails leaves
     it, and the values are over the trials still running.  Without it the
-    first failure is raised.
+    first failure is raised.  op is never written; only the bounds of this
+    module, which build their own T_beta, pass ``_overwrite`` to have it
+    factored in place.
 
     Below LANCZOS_MIN_SIZE rows sigma_min and sigma_max come from a dense
-    SVD, one call for the whole stack.  From there on, each op is
-    QR-factored once and ||op^-1|| = ||R^-1|| is the largest singular value
-    of the triangular solves, by Golub-Kahan-Lanczos (sigma_max, for the
-    singularity test, by the same method on R).  The empty operator (the
-    map on the zero space, d = 1) has an inverse of norm 0.
+    SVD, one call for the whole stack.  From there on, a copy of each op is
+    QR-factored and ||op^-1|| = ||R^-1|| is the largest singular value of
+    the triangular solves, from one Golub-Kahan-Lanczos run; the
+    singularity test takes ||op||_F, an upper bound on sigma_max, in place
+    of sigma_max.  The empty operator (the map on the zero space, d = 1)
+    has an inverse of norm 0.
     """
     op = np.asarray(op, dtype=float)
     stack = op if op.ndim == 3 else op[None]
@@ -293,17 +304,23 @@ def inverse_spectral_norm(op, fail=None):
         )
         values = 1.0 / s[:, -1]
     else:
-        values = fail.each(_lanczos_inverse_norm, stack)
+        values = fail.each(lambda a: _lanczos_inverse_norm(a, _overwrite), stack)
     return values if op.ndim == 3 else float(values[0])
 
 
-def _lanczos_inverse_norm(op):
-    """inverse_spectral_norm of one operator of at least LANCZOS_MIN_SIZE rows."""
+def _lanczos_inverse_norm(op, overwrite):
+    """inverse_spectral_norm of one operator of at least LANCZOS_MIN_SIZE
+    rows; with ``overwrite`` op (C-ordered, as t_beta builds it) holds its
+    QR factorization afterwards."""
     size = op.shape[0]
     scale = max(op.max(), -op.min())
     if not scale > 0.0:
         raise SingularOperator("operator is numerically singular")
-    r = _triangular_factor(op)
+    a = op if overwrite else np.array(op, order="C")
+    # ||op||_F >= sigma_max(op) stands in for sigma_max in the singularity
+    # test; dnrm2 rescales as it sums, so it neither overflows nor underflows
+    fro = dnrm2(a.reshape(-1)) / scale
+    r = _triangular_factor(a)
     r /= scale  # now ||R||_F >= 1, so sigma_max(R) >= 1 / sqrt(size)
     limit = np.sqrt(size) / SINGULAR_REL_TOL
 
@@ -316,11 +333,7 @@ def _lanczos_inverse_norm(op):
         return y
 
     inv_norm = _largest_singular(solve, lambda x: solve(x, 1), size, LANCZOS_TOL)
-    # A loose sigma_max: it only scales the singularity threshold.
-    s_max = _largest_singular(
-        lambda x: dtrmv(r, x), lambda x: dtrmv(r, x, trans=1), size, 1e-2
-    )
-    if SINGULAR_REL_TOL * s_max * inv_norm > 1.0:
+    if SINGULAR_REL_TOL * fro * inv_norm > 1.0:
         raise SingularOperator("operator is numerically singular")
     return float(inv_norm / scale)
 
@@ -419,7 +432,7 @@ def a_posteriori_bound(mset, u, beta, sigma, fail=None):
         return np.zeros(0)
     rows = fail.rows
     residual = np.sqrt(loss(u, mset)) + sigma * np.sqrt(mset.n)
-    inv_norm = inverse_spectral_norm(t_beta(u, mset, beta), fail)
+    inv_norm = inverse_spectral_norm(t_beta(u, mset, beta), fail, _overwrite=True)
     (residual,) = fail.since(rows, residual)
     values = np.sqrt(2.0) * inv_norm * residual
     return values if batched else float(values[0])
@@ -449,7 +462,8 @@ def init_noise_threshold(gt, beta, u_init):
     the observed matrices at the Schur initializer.
     """
     epsilon, gamma, a_alpha, a_sigma = hessian_constants(gt)
-    inv_norm = inverse_spectral_norm(t_beta(u_init, gt.observed_matrices(), beta))
+    op = t_beta(u_init, gt.observed_matrices(), beta)
+    inv_norm = inverse_spectral_norm(op, _overwrite=True)
     sigma_max = 2.0 * epsilon / (np.sqrt(2.0 * gt.n) * inv_norm * a_alpha + a_sigma)
     alpha_max = (2.0 * epsilon - gt.sigma * a_sigma) / a_alpha
     constants = {

@@ -331,14 +331,14 @@ def verify_bounds(gt, sigma, trials, seed=0):
 def verify_component_bound(z, sigma, eps, trials, seed=0):
     """Containment study of the component estimation bound (tensor path);
     the trials' observable matrix sets converge as one batch."""
-    z = np.asarray(z, dtype=float)
-    d = z.shape[0]
     summary = {"trials": trials, "sigma": sigma, "records": [], "fraction": np.nan}
     if trials == 0:
         return summary
+    bound = tn.component_error_bound(z, eps, sigma)  # rejects a malformed Z before use
+    z = np.asarray(z, dtype=float)
+    d = z.shape[0]
     theta = np.ones(d) / np.sqrt(d)
     reference = z / z.sum(axis=0)
-    bound = tn.component_error_bound(z, eps, sigma)
     fail = Failures(trials, record=True)
 
     def observed(t):

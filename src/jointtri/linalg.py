@@ -115,12 +115,10 @@ def skew_from_lower(x, d):
 
 def min_pairwise_gap(t):
     """min over column pairs i < j of sum_n (t[n, i] - t[n, j])^2."""
-    d = t.shape[1]
-    return min(
-        float(np.sum((t[:, i] - t[:, j]) ** 2))
-        for i in range(d)
-        for j in range(i + 1, d)
-    )
+    columns = np.ascontiguousarray(np.transpose(t))
+    i, j = np.triu_indices(len(columns), 1)
+    # one contiguous row per pair, so each row sums as np.sum sums a vector
+    return float(np.min(np.sum((columns[i] - columns[j]) ** 2, axis=-1)))
 
 
 def skew_exp(x, scale=1.0):

@@ -183,10 +183,13 @@ def component_error_bound(z, eps, sigma):
     4 N sigma sqrt(d(d-1)) kappa(Z)^4 / gamma * M^2 W + sigma W, with M, W
     the observable-matrix norm bounds and gamma the scaled component gap.
     """
-    z = np.asarray(z, dtype=float)
+    try:
+        z = np.asarray(z, dtype=float)
+    except ValueError as exc:  # ragged input
+        raise DimensionMismatch("component bound requires a finite N x N Z") from exc
+    if z.ndim != 2 or z.shape[0] != z.shape[1] or not np.all(np.isfinite(z)):
+        raise DimensionMismatch("component bound requires a finite N x N Z")
     n, d = z.shape
-    if n != d:
-        raise DimensionMismatch("component bound requires N = d")
     if np.linalg.matrix_rank(z) < d:
         raise SingularZ("Z is singular")
     gamma = component_gamma(z)

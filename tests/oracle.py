@@ -7,6 +7,8 @@ verify_bounds_per_trial and sigma_sweep_per_trial run the studies one trial
 at a time through the single-problem functions; tests check the batched
 studies in jointtri.harness against them.  They call every stage through
 its module, so a test that patches a stage patches it here too.
+min_pairwise_gap_per_pair sums each column pair on its own; a test checks
+jointtri.linalg.min_pairwise_gap against it bit for bit.
 """
 
 import itertools
@@ -33,6 +35,17 @@ def enumerate_exact_triangularizers(gt):
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     frames = q[:, None] * signs[None, :, None, :]
     return frames.reshape(-1, gt.d, gt.d)
+
+
+def min_pairwise_gap_per_pair(t):
+    """min over column pairs i < j of sum_n (t[n, i] - t[n, j])^2, one
+    np.sum per pair."""
+    d = t.shape[1]
+    return min(
+        float(np.sum((t[:, i] - t[:, j]) ** 2))
+        for i in range(d)
+        for j in range(i + 1, d)
+    )
 
 
 def brute_force_nearest(u, frames):

@@ -18,6 +18,9 @@ The set:
   --frame`` (the triangularize output's frame, extracted to its own file), ``sweep --trials 2`` and ``verify
   --trials 3`` on d in {3, 4, 5}, N=3, kappa=2, seeds 0-5;
 - the timed command of each benchmark workload on its first input (seed 0);
+- ``generate``, ``triangularize --sigma 1e-3`` and ``bounds`` on d in
+  {20, 24}, N=8, kappa=3, seed 0 (operators of L = 190 and 276 rows, on
+  the QR + Lanczos path of bounds.inverse_spectral_norm);
 - ``sweep --trials 3`` on the criterion-6 model and on the d in {3, 4, 5}
   models above;
 - ``generate --kind tensor`` plus ``tensor`` on d in {2, 3, 4, 5, 6, 8, 10}
@@ -77,6 +80,12 @@ def commands():
     for name, generate, timed in pools:
         yield generate + ["--output", "@" + name], name
         yield timed + ["--input", "@" + name, "--output", f"@{name}.out"], f"{name}.out"
+    for d in (20, 24):
+        name = f"L{d}"
+        yield _model(d, 8, 3, 0) + ["--output", "@" + name], name
+        for suffix, argv in (("tri", ["triangularize", "--sigma", "1e-3"]), ("bounds", ["bounds"])):
+            out = f"{name}.{suffix}"
+            yield argv + ["--input", "@" + name, "--output", "@" + out], out
     for name in ["c6"] + small:
         out = f"{name}.sweep3"
         yield ["sweep", "--trials", "3", "--input", "@" + name,

@@ -307,10 +307,10 @@ class TestInverseSpectralNorm:
                 inverse_spectral_norm(op)
 
     def test_d32_cost_guard(self, generated_t_beta, monkeypatch):
-        """At most 40 Lanczos steps per run, and no SVD of an L x L array."""
+        """One Lanczos run of at most 40 steps, and no SVD of an L x L array."""
         op = generated_t_beta(32)
         size = op.shape[0]
-        calls = {"dtrsv": 0, "dtrmv": 0}
+        calls = {"dtrsv": 0, "_largest_singular": 0}
         for name in calls:
             monkeypatch.setattr(bounds, name, counted(calls, name, getattr(bounds, name)))
         svd = np.linalg.svd
@@ -321,9 +321,23 @@ class TestInverseSpectralNorm:
 
         monkeypatch.setattr(np.linalg, "svd", small_svd)
         inverse_spectral_norm(op)
+        assert calls["_largest_singular"] == 1
         # each step calls the map once and its transpose once
         assert 0 < calls["dtrsv"] <= 2 * 40
-        assert 0 < calls["dtrmv"] <= 2 * 40
+
+    def test_flat_spectrum_at_kappa_1e10_matches_svd(self):
+        """||op||_F <= sqrt(L) sigma_max keeps kappa = 1e10 clear of the
+        singularity threshold."""
+        op = operator_with_spectrum(np.r_[np.ones(ABOVE - 1), 1e-10], seed=4)
+        assert_matches_svd(op)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_operator_is_not_written(self, order):
+        op = np.array(np.random.default_rng(5).standard_normal((ABOVE, ABOVE)), order=order)
+        before = op.tobytes(order="A")
+        inverse_spectral_norm(op)
+        inverse_spectral_norm(op[None])
+        assert op.tobytes(order="A") == before
 
 
 def counted(calls, name, fn):
@@ -427,6 +441,32 @@ class TestOperatorOracles:
         finally:
             tracemalloc.stop()
         assert peak < 3 * size**2 * 8
+
+    def test_warm_a_posteriori_bound_holds_one_operator(self):
+        """With the index arrays cached, T_beta is factored where it was built."""
+        d, n = 24, 16
+        size = d * (d - 1) // 2
+        rng = np.random.default_rng(0)
+        mset = MatrixSet(tuple(rng.standard_normal((d, d)) for _ in range(n)))
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        beta = np.ones(n) / np.sqrt(n)
+        warm = a_posteriori_bound(mset, u, beta, 1e-3)
+        tracemalloc.start()
+        try:
+            assert a_posteriori_bound(mset, u, beta, 1e-3) == warm
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size**2 * 8
+
+    def test_a_priori_bound_leaves_the_cached_gram_intact(self):
+        gt = gen_ground_truth(GeneratorSpec(d=20, n=8, seed=5), sigma=1e-3)
+        u_circ = exact_frame(gt)
+        assert gt.d * (gt.d - 1) // 2 >= LANCZOS_MIN_SIZE
+        first = a_priori_bound(gt, u_circ)
+        assert a_priori_bound(gt, u_circ) == first
+        (cached,) = gt.noise_free.gauss_newton.values()
+        assert cached.tobytes() == gram_at(u_circ, gt.clean_matrices()).tobytes()
 
 
 class TestAPrioriBound:

@@ -459,6 +459,40 @@ class TestCliCommands:
         assert err.startswith("ValueError: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["triangularize", "bounds", "verify", "sweep"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: {**m, "V": [None] * len(m["V"])},
+            lambda m: {**m, "V": [None] + m["V"][1:]},
+            lambda m: {**m, "V": [float("nan")] + m["V"][1:]},  # written as NaN
+            lambda m: {**m, "W": [[None] + m["W"][0][1:]] + m["W"][1:]},
+        ],
+        ids=["V_all_null", "V_one_null", "V_nan_token", "W_one_null"],
+    )
+    def test_non_finite_model_exits_2(self, model_file, tmp_path, capsys, command, edit):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(model_file.read_text()))))
+        out = tmp_path / "out.json"
+        assert cli(command, "--input", bad, "--output", out) == 2
+        assert capsys.readouterr().err == "DimensionMismatch\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "z",
+        [[1, 2, 3], [[1.0, 0.0, 0.0], [0.0, None, 0.0], [0.0, 0.0, 1.0]]],
+        ids=["vector", "one_null"],
+    )
+    def test_tensor_with_a_malformed_z_exits_2(self, tmp_path, capsys, z):
+        src = tmp_path / "tensor.json"
+        assert cli("generate", "--kind", "tensor", "--d", 3, "--N", 3,
+                   "--seed", 1, "--output", src) == 0
+        src.write_text(json.dumps({**json.loads(src.read_text()), "Z": z}))
+        out = tmp_path / "out.json"
+        assert cli("tensor", "--input", src, "--output", out, "--d", 3) == 2
+        assert capsys.readouterr().err == "DimensionMismatch\n"
+        assert not out.exists()
+
     def test_mismatched_tensor_generation_exits_2(self, tmp_path):
         code = cli(
             "generate", "--kind", "tensor", "--d", 3, "--N", 4,

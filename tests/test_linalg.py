@@ -15,6 +15,7 @@ from jointtri.linalg import (
     low_part,
     lower_index,
     matrix_metrics,
+    min_pairwise_gap,
     orthogonal_log,
     require_orthogonal,
     skew_exp,
@@ -22,6 +23,7 @@ from jointtri.linalg import (
     vec,
 )
 from jointtri.triangularize import MatrixSet, find_separating_beta
+from oracle import min_pairwise_gap_per_pair
 
 
 def random_skew(rng, d):
@@ -336,3 +338,22 @@ class TestMatrixMetrics:
     def test_rank_deficient_condition_is_infinite(self):
         _, _, cond = matrix_metrics(np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert cond == np.inf
+
+
+class TestMinPairwiseGap:
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=2, max_value=32),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["C", "F"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_pair_loop_bit_for_bit(self, n, d, seed, order):
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, d)  # columns of mixed magnitude
+        t = np.array(rng.standard_normal((n, d)) * scales, order=order)
+        assert min_pairwise_gap(t) == min_pairwise_gap_per_pair(t)
+
+    def test_tied_columns_give_zero(self):
+        t = np.array([[1.0, 2.0, 1.0], [3.0, 4.0, 3.0]])
+        assert min_pairwise_gap(t) == 0.0

@@ -12,7 +12,7 @@ from jointtri.errors import (
     SingularZ,
     ZeroColumnSum,
 )
-from jointtri.harness import gen_components, gen_tensor
+from jointtri.harness import gen_components, gen_tensor, verify_component_bound
 from jointtri.tensor import (
     Tensor3,
     component_error_bound,
@@ -256,6 +256,24 @@ class TestComponentErrorBound:
         near[:, 1] = near[:, 0]
         with pytest.raises((DegenerateSpectrum, SingularZ)):
             component_error_bound(near, 1.0, 1e-4)
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            [1.0, 2.0, 3.0],
+            [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+            np.eye(3)[None],
+            [[1.0, 2.0], [3.0]],
+            [[1.0, np.nan], [3.0, 4.0]],
+            [[1.0, 2.0], [np.inf, 4.0]],
+        ],
+        ids=["vector", "rectangular", "three_axes", "ragged", "nan", "inf"],
+    )
+    def test_z_that_is_not_a_finite_square_array_is_a_dimension_mismatch(self, z):
+        with pytest.raises(DimensionMismatch):
+            component_error_bound(z, 1.0, 1e-4)
+        with pytest.raises(DimensionMismatch):
+            verify_component_bound(z, 1e-4, 1.0, trials=1)
 
 
 class TestMatchColumns:
