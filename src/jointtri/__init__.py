@@ -10,7 +10,6 @@ from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     JointTriError,
-    LineSearchStalled,
     LogBranchAmbiguous,
     NearDefective,
     NegativeDeterminant,
@@ -26,7 +25,6 @@ from .errors import (
 from .linalg import (
     low_part,
     lower_index,
-    matrix_metrics,
     orthogonal_log,
     skew_exp,
     unvec,
@@ -36,7 +34,6 @@ from .triangularize import (
     DescentTrace,
     MatrixSet,
     OptimizerConfig,
-    descend,
     find_separating_beta,
     gradient,
     hessian_form,
@@ -81,13 +78,13 @@ from .harness import (
 
 __all__ = [
     "DegenerateSpectrum", "DimensionMismatch",
-    "JointTriError", "LineSearchStalled", "LogBranchAmbiguous",
+    "JointTriError", "LogBranchAmbiguous",
     "NearDefective", "NegativeDeterminant", "NoComparableFrame", "NonUnitBeta",
     "NoSeparatingBeta", "RankDeficient", "SingularOperator", "SingularY",
     "SingularZ", "ZeroColumnSum",
-    "low_part", "lower_index", "matrix_metrics", "orthogonal_log", "skew_exp",
+    "low_part", "lower_index", "orthogonal_log", "skew_exp",
     "unvec", "vec",
-    "DescentTrace", "MatrixSet", "OptimizerConfig", "descend",
+    "DescentTrace", "MatrixSet", "OptimizerConfig",
     "find_separating_beta", "gradient", "hessian_form", "loss",
     "GroundTruthModel", "a_posteriori_bound", "a_priori_bound",
     "eigenvalue_error_bound", "explicit_bound", "hessian_constants",

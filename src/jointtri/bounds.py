@@ -37,7 +37,6 @@ from .linalg import (
     blockwise_norm,
     low_part,
     lower_index,
-    matrix_metrics,
     min_pairwise_gap,
     skew_from_lower,
 )
@@ -91,7 +90,7 @@ class NoiseFree:
 
     @cached_property
     def kappa(self):
-        return matrix_metrics(self.v)[2]
+        return np.linalg.cond(self.v)
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,8 @@ def _build_parser():
 
     gen = sub.add_parser("generate", help="write a synthetic model or tensor")
     gen.add_argument("--kind", choices=["model", "tensor"], required=True)
-    gen.add_argument("--d", type=int, required=True)
-    gen.add_argument("--N", type=int, required=True)
+    gen.add_argument("--d", type=_at_least(1), required=True)
+    gen.add_argument("--N", type=_at_least(1), required=True)
     gen.add_argument("--kappa", type=_at_least(1.0, float), default=2.0)
     gen.add_argument("--gamma", type=_at_least(0.0, float, strict=True), default=1.0)
     gen.add_argument("--sigma", type=_at_least(0.0, float), default=0.0)
@@ -83,7 +83,7 @@ def _build_parser():
     ten = sub.add_parser("tensor", help="decompose a third-order tensor")
     ten.add_argument("--input", required=True)
     ten.add_argument("--output", required=True)
-    ten.add_argument("--d", type=int, required=True)
+    ten.add_argument("--d", type=int, required=True, help="the tensor's rank; must equal N")
     ten.add_argument("--theta", choices=["ones", "random"], default="ones")
     ten.add_argument("--tol", type=_at_least(0.0, float, strict=True), default=1e-10)
     ten.add_argument("--max-iters", type=int, default=2000)
@@ -203,25 +203,22 @@ def _cmd_bounds(args):
 def _cmd_tensor(args):
     data = io.load(args.input)
     t = io.tensor_from_dict(data)
+    if args.d != t.n:
+        raise DimensionMismatch("tensor decomposition requires d = N")
     rng = np.random.default_rng(args.seed)
     if args.theta == "ones":
         theta = np.ones(t.n) / np.sqrt(t.n)
     else:
         theta = rng.standard_normal(t.n)
         theta /= np.linalg.norm(theta)
-    mset, reduction = tn.observable_matrices(t, args.d, theta)
+    mset, pencil = tn.observable_matrices(t, theta)
     # with theta = ones, sum_n M_n = I: the ones pencil never separates
     u, _, _, _ = hz.converge(
         mset, beta_strategy="random" if args.theta == "ones" else "ones", seed=args.seed,
         max_iters=args.max_iters, grad_tol=args.tol,
     )
     y = tn.estimate_components(u, mset)
-    weights = np.sqrt(t.n) * theta
-    pencil = sum(w * m for w, m in zip(weights, tn.slices(t)))
-    if reduction is not None:
-        u_d, v_d = reduction
-        pencil = u_d.T @ pencil @ v_d
-    z_star = tn.recover_scales(pencil, y, theta)
+    z_star = tn.recover_scales(pencil, y)
     report = {
         "Z_star": [row.tolist() for row in z_star],
         "theta": theta.tolist(),

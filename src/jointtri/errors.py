@@ -92,19 +92,6 @@ class NoSeparatingBeta(JointTriError):
     pass
 
 
-class LineSearchStalled(JointTriError):
-    """The descent found no step that lowers the loss above rounding.
-
-    Carries the last accepted iterate and trace so callers can decide
-    whether the stalled point is good enough.
-    """
-
-    def __init__(self, message, frame=None, trace=None):
-        super().__init__(message)
-        self.frame = frame
-        self.trace = trace
-
-
 class RankDeficient(JointTriError):
     pass
 

@@ -343,7 +343,7 @@ def verify_component_bound(z, sigma, eps, trials, seed=0):
 
     def observed(t):
         noisy = gen_tensor(z, sigma, eps, seed=[seed, t])
-        return tn.observable_matrices(noisy, d, theta)[0].matrices
+        return tn.observable_matrices(noisy, theta)[0].matrices
 
     sets = fail.each(observed, range(trials))
     estimates = ()

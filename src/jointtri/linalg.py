@@ -1,11 +1,11 @@
 """Dense structured linear algebra.
 
 The strictly-lower projection and index pairs, the skew exponential,
-the closed-form orthogonal logarithm (from the real Schur form), column
-sign normalization, and matrix metrics.  All vectorizations are
-column-major, fixed globally.  Functions marked so take a leading trial
-axis; each trial's result has the bits of the same call on that trial
-alone, and blockwise_dot / blockwise_norm are the per-trial np.vdot and
+the closed-form orthogonal logarithm (from the real Schur form) and
+column sign normalization.  All vectorizations are column-major, fixed
+globally.  Functions marked so take a leading trial axis; each trial's
+result has the bits of the same call on that trial alone, and
+blockwise_dot / blockwise_norm are the per-trial np.vdot and
 np.linalg.norm that keep this true for reductions.
 """
 
@@ -203,17 +203,3 @@ def _fix_column_signs(u, tol=1e-12):
     significant = mag > tol * mag.max(axis=-2, initial=1.0, keepdims=True)
     first = np.take_along_axis(u, np.argmax(significant, axis=-2)[..., None, :], axis=-2)
     return np.where(significant.any(axis=-2, keepdims=True) & (first < 0), -u, u)
-
-
-def matrix_metrics(a):
-    """Frobenius norm, spectral norm, and condition number via SVD.
-
-    A rank-deficient input reports condition = inf.
-    """
-    a = _require_square(a)
-    fro = np.linalg.norm(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    smax = s[0]
-    smin = s[-1]
-    cond = np.inf if smin == 0.0 else smax / smin
-    return fro, smax, cond

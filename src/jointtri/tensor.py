@@ -1,10 +1,11 @@
 """Canonical tensor decomposition via joint triangularization.
 
-Slices of a (noisy) rank-d symmetric third-order tensor are turned into
-nearly jointly diagonalizable observable matrices; the triangularizer's
-diagonal recovers the component ratios, and the pencil equation recovers
-the column scales.  Includes the first-order noise expansion of the
-observable matrices and the component estimation error bound.
+Slices of a (noisy) symmetric third-order tensor of dimension N and rank
+d = N are turned into nearly jointly diagonalizable observable matrices;
+the triangularizer's diagonal recovers the component ratios, and the
+pencil equation recovers the column scales.  Includes the first-order
+noise expansion of the observable matrices and the component estimation
+error bound.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from .errors import (
     SingularZ,
     ZeroColumnSum,
 )
-from .linalg import matrix_metrics, min_pairwise_gap
+from .linalg import min_pairwise_gap
 from .triangularize import MatrixSet, rotated
 
 RANK_REL_TOL = 1e-10
@@ -66,35 +67,24 @@ def _solve_right(a, b):
     return x
 
 
-def observable_matrices(t, d, theta):
-    """Observable matrices from dimension-reduced slices.
+def observable_matrices(t, theta):
+    """Observable matrices of a tensor whose rank d equals its dimension N.
 
     With weights w = sqrt(N) * theta (so the unit-norm ones-direction
-    reproduces plain unweighted sums), the matrices are
-    M_n = (U_d^T m_n V_d)(U_d^T m_w V_d)^{-1}; reduction is skipped when
-    d = N.  Returns (MatrixSet, (U_d, V_d) or None).  The identity
-    sum_n w_n M_n = I holds by construction.
+    reproduces plain unweighted sums), the weighted slice sum is
+    m_w = sum_n w_n m_n and the matrices are M_n = m_n m_w^{-1}, so
+    sum_n w_n M_n = I by construction.  Returns (MatrixSet, m_w); m_w is
+    the pencil that recover_scales takes.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (t.n,):
         raise DimensionMismatch("theta length must equal the tensor dimension N")
-    if d < 1 or d > t.n:
-        raise DimensionMismatch("need 1 <= d <= N")
-    weights = np.sqrt(t.n) * theta
     raw = slices(t)
-    pencil = sum(w * m for w, m in zip(weights, raw))
+    pencil = sum(w * m for w, m in zip(np.sqrt(t.n) * theta, raw))
     s = np.linalg.svd(pencil, compute_uv=False)
-    if s[d - 1] <= RANK_REL_TOL * s[0]:
-        raise RankDeficient("d-th singular value of the weighted slice sum vanishes")
-    reduction = None
-    if d < t.n:
-        u_full, _, vt_full = np.linalg.svd(pencil)
-        u_d, v_d = u_full[:, :d], vt_full[:d, :].T
-        raw = [u_d.T @ m @ v_d for m in raw]
-        pencil = u_d.T @ pencil @ v_d
-        reduction = (u_d, v_d)
-    mats = tuple(_solve_right(m, pencil) for m in raw)
-    return MatrixSet(mats), reduction
+    if s[-1] <= RANK_REL_TOL * s[0]:
+        raise RankDeficient("weighted slice sum is rank deficient")
+    return MatrixSet(tuple(_solve_right(m, pencil) for m in raw)), pencil
 
 
 def first_order_model(z, noise):
@@ -136,7 +126,7 @@ def _observable_bounds(z, eps):
     min_col = float(np.min(np.abs(z.sum(axis=0))))
     if min_col == 0.0:
         raise ZeroColumnSum("a column of Z sums to zero")
-    _, _, kappa = matrix_metrics(z)
+    kappa = np.linalg.cond(z)
     m_bound = d * kappa**2 * np.max(np.abs(z)) / min_col
     w_bound = (
         eps * np.sqrt(d) * kappa**2 / (np.linalg.norm(z) ** 2 * min_col) * (1.0 + m_bound)
@@ -150,12 +140,12 @@ def estimate_components(u, mset):
     return np.diagonal(rotated(u, mset), axis1=-2, axis2=-1).copy()
 
 
-def recover_scales(m_theta_hat, y, theta):
+def recover_scales(m_theta_hat, y):
     """Column scales from the weighted-pencil equation; returns Z*.
 
     s_i is the real cube root of [Y^{-1} m_theta Y^{-T}]_ii and
-    Z* = Y diag(s).  m_theta_hat must be the weighted slice sum in the
-    same convention as observable_matrices (weights sqrt(N) * theta).
+    Z* = Y diag(s).  m_theta_hat must be the weighted slice sum m_w that
+    observable_matrices returns.
     """
     y = np.asarray(y, dtype=float)
     m_theta_hat = np.asarray(m_theta_hat, dtype=float)

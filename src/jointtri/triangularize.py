@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     Failures,
-    LineSearchStalled,
     NearDefective,
     NoSeparatingBeta,
 )
@@ -50,7 +49,7 @@ SEPARATION_GAP_REL = 1e-8
 SCHUR_RESIDUAL_TOL = 1e-12
 ARMIJO_C = 1e-4  # an accepted step lowers the loss by this share of its prediction
 BACKTRACK_FACTOR = 0.5
-# descend takes exact Gauss-Newton steps while L^3 / N, the LU solve's cost
+# descend_batch takes exact Gauss-Newton steps while L^3 / N, the LU solve's cost
 # per matrix, is at most this, and truncated-CG steps above (measured
 # crossover with the moment-built J^T J, whose cost grows with N like CG's).
 EXACT_STEP_MAX_SIZE = 200_000
@@ -459,19 +458,6 @@ class DescentTrace:
     grad_norms: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
     termination: str = ""
-
-
-def descend(mset, u_init, config=OptimizerConfig()):
-    """Riemannian Gauss-Newton from U0 = u_init: descend_batch on a batch of
-    one.  Returns (U, trace); a descent that ends "stalled" raises
-    LineSearchStalled, carrying its last iterate and trace."""
-    u = _check_frame(u_init, mset)
-    if u.ndim != 2 or mset.matrices.ndim != 3:
-        raise DimensionMismatch("descend takes one matrix set and one frame")
-    (frame,), (trace,) = descend_batch(mset.as_batch(), u[None], config)
-    if trace.termination == "stalled":
-        raise LineSearchStalled("no step lowers the loss", frame=frame, trace=trace)
-    return frame, trace
 
 
 def descend_batch(mset, u_init, config=OptimizerConfig()):

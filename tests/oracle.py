@@ -170,7 +170,7 @@ def verify_component_bound_per_trial(z, sigma, eps, trials, seed=0):
     for t in range(trials):
         try:
             noisy = hz.gen_tensor(z, sigma, eps, seed=[seed, t])
-            observed, _ = tn.observable_matrices(noisy, d, theta)
+            observed, _ = tn.observable_matrices(noisy, theta)
             u, _, _, _ = hz.converge(observed, beta_strategy="random", seed=seed)
             estimate = tn.estimate_components(u, observed)
             matched, _ = tn.match_columns(estimate, reference)

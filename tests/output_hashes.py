@@ -25,7 +25,11 @@ The set:
   models above;
 - ``generate --kind tensor`` plus ``tensor`` on d in {2, 3, 4, 5, 6, 8, 10}
   (N = d, kappa=2, sigma=1e-4, seeds 7000-7011), and ``tensor --theta
-  random`` on the d in {4, 8} inputs among them.
+  random`` on the d in {4, 8} inputs among them;
+- ``tensor --d k`` for k in {4, 5, 7} on a rank-4 tensor of dimension N = 6
+  (written by ``write_inputs``; each exits 2 with no output);
+- ``generate --kind model`` and ``--kind tensor`` with ``--d 0 --N 0``
+  (usage errors).
 """
 
 import hashlib
@@ -37,12 +41,21 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402
+
 from jointtri import cli, io  # noqa: E402
+from jointtri import tensor as tn  # noqa: E402
 
 
 def _model(d, n, kappa, seed, sigma="1e-3"):
     return ["generate", "--kind", "model", "--d", str(d), "--N", str(n),
             "--kappa", str(kappa), "--sigma", sigma, "--seed", str(seed)]
+
+
+def write_inputs(root):
+    """The input that no command generates: a rank-4 tensor with N = 6."""
+    z = np.random.default_rng(6).standard_normal((6, 4)) + 1.0
+    io.dump_canonical(io.tensor_to_dict(tn.tensor_from_components(z)), str(root / "r4n6"))
 
 
 def commands():
@@ -100,12 +113,19 @@ def commands():
                 out = f"{name}.{theta}"
                 yield ["tensor", "--d", str(d), "--theta", theta, "--input", "@" + name,
                        "--output", "@" + out], out
+    for k in (4, 5, 7):
+        out = f"r4n6.d{k}"
+        yield ["tensor", "--d", str(k), "--input", "@r4n6", "--output", "@" + out], out
+    for kind in ("model", "tensor"):
+        out = f"zero-{kind}"
+        yield ["generate", "--kind", kind, "--d", "0", "--N", "0", "--output", "@" + out], out
 
 
 def main():
     lines = []
     with tempfile.TemporaryDirectory() as workdir:
         root = Path(workdir)
+        write_inputs(root)
         for argv, output in commands():
             target = root / output
             code = cli.run([str(root / a[1:]) if a[:1] == "@" else a for a in argv])

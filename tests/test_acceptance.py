@@ -209,16 +209,15 @@ def test_criterion_8_tensor_pipeline():
     z = gen_components(4, kappa_target=2.0, seed=600)
     t = tn.tensor_from_components(z)
     theta = np.ones(4) / 2.0
-    mset, _ = tn.observable_matrices(t, 4, theta)
+    mset, pencil = tn.observable_matrices(t, theta)
     u, _, _, _ = converge(mset, grad_tol=1e-12)
     y = tn.estimate_components(u, mset)
-    weights = 2.0 * theta
-    pencil = sum(w * m for w, m in zip(weights, tn.slices(t)))
-    z_star = tn.recover_scales(pencil, y, theta)
+    z_star = tn.recover_scales(pencil, y)
     matched, _ = tn.match_columns(z_star, z)
     recovery_err = float(np.max(np.abs(matched - z)))
 
     # pencil-weighted observable matrices resolve the identity
+    weights = 2.0 * theta
     identity_err = float(
         np.max(np.abs(sum(w * m for w, m in zip(weights, mset.matrices)) - np.eye(4)))
     )
@@ -232,7 +231,7 @@ def test_criterion_8_tensor_pipeline():
     residuals = []
     for sigma in (1e-3, 1e-4, 1e-5):
         noisy = tn.Tensor3(n=4, data=np.asarray(t.data) + sigma * e)
-        observed, _ = tn.observable_matrices(noisy, 4, theta)
+        observed, _ = tn.observable_matrices(noisy, theta)
         residuals.append(
             max(
                 np.linalg.norm((m_hat - m) / sigma - w)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from jointtri import harness as hz
 from jointtri import io
 from jointtri import triangularize as tri
 from jointtri.cli import _build_parser, run
@@ -493,6 +494,37 @@ class TestCliCommands:
         assert capsys.readouterr().err == "DimensionMismatch\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rank", [4, 5, 7])
+    def test_tensor_rank_other_than_n_exits_2_before_the_descent(
+        self, tmp_path, capsys, monkeypatch, rank
+    ):
+        """The decomposition needs a square Z (d = N); any other --d is
+        rejected before the observable matrices are built or descended."""
+        z = np.random.default_rng(6).standard_normal((6, 4)) + 1.0
+        src = tmp_path / "rank4.json"
+        io.dump_canonical(io.tensor_to_dict(tensor_from_components(z)), src)
+
+        def converge(*args, **kwargs):
+            raise AssertionError("converge ran")
+
+        monkeypatch.setattr(hz, "converge", converge)
+        out = tmp_path / "out.json"
+        assert cli("tensor", "--input", src, "--output", out, "--d", rank) == 2
+        assert capsys.readouterr().err == "DimensionMismatch\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["model", "tensor"])
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_generate_rejects_sizes_below_one(self, tmp_path, capsys, kind, size):
+        """A usage error while parsing: exit 1, no output and no warning."""
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli("generate", "--kind", kind, "--d", size, "--N", size, "--output", out)
+        assert code == 1 and caught == []
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_tensor_generation_exits_2(self, tmp_path):
         code = cli(
             "generate", "--kind", "tensor", "--d", 3, "--N", 4,
@@ -598,6 +630,28 @@ class TestProcessState:
             "import sys, jointtri.cli; print(sorted(m for m in sys.modules"
             " if m.startswith(('scipy.optimize', 'scipy.sparse'))))",
         )
+        assert loaded.stdout.strip() == "[]"
+
+    def test_commands_load_no_scipy_optimize_or_sparse(self, tmp_path):
+        """Importing scipy.optimize costs about 0.27 s and scipy.sparse.csgraph
+        about 0.04 s on top of the package's own import."""
+        script = (
+            "import sys\n"
+            "from jointtri.cli import run\n"
+            "tmp = sys.argv[1]\n"
+            "for argv in (\n"
+            "    ['generate', '--kind', 'tensor', '--d', '3', '--N', '3', '--sigma', '1e-4',\n"
+            "     '--output', tmp + '/t.json'],\n"
+            "    ['tensor', '--d', '3', '--input', tmp + '/t.json', '--output', tmp + '/t.out'],\n"
+            "    ['generate', '--kind', 'model', '--d', '3', '--N', '3', '--sigma', '1e-3',\n"
+            "     '--output', tmp + '/m.json'],\n"
+            "    ['triangularize', '--input', tmp + '/m.json', '--output', tmp + '/m.out'],\n"
+            "):\n"
+            "    assert run(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.optimize', 'scipy.sparse'))))\n"
+        )
+        loaded = python("-c", script, tmp_path)
         assert loaded.stdout.strip() == "[]"
 
     def test_every_public_name_resolves(self):

@@ -14,7 +14,6 @@ from jointtri.linalg import (
     _fix_column_signs,
     low_part,
     lower_index,
-    matrix_metrics,
     min_pairwise_gap,
     orthogonal_log,
     require_orthogonal,
@@ -320,24 +319,6 @@ class TestOrderedSchur:
         assert np.allclose(np.diag(u.T @ m @ u), [1.0, 3.0])
         expected = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2)
         assert np.allclose(u, expected, atol=1e-12)
-
-
-class TestMatrixMetrics:
-    def test_identity(self):
-        fro, spec, cond = matrix_metrics(np.eye(4))
-        assert np.isclose(fro, 2.0)
-        assert spec == 1.0
-        assert cond == 1.0
-
-    def test_diagonal(self):
-        fro, spec, cond = matrix_metrics(np.diag([3.0, 1.0]))
-        assert np.isclose(fro, np.sqrt(10.0))
-        assert np.isclose(spec, 3.0)
-        assert np.isclose(cond, 3.0)
-
-    def test_rank_deficient_condition_is_infinite(self):
-        _, _, cond = matrix_metrics(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert cond == np.inf
 
 
 class TestMinPairwiseGap:

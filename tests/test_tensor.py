@@ -55,8 +55,8 @@ class TestSlices:
 class TestObservableMatrices:
     def test_identity_components_give_coordinate_projectors(self):
         t = tensor_from_components(np.eye(4))
-        mset, reduction = observable_matrices(t, 4, unit_theta(4))
-        assert reduction is None
+        mset, pencil = observable_matrices(t, unit_theta(4))
+        assert np.array_equal(pencil, np.eye(4))
         for n, m in enumerate(mset.matrices):
             assert np.allclose(m, np.diag(np.eye(4)[n]), atol=1e-12)
         assert np.allclose(sum(mset.matrices), np.eye(4), atol=1e-12)
@@ -65,7 +65,7 @@ class TestObservableMatrices:
         z = gen_components(4, seed=3)
         t = tensor_from_components(z)
         theta = unit_theta(4)
-        mset, _ = observable_matrices(t, 4, theta)
+        mset, _ = observable_matrices(t, theta)
         weights = np.sqrt(4) * theta
         total = sum(w * m for w, m in zip(weights, mset.matrices))
         assert np.allclose(total, np.eye(4), atol=1e-10)
@@ -75,13 +75,28 @@ class TestObservableMatrices:
         z[:, 1] = 0.0
         t = tensor_from_components(z)
         with pytest.raises(RankDeficient):
-            observable_matrices(t, 3, unit_theta(3))
+            observable_matrices(t, unit_theta(3))
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (4, 1), (6, 2)])
+    def test_pencil_is_the_weighted_slice_sum(self, n, seed):
+        """The m_w returned for recover_scales has the bits of the sum that
+        the tensor command formed from the slices itself."""
+        t = gen_tensor(gen_components(n, seed=seed), 1e-4, 1.0, seed=seed)
+        for theta in (unit_theta(n), np.random.default_rng(seed).standard_normal(n)):
+            _, pencil = observable_matrices(t, theta)
+            expected = sum(w * m for w, m in zip(np.sqrt(n) * theta, slices(t)))
+            assert pencil.tobytes() == expected.tobytes()
+
+    def test_theta_of_another_length_is_a_dimension_mismatch(self):
+        t = tensor_from_components(gen_components(3, seed=0))
+        with pytest.raises(DimensionMismatch):
+            observable_matrices(t, unit_theta(4))
 
     def test_square_reduction_is_a_similarity_of_the_direct_path(self):
         z = gen_components(4, seed=5)
         t = tensor_from_components(z)
         theta = unit_theta(4)
-        mset, _ = observable_matrices(t, 4, theta)
+        mset, _ = observable_matrices(t, theta)
         weights = np.sqrt(4) * theta
         raw = slices(t)
         pencil = sum(w * m for w, m in zip(weights, raw))
@@ -92,19 +107,6 @@ class TestObservableMatrices:
                 (u_full.T @ pencil @ v_full).T, (u_full.T @ m @ v_full).T
             ).T
             assert np.allclose(reduced, u_full.T @ direct @ u_full, atol=1e-10)
-
-    def test_reduced_rectangular_pipeline_keeps_identity(self):
-        rng = np.random.default_rng(6)
-        z = rng.standard_normal((6, 3)) + 1.0
-        t = tensor_from_components(z)
-        theta = unit_theta(6)
-        mset, reduction = observable_matrices(t, 3, theta)
-        u_d, v_d = reduction
-        assert np.allclose(u_d.T @ u_d, np.eye(3), atol=1e-10)
-        assert np.allclose(v_d.T @ v_d, np.eye(3), atol=1e-10)
-        weights = np.sqrt(6) * theta
-        total = sum(w * m for w, m in zip(weights, mset.matrices))
-        assert np.allclose(total, np.eye(3), atol=1e-10)
 
 
 class TestFirstOrderModel:
@@ -135,7 +137,7 @@ class TestFirstOrderModel:
         for sigma in (1e-3, 1e-4, 1e-5):
             ground = tensor_from_components(z)
             noisy = Tensor3(n=4, data=np.asarray(ground.data) + sigma * e)
-            observed, _ = observable_matrices(noisy, 4, theta)
+            observed, _ = observable_matrices(noisy, theta)
             residuals.append(
                 max(
                     np.linalg.norm((m_hat - m) / sigma - w)
@@ -169,7 +171,7 @@ def exact_pipeline(z):
     """Noiseless slices -> triangularizer -> ratio matrix for square Z."""
     d = z.shape[0]
     t = tensor_from_components(z)
-    mset, _ = observable_matrices(t, d, unit_theta(d))
+    mset, _ = observable_matrices(t, unit_theta(d))
     _, u = find_separating_beta(mset)
     return t, mset, u
 
@@ -192,18 +194,18 @@ class TestEstimateComponents:
     def test_one_dimensional_case(self):
         z = np.array([[2.0]])
         t = tensor_from_components(z)
-        mset, _ = observable_matrices(t, 1, np.array([1.0]))
+        mset, _ = observable_matrices(t, np.array([1.0]))
         y = estimate_components(np.eye(1), mset)
         assert np.allclose(y, [[1.0]])
 
 
 class TestRecoverScales:
     def test_identity_fixed_point(self):
-        z_star = recover_scales(np.eye(3), np.eye(3), unit_theta(3))
+        z_star = recover_scales(np.eye(3), np.eye(3))
         assert np.allclose(z_star, np.eye(3), atol=1e-12)
 
     def test_negative_cube_root_is_odd(self):
-        z_star = recover_scales(np.diag([-8.0, 1.0]), np.eye(2), unit_theta(2))
+        z_star = recover_scales(np.diag([-8.0, 1.0]), np.eye(2))
         assert np.allclose(np.diag(z_star), [-2.0, 1.0])
 
     def test_column_scaling_recovered(self):
@@ -216,7 +218,7 @@ class TestRecoverScales:
             y = estimate_components(u, mset)
             weights = np.sqrt(4) * theta
             pencil = sum(w * m for w, m in zip(weights, slices(t)))
-            z_star = recover_scales(pencil, y, theta)
+            z_star = recover_scales(pencil, y)
             matched, _ = match_columns(z_star, target)
             assert np.allclose(matched, target, atol=1e-8)
 

@@ -13,7 +13,6 @@ from jointtri import triangularize
 from jointtri.bounds import _commutator_operator
 from jointtri.errors import (
     DimensionMismatch,
-    LineSearchStalled,
     NearDefective,
     NoSeparatingBeta,
 )
@@ -36,7 +35,6 @@ from jointtri.tensor import estimate_components, observable_matrices
 from jointtri.triangularize import (
     MatrixSet,
     OptimizerConfig,
-    descend,
     find_separating_beta,
     gauss_newton_diagonal,
     gauss_newton_matrix,
@@ -55,6 +53,12 @@ def random_skew(rng, d):
 def commuting_set(seed, d=3, n=3):
     gt = gen_ground_truth(GeneratorSpec(d=d, n=n, seed=seed))
     return gt, gt.clean_matrices()
+
+
+def descend_one(mset, u0, config=OptimizerConfig()):
+    """descend_batch on a batch of one set: (frame, trace)."""
+    (frame,), (trace,) = triangularize.descend_batch(mset.as_batch(), u0[None], config)
+    return frame, trace
 
 
 class TestMatrixSet:
@@ -514,7 +518,7 @@ class TestDescend:
         gt, clean = commuting_set(12, d=4, n=4)
         _, u0 = find_separating_beta(clean)
         config = OptimizerConfig(max_iters=200, grad_tol=1e-12)
-        u, trace = descend(clean, u0, config)
+        u, trace = descend_one(clean, u0, config)
         assert loss(u, clean) <= 1e-20
         assert np.linalg.norm(gradient(u, clean)) <= 1e-12
         assert len(trace.loss_values) <= 200
@@ -524,23 +528,20 @@ class TestDescend:
         mats = MatrixSet(tuple(rng.standard_normal((4, 4)) for _ in range(3)))
         u0 = skew_exp(random_skew(rng, 4), 0.2)
         config = OptimizerConfig(max_iters=50, grad_tol=1e-14)
-        try:
-            _, trace = descend(mats, u0, config)
-        except Exception as exc:  # a stall still carries the trace
-            trace = exc.trace
+        _, trace = descend_one(mats, u0, config)  # a stalled trace too
         diffs = np.diff(trace.loss_values)
         assert np.all(diffs <= 0)
 
     def test_zero_iterations_returns_start(self):
         gt, clean = commuting_set(14)
         u0 = np.eye(3)
-        u, trace = descend(clean, u0, OptimizerConfig(max_iters=0))
+        u, trace = descend_one(clean, u0, OptimizerConfig(max_iters=0))
         assert np.array_equal(u, u0)
         assert trace.termination == "max_iters"
 
 
 class TestDescendCallCounts:
-    """descend forms the rotated stack once at the start and once per
+    """A descent forms the rotated stack once at the start and once per
     accepted step, and reads the loss and each gradient off it, so it calls
     neither loss nor gradient; it evaluates the exact loss change once per
     line-search trial, never the loss at a candidate frame."""
@@ -570,7 +571,7 @@ class TestDescendCallCounts:
         rotated_calls = self.count_calls(monkeypatch, "rotated")
         change_calls = self.count_calls(monkeypatch, "_loss_change")
         step_calls = self.count_calls(monkeypatch, step_path)
-        _, trace = descend(observed, u0, config)
+        _, trace = descend_one(observed, u0, config)
         assert trace.termination == termination
         assert min(trace.step_lengths) < 1.0
 
@@ -614,7 +615,7 @@ class TestDescendCallCounts:
         exact = self.count_calls(monkeypatch, "_exact_step")
         cg = self.count_calls(monkeypatch, "_cg_step")
         products = self.count_calls(monkeypatch, "gauss_newton_product")
-        _, trace = descend(mset, u0, OptimizerConfig(max_iters=2))
+        _, trace = descend_one(mset, u0, OptimizerConfig(max_iters=2))
         assert len(trace.step_lengths) == 2
         if path == "exact":
             assert (len(exact), len(cg), len(products)) == (2, 0, 0)
@@ -623,7 +624,7 @@ class TestDescendCallCounts:
 
 
 class TestDescendBatch:
-    """A batch descends trial by trial as descend does, bit for bit: trials
+    """A batch descends trial by trial as batches of one do, bit for bit: trials
     that halve next to trials that take full steps, that stop at different
     iterations, stall, or run out of iterations, on both step paths."""
 
@@ -657,12 +658,7 @@ class TestDescendBatch:
         batch, starts = self.batch()
         frames, traces = triangularize.descend_batch(batch, starts, config)
         for k, (mats, u0) in enumerate(zip(batch.matrices, starts)):
-            try:
-                u, trace = descend(MatrixSet(mats), u0, config)
-                assert traces[k].termination != "stalled"
-            except LineSearchStalled as stall:
-                u, trace = stall.frame, stall.trace
-                assert traces[k].termination == "stalled"
+            u, trace = descend_one(MatrixSet(mats), u0, config)
             assert frames[k].tobytes() == u.tobytes()
             assert traces[k] == trace
         endings = {trace.termination for trace in traces}
@@ -857,8 +853,8 @@ def zero_diagonal_stack():
 
 
 class TestGaussNewtonStep:
-    """Jacobi-preconditioned CG on (J^T J) x = -b, called directly: descend
-    takes it only above EXACT_STEP_MAX_SIZE."""
+    """Jacobi-preconditioned CG on (J^T J) x = -b, called directly: the
+    descent takes it only above EXACT_STEP_MAX_SIZE."""
 
     @staticmethod
     def iterates(monkeypatch, a, b):
@@ -994,7 +990,7 @@ class TestLossChange:
             observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
             u = find_separating_beta(observed)[1]
             yield triangularize.rotated(u, observed)
-            u, _ = descend(observed, u, OptimizerConfig(grad_tol=1e-9))
+            u, _ = descend_one(observed, u, OptimizerConfig(grad_tol=1e-9))
             yield triangularize.rotated(u, observed)
 
     def test_matches_exact_arithmetic_within_the_stop_bound(self):
@@ -1004,7 +1000,7 @@ class TestLossChange:
             size = d * (d - 1) // 2
             b = triangularize._commutator_adjoint(a, low_part(a))[lower_index(d)]
             skew = skew_from_lower(triangularize._exact_step(a, b), d)
-            # the bound per unit step that descend's stop rule uses
+            # the bound per unit step that the descent's stop rule uses
             floor = (2 * d + 2 * n * size + 5) * eps * (
                 np.linalg.norm(a) * np.linalg.norm(skew) * np.linalg.norm(low_part(a))
             )
@@ -1050,11 +1046,10 @@ class TestLineSearchStop:
             return np.ones(len(a))  # one change per trial of the batch
 
         monkeypatch.setattr(triangularize, "_loss_change", no_decrease)
-        with pytest.raises(LineSearchStalled) as stall:
-            descend(observed, u0)
+        frame, trace = descend_one(observed, u0)
         assert len(trials) == expected < 100
-        assert np.array_equal(stall.value.frame, u0)
-        assert stall.value.trace.termination == "stalled"
+        assert np.array_equal(frame, u0)
+        assert trace.termination == "stalled"
 
     def test_stalls_at_the_first_slope_below_the_rounding_bound(self, monkeypatch):
         """On a large-residual stack Gauss-Newton converges linearly until
@@ -1078,9 +1073,9 @@ class TestLineSearchStop:
             return x
 
         monkeypatch.setattr(triangularize, "_exact_step", recorded)
-        with pytest.raises(LineSearchStalled) as stall:
-            descend(mats, u0, OptimizerConfig(grad_tol=1e-300))
-        assert len(ratios) == len(stall.value.trace.step_lengths) + 1 > 10
+        _, trace = descend_one(mats, u0, OptimizerConfig(grad_tol=1e-300))
+        assert trace.termination == "stalled"
+        assert len(ratios) == len(trace.step_lengths) + 1 > 10
         assert min(ratios[:-1]) > 1.0 >= ratios[-1]
 
     def test_ascent_direction_stalls_without_a_trial(self, monkeypatch):
@@ -1088,8 +1083,8 @@ class TestLineSearchStop:
         exact_step = triangularize._exact_step
         monkeypatch.setattr(triangularize, "_exact_step", lambda a, b: -exact_step(a, b))
         trials = TestDescendCallCounts.count_calls(monkeypatch, "_loss_change")
-        with pytest.raises(LineSearchStalled):
-            descend(observed, u0)
+        _, trace = descend_one(observed, u0)
+        assert trace.termination == "stalled"
         assert trials == []
 
 
@@ -1123,7 +1118,7 @@ def bench_input(workload, seed):
     if workload == "tensor_d8":
         z = gen_components(8, kappa_target=2, seed=seed)
         tensor = gen_tensor(z, 1e-4, 1.0, seed=seed)
-        return observable_matrices(tensor, 8, np.ones(8) / np.sqrt(8))[0]
+        return observable_matrices(tensor, np.ones(8) / np.sqrt(8))[0]
     d, n = {
         "verify_d4": (4, 4),
         "triangularize_d32": (32, 8),
