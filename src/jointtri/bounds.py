@@ -180,20 +180,39 @@ class GroundTruthModel:
         return self.noise_free.m_norm, float(w_norm)
 
 
+def _runs(lengths):
+    """(run, offset) over runs of the given lengths laid end to end: run r
+    repeated lengths[r] times, with offsets 0 .. lengths[r] - 1."""
+    run = np.repeat(np.arange(lengths.size), lengths)
+    offset = np.arange(run.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return run, offset
+
+
 @lru_cache(maxsize=None)
 def _commutator_index(d):
     """Flat positions p L + q and sources r d + c of the added term [j = l] A_ki
     and of the subtracted term [i = k] A_jl of the commutator operator, over
-    the lower pairs p = (i, j), q = (k, l); the two share only the diagonal."""
+    the lower pairs p = (i, j), q = (k, l); the two share only the diagonal.
+
+    Built in O(L d) from the column blocks of lower_index: the pairs of
+    column c are the d - 1 - c pairs from start[c] on, in row order.  Row p
+    of the added term runs over column block j (k = j + 1 ..), and of the
+    subtracted term over the pairs (i, l), l = 0 .. i - 1, at start[l] +
+    i - l - 1; both in increasing q, the order of np.nonzero on the masks.
+    """
     rows, cols = lower_index(d)
-    i, j, k, l = rows[:, None], cols[:, None], rows, cols
-    index = []
-    for match, source in ((j == l, k * d + i), (i == k, j * d + l)):
-        p, q = np.nonzero(match)
-        index += [p * rows.size + q, np.broadcast_to(source, match.shape)[match]]
+    heights = d - 1 - np.arange(d)
+    start = np.cumsum(heights) - heights
+    p, offset = _runs(heights[cols])
+    at = p * rows.size + start[cols[p]] + offset
+    source = (cols[p] + 1 + offset) * d + rows[p]
+    p, l = _runs(rows)
+    at_minus = p * rows.size + start[l] + rows[p] - l - 1
+    source_minus = cols[p] * d + l
+    index = (at, source, at_minus, source_minus)
     for x in index:
         x.setflags(write=False)
-    return tuple(index)
+    return index
 
 
 def _commutator_operator(a):

@@ -120,6 +120,8 @@ def _cmd_generate(args):
         gt = hz.gen_ground_truth(spec, sigma=args.sigma)
         io.dump_canonical(io.ground_truth_to_dict(gt), args.output)
     else:
+        if args.d < 2:  # the component gap, and so the tensor bound, needs two columns
+            raise ValueError("generate --kind tensor requires --d >= 2")
         if args.d != args.N:
             raise DimensionMismatch("tensor generation requires d = N")
         z = hz.gen_components(args.d, kappa_target=args.kappa, seed=args.seed)

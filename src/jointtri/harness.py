@@ -28,7 +28,7 @@ from .errors import (
     Failures,
     NoComparableFrame,
 )
-from .linalg import blockwise_norm, min_pairwise_gap, orthogonal_log
+from .linalg import assign_columns, blockwise_norm, min_pairwise_gap, orthogonal_log
 
 CONTAINMENT_SLACK = 1.1
 # absolute floor so noiseless runs (bound exactly 0, observed error at
@@ -140,10 +140,8 @@ def nearest_exact_frame(gt, u, fail=None):
     distance = np.linalg.norm(
         diagonals[..., None] - gt.lambda_table[:, None, :], axis=-3
     )
-    perm = np.argmin(distance, axis=-1)
     radius = np.sqrt(gt.eigengap()) / 2 if gt.d > 1 else np.inf
-    certified = np.all(np.take_along_axis(distance, perm[..., None], -1) < radius, axis=(1, 2))
-    certified &= np.all(np.diff(np.sort(perm, axis=-1), axis=-1) > 0, axis=-1)
+    perm, certified = assign_columns(distance, radius)
     stack, perm = fail.drop(
         ~certified, NoComparableFrame("U is not near a unique exact triangularizer"),
         stack, perm,

@@ -1,12 +1,12 @@
 """Dense structured linear algebra.
 
-The strictly-lower projection and index pairs, the skew exponential,
-the closed-form orthogonal logarithm (from the real Schur form) and
-column sign normalization.  All vectorizations are column-major, fixed
-globally.  Functions marked so take a leading trial axis; each trial's
-result has the bits of the same call on that trial alone, and
-blockwise_dot / blockwise_norm are the per-trial np.vdot and
-np.linalg.norm that keep this true for reductions.
+The strictly-lower projection and index pairs, the certified column
+assignment, the skew exponential, the closed-form orthogonal logarithm
+(from the real Schur form) and column sign normalization.  All
+vectorizations are column-major, fixed globally.  Functions marked so
+take a leading trial axis; each trial's result has the bits of the same
+call on that trial alone, and blockwise_dot / blockwise_norm are the
+per-trial np.vdot and np.linalg.norm that keep this true for reductions.
 """
 
 from functools import lru_cache
@@ -119,6 +119,23 @@ def min_pairwise_gap(t):
     i, j = np.triu_indices(len(columns), 1)
     # one contiguous row per pair, so each row sums as np.sum sums a vector
     return float(np.min(np.sum((columns[i] - columns[j]) ** 2, axis=-1)))
+
+
+def assign_columns(cost, radius):
+    """Row-wise argmin of a (..., d, d) cost and whether it is certified.
+
+    perm[..., i] is the column of least cost in row i.  It is certified
+    when it is a permutation and every assigned cost is below radius
+    (per trial of a leading axis).  If the cost is a distance between the
+    points that rows and columns stand for, and radius is at most half
+    the least distance between two column points (or two row points),
+    then every other assignment has a cost above radius: the certified
+    one is the unique assignment of least largest cost.
+    """
+    perm = np.argmin(cost, axis=-1)
+    certified = np.all(np.take_along_axis(cost, perm[..., None], -1) < radius, axis=(-2, -1))
+    certified &= np.all(np.diff(np.sort(perm, axis=-1), axis=-1) > 0, axis=-1)
+    return perm, certified
 
 
 def skew_exp(x, scale=1.0):

@@ -5,7 +5,11 @@ d = N are turned into nearly jointly diagonalizable observable matrices;
 the triangularizer's diagonal recovers the component ratios, and the
 pencil equation recovers the column scales.  Includes the first-order
 noise expansion of the observable matrices and the component estimation
-error bound.
+error bound.  Each stage factors its matrix once: one LU of the weighted
+slice sum serves every slice, one SVD of Z gives the bound's rank test
+and condition number, and the column matching takes the certified
+argmin (linalg.assign_columns, as harness.nearest_exact_frame does)
+before any Kuhn search.
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ from .errors import (
     SingularZ,
     ZeroColumnSum,
 )
-from .linalg import min_pairwise_gap
+from .linalg import assign_columns, blockwise_norm, min_pairwise_gap
 from .triangularize import MatrixSet, rotated
 
 RANK_REL_TOL = 1e-10
@@ -59,32 +63,35 @@ def slices(t):
     return [cube[n].copy() for n in range(t.n)]
 
 
-def _solve_right(a, b):
-    """Solve X B = A for X with a residual check (no explicit inverse)."""
-    x = np.linalg.solve(b.T, a.T).T
-    if np.linalg.norm(x @ b - a) > SOLVE_RESIDUAL_TOL * max(np.linalg.norm(a), 1.0):
-        raise RankDeficient("pencil solve residual above tolerance")
-    return x
-
-
 def observable_matrices(t, theta):
     """Observable matrices of a tensor whose rank d equals its dimension N.
 
     With weights w = sqrt(N) * theta (so the unit-norm ones-direction
     reproduces plain unweighted sums), the weighted slice sum is
     m_w = sum_n w_n m_n and the matrices are M_n = m_n m_w^{-1}, so
-    sum_n w_n M_n = I by construction.  Returns (MatrixSet, m_w); m_w is
-    the pencil that recover_scales takes.
+    sum_n w_n M_n = I by construction.  All N solves X m_w = m_n share one
+    LU factorization of m_w (one solve with every slice as right-hand
+    sides, which gives each M_n the bits of its own solve), and no inverse
+    is formed.  A slice whose residual ||M_n m_w - m_n|| exceeds
+    SOLVE_RESIDUAL_TOL max(||m_n||, 1) raises RankDeficient.  Returns
+    (MatrixSet, m_w); m_w is the pencil that recover_scales takes.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (t.n,):
         raise DimensionMismatch("theta length must equal the tensor dimension N")
-    raw = slices(t)
-    pencil = sum(w * m for w, m in zip(np.sqrt(t.n) * theta, raw))
+    cube = t.as_cube()
+    n = t.n
+    pencil = sum(w * m for w, m in zip(np.sqrt(n) * theta, cube))
     s = np.linalg.svd(pencil, compute_uv=False)
     if s[-1] <= RANK_REL_TOL * s[0]:
         raise RankDeficient("weighted slice sum is rank deficient")
-    return MatrixSet(tuple(_solve_right(m, pencil) for m in raw)), pencil
+    # column block n of the right-hand side is m_n^T, and of the solution M_n^T
+    solution = np.linalg.solve(pencil.T, cube.transpose(2, 0, 1).reshape(n, n * n))
+    observed = solution.reshape(n, n, n).transpose(1, 2, 0)
+    residual = blockwise_norm(observed @ pencil - cube)
+    if np.any(residual > SOLVE_RESIDUAL_TOL * np.maximum(blockwise_norm(cube), 1.0)):
+        raise RankDeficient("pencil solve residual above tolerance")
+    return MatrixSet(observed), pencil
 
 
 def first_order_model(z, noise):
@@ -102,7 +109,8 @@ def first_order_model(z, noise):
         raise DimensionMismatch("first-order model requires a square Z (N = d)")
     if np.linalg.matrix_rank(z) < d:
         raise SingularZ("Z is singular")
-    _, m_bound, w_bound = _observable_bounds(z, float(np.linalg.norm(noise.data)))
+    eps = float(np.linalg.norm(noise.data))
+    m_bound, w_bound = _observable_bounds(z, np.linalg.cond(z), eps)
     if noise.n != d:
         raise DimensionMismatch("noise tensor dimension must match Z")
     m_slices = [z @ np.diag(z[n]) @ z.T for n in range(d)]
@@ -117,21 +125,21 @@ def first_order_model(z, noise):
     return m_list, w_list, float(m_bound), float(w_bound)
 
 
-def _observable_bounds(z, eps):
-    """(kappa(Z), M, W) for a square Z and a noise tensor of norm eps: M bounds
-    each noise-free observable matrix and W each first-order noise term,
-    M = d kappa^2 max|Z| / m and W = eps sqrt(d) kappa^2 (1 + M) / (||Z||^2 m)
-    with m = min |1^T Z|.  Raises ZeroColumnSum when m = 0."""
+def _observable_bounds(z, kappa, eps):
+    """(M, W) for a square Z of condition number kappa and a noise tensor of
+    norm eps: M bounds each noise-free observable matrix and W each
+    first-order noise term, M = d kappa^2 max|Z| / m and
+    W = eps sqrt(d) kappa^2 (1 + M) / (||Z||^2 m) with m = min |1^T Z|.
+    Raises ZeroColumnSum when m = 0."""
     d = len(z)
     min_col = float(np.min(np.abs(z.sum(axis=0))))
     if min_col == 0.0:
         raise ZeroColumnSum("a column of Z sums to zero")
-    kappa = np.linalg.cond(z)
     m_bound = d * kappa**2 * np.max(np.abs(z)) / min_col
     w_bound = (
         eps * np.sqrt(d) * kappa**2 / (np.linalg.norm(z) ** 2 * min_col) * (1.0 + m_bound)
     )
-    return kappa, m_bound, w_bound
+    return m_bound, w_bound
 
 
 def estimate_components(u, mset):
@@ -172,6 +180,8 @@ def component_error_bound(z, eps, sigma):
 
     4 N sigma sqrt(d(d-1)) kappa(Z)^4 / gamma * M^2 W + sigma W, with M, W
     the observable-matrix norm bounds and gamma the scaled component gap.
+    One SVD of Z gives both the rank test (np.linalg.matrix_rank's
+    tolerance) and kappa(Z) = s_max / s_min (np.linalg.cond's value).
     """
     try:
         z = np.asarray(z, dtype=float)
@@ -180,12 +190,14 @@ def component_error_bound(z, eps, sigma):
     if z.ndim != 2 or z.shape[0] != z.shape[1] or not np.all(np.isfinite(z)):
         raise DimensionMismatch("component bound requires a finite N x N Z")
     n, d = z.shape
-    if np.linalg.matrix_rank(z) < d:
+    s = np.linalg.svd(z, compute_uv=False)
+    if np.count_nonzero(s > s.max(initial=0.0) * (d * np.finfo(float).eps)) < d:
         raise SingularZ("Z is singular")
     gamma = component_gamma(z)
     if gamma <= 0.0:
         raise DegenerateSpectrum("two identical component columns: gamma = 0")
-    kappa, m_const, w_const = _observable_bounds(z, eps)
+    kappa = s[0] / s[-1]
+    m_const, w_const = _observable_bounds(z, kappa, eps)
     bound = (
         4.0 * n * sigma * np.sqrt(d * (d - 1)) * kappa**4 / gamma
         * m_const**2 * w_const
@@ -214,27 +226,15 @@ def _covers(allowed, rows, cols):
     return all(augment(c, set()) for c in cols)
 
 
-def match_columns(estimated, reference):
-    """Permute estimated columns to best match reference (bottleneck assignment).
+def _bottleneck_search(cost):
+    """The lexicographically first permutation of least bottleneck cost.
 
-    Minimizes the entrywise error max |estimated[:, perm] - reference| over
-    all column permutations, with no size cap.  cost[i, j] is the error of
-    putting estimated column i at position j; the optimum is the least
-    cost level whose graph cost <= level has a perfect matching (binary
-    search).  Position by position, the smallest free column that still
-    leaves a perfect matching is taken, so ties resolve to the
-    lexicographically first minimizer.  Returns (permuted estimate,
-    permutation tuple).
+    perm[j] is the row assigned to column j of cost.  The optimum is the
+    least cost level whose graph cost <= level has a perfect matching
+    (binary search); then, position by position, the smallest free row
+    that still leaves a perfect matching is taken.
     """
-    estimated = np.asarray(estimated, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    shape = estimated.shape
-    if len(shape) != 2 or shape != reference.shape or estimated.size == 0:
-        raise DimensionMismatch("need two non-empty n x d arrays of the same shape")
-    if not (np.all(np.isfinite(estimated)) and np.all(np.isfinite(reference))):
-        raise DimensionMismatch("columns to match must be finite")
-    d = shape[1]
-    cost = np.max(np.abs(estimated[:, :, None] - reference[:, None, :]), axis=0)
+    d = len(cost)
     levels = np.unique(cost)
     lo, hi = 0, len(levels) - 1
     while lo < hi:
@@ -254,5 +254,37 @@ def match_columns(estimated, reference):
         )
         perm.append(i)
         free.remove(i)
-    perm = tuple(perm)
+    return tuple(perm)
+
+
+def match_columns(estimated, reference):
+    """Permute estimated columns to best match reference (bottleneck assignment).
+
+    Minimizes the entrywise error max |estimated[:, perm] - reference| over
+    all column permutations, with no size cap; ties resolve to the
+    lexicographically first minimizer.  cost[i, j] is the error of putting
+    estimated column i at position j.  When each reference column's
+    nearest estimated column is a permutation with every cost below half
+    the least max-norm gap g between two reference columns
+    (linalg.assign_columns), that permutation is the unique optimum: any
+    other one puts some estimated column more than g/2 from its reference
+    column.  Otherwise, as with duplicate reference columns (g = 0), a
+    Kuhn bottleneck search finds the optimum.  Returns (permuted
+    estimate, permutation tuple).
+    """
+    estimated = np.asarray(estimated, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    shape = estimated.shape
+    if len(shape) != 2 or shape != reference.shape or estimated.size == 0:
+        raise DimensionMismatch("need two non-empty n x d arrays of the same shape")
+    if not (np.all(np.isfinite(estimated)) and np.all(np.isfinite(reference))):
+        raise DimensionMismatch("columns to match must be finite")
+    cost = np.max(np.abs(estimated[:, :, None] - reference[:, None, :]), axis=0)
+    gap = np.max(np.abs(reference[:, :, None] - reference[:, None, :]), axis=0)
+    np.fill_diagonal(gap, np.inf)
+    # 1 - 2 eps absorbs the rounding of the computed differences, so the
+    # certificate holds for the cost the search would minimize
+    radius = 0.5 * gap.min() * (1.0 - 2.0 * np.finfo(float).eps)
+    perm, certified = assign_columns(cost.T, radius)
+    perm = tuple(perm.tolist()) if certified else _bottleneck_search(cost)
     return estimated[:, perm], perm

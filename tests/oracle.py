@@ -9,6 +9,12 @@ studies in jointtri.harness against them.  They call every stage through
 its module, so a test that patches a stage patches it here too.
 min_pairwise_gap_per_pair sums each column pair on its own; a test checks
 jointtri.linalg.min_pairwise_gap against it bit for bit.
+observable_matrices_per_slice (one solve per slice),
+component_error_bound_two_svds (np.linalg.matrix_rank and np.linalg.cond)
+and commutator_index_by_masks (two L x L masks scanned by np.nonzero) are
+the earlier forms of jointtri.tensor.observable_matrices,
+component_error_bound and jointtri.bounds._commutator_index; tests check
+each against its oracle bit for bit.
 """
 
 import itertools
@@ -18,8 +24,14 @@ import numpy as np
 from jointtri import bounds as bd
 from jointtri import harness as hz
 from jointtri import tensor as tn
-from jointtri.errors import JointTriError, LogBranchAmbiguous
-from jointtri.linalg import orthogonal_log
+from jointtri.errors import (
+    DegenerateSpectrum,
+    JointTriError,
+    LogBranchAmbiguous,
+    RankDeficient,
+    SingularZ,
+)
+from jointtri.linalg import lower_index, orthogonal_log
 
 
 def enumerate_exact_triangularizers(gt):
@@ -185,3 +197,52 @@ def verify_component_bound_per_trial(z, sigma, eps, trials, seed=0):
     summary["errors"] = errors
     summary["fraction"] = passed / trials
     return summary
+
+
+def _solve_right(a, b):
+    """Solve X B = A for X with a residual check (no explicit inverse)."""
+    x = np.linalg.solve(b.T, a.T).T
+    if np.linalg.norm(x @ b - a) > tn.SOLVE_RESIDUAL_TOL * max(np.linalg.norm(a), 1.0):
+        raise RankDeficient("pencil solve residual above tolerance")
+    return x
+
+
+def observable_matrices_per_slice(t, theta):
+    """tensor.observable_matrices with one LU factorization per slice."""
+    raw = tn.slices(t)
+    pencil = sum(w * m for w, m in zip(np.sqrt(t.n) * np.asarray(theta), raw))
+    s = np.linalg.svd(pencil, compute_uv=False)
+    if s[-1] <= tn.RANK_REL_TOL * s[0]:
+        raise RankDeficient("weighted slice sum is rank deficient")
+    return np.stack([_solve_right(m, pencil) for m in raw]), pencil
+
+
+def component_error_bound_two_svds(z, eps, sigma):
+    """tensor.component_error_bound with the rank from np.linalg.matrix_rank
+    and kappa from np.linalg.cond, one SVD each."""
+    z = np.asarray(z, dtype=float)
+    n, d = z.shape
+    if np.linalg.matrix_rank(z) < d:
+        raise SingularZ("Z is singular")
+    gamma = tn.component_gamma(z)
+    if gamma <= 0.0:
+        raise DegenerateSpectrum("two identical component columns: gamma = 0")
+    kappa = np.linalg.cond(z)
+    m_const, w_const = tn._observable_bounds(z, kappa, eps)
+    bound = (
+        4.0 * n * sigma * np.sqrt(d * (d - 1)) * kappa**4 / gamma
+        * m_const**2 * w_const
+        + sigma * w_const
+    )
+    return float(bound)
+
+
+def commutator_index_by_masks(d):
+    """bounds._commutator_index from two L x L boolean masks and np.nonzero."""
+    rows, cols = lower_index(d)
+    i, j, k, l = rows[:, None], cols[:, None], rows, cols
+    index = []
+    for match, source in ((j == l, k * d + i), (i == k, j * d + l)):
+        p, q = np.nonzero(match)
+        index += [p * rows.size + q, np.broadcast_to(source, match.shape)[match]]
+    return tuple(index)

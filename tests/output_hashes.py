@@ -29,7 +29,12 @@ The set:
 - ``tensor --d k`` for k in {4, 5, 7} on a rank-4 tensor of dimension N = 6
   (written by ``write_inputs``; each exits 2 with no output);
 - ``generate --kind model`` and ``--kind tensor`` with ``--d 0 --N 0``
-  (usage errors).
+  (usage errors);
+- ``generate --kind tensor`` plus ``tensor`` and ``tensor --theta random``
+  on d in {12, 16} (N = d, kappa=2, sigma=1e-4, seeds 7000-7005);
+- ``generate --kind tensor`` plus ``tensor`` on d=8 at sigma=1e-1 (seeds
+  7000-7011), where the column matching of most runs falls back to the
+  Kuhn search of tensor.match_columns.
 """
 
 import hashlib
@@ -119,6 +124,16 @@ def commands():
     for kind in ("model", "tensor"):
         out = f"zero-{kind}"
         yield ["generate", "--kind", kind, "--d", "0", "--N", "0", "--output", "@" + out], out
+    large = [(d, "1e-4", seed, ("ones", "random")) for d in (12, 16) for seed in range(7000, 7006)]
+    noisy = [(8, "1e-1", seed, ("ones",)) for seed in range(7000, 7012)]
+    for d, sigma, seed, thetas in large + noisy:
+        name = f"t{d}-{sigma}-{seed}"
+        yield ["generate", "--kind", "tensor", "--d", str(d), "--N", str(d), "--kappa", "2",
+               "--sigma", sigma, "--seed", str(seed), "--output", "@" + name], name
+        for theta in thetas:
+            out = f"{name}.{theta}"
+            yield ["tensor", "--d", str(d), "--theta", theta, "--input", "@" + name,
+                   "--output", "@" + out], out
 
 
 def main():

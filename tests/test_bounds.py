@@ -43,7 +43,7 @@ from jointtri.triangularize import (
     loss,
     rotated,
 )
-from oracle import enumerate_exact_triangularizers
+from oracle import commutator_index_by_masks, enumerate_exact_triangularizers
 
 
 def diagonal_model(lam, sigma=0.0, seed=0):
@@ -365,6 +365,16 @@ class TestCommutatorOperator:
     def test_matches_dense_kron_oracle(self, d, seed):
         a = np.random.default_rng(seed).standard_normal((d, d))
         assert np.array_equal(_commutator_operator(a), dense_commutator_oracle(a))
+
+    def test_index_equals_the_mask_scan(self):
+        """The O(L d) build gives the arrays, order and dtype of the two
+        L x L masks scanned by np.nonzero, read-only."""
+        for d in range(1, 41):
+            index = _commutator_index(d)
+            for built, scanned in zip(index, commutator_index_by_masks(d), strict=True):
+                assert np.array_equal(built, scanned)
+                assert built.dtype == scanned.dtype
+                assert not built.flags.writeable
 
 
 class TestOperatorOracles:

@@ -525,6 +525,17 @@ class TestCliCommands:
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_generate_tensor_of_rank_one_is_a_usage_error(self, tmp_path, capsys, n):
+        """tensor rejects every rank-1 file (no component gap), so generate
+        writes none: exit 1, naming --d >= 2, ahead of the d = N check."""
+        out = tmp_path / "out.json"
+        code = cli("generate", "--kind", "tensor", "--d", 1, "--N", n, "--output", out)
+        assert code == 1
+        assert "--d >= 2" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli("generate", "--kind", "model", "--d", 1, "--N", n, "--output", out) == 0
+
     def test_mismatched_tensor_generation_exits_2(self, tmp_path):
         code = cli(
             "generate", "--kind", "tensor", "--d", 3, "--N", 4,

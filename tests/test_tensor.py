@@ -1,10 +1,13 @@
+import collections
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointtri import tensor as tn
 from jointtri.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -26,10 +29,22 @@ from jointtri.tensor import (
     tensor_from_components,
 )
 from jointtri.triangularize import find_separating_beta
+from oracle import component_error_bound_two_svds, observable_matrices_per_slice
 
 
 def unit_theta(n):
     return np.ones(n) / np.sqrt(n)
+
+
+def outcome(f, *args):
+    """The bytes of f's arrays, or the class name of the error it raised."""
+    try:
+        result = f(*args)
+    except (DegenerateSpectrum, RankDeficient, SingularZ) as exc:
+        return type(exc).__name__
+    if isinstance(result, tuple):
+        return tuple(np.asarray(getattr(r, "matrices", r)).tobytes() for r in result)
+    return np.float64(result).tobytes()
 
 
 class TestSlices:
@@ -86,6 +101,56 @@ class TestObservableMatrices:
             _, pencil = observable_matrices(t, theta)
             expected = sum(w * m for w, m in zip(np.sqrt(n) * theta, slices(t)))
             assert pencil.tobytes() == expected.tobytes()
+
+    @given(st.integers(2, 32), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_one_solve_equals_per_slice_solves(self, d, seed, random_theta):
+        """One LU of m_w for every slice gives each M_n the bits of its own solve."""
+        t = gen_tensor(gen_components(d, seed=seed), 1e-4, 1.0, seed=seed)
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal(d) if random_theta else unit_theta(d)
+        expected = outcome(observable_matrices_per_slice, t, theta)
+        assert outcome(observable_matrices, t, theta) == expected
+        assert isinstance(expected, tuple)
+
+    @staticmethod
+    def ill_conditioned_tensor():
+        """Slices 0.3 B - R, 0.5 B, R and 0.2 B sum to B, whose condition number
+        1e9 passes the SVD rank test; slices 0 and 2 solve to X of norm near
+        1e9, with residuals near eps 1e9, far above SOLVE_RESIDUAL_TOL."""
+        rng = np.random.default_rng(21)
+        q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        b = q1 @ np.diag(np.geomspace(1.0, 1e-9, 4)) @ q2.T
+        r = rng.standard_normal((4, 4))
+        cube = np.stack([0.3 * b - r, 0.5 * b, r, 0.2 * b])
+        return Tensor3(n=4, data=cube.ravel())
+
+    def test_bad_slice_residual_is_rank_deficient(self):
+        t = self.ill_conditioned_tensor()
+        assert outcome(observable_matrices_per_slice, t, unit_theta(4)) == "RankDeficient"
+        with pytest.raises(RankDeficient):
+            observable_matrices(t, unit_theta(4))
+
+    def test_residual_test_is_per_slice(self, monkeypatch):
+        """With the tolerance between the two largest per-slice residual
+        ratios, the one slice above it raises; above them all, none does."""
+        rng = np.random.default_rng(22)
+        t = Tensor3(n=5, data=rng.standard_normal(125) * np.repeat([1e-3, 1, 3, 10, 1e3], 25))
+        theta = rng.standard_normal(5)
+        observed, pencil = observable_matrices(t, theta)
+        ratios = sorted(
+            np.linalg.norm(x @ pencil - m) / max(np.linalg.norm(m), 1.0)
+            for x, m in zip(observed.matrices, slices(t))
+        )
+        assert 0 < ratios[-2] < 0.9 * ratios[-1]
+        monkeypatch.setattr(tn, "SOLVE_RESIDUAL_TOL", (ratios[-2] + ratios[-1]) / 2)
+        with pytest.raises(RankDeficient):
+            observable_matrices(t, theta)
+        assert outcome(observable_matrices_per_slice, t, theta) == "RankDeficient"
+        monkeypatch.setattr(tn, "SOLVE_RESIDUAL_TOL", 2 * ratios[-1])
+        assert outcome(observable_matrices, t, theta) == outcome(
+            observable_matrices_per_slice, t, theta)
 
     def test_theta_of_another_length_is_a_dimension_mismatch(self):
         t = tensor_from_components(gen_components(3, seed=0))
@@ -245,6 +310,23 @@ class TestComponentErrorBound:
         )
         assert np.isclose(component_error_bound(z, eps, 1e-4), expected)
 
+    @given(st.integers(2, 12), st.floats(1.0, 1e4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_one_svd_equals_two_svd_oracle(self, d, kappa, seed):
+        z = gen_components(d, kappa_target=kappa, seed=seed)
+        for eps, sigma in ((1.0, 1e-4), (0.3, 1e-2)):
+            expected = outcome(component_error_bound_two_svds, z, eps, sigma)
+            assert outcome(component_error_bound, z, eps, sigma) == expected
+
+    @pytest.mark.parametrize("s_min", [0.0, 1e-17, 4.4e-16, 4.5e-16, 1e-15, 1e-3])
+    def test_rank_test_is_matrix_rank(self, s_min):
+        """Around matrix_rank's tolerance s_max d eps (4.44e-16 here) both
+        forms agree: SingularZ at or below it, a bound above it."""
+        z = np.diag([1.0, s_min])
+        expected = outcome(component_error_bound_two_svds, z, 1.0, 1e-4)
+        assert outcome(component_error_bound, z, 1.0, 1e-4) == expected
+        assert (expected == "SingularZ") == (s_min < 4.45e-16)
+
     def test_identical_columns_are_rejected(self):
         # a repeated column collapses the gap and the rank together
         z = np.column_stack([np.ones(3), np.ones(3), [1.0, 2.0, 3.0]])
@@ -323,6 +405,44 @@ class TestMatchColumns:
         matched, perm = match_columns(est, ref)
         assert perm == best_perm
         assert np.array_equal(matched, est[:, best_perm])
+
+    def test_certified_argmin_equals_kuhn_search(self):
+        """Both paths give the Kuhn search's permutation; the search runs only
+        when the argmin is not certified, as with duplicate reference columns
+        or noise near the column gap."""
+        search = tn._bottleneck_search
+        paths = collections.Counter()
+
+        @given(
+            st.sampled_from(["shuffle", "ties", "duplicates", "noisy"]),
+            st.integers(min_value=1, max_value=8),
+            st.integers(min_value=1, max_value=8),
+            st.integers(0, 2**32 - 1),
+        )
+        @settings(max_examples=200, deadline=None)
+        def check(kind, d, n, seed):
+            rng = np.random.default_rng(seed)
+            if kind == "ties":
+                ref = rng.integers(-2, 3, (n, d)).astype(float)
+                est = rng.integers(-2, 3, (n, d)).astype(float)
+            else:
+                ref = rng.standard_normal((n, d))
+                if kind == "duplicates":
+                    ref[:, -1] = ref[:, 0]
+                noise = 1.0 if kind == "noisy" else 1e-3
+                est = ref[:, rng.permutation(d)] + noise * rng.standard_normal((n, d))
+            cost = np.max(np.abs(est[:, :, None] - ref[:, None, :]), axis=0)
+            expected = search(cost)
+            with mock.patch.object(tn, "_bottleneck_search", wraps=search) as fallback:
+                matched, perm = match_columns(est, ref)
+            paths["search" if fallback.called else "certified"] += 1
+            assert perm == expected
+            assert np.array_equal(matched, est[:, expected])
+            if kind == "duplicates" and d > 1:
+                assert fallback.called
+
+        check()
+        assert paths["certified"] > 0 and paths["search"] > 0
 
     @pytest.mark.parametrize(
         "est, ref",
