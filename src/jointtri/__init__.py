@@ -60,7 +60,6 @@ from .tensor import (
     match_columns,
     observable_matrices,
     recover_scales,
-    slices,
     tensor_from_components,
 )
 from .harness import (
@@ -92,7 +91,7 @@ __all__ = [
     "t_beta",
     "Tensor3", "component_error_bound", "component_gamma",
     "estimate_components", "first_order_model", "match_columns",
-    "observable_matrices", "recover_scales", "slices",
+    "observable_matrices", "recover_scales",
     "tensor_from_components",
     "GeneratorSpec", "converge", "gen_components", "gen_ground_truth",
     "gen_tensor", "nearest_exact_frame", "sample_noise", "sigma_sweep",

@@ -54,7 +54,8 @@ def _build_parser():
 
     gen = sub.add_parser("generate", help="write a synthetic model or tensor")
     gen.add_argument("--kind", choices=["model", "tensor"], required=True)
-    gen.add_argument("--d", type=_at_least(1), required=True)
+    # bounds and sweep need an eigengap, and the tensor bound a component gap
+    gen.add_argument("--d", type=_at_least(2), required=True)
     gen.add_argument("--N", type=_at_least(1), required=True)
     gen.add_argument("--kappa", type=_at_least(1.0, float), default=2.0)
     gen.add_argument("--gamma", type=_at_least(0.0, float, strict=True), default=1.0)
@@ -68,7 +69,7 @@ def _build_parser():
     tria.add_argument("--beta", choices=["ones", "random"], default="ones")
     tria.add_argument("--sigma", type=_at_least(0.0, float), default=0.0)
     tria.add_argument("--tol", type=_at_least(0.0, float, strict=True), default=1e-10)
-    tria.add_argument("--max-iters", type=int, default=2000)
+    tria.add_argument("--max-iters", type=_at_least(0), default=2000)
     tria.add_argument("--seed", type=int, default=0)
 
     bnd = sub.add_parser("bounds", help="full bound report for a model")
@@ -77,7 +78,7 @@ def _build_parser():
     bnd.add_argument("--output", required=True)
     bnd.add_argument("--beta", choices=["ones", "random"], default="ones")
     bnd.add_argument("--tol", type=_at_least(0.0, float, strict=True), default=1e-10)
-    bnd.add_argument("--max-iters", type=int, default=2000)
+    bnd.add_argument("--max-iters", type=_at_least(0), default=2000)
     bnd.add_argument("--seed", type=int, default=0)
 
     ten = sub.add_parser("tensor", help="decompose a third-order tensor")
@@ -86,7 +87,7 @@ def _build_parser():
     ten.add_argument("--d", type=int, required=True, help="the tensor's rank; must equal N")
     ten.add_argument("--theta", choices=["ones", "random"], default="ones")
     ten.add_argument("--tol", type=_at_least(0.0, float, strict=True), default=1e-10)
-    ten.add_argument("--max-iters", type=int, default=2000)
+    ten.add_argument("--max-iters", type=_at_least(0), default=2000)
     ten.add_argument("--seed", type=int, default=0)
 
     swp = sub.add_parser("sweep", help="noise-scaling study")
@@ -120,8 +121,6 @@ def _cmd_generate(args):
         gt = hz.gen_ground_truth(spec, sigma=args.sigma)
         io.dump_canonical(io.ground_truth_to_dict(gt), args.output)
     else:
-        if args.d < 2:  # the component gap, and so the tensor bound, needs two columns
-            raise ValueError("generate --kind tensor requires --d >= 2")
         if args.d != args.N:
             raise DimensionMismatch("tensor generation requires d = N")
         z = hz.gen_components(args.d, kappa_target=args.kappa, seed=args.seed)
@@ -231,7 +230,9 @@ def _cmd_tensor(args):
     if components is not None:
         z, eps, sigma = components
         report["component_bound"] = tn.component_error_bound(z, eps, sigma)
-        reference = z / z.sum(axis=0)
+        # Y's columns are Z's over their weighted sums w^T z_i, w = sqrt(N) theta;
+        # theta = ones keeps the plain sums, as sqrt(N) (1 / sqrt(N)) need not be 1.0
+        reference = z / (z.sum(axis=0) if args.theta == "ones" else np.sqrt(t.n) * theta @ z)
         matched, _ = tn.match_columns(y, reference)
         report["component_error"] = float(np.max(np.abs(matched - reference)))
     io.dump_canonical(report, args.output)

@@ -6,10 +6,10 @@ the triangularizer's diagonal recovers the component ratios, and the
 pencil equation recovers the column scales.  Includes the first-order
 noise expansion of the observable matrices and the component estimation
 error bound.  Each stage factors its matrix once: one LU of the weighted
-slice sum serves every slice, one SVD of Z gives the bound's rank test
-and condition number, and the column matching takes the certified
-argmin (linalg.assign_columns, as harness.nearest_exact_frame does)
-before any Kuhn search.
+slice sum serves every slice, one SVD of Z gives the rank test and
+condition number of the bound and of the first-order model, and the
+column matching takes the certified argmin (linalg.assign_columns, as
+harness.nearest_exact_frame does) before any bipartite-matching search.
 """
 
 from dataclasses import dataclass
@@ -57,12 +57,6 @@ def tensor_from_components(z):
     return Tensor3(n=z.shape[0], data=cube.ravel())
 
 
-def slices(t):
-    """The N frontal slices m_n with [m_n]_{n'n''} = T_{n n' n''}."""
-    cube = t.as_cube()
-    return [cube[n].copy() for n in range(t.n)]
-
-
 def observable_matrices(t, theta):
     """Observable matrices of a tensor whose rank d equals its dimension N.
 
@@ -77,8 +71,8 @@ def observable_matrices(t, theta):
     (MatrixSet, m_w); m_w is the pencil that recover_scales takes.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (t.n,):
-        raise DimensionMismatch("theta length must equal the tensor dimension N")
+    if theta.shape != (t.n,) or not np.all(np.isfinite(theta)):
+        raise DimensionMismatch("theta must be finite, of the tensor dimension N")
     cube = t.as_cube()
     n = t.n
     pencil = sum(w * m for w, m in zip(np.sqrt(n) * theta, cube))
@@ -103,26 +97,45 @@ def first_order_model(z, noise):
     finite-difference oracle on (m_n + sigma e_n)(m + sigma e)^{-1}.
     Returns (M list, W list, per-matrix M bound, per-matrix W bound).
     """
-    z = np.asarray(z, dtype=float)
-    d = z.shape[0]
-    if z.shape != (d, d):
-        raise DimensionMismatch("first-order model requires a square Z (N = d)")
-    if np.linalg.matrix_rank(z) < d:
-        raise SingularZ("Z is singular")
+    z, s = _singular_values(z)
+    d = len(z)
     eps = float(np.linalg.norm(noise.data))
-    m_bound, w_bound = _observable_bounds(z, np.linalg.cond(z), eps)
+    m_bound, w_bound = _observable_bounds(z, s[0] / s[-1], eps)
     if noise.n != d:
         raise DimensionMismatch("noise tensor dimension must match Z")
     m_slices = [z @ np.diag(z[n]) @ z.T for n in range(d)]
     m = z @ np.diag(z.sum(axis=0)) @ z.T
     m_inv = np.linalg.inv(m)
-    e_slices = slices(noise)
+    e_slices = noise.as_cube()
     e_sum = sum(e_slices)
     m_list, w_list = [], []
     for n in range(d):
         m_list.append(m_slices[n] @ m_inv)
         w_list.append(e_slices[n] @ m_inv - m_slices[n] @ m_inv @ e_sum @ m_inv)
     return m_list, w_list, float(m_bound), float(w_bound)
+
+
+def _finite_square(a, message):
+    """a as a finite square float array; DimensionMismatch(message) for
+    anything else, ragged input included."""
+    try:
+        a = np.asarray(a, dtype=float)
+    except ValueError as exc:  # ragged input
+        raise DimensionMismatch(message) from exc
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
+        raise DimensionMismatch(message)
+    return a
+
+
+def _singular_values(z):
+    """Z as a finite N x N array and its singular values s.  The one SVD gives
+    both the rank test (np.linalg.matrix_rank's tolerance; SingularZ below
+    it) and kappa(Z) = s[0] / s[-1] (np.linalg.cond's value)."""
+    z = _finite_square(z, "Z must be a finite N x N array")
+    s = np.linalg.svd(z, compute_uv=False)
+    if np.count_nonzero(s > s.max(initial=0.0) * (len(z) * np.finfo(float).eps)) < len(z):
+        raise SingularZ("Z is singular")
+    return z, s
 
 
 def _observable_bounds(z, kappa, eps):
@@ -155,11 +168,11 @@ def recover_scales(m_theta_hat, y):
     Z* = Y diag(s).  m_theta_hat must be the weighted slice sum m_w that
     observable_matrices returns.
     """
-    y = np.asarray(y, dtype=float)
-    m_theta_hat = np.asarray(m_theta_hat, dtype=float)
-    if y.shape[0] != y.shape[1]:
-        raise DimensionMismatch("scale recovery requires a square ratio matrix")
-    if np.linalg.matrix_rank(y) < y.shape[0]:
+    y = _finite_square(y, "scale recovery requires a finite square ratio matrix")
+    m_theta_hat = _finite_square(m_theta_hat, "the pencil must be finite and square")
+    if m_theta_hat.shape != y.shape:
+        raise DimensionMismatch("the pencil must have the ratio matrix's shape")
+    if np.linalg.matrix_rank(y) < len(y):
         raise SingularY("ratio matrix Y is singular")
     core = np.linalg.solve(y, np.linalg.solve(y, m_theta_hat.T).T)
     s = np.cbrt(np.diag(core))
@@ -180,19 +193,9 @@ def component_error_bound(z, eps, sigma):
 
     4 N sigma sqrt(d(d-1)) kappa(Z)^4 / gamma * M^2 W + sigma W, with M, W
     the observable-matrix norm bounds and gamma the scaled component gap.
-    One SVD of Z gives both the rank test (np.linalg.matrix_rank's
-    tolerance) and kappa(Z) = s_max / s_min (np.linalg.cond's value).
     """
-    try:
-        z = np.asarray(z, dtype=float)
-    except ValueError as exc:  # ragged input
-        raise DimensionMismatch("component bound requires a finite N x N Z") from exc
-    if z.ndim != 2 or z.shape[0] != z.shape[1] or not np.all(np.isfinite(z)):
-        raise DimensionMismatch("component bound requires a finite N x N Z")
+    z, s = _singular_values(z)
     n, d = z.shape
-    s = np.linalg.svd(z, compute_uv=False)
-    if np.count_nonzero(s > s.max(initial=0.0) * (d * np.finfo(float).eps)) < d:
-        raise SingularZ("Z is singular")
     gamma = component_gamma(z)
     if gamma <= 0.0:
         raise DegenerateSpectrum("two identical component columns: gamma = 0")
@@ -206,71 +209,42 @@ def component_error_bound(z, eps, sigma):
     return float(bound)
 
 
-def _covers(allowed, rows, cols):
-    """Whether every column in cols gets a distinct row of rows with allowed[row][col].
-
-    Kuhn's augmenting paths: each column in turn takes a free row or
-    displaces an owner that can move to another row.
-    """
-    owner = {}
-
-    def augment(c, seen):
-        for r in rows:
-            if allowed[r][c] and r not in seen:
-                seen.add(r)
-                if r not in owner or augment(owner[r], seen):
-                    owner[r] = c
-                    return True
-        return False
-
-    return all(augment(c, set()) for c in cols)
-
-
 def _bottleneck_search(cost):
-    """The lexicographically first permutation of least bottleneck cost.
+    """A permutation of least bottleneck cost; perm[j] is the row assigned to
+    column j.  A binary search finds the least cost level whose graph
+    cost <= level has a perfect matching (SciPy's Hopcroft-Karp), and that
+    matching is the permutation."""
+    from scipy.sparse import csr_array  # only this rare fallback loads scipy.sparse
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    perm[j] is the row assigned to column j of cost.  The optimum is the
-    least cost level whose graph cost <= level has a perfect matching
-    (binary search); then, position by position, the smallest free row
-    that still leaves a perfect matching is taken.
-    """
-    d = len(cost)
+    def matching(level):
+        return maximum_bipartite_matching(csr_array(cost <= level), perm_type="row")
+
     levels = np.unique(cost)
     lo, hi = 0, len(levels) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _covers((cost <= levels[mid]).tolist(), range(d), range(d)):
+        if matching(levels[mid]).min() >= 0:
             hi = mid
         else:
             lo = mid + 1
-    allowed = (cost <= levels[lo]).tolist()
-    # each choice leaves a perfect matching behind, so next() always finds one
-    perm, free = [], list(range(d))
-    for j in range(d):
-        i = next(
-            i for i in free
-            if allowed[i][j]
-            and _covers(allowed, [r for r in free if r != i], range(j + 1, d))
-        )
-        perm.append(i)
-        free.remove(i)
-    return tuple(perm)
+    return tuple(matching(levels[lo]).tolist())
 
 
 def match_columns(estimated, reference):
     """Permute estimated columns to best match reference (bottleneck assignment).
 
     Minimizes the entrywise error max |estimated[:, perm] - reference| over
-    all column permutations, with no size cap; ties resolve to the
-    lexicographically first minimizer.  cost[i, j] is the error of putting
+    all column permutations, with no size cap; among several minimizers
+    any one may be returned.  cost[i, j] is the error of putting
     estimated column i at position j.  When each reference column's
     nearest estimated column is a permutation with every cost below half
     the least max-norm gap g between two reference columns
     (linalg.assign_columns), that permutation is the unique optimum: any
     other one puts some estimated column more than g/2 from its reference
     column.  Otherwise, as with duplicate reference columns (g = 0), a
-    Kuhn bottleneck search finds the optimum.  Returns (permuted
-    estimate, permutation tuple).
+    binary search over the cost levels with SciPy's bipartite matching
+    finds an optimum.  Returns (permuted estimate, permutation tuple).
     """
     estimated = np.asarray(estimated, dtype=float)
     reference = np.asarray(reference, dtype=float)

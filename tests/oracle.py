@@ -209,7 +209,7 @@ def _solve_right(a, b):
 
 def observable_matrices_per_slice(t, theta):
     """tensor.observable_matrices with one LU factorization per slice."""
-    raw = tn.slices(t)
+    raw = t.as_cube()
     pencil = sum(w * m for w, m in zip(np.sqrt(t.n) * np.asarray(theta), raw))
     s = np.linalg.svd(pencil, compute_uv=False)
     if s[-1] <= tn.RANK_REL_TOL * s[0]:

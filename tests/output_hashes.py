@@ -32,9 +32,10 @@ The set:
   (usage errors);
 - ``generate --kind tensor`` plus ``tensor`` and ``tensor --theta random``
   on d in {12, 16} (N = d, kappa=2, sigma=1e-4, seeds 7000-7005);
-- ``generate --kind tensor`` plus ``tensor`` on d=8 at sigma=1e-1 (seeds
-  7000-7011), where the column matching of most runs falls back to the
-  Kuhn search of tensor.match_columns.
+- ``generate --kind tensor`` plus ``tensor`` at sigma=1e-1 on d=8 (seeds
+  7000-7011) and on d in {12, 16} (seeds 7000-7005), where the column
+  matching of most runs falls back to the bipartite-matching search of
+  tensor.match_columns.
 """
 
 import hashlib
@@ -126,6 +127,7 @@ def commands():
         yield ["generate", "--kind", kind, "--d", "0", "--N", "0", "--output", "@" + out], out
     large = [(d, "1e-4", seed, ("ones", "random")) for d in (12, 16) for seed in range(7000, 7006)]
     noisy = [(8, "1e-1", seed, ("ones",)) for seed in range(7000, 7012)]
+    noisy += [(d, "1e-1", seed, ("ones",)) for d in (12, 16) for seed in range(7000, 7006)]
     for d, sigma, seed, thetas in large + noisy:
         name = f"t{d}-{sigma}-{seed}"
         yield ["generate", "--kind", "tensor", "--d", str(d), "--N", str(d), "--kappa", "2",

@@ -267,12 +267,12 @@ class TestCliCommands:
         assert np.linalg.norm(u.T @ u - np.eye(3)) <= 1e-10
 
     def test_one_dimensional_model_round_trip(self, tmp_path):
-        # the map on the zero space has an inverse of norm 0: exact at d = 1
+        # the map on the zero space has an inverse of norm 0: exact at d = 1;
+        # generate rejects d = 1, so the library writes the model
         src = tmp_path / "d1.json"
         out = tmp_path / "frame.json"
-        assert cli(
-            "generate", "--kind", "model", "--d", 1, "--N", 2, "--output", src,
-        ) == 0
+        gt = gen_ground_truth(GeneratorSpec(d=1, n=2), sigma=0.0)
+        io.dump_canonical(io.ground_truth_to_dict(gt), str(src))
         assert cli("triangularize", "--input", src, "--output", out) == 0
         report = json.loads(out.read_text())
         assert report["aposteriori"] == 0.0
@@ -387,6 +387,19 @@ class TestCliCommands:
         report = json.loads(out.read_text())
         assert "Z_star" in report
         assert report["component_error"] <= report["component_bound"] * 1.1 + 1e-12
+
+    def test_random_theta_error_is_against_the_weighted_column_sums(self, tmp_path):
+        """With weights w = sqrt(N) theta, Y estimates Z_ni / (w^T z_i); against
+        the plain column sums the error read 2.22 here."""
+        src = tmp_path / "tensor.json"
+        out = tmp_path / "decomp.json"
+        assert cli(
+            "generate", "--kind", "tensor", "--d", 4, "--N", 4,
+            "--kappa", 2, "--sigma", 1e-4, "--seed", 7000, "--output", src,
+        ) == 0
+        assert cli("tensor", "--input", src, "--output", out, "--d", 4,
+                   "--theta", "random") == 0
+        assert json.loads(out.read_text())["component_error"] < 1e-3
 
     def test_tensor_pipeline_above_eight_columns(self, tmp_path):
         src = tmp_path / "tensor.json"
@@ -525,16 +538,17 @@ class TestCliCommands:
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["model", "tensor"])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_generate_tensor_of_rank_one_is_a_usage_error(self, tmp_path, capsys, n):
-        """tensor rejects every rank-1 file (no component gap), so generate
-        writes none: exit 1, naming --d >= 2, ahead of the d = N check."""
+    def test_generate_of_rank_one_is_a_usage_error(self, tmp_path, capsys, kind, n):
+        """tensor rejects every rank-1 file (no component gap), and bounds and
+        sweep every rank-1 model (no eigengap), so generate writes neither:
+        exit 1 while parsing, naming --d, ahead of the d = N check."""
         out = tmp_path / "out.json"
-        code = cli("generate", "--kind", "tensor", "--d", 1, "--N", n, "--output", out)
+        code = cli("generate", "--kind", kind, "--d", 1, "--N", n, "--output", out)
         assert code == 1
-        assert "--d >= 2" in capsys.readouterr().err
+        assert "argument --d: must be a finite number >= 2" in capsys.readouterr().err
         assert not out.exists()
-        assert cli("generate", "--kind", "model", "--d", 1, "--N", n, "--output", out) == 0
 
     def test_mismatched_tensor_generation_exits_2(self, tmp_path):
         code = cli(
@@ -577,6 +591,9 @@ class TestCliCommands:
             ("triangularize", ("--tol", "nan")),
             ("triangularize", ("--tol", "0")),
             ("bounds", ("--tol", "nan")),
+            ("triangularize", ("--max-iters", -1)),
+            ("bounds", ("--max-iters", -1)),
+            ("tensor", ("--d", 3, "--max-iters", -1)),
             ("tensor", ("--d", 3, "--tol", "nan")),
             ("verify", ("--sigma", "nan")),
             ("verify", ("--sigma", "inf")),

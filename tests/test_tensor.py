@@ -25,7 +25,6 @@ from jointtri.tensor import (
     match_columns,
     observable_matrices,
     recover_scales,
-    slices,
     tensor_from_components,
 )
 from jointtri.triangularize import find_separating_beta
@@ -50,20 +49,20 @@ def outcome(f, *args):
 class TestSlices:
     def test_identity_components_give_coordinate_slices(self):
         t = tensor_from_components(np.eye(3))
-        for n, m in enumerate(slices(t)):
+        for n, m in enumerate(t.as_cube()):
             expected = np.zeros((3, 3))
             expected[n, n] = 1.0
             assert np.array_equal(m, expected)
 
     def test_ground_tensor_slices_are_symmetric(self):
         z = gen_components(4, seed=1)
-        for m in slices(tensor_from_components(z)):
+        for m in tensor_from_components(z).as_cube():
             assert np.allclose(m, m.T, atol=1e-12)
 
     def test_flat_index_round_trip(self):
         rng = np.random.default_rng(2)
         t = Tensor3(n=3, data=rng.standard_normal(27))
-        rebuilt = np.concatenate([m.ravel() for m in slices(t)])
+        rebuilt = np.concatenate([m.ravel() for m in t.as_cube()])
         assert np.array_equal(rebuilt, np.asarray(t.data))
 
 
@@ -99,7 +98,7 @@ class TestObservableMatrices:
         t = gen_tensor(gen_components(n, seed=seed), 1e-4, 1.0, seed=seed)
         for theta in (unit_theta(n), np.random.default_rng(seed).standard_normal(n)):
             _, pencil = observable_matrices(t, theta)
-            expected = sum(w * m for w, m in zip(np.sqrt(n) * theta, slices(t)))
+            expected = sum(w * m for w, m in zip(np.sqrt(n) * theta, t.as_cube()))
             assert pencil.tobytes() == expected.tobytes()
 
     @given(st.integers(2, 32), st.integers(0, 2**32 - 1), st.booleans())
@@ -141,7 +140,7 @@ class TestObservableMatrices:
         observed, pencil = observable_matrices(t, theta)
         ratios = sorted(
             np.linalg.norm(x @ pencil - m) / max(np.linalg.norm(m), 1.0)
-            for x, m in zip(observed.matrices, slices(t))
+            for x, m in zip(observed.matrices, t.as_cube())
         )
         assert 0 < ratios[-2] < 0.9 * ratios[-1]
         monkeypatch.setattr(tn, "SOLVE_RESIDUAL_TOL", (ratios[-2] + ratios[-1]) / 2)
@@ -163,7 +162,7 @@ class TestObservableMatrices:
         theta = unit_theta(4)
         mset, _ = observable_matrices(t, theta)
         weights = np.sqrt(4) * theta
-        raw = slices(t)
+        raw = t.as_cube()
         pencil = sum(w * m for w, m in zip(weights, raw))
         u_full, _, vt_full = np.linalg.svd(pencil)
         v_full = vt_full.T
@@ -282,10 +281,36 @@ class TestRecoverScales:
             theta = unit_theta(4)
             y = estimate_components(u, mset)
             weights = np.sqrt(4) * theta
-            pencil = sum(w * m for w, m in zip(weights, slices(t)))
+            pencil = sum(w * m for w, m in zip(weights, t.as_cube()))
             z_star = recover_scales(pencil, y)
             matched, _ = match_columns(z_star, target)
             assert np.allclose(matched, target, atol=1e-8)
+
+
+def zero_noise(n):
+    return Tensor3(n=n, data=np.zeros(n**3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: observable_matrices(zero_noise(2), [np.nan, 1.0]),
+        lambda: observable_matrices(zero_noise(2), [np.inf, 1.0]),
+        lambda: recover_scales(np.eye(2), [[1.0, np.nan], [0.0, 1.0]]),
+        lambda: recover_scales([[np.inf, 0.0], [0.0, 1.0]], np.eye(2)),
+        lambda: recover_scales(np.eye(3), np.eye(2)),
+        lambda: recover_scales(np.ones(2), np.eye(2)),
+        lambda: recover_scales(np.eye(2), np.ones((2, 3))),
+    ],
+    ids=[
+        "observable_nan_theta", "observable_inf_theta",
+        "recover_nan_y", "recover_inf_pencil", "recover_pencil_of_another_size",
+        "recover_vector_pencil", "recover_rectangular_y",
+    ],
+)
+def test_malformed_theta_y_or_pencil_is_a_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 class TestComponentErrorBound:
@@ -357,7 +382,25 @@ class TestComponentErrorBound:
         with pytest.raises(DimensionMismatch):
             component_error_bound(z, 1.0, 1e-4)
         with pytest.raises(DimensionMismatch):
+            first_order_model(z, zero_noise(2))
+        with pytest.raises(DimensionMismatch):
             verify_component_bound(z, 1e-4, 1.0, trials=1)
+
+
+def assert_bottleneck_optimal(est, ref, matched, perm):
+    """perm permutes est's columns to the least bottleneck error over all d!
+    permutations, and is the only such permutation when the optimum is
+    unique; returns whether it is."""
+    d = est.shape[1]
+    errors = {p: np.max(np.abs(est[:, p] - ref)) for p in itertools.permutations(range(d))}
+    best = min(errors.values())
+    optima = [p for p, err in errors.items() if err == best]
+    assert sorted(perm) == list(range(d))
+    assert np.array_equal(matched, est[:, perm])
+    assert np.max(np.abs(matched - ref)) == best
+    if len(optima) == 1:
+        assert perm == optima[0]
+    return len(optima) == 1
 
 
 class TestMatchColumns:
@@ -397,25 +440,19 @@ class TestMatchColumns:
         else:
             ref = rng.standard_normal((n, d))
             est = ref[:, rng.permutation(d)] + 1e-3 * rng.standard_normal((n, d))
-        best_perm, best_err = None, np.inf
-        for perm in itertools.permutations(range(d)):
-            err = np.max(np.abs(est[:, perm] - ref))
-            if err < best_err:
-                best_err, best_perm = err, perm
-        matched, perm = match_columns(est, ref)
-        assert perm == best_perm
-        assert np.array_equal(matched, est[:, best_perm])
+        assert_bottleneck_optimal(est, ref, *match_columns(est, ref))
 
-    def test_certified_argmin_equals_kuhn_search(self):
-        """Both paths give the Kuhn search's permutation; the search runs only
-        when the argmin is not certified, as with duplicate reference columns
-        or noise near the column gap."""
+    def test_certified_argmin_and_search_match_brute_force(self):
+        """Both paths return an optimal permutation, the only one when the
+        optimum is unique; the search runs only when the argmin is not
+        certified, as with duplicate reference columns or noise near the
+        column gap."""
         search = tn._bottleneck_search
         paths = collections.Counter()
 
         @given(
             st.sampled_from(["shuffle", "ties", "duplicates", "noisy"]),
-            st.integers(min_value=1, max_value=8),
+            st.integers(min_value=1, max_value=6),
             st.integers(min_value=1, max_value=8),
             st.integers(0, 2**32 - 1),
         )
@@ -431,18 +468,16 @@ class TestMatchColumns:
                     ref[:, -1] = ref[:, 0]
                 noise = 1.0 if kind == "noisy" else 1e-3
                 est = ref[:, rng.permutation(d)] + noise * rng.standard_normal((n, d))
-            cost = np.max(np.abs(est[:, :, None] - ref[:, None, :]), axis=0)
-            expected = search(cost)
             with mock.patch.object(tn, "_bottleneck_search", wraps=search) as fallback:
                 matched, perm = match_columns(est, ref)
-            paths["search" if fallback.called else "certified"] += 1
-            assert perm == expected
-            assert np.array_equal(matched, est[:, expected])
+            path = "search" if fallback.called else "certified"
+            paths[path] += 1
+            paths[path, "unique"] += assert_bottleneck_optimal(est, ref, matched, perm)
             if kind == "duplicates" and d > 1:
                 assert fallback.called
 
         check()
-        assert paths["certified"] > 0 and paths["search"] > 0
+        assert paths["certified"] > 0 and paths["search"] > paths["search", "unique"] > 0
 
     @pytest.mark.parametrize(
         "est, ref",
