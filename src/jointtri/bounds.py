@@ -113,13 +113,15 @@ class GroundTruthModel:
             raise DimensionMismatch("lambda table must be N x d")
         if not np.all(np.isfinite(v)):  # before cond, whose SVD fails on NaN
             raise DimensionMismatch("V must be finite")
-        if not np.isfinite(np.linalg.cond(v)):
+        kappa = np.linalg.cond(v)
+        if not np.isfinite(kappa):
             raise DimensionMismatch("V must be invertible")
         for a in (v, lam):  # read-only copies keep noise_free valid
             a.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "lambda_table", lam)
         object.__setattr__(self, "noise_free", NoiseFree(v, lam))
+        self.noise_free.kappa = kappa  # seeds the cached property: one SVD of V
         self._set_noise(self.noise, self.sigma)
 
     def _set_noise(self, noise, sigma):
@@ -133,13 +135,19 @@ class GroundTruthModel:
             raise DimensionMismatch("need one noise matrix per lambda row")
         if noise.shape[1:] != (self.d, self.d):
             raise DimensionMismatch("noise matrices must be d x d")
-        if not np.all(np.linalg.norm(noise, axis=(1, 2)) <= 1.0 + 1e-12):  # NaN fails
+        # ||W_n|| as one dot per matrix in its memory order (column-major from
+        # io.load): the bits of np.linalg.norm; w_norm sums them left to right
+        in_memory = noise.swapaxes(1, 2) if noise.swapaxes(1, 2).flags.c_contiguous else noise
+        norms = blockwise_norm(np.ascontiguousarray(in_memory))
+        if not np.all(norms <= 1.0 + 1e-12):  # NaN fails
             raise DimensionMismatch("noise matrices must have Frobenius norm <= 1")
         noise.setflags(write=False)
         if not 0 <= sigma < np.inf:
             raise DimensionMismatch("sigma must be finite and nonnegative")
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "noise_norms", norms)
+        object.__setattr__(self, "w_norm", float(np.sqrt(sum(norms**2))))
 
     @property
     def d(self):
@@ -175,9 +183,8 @@ class GroundTruthModel:
         return self.noise_free.gamma
 
     def norms(self):
-        """(sqrt(sum ||M_n||^2), sqrt(sum ||W_n||^2))."""
-        w_norm = np.sqrt(sum(np.linalg.norm(w) ** 2 for w in self.noise))
-        return self.noise_free.m_norm, float(w_norm)
+        """(sqrt(sum ||M_n||^2), sqrt(sum ||W_n||^2)); the second is set with the noise."""
+        return self.noise_free.m_norm, self.w_norm
 
 
 def _runs(lengths):

@@ -179,8 +179,8 @@ def _cmd_bounds(args):
     alpha = np.linalg.norm(log)
     sigma_max, alpha_max, constants = bd.init_noise_threshold(gt, beta, u_init)
     eig_bound = max(
-        bd.eigenvalue_error_bound(alpha, gt.sigma, m_norm, np.linalg.norm(w))
-        for m_norm, w in zip(gt.noise_free.clean_norms, gt.noise)
+        bd.eigenvalue_error_bound(alpha, gt.sigma, m_norm, w_norm)
+        for m_norm, w_norm in zip(gt.noise_free.clean_norms, gt.noise_norms)
     )
     explicit, gamma = bd.explicit_bound(gt)
     report = {

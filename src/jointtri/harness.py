@@ -5,11 +5,13 @@ triangularizer it perturbs (nearest_exact_frame), found by assigning
 eigenvalue columns instead of listing all 2^d d! exact frames, so they run
 at any d.  Random draws use numpy's PCG64 generator; every generator is a
 pure function of its seed, and per-trial streams are derived from
-(seed, trial index) so trials are order-independent.
+(seed, trial index) so trials are order-independent; a trial's n noise
+matrices come from one sample_noise draw.
 
 The studies run all their trials as one batch: the certified init and
-descent, the nearest frame (one QR, one batched orthogonal log) and the a
-posteriori certificate (one batched SVD) each take a leading trial axis
+descent, the nearest frame (one QR, one orthogonal_log call: one LAPACK
+real Schur call per trial, no expm) and the a posteriori certificate (one
+batched SVD) each take a leading trial axis
 and the study's errors.Failures.  Stages run in the order one trial alone
 takes them; a trial leaves at its first JointTriError, which goes to its
 slot, and each stage returns arrays over the trials still running, so
@@ -56,10 +58,11 @@ def _random_orthogonal(rng, d):
     return q * np.sign(np.diag(r))
 
 
-def sample_noise(rng, d):
-    """A unit-Frobenius-norm noise matrix."""
-    w = rng.standard_normal((d, d))
-    return w / np.linalg.norm(w)
+def sample_noise(rng, d, n):
+    """n unit-Frobenius-norm noise matrices as one (n, d, d) array: the bits
+    of n successive draws of one matrix each, each divided by its norm."""
+    w = rng.standard_normal((n, d, d))
+    return w / blockwise_norm(w)[:, None, None]
 
 
 def gen_ground_truth(spec, sigma=0.0):
@@ -81,7 +84,7 @@ def gen_ground_truth(spec, sigma=0.0):
             lam = rng.standard_normal((spec.n, spec.d))
             gamma0 = min_pairwise_gap(lam)
         lam = lam * np.sqrt(spec.gamma_target / gamma0)
-    noise = tuple(sample_noise(rng, spec.d) for _ in range(spec.n))
+    noise = sample_noise(rng, spec.d, spec.n)
     return bd.GroundTruthModel(v=v, lambda_table=lam, noise=noise, sigma=sigma)
 
 
@@ -206,10 +209,8 @@ def _study(gt, sigmas, trials, seed):
     on.  Returns (errors, models, observed, live), live the arrays over
     the surviving pairs.
     """
-    noise = [
-        tuple(sample_noise(rng, gt.d) for _ in range(gt.n))
-        for rng in (np.random.default_rng([seed, t]) for t in range(trials))
-    ]
+    noise = [sample_noise(np.random.default_rng([seed, t]), gt.d, gt.n)
+             for t in range(trials)]
     models = np.array(
         [gt.with_noise(noise[t], sigma) for sigma in sigmas for t in range(trials)],
         dtype=object,

@@ -150,6 +150,16 @@ def skew_exp(x, scale=1.0):
     return e if moved.all() else np.where(moved[..., None, None], e, eye)
 
 
+# LAPACK's real Schur driver; with no sort its callback is never called
+_GEES = scipy.linalg.get_lapack_funcs("gees", dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _schur_lwork(d):
+    """The optimal gees workspace for d x d, which depends on d only."""
+    return int(_GEES(lambda re, im: 0, np.eye(d), lwork=-1)[-2][0])
+
+
 def orthogonal_log(q, fail=None):
     """Principal logarithm of a rotation, returned as a skew matrix; q is
     one frame or a (T, d, d) stack of them.
@@ -161,10 +171,13 @@ def orthogonal_log(q, fail=None):
     theta = atan2(s, c) (Higham, Functions of Matrices, section 11).
     Rejects frames that are not orthogonal, frames with determinant -1 and
     rotations with an eigenvalue within LOG_BRANCH_TOL of -1, where the
-    principal branch is ambiguous, and checks the round trip exp(log Q) = Q.
-    A stack takes one schur and one expm call; with ``fail`` (the stack
-    is over its rows) a frame that fails leaves it, and the logs are over
-    the frames still running.  Without it the first failure is raised.
+    principal branch is ambiguous, and checks the round trip exp(log Q) = Q,
+    exp(log T) from the same blocks: [[cos theta, (sin theta / s) b],
+    [(sin theta / s) a, cos theta]], 1 on a 1x1 block.  Each frame takes
+    one gees call, the T and Z of scipy.linalg.schur without its per-matrix
+    checks; one that fails rejects the frame.  With ``fail`` (the stack is
+    over its rows) a frame that fails leaves it, and the logs are over the
+    frames still running.  Without it the first failure is raised.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim not in (2, 3) or q.shape[-1] != q.shape[-2]:
@@ -184,9 +197,15 @@ def orthogonal_log(q, fail=None):
         np.linalg.det(stack) < 0,
         NegativeDeterminant("frame has determinant -1; no real skew logarithm"), stack,
     )
+    t, z, info = np.empty_like(stack), np.empty_like(stack), np.zeros(len(stack), int)
+    for f, frame in enumerate(stack):
+        t[f], _, _, _, z[f], _, info[f] = _GEES(lambda re, im: 0, frame, lwork=_schur_lwork(d))
+    t, z, stack = fail.drop(
+        info != 0, LogBranchAmbiguous("real Schur form not found; no principal log"),
+        t, z, stack,
+    )
     if not len(stack):
         return stack
-    t, z = scipy.linalg.schur(stack, output="real")
     trial, k = np.nonzero(t.diagonal(-1, 1, 2))  # upper-left corner of each 2x2 block
     c, b, a = t[trial, k, k], t[trial, k, k + 1], t[trial, k + 1, k]
     s = np.sqrt(-a * b)
@@ -194,22 +213,24 @@ def orthogonal_log(q, fail=None):
     dist = np.abs(t.diagonal(0, 1, 2) + 1.0)
     dist[trial, k] = dist[trial, k + 1] = np.hypot(c + 1.0, s)
     log_t = np.zeros_like(t)
-    scale = np.arctan2(s, c) / s
-    log_t[trial, k, k + 1] = scale * b
-    log_t[trial, k + 1, k] = scale * a
+    theta = np.arctan2(s, c)
+    log_t[trial, k, k + 1], log_t[trial, k + 1, k] = theta / s * np.array([b, a])
     log_q = z @ log_t @ z.swapaxes(1, 2)
     x = 0.5 * (log_q - log_q.swapaxes(1, 2))
-    x, stack = fail.drop(
+    exp_t = np.broadcast_to(np.eye(d), t.shape).copy()
+    exp_t[trial, k, k] = exp_t[trial, k + 1, k + 1] = np.cos(theta)
+    exp_t[trial, k, k + 1], exp_t[trial, k + 1, k] = np.sin(theta) / s * np.array([b, a])
+    residual = blockwise_norm(z @ exp_t @ z.swapaxes(1, 2) - stack)
+    x, residual = fail.drop(
         np.min(dist, axis=1) < LOG_BRANCH_TOL,
         LogBranchAmbiguous("eigenvalue near -1; principal log branch ambiguous"),
-        x, stack,
+        x, residual,
     )
-    if len(x):
-        (x,) = fail.drop(
-            blockwise_norm(skew_exp(x) - stack) > 1e-10 * max(1.0, np.sqrt(d)),
-            LogBranchAmbiguous("log round trip failed; input too close to branch cut"),
-            x,
-        )
+    (x,) = fail.drop(
+        residual > 1e-10 * max(1.0, np.sqrt(d)),
+        LogBranchAmbiguous("log round trip failed; input too close to branch cut"),
+        x,
+    )
     return x if q.ndim == 3 else x[0]
 
 

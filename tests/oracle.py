@@ -14,24 +14,39 @@ component_error_bound_two_svds (np.linalg.matrix_rank and np.linalg.cond)
 and commutator_index_by_masks (two L x L masks scanned by np.nonzero) are
 the earlier forms of jointtri.tensor.observable_matrices,
 component_error_bound and jointtri.bounds._commutator_index; tests check
-each against its oracle bit for bit.
+each against its oracle bit for bit.  orthogonal_log_schur_expm is the
+earlier jointtri.linalg.orthogonal_log (scipy.linalg.schur over the stack,
+and the round trip through skew_exp); a test checks the logs and the error
+class of every frame against it.  unit_noise draws one noise matrix, as
+harness.sample_noise did before it drew a trial's n at once.
 """
 
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 from jointtri import bounds as bd
 from jointtri import harness as hz
 from jointtri import tensor as tn
 from jointtri.errors import (
     DegenerateSpectrum,
+    DimensionMismatch,
+    Failures,
     JointTriError,
     LogBranchAmbiguous,
+    NegativeDeterminant,
     RankDeficient,
     SingularZ,
 )
-from jointtri.linalg import lower_index, orthogonal_log
+from jointtri.linalg import (
+    LOG_BRANCH_TOL,
+    ORTHO_TOL,
+    blockwise_norm,
+    lower_index,
+    orthogonal_log,
+    skew_exp,
+)
 
 
 def enumerate_exact_triangularizers(gt):
@@ -76,9 +91,16 @@ def brute_force_nearest(u, frames):
     return best
 
 
+def unit_noise(rng, d):
+    """One unit-Frobenius-norm noise matrix: the draw harness.sample_noise
+    makes n of at once."""
+    w = rng.standard_normal((d, d))
+    return w / np.linalg.norm(w)
+
+
 def _trial_model(gt, sigma, seed, t):
     rng = np.random.default_rng([seed, t])
-    noise = tuple(hz.sample_noise(rng, gt.d) for _ in range(gt.n))
+    noise = tuple(unit_noise(rng, gt.d) for _ in range(gt.n))
     return gt.with_noise(noise, sigma)
 
 
@@ -246,3 +268,52 @@ def commutator_index_by_masks(d):
         p, q = np.nonzero(match)
         index += [p * rows.size + q, np.broadcast_to(source, match.shape)[match]]
     return tuple(index)
+
+
+def orthogonal_log_schur_expm(q, fail=None):
+    """linalg.orthogonal_log from one scipy.linalg.schur call over the
+    stack, with the round trip checked by skew_exp (one expm call)."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim not in (2, 3) or q.shape[-1] != q.shape[-2]:
+        raise DimensionMismatch(f"orthogonal frame must be square, got shape {q.shape}")
+    stack = q.reshape(-1, *q.shape[-2:])
+    d = stack.shape[-1]
+    fail = Failures(len(stack)) if fail is None else fail
+    (stack,) = fail.drop(
+        ~np.all(np.isfinite(stack), axis=(1, 2)),
+        DimensionMismatch("matrix is not orthogonal within tolerance"), stack,
+    )
+    (stack,) = fail.drop(
+        ~(blockwise_norm(stack.swapaxes(1, 2) @ stack - np.eye(d)) <= ORTHO_TOL),
+        DimensionMismatch("matrix is not orthogonal within tolerance"), stack,
+    )
+    (stack,) = fail.drop(
+        np.linalg.det(stack) < 0,
+        NegativeDeterminant("frame has determinant -1; no real skew logarithm"), stack,
+    )
+    if not len(stack):
+        return stack
+    t, z = scipy.linalg.schur(stack, output="real")
+    trial, k = np.nonzero(t.diagonal(-1, 1, 2))
+    c, b, a = t[trial, k, k], t[trial, k, k + 1], t[trial, k + 1, k]
+    s = np.sqrt(-a * b)
+    dist = np.abs(t.diagonal(0, 1, 2) + 1.0)
+    dist[trial, k] = dist[trial, k + 1] = np.hypot(c + 1.0, s)
+    log_t = np.zeros_like(t)
+    scale = np.arctan2(s, c) / s
+    log_t[trial, k, k + 1] = scale * b
+    log_t[trial, k + 1, k] = scale * a
+    log_q = z @ log_t @ z.swapaxes(1, 2)
+    x = 0.5 * (log_q - log_q.swapaxes(1, 2))
+    x, stack = fail.drop(
+        np.min(dist, axis=1) < LOG_BRANCH_TOL,
+        LogBranchAmbiguous("eigenvalue near -1; principal log branch ambiguous"),
+        x, stack,
+    )
+    if len(x):
+        (x,) = fail.drop(
+            blockwise_norm(skew_exp(x) - stack) > 1e-10 * max(1.0, np.sqrt(d)),
+            LogBranchAmbiguous("log round trip failed; input too close to branch cut"),
+            x,
+        )
+    return x if q.ndim == 3 else x[0]

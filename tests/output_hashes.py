@@ -35,7 +35,11 @@ The set:
 - ``generate --kind tensor`` plus ``tensor`` at sigma=1e-1 on d=8 (seeds
   7000-7011) and on d in {12, 16} (seeds 7000-7005), where the column
   matching of most runs falls back to the bipartite-matching search of
-  tensor.match_columns.
+  tensor.match_columns;
+- ``generate`` plus ``verify --trials 3`` on d in {8, 16}, N=8, kappa=3,
+  sigma=1e-3, seeds 0-2, and ``sweep --trials 2`` on the d=8 models among
+  them (the LAPACK real Schur path of linalg.orthogonal_log on 8 x 8 and
+  16 x 16 rotations).
 """
 
 import hashlib
@@ -136,6 +140,16 @@ def commands():
             out = f"{name}.{theta}"
             yield ["tensor", "--d", str(d), "--theta", theta, "--input", "@" + name,
                    "--output", "@" + out], out
+    for d in (8, 16):
+        for seed in range(3):
+            name = f"r{d}-{seed}"
+            yield _model(d, 8, 3, seed) + ["--output", "@" + name], name
+            steps = [("verify", ["verify", "--trials", "3"])]
+            if d == 8:
+                steps.append(("sweep", ["sweep", "--trials", "2"]))
+            for suffix, argv in steps:
+                out = f"{name}.{suffix}"
+                yield argv + ["--input", "@" + name, "--output", "@" + out], out
 
 
 def main():

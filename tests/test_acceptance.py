@@ -84,7 +84,7 @@ def test_criterion_3_derivative_conformance():
     for seed in range(3):
         gt = gen_ground_truth(GeneratorSpec(d=4, n=3, kappa_target=2.0, seed=200 + seed))
         rng = np.random.default_rng(seed)
-        noise = tuple(sample_noise(rng, 4) for _ in range(3))
+        noise = sample_noise(rng, 4, 3)
         mset = gt.with_noise(noise, 1e-2).observed_matrices()
         u = skew_exp(random_unit_skew(rng, 4), 0.3)
         g = tri.gradient(u, mset)

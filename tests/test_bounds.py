@@ -50,7 +50,7 @@ def diagonal_model(lam, sigma=0.0, seed=0):
     lam = np.asarray(lam, dtype=float)
     n, d = lam.shape
     rng = np.random.default_rng(seed)
-    noise = tuple(sample_noise(rng, d) for _ in range(n))
+    noise = sample_noise(rng, d, n)
     return GroundTruthModel(v=np.eye(d), lambda_table=lam, noise=noise, sigma=sigma)
 
 
@@ -101,7 +101,7 @@ class TestGroundTruthModel:
     def test_with_noise_shares_the_noise_free_cache(self):
         gt = gen_ground_truth(GeneratorSpec(d=4, n=3, kappa_target=3.0, seed=6))
         rng = np.random.default_rng(6)
-        child = gt.with_noise(tuple(sample_noise(rng, 4) for _ in range(3)), 1e-2)
+        child = gt.with_noise(sample_noise(rng, 4, 3), 1e-2)
         fresh = GroundTruthModel(
             v=gt.v.copy(), lambda_table=gt.lambda_table.copy(),
             noise=child.noise, sigma=1e-2,
@@ -126,7 +126,7 @@ class TestGroundTruthModel:
 
     def test_with_noise_checks_only_the_new_noise(self, monkeypatch):
         gt = gen_ground_truth(GeneratorSpec(d=4, n=3, kappa_target=3.0, seed=6))
-        noise = tuple(sample_noise(np.random.default_rng(6), 4) for _ in range(3))
+        noise = sample_noise(np.random.default_rng(6), 4, 3)
         conds = []
         cond = np.linalg.cond
         monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(None) or cond(a))
@@ -147,6 +147,46 @@ class TestGroundTruthModel:
             with pytest.raises(DimensionMismatch):
                 gt.with_noise(w, sigma)
         assert gt.noise_free is child.noise_free
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_noise_norm_is_the_per_matrix_sum_bit_for_bit(self, loaded):
+        """The noise norms have the bits of np.linalg.norm per matrix, and
+        norms() those of their sum of squares, for the C-ordered noise of a
+        generated model and for the column-major noise of a loaded one."""
+        for seed in range(3):
+            gt = gen_ground_truth(GeneratorSpec(d=12, n=64, seed=seed), sigma=1e-3)
+            if loaded:
+                gt = io.ground_truth_from_dict(io.ground_truth_to_dict(gt))
+            assert gt.noise.flags.c_contiguous != loaded
+            per_matrix = [np.linalg.norm(w) for w in gt.noise]
+            assert gt.noise_norms.tolist() == per_matrix
+            assert gt.norms()[1] == np.sqrt(sum(x**2 for x in per_matrix))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rejects_nan_or_norm_above_one(self, order):
+        noise = sample_noise(np.random.default_rng(3), 3, 2)
+        lam = [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]]
+
+        def model(w):
+            if order == "F":  # each matrix column-major, as io.load builds them
+                w = w.swapaxes(1, 2).copy().swapaxes(1, 2)
+            return GroundTruthModel(v=np.eye(3), lambda_table=lam, noise=w, sigma=0.1)
+
+        nan = noise.copy()
+        nan[1, 0, 2] = np.nan
+        for bad in (nan, noise * np.array([1.0, 1.0 + 1e-11])[:, None, None]):
+            with pytest.raises(DimensionMismatch):
+                model(bad)
+        model(noise * np.array([1.0, 1.0 + 1e-13])[:, None, None])
+
+    def test_kappa_is_the_condition_number_that_validated_v(self, monkeypatch):
+        v = gen_ground_truth(GeneratorSpec(d=5, n=3, kappa_target=3.0, seed=8)).v
+        conds, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(None) or cond(a))
+        gt = GroundTruthModel(
+            v=v, lambda_table=np.ones((1, 5)), noise=np.zeros((1, 5, 5)), sigma=0.0)
+        assert gt.noise_free.kappa == cond(v)
+        assert len(conds) == 1
 
     def test_model_is_immutable(self):
         v, lam, w = np.eye(2), np.array([[0.0, 1.0]]), np.diag([0.6, 0.0])

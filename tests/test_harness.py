@@ -34,6 +34,7 @@ from oracle import (
     brute_force_nearest,
     enumerate_exact_triangularizers,
     sigma_sweep_per_trial,
+    unit_noise,
     verify_bounds_per_trial,
     verify_component_bound_per_trial,
 )
@@ -74,6 +75,15 @@ class TestGenGroundTruth:
         gt = gen_ground_truth(GeneratorSpec(d=5, n=3, seed=4), sigma=1e-2)
         for w in gt.noise:
             assert np.isclose(np.linalg.norm(w), 1.0)
+
+    @given(st.integers(1, 16), st.integers(1, 64), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sample_noise_is_n_single_draws(self, d, n, seed):
+        stack = sample_noise(np.random.default_rng(seed), d, n)
+        rng = np.random.default_rng(seed)
+        singles = [unit_noise(rng, d) for _ in range(n)]
+        assert stack.shape == (n, d, d)
+        assert np.array_equal(stack, singles)
 
 
 class TestGenTensor:
@@ -289,7 +299,7 @@ class TestMatchesEnumerationOracle:
         frames = enumerate_exact_triangularizers(gt)
         for t in range(100):
             rng = np.random.default_rng([0, t])
-            noise = tuple(sample_noise(rng, gt.d) for _ in range(gt.n))
+            noise = sample_noise(rng, gt.d, gt.n)
             u, _, _, _ = converge(gt.with_noise(noise, 1e-3).observed_matrices())
             assert_matches_oracle(gt, u, frames)
 
@@ -355,25 +365,46 @@ class TestVerifyBounds:
 
     def test_one_log_per_trial_near_a_frame(self, monkeypatch):
         """The study takes its trials' logs in one orthogonal_log call, one
-        batched real Schur form."""
+        LAPACK real Schur call per frame, and the nearest-frame stage calls
+        neither expm nor skew_exp: the round trip is in closed form."""
         gt = gen_ground_truth(GeneratorSpec(d=4, n=3, seed=21))
-        calls, schurs = [], []
-        schur = linalg.scipy.linalg.schur
+        calls, schurs, exps, inside = [], [], [], []
+        gees, nearest = linalg._GEES, harness.nearest_exact_frame
 
         def counted(r, *args):
             calls.append(r)
             return orthogonal_log(r, *args)
 
-        def counted_schur(q, *args, **kwargs):
-            schurs.append(q)
-            return schur(q, *args, **kwargs)
+        def counted_gees(select, a, lwork):
+            if lwork != -1:  # not the one workspace query per d
+                schurs.append(a.shape)
+            return gees(select, a, lwork=lwork)
+
+        def counted_nearest(*args):
+            inside.append(None)
+            try:
+                return nearest(*args)
+            finally:
+                inside.pop()
+
+        def watched(name, fn):
+            def call(*args, **kwargs):
+                if inside:
+                    exps.append(name)
+                return fn(*args, **kwargs)
+            return call
 
         monkeypatch.setattr(harness, "orthogonal_log", counted)
-        monkeypatch.setattr(linalg.scipy.linalg, "schur", counted_schur)
+        monkeypatch.setattr(harness, "nearest_exact_frame", counted_nearest)
+        monkeypatch.setattr(linalg, "_GEES", counted_gees)
+        monkeypatch.setattr(linalg, "skew_exp", watched("skew_exp", linalg.skew_exp))
+        monkeypatch.setattr(
+            linalg.scipy.linalg, "expm", watched("expm", linalg.scipy.linalg.expm))
         summary = verify_bounds(gt, 1e-4, trials=3)
         assert summary["errors"] == 0
         assert [r.shape for r in calls] == [(3, 4, 4)]
-        assert [q.shape for q in schurs] == [(3, 4, 4)]
+        assert schurs == [(4, 4)] * 3
+        assert exps == []
 
     def test_noise_free_work_is_done_once_per_study(self, monkeypatch):
         """The noise-free set is built once, the trials take one
@@ -496,7 +527,7 @@ class TestBatchedStudiesMatchOracle:
     def target(gt, sigma, seed, trial):
         """The stage inputs of one trial of a study, from the single-problem path."""
         rng = np.random.default_rng([seed, trial])
-        noise = tuple(sample_noise(rng, gt.d) for _ in range(gt.n))
+        noise = sample_noise(rng, gt.d, gt.n)
         observed = gt.with_noise(noise, sigma).observed_matrices()
         u, beta, _, u0 = converge(observed, seed=seed)
         frame, _ = nearest_exact_frame(gt, u)

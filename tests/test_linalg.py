@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointtri import cli, linalg
 from jointtri.errors import (
     DimensionMismatch,
+    Failures,
     LogBranchAmbiguous,
     NegativeDeterminant,
     NoSeparatingBeta,
@@ -22,7 +26,7 @@ from jointtri.linalg import (
     vec,
 )
 from jointtri.triangularize import MatrixSet, find_separating_beta
-from oracle import min_pairwise_gap_per_pair
+from oracle import min_pairwise_gap_per_pair, orthogonal_log_schur_expm
 
 
 def random_skew(rng, d):
@@ -284,6 +288,109 @@ class TestOrthogonalLog:
         x = random_skew(rng, 3)
         q = skew_exp(x / np.linalg.norm(x), 0.8)
         assert np.linalg.norm(skew_exp(orthogonal_log(q)) - q) <= 1e-10
+
+
+def oracle_frame(kind, d, seed, t):
+    """One frame of the given kind for the oracle cross-check; t in [1e-8, 1]."""
+    rng = np.random.default_rng(seed)
+    z = haar_rotation(rng, d)
+    if kind == "near_identity":
+        x = random_skew(rng, d)
+        return skew_exp(x / max(np.linalg.norm(x), 1.0), t)
+    if kind in ("repeated", "near_half_turn") and d > 1:
+        # one angle on every plane, or pi less 1e-7 .. 1e-5 on the first
+        theta = 3.0 * t if kind == "repeated" else np.pi - 10.0 ** rng.uniform(-7.0, -5.0)
+        block = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        r = np.eye(d)
+        for j in range(0, d - 1 if kind == "repeated" else 1, 2):
+            r[j : j + 2, j : j + 2] = block
+        return z @ r @ z.T
+    if kind == "reflection":
+        z[:, 0] = -z[:, 0]
+    elif kind == "non_orthogonal":
+        z = z + 1e-6 * rng.standard_normal((d, d))
+    elif kind == "non_finite":
+        z[rng.integers(d), rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
+    return z
+
+
+FRAME_KINDS = ("near_identity", "haar", "repeated", "near_half_turn", "reflection",
+               "non_orthogonal", "non_finite")
+
+
+class TestOrthogonalLogOracle:
+    """The per-frame LAPACK Schur form and the closed-form round trip against
+    the earlier scipy.linalg.schur + expm orthogonal_log, bit for bit."""
+
+    @given(
+        st.integers(1, 8),
+        st.lists(
+            st.tuples(
+                st.sampled_from(FRAME_KINDS),
+                st.integers(0, 2**32 - 1),
+                st.floats(min_value=1e-8, max_value=1.0),
+            ),
+            min_size=1, max_size=5,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_logs_and_errors_match_the_oracle(self, d, frames):
+        stack = np.array([oracle_frame(kind, d, seed, t) for kind, seed, t in frames])
+        fast, slow = Failures(len(stack), record=True), Failures(len(stack), record=True)
+        x = orthogonal_log(stack, fast)
+        y = orthogonal_log_schur_expm(stack, slow)
+        assert np.array_equal(x, y)
+        assert np.array_equal(fast.rows, slow.rows)
+        assert [type(e) for e in fast.errors] == [type(e) for e in slow.errors]
+
+
+def failing_gees(monkeypatch, failing):
+    """Make linalg's gees handle return info = 1 on its frame calls whose
+    index (from 0, workspace queries not counted) is in ``failing``."""
+    gees, calls = linalg._GEES, []
+
+    def patched(select, a, lwork):
+        result = gees(select, a, lwork=lwork)
+        if lwork == -1:
+            return result
+        calls.append(a)
+        return (*result[:-1], 1) if len(calls) - 1 in failing else result
+
+    monkeypatch.setattr(linalg, "_GEES", patched)
+    return calls
+
+
+class TestSchurFailure:
+    def test_only_the_failing_frame_leaves_the_stack(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        stack = np.array([haar_rotation(rng, 4) for _ in range(3)])
+        expected = orthogonal_log(stack)
+        calls = failing_gees(monkeypatch, {1})
+        fail = Failures(3, record=True)
+        x = orthogonal_log(stack, fail)
+        assert len(calls) == 3
+        assert fail.rows.tolist() == [0, 2]
+        assert np.array_equal(x, expected[[0, 2]])
+        assert fail.errors[0] is None and fail.errors[2] is None
+        assert isinstance(fail.errors[1], LogBranchAmbiguous)
+
+    def test_one_frame_raises_the_typed_error(self, monkeypatch):
+        failing_gees(monkeypatch, {0})
+        with pytest.raises(LogBranchAmbiguous):
+            orthogonal_log(haar_rotation(np.random.default_rng(12), 4))
+
+    def test_verify_records_the_failing_trial(self, monkeypatch, tmp_path):
+        model, out = tmp_path / "model.json", tmp_path / "verify.json"
+        assert cli.run(["generate", "--kind", "model", "--d", "4", "--N", "4",
+                        "--sigma", "1e-3", "--seed", "5", "--output", str(model)]) == 0
+        calls = failing_gees(monkeypatch, {1})
+        assert cli.run(["verify", "--trials", "3", "--input", str(model),
+                        "--output", str(out)]) == 0
+        assert len(calls) == 3
+        summary = json.loads(out.read_text())
+        assert summary["errors"] == 1
+        assert summary["records"][1] == {"trial": 1, "error": "LogBranchAmbiguous"}
+        assert "error" not in summary["records"][0] and "error" not in summary["records"][2]
 
 
 class TestRealEigen:

@@ -677,7 +677,7 @@ def verify_style_inputs(seed, models, trials):
         gt = gen_ground_truth(spec, sigma=1e-3)
         for t in range(trials):
             rng = np.random.default_rng([0, t])
-            noise = tuple(sample_noise(rng, 4) for _ in range(4))
+            noise = sample_noise(rng, 4, 4)
             yield gt.with_noise(noise, 1e-3).observed_matrices()
 
 
