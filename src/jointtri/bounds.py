@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.linalg import lapack_lite
-from scipy.linalg.blas import dnrm2, dtrsv
+from scipy.linalg.blas import dnrm2, dtrsv, idamax
 
 from .errors import (
     DegenerateSpectrum,
@@ -54,6 +54,7 @@ SINGULAR_REL_TOL = 1e-12
 # inverse_spectral_norm; below it a dense SVD is faster (measured crossover).
 LANCZOS_MIN_SIZE = 190
 LANCZOS_TOL = 1e-14
+_LANCZOS_BLOCK = 32  # the Krylov bases' first allocation, in vectors
 
 
 @dataclass
@@ -253,32 +254,40 @@ def _largest_singular(apply, apply_t, n, tol):
 
     Full reorthogonalization, a fixed-seed start vector (deterministic
     output), and a stop once the top Ritz triple's residual is at most
-    tol * theta; after n steps the bidiagonal is exact.
+    tol * theta; after n steps the bidiagonal is exact.  The Krylov bases
+    (one vector per row) and the bidiagonal live in arrays that double
+    when full, so each step reads views of its first k rows.
     """
     v = np.random.default_rng(0).standard_normal(n)
     v /= np.linalg.norm(v)
-    us, vs, alphas, betas = [], [v], [], []
+    size = min(n, _LANCZOS_BLOCK)
+    us, vs, bidiag = np.empty((size, n)), np.empty((size, n)), np.zeros((size, size))
+    vs[0] = v
     u = apply(v)
     for k in range(1, n + 1):
-        if us:  # full reorthogonalization, Gram-Schmidt twice
-            basis = np.array(us)
+        if k == size < n:  # step k writes row k of vs and column k of bidiag
+            size = min(2 * size, n)
+            us, vs = (np.concatenate((x, np.empty((size - len(x), n)))) for x in (us, vs))
+            bidiag = np.pad(bidiag, (0, size - len(bidiag)))
+        if k > 1:  # full reorthogonalization, Gram-Schmidt twice
+            basis = us[: k - 1]
             u -= basis.T @ (basis @ u)
             u -= basis.T @ (basis @ u)
-        alphas.append(np.linalg.norm(u))
-        u /= alphas[-1]
-        us.append(u)
+        alpha = np.linalg.norm(u)
+        u /= alpha
+        us[k - 1] = u
+        bidiag[k - 1, k - 1] = alpha
         w = apply_t(u)
-        basis = np.array(vs)
+        basis = vs[:k]
         w -= basis.T @ (basis @ w)
         w -= basis.T @ (basis @ w)
         beta = np.linalg.norm(w)
-        bidiag = np.diag(alphas) + np.diag(betas, 1)
-        left, s, _ = np.linalg.svd(bidiag)
+        left, s, _ = np.linalg.svd(bidiag[:k, :k])
         if k == n or beta * abs(left[-1, 0]) <= tol * s[0]:
             return float(s[0])
-        betas.append(beta)
+        bidiag[k - 1, k] = beta
         v = w / beta
-        vs.append(v)
+        vs[k] = v
         u = apply(v) - beta * u
 
 
@@ -338,13 +347,16 @@ def _lanczos_inverse_norm(op, overwrite):
     rows; with ``overwrite`` op (C-ordered, as t_beta builds it) holds its
     QR factorization afterwards."""
     size = op.shape[0]
-    scale = max(op.max(), -op.min())
-    if not scale > 0.0:
-        raise SingularOperator("operator is numerically singular")
     a = op if overwrite else np.array(op, order="C")
+    flat = a.reshape(-1)
+    scale = abs(flat[idamax(flat)])  # max |op_ij| in one pass; idamax skips NaN
+    if not 0.0 < scale < np.inf:
+        raise SingularOperator("operator is numerically singular")
     # ||op||_F >= sigma_max(op) stands in for sigma_max in the singularity
     # test; dnrm2 rescales as it sums, so it neither overflows nor underflows
-    fro = dnrm2(a.reshape(-1)) / scale
+    fro = dnrm2(flat) / scale
+    if np.isnan(fro):  # a NaN entry
+        raise SingularOperator("operator is numerically singular")
     r = _triangular_factor(a)
     r /= scale  # now ||R||_F >= 1, so sigma_max(R) >= 1 / sqrt(size)
     limit = np.sqrt(size) / SINGULAR_REL_TOL

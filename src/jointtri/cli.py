@@ -206,11 +206,10 @@ def _cmd_tensor(args):
     t = io.tensor_from_dict(data)
     if args.d != t.n:
         raise DimensionMismatch("tensor decomposition requires d = N")
-    rng = np.random.default_rng(args.seed)
     if args.theta == "ones":
         theta = np.ones(t.n) / np.sqrt(t.n)
     else:
-        theta = rng.standard_normal(t.n)
+        theta = np.random.default_rng(args.seed).standard_normal(t.n)
         theta /= np.linalg.norm(theta)
     mset, pencil = tn.observable_matrices(t, theta)
     # with theta = ones, sum_n M_n = I: the ones pencil never separates

@@ -4,6 +4,21 @@ Matrices are stored as flat column-major lists; files are written with
 sorted keys and compact separators so identical values produce identical
 bytes.  Numbers round-trip exactly (shortest repr of binary64).
 
+A file holds exactly json.dumps(obj, sort_keys=True, separators=(",", ":"),
+default=_plain) and a newline, encoded by orjson.  orjson writes a float's
+shortest round-trip digits as repr does, but in another notation where
+it has an exponent (1e-7, 1e16 for repr's 1e-07, 1e+16) or lies below
+1e-4 (0.00001 for 1e-05): every number token outside a string with an "e"
+after a digit or a "0.0000" prefix is rewritten by repr.  json.dumps
+writes the file itself when the orjson bytes could differ otherwise: when
+they are not printable ASCII (json.dumps escapes non-ASCII text and DEL),
+hold a backslash (an escape) or "null" (json.dumps writes NaN and
+Infinity), or when orjson refuses the object (an integer past 64 bits, a
+key that is not a string, a value _plain rejects, or a str, int, dict or
+list subclass, which json.dumps reads its own way).  Enums and UUIDs,
+which no output holds, are the one difference: orjson writes them where
+json.dumps raises TypeError.
+
 Files are read as bytes and parsed by orjson.  Only bytes orjson rejects
 are parsed again by the stdlib json module: the NaN/Infinity tokens that
 dump_canonical writes for non-finite values load as before, and malformed
@@ -13,6 +28,7 @@ field of the wrong JSON type, raises ValueError.
 """
 
 import json
+import re
 
 import numpy as np
 import orjson
@@ -37,10 +53,52 @@ def _plain(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# dataclasses, datetimes and subclasses go to _plain, which refuses them
+_ORJSON_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+                   | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
+_EXPONENT = re.compile(rb"e(?<=[0-9]e)[-0-9]")  # orjson writes e-7 and e16, never e+
+_NUMBER = re.compile(rb"-?[0-9][-+.0-9e]*")
+
+
+def _repr_numbers(raw):
+    """orjson's bytes with each number token that repr writes otherwise (an
+    exponent, or a 0.0000 prefix) rewritten by repr.  raw holds no
+    backslash, so a candidate after an odd count of quotes is in a string."""
+    starts = set()
+    for match in _EXPONENT.finditer(raw):
+        start = match.start()
+        while start and raw[start - 1] in b"-.0123456789":
+            start -= 1
+        starts.add(start)
+    at = raw.find(b"0.0000")
+    while at >= 0:
+        start = at - 1 if at and raw[at - 1] == ord("-") else at
+        if not start or raw[start - 1] in b",:[":
+            starts.add(start)
+        at = raw.find(b"0.0000", at + 6)
+    pieces, end, seen, inside = [], 0, 0, False
+    for start in sorted(starts):
+        inside ^= raw.count(b'"', seen, start) % 2 == 1
+        seen = start
+        if not inside:
+            token = _NUMBER.match(raw, start)
+            pieces += (raw[end:start], repr(float(token[0])).encode())
+            end = token.end()
+    pieces.append(raw[end:])
+    return b"".join(pieces)
+
+
 def dump_canonical(obj, path):
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    try:
+        raw = orjson.dumps(obj, default=_plain, option=_ORJSON_OPTIONS)
+    except orjson.JSONEncodeError:
+        raw = None
+    if raw is None or not raw.isascii() or b"\x7f" in raw or b"\\" in raw or b"null" in raw:
+        raw = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain).encode()
+    else:
+        raw = _repr_numbers(raw)
+    with open(path, "wb") as fh:
+        fh.write(raw + b"\n")
 
 
 def load(path):

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .linalg import (
     _fix_column_signs,
+    _low_mask,
     blockwise_dot,
     blockwise_norm,
     low_part,
@@ -159,11 +160,39 @@ def _commutator_adjoint(a, w):
     return s - s.swapaxes(-1, -2)
 
 
+@lru_cache(maxsize=None)
+def _flat_pairs(d):
+    """The flat positions r d + c of the lower pairs (r, c) of a d x d
+    matrix and c d + r of their mirrors, and the mask of the entries on
+    and above the diagonal."""
+    rows, cols = lower_index(d)
+    plan = rows * d + cols, cols * d + rows, ~_low_mask((d, d))
+    for x in plan:
+        x.setflags(write=False)
+    return plan
+
+
 def gauss_newton_product(a, x):
     """J^T J x in strictly-lower coordinates at the rotated stack a, with no
-    L x L object: J x = [low(A_n X - X A_n)]_n, X = skew_from_lower(x, d)."""
-    t = skew_from_lower(x, a.shape[1])
-    return _commutator_adjoint(a, low_part(a @ t - t @ a))[lower_index(a.shape[1])]
+    L x L object: J x = [low(A_n X - X A_n)]_n, X = skew_from_lower(x, d).
+
+    X is scattered from x into one flat d^2 vector (0 - x above the
+    diagonal: the bits of E - E^T), and the adjoint's S - S^T is read at
+    the pairs only, as S[r, c] - S[c, r]."""
+    d = a.shape[1]
+    lower, upper, on_and_above = _flat_pairs(d)
+    t = np.zeros(d * d)
+    t[lower] = x
+    t[upper] = 0.0 - x
+    t = t.reshape(d, d)
+    w = a @ t
+    w -= t @ a
+    np.copyto(w, 0.0, where=on_and_above)  # low_part, in place
+    a_t = a.swapaxes(1, 2)
+    s = a_t @ w
+    s -= w @ a_t
+    s = np.sum(s, axis=0).reshape(-1)
+    return s[lower] - s[upper]
 
 
 def gauss_newton_diagonal(a):
@@ -176,21 +205,19 @@ def gauss_newton_diagonal(a):
     """
     d = a.shape[1]
     rows, cols = lower_index(d)
+    lower, upper, _ = _flat_pairs(d)
     q = np.sum(a * a, axis=0)
     np.fill_diagonal(q, 0.0)
-    below = np.zeros((d + 1, d))  # below[r, c] = sum_{r' >= r} q[r', c]
-    below[:d] = np.cumsum(q[::-1], axis=0)[::-1]
-    left = np.zeros((d, d + 1))  # left[r, c] = sum_{c' < c} q[r, c']
-    left[:, 1:] = np.cumsum(q, axis=1)
-    diag = np.diagonal(a, axis1=1, axis2=2)
-    gap = np.sum((diag[:, rows] - diag[:, cols]) ** 2, axis=0)
-    return (
-        gap
-        + below[cols + 1, rows]
-        + below[rows + 1, cols]
-        + left[cols, rows]
-        + left[rows, cols]
-    )
+    below = np.zeros((d, d))  # below[r, c] = sum_{r' > r} q[r', c]
+    below[:-1] = np.cumsum(q[:0:-1], axis=0)[::-1]
+    left = np.zeros((d, d))  # left[r, c] = sum_{c' < c} q[r, c']
+    left[:, 1:] = np.cumsum(q[:, :-1], axis=1)
+    # one contiguous row of N per pair, so each gap sums as np.sum sums a vector
+    diag = np.ascontiguousarray(np.diagonal(a, axis1=1, axis2=2).T)
+    gap = diag[rows] - diag[cols]
+    gap *= gap
+    below, left = below.reshape(-1), left.reshape(-1)
+    return gap.sum(axis=1) + below[upper] + below[lower] + left[upper] + left[lower]
 
 
 @lru_cache(maxsize=None)
@@ -296,8 +323,8 @@ def _cg_step(a, b):
         curvature = p @ hp
         if curvature <= 0:  # only by rounding: J^T J is positive on its range
             break
-        x = x + rz / curvature * p
-        res = res - rz / curvature * hp
+        x += rz / curvature * p
+        res -= rz / curvature * hp
         rr = res @ res
         if rr <= stop:
             break

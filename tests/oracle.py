@@ -19,6 +19,12 @@ earlier jointtri.linalg.orthogonal_log (scipy.linalg.schur over the stack,
 and the round trip through skew_exp); a test checks the logs and the error
 class of every frame against it.  unit_noise draws one noise matrix, as
 harness.sample_noise did before it drew a trial's n at once.
+gauss_newton_product_skew (X from skew_from_lower, S - S^T formed whole),
+gauss_newton_diagonal_gathers (two-dimensional gathers) and
+largest_singular_listed (Krylov bases rebuilt from lists at every step)
+are the earlier forms of jointtri.triangularize.gauss_newton_product,
+gauss_newton_diagonal and jointtri.bounds._largest_singular; tests check
+each against its oracle bit for bit.
 """
 
 import itertools
@@ -43,9 +49,11 @@ from jointtri.linalg import (
     LOG_BRANCH_TOL,
     ORTHO_TOL,
     blockwise_norm,
+    low_part,
     lower_index,
     orthogonal_log,
     skew_exp,
+    skew_from_lower,
 )
 
 
@@ -317,3 +325,66 @@ def orthogonal_log_schur_expm(q, fail=None):
             x,
         )
     return x if q.ndim == 3 else x[0]
+
+
+def gauss_newton_product_skew(a, x):
+    """triangularize.gauss_newton_product with X = skew_from_lower(x) and
+    the adjoint's S - S^T formed before its pairs are read."""
+    d = a.shape[1]
+    t = skew_from_lower(x, d)
+    w = low_part(a @ t - t @ a)
+    a_t = a.swapaxes(-1, -2)
+    s = np.sum(a_t @ w - w @ a_t, axis=-3)
+    return (s - s.swapaxes(-1, -2))[lower_index(d)]
+
+
+def gauss_newton_diagonal_gathers(a):
+    """triangularize.gauss_newton_diagonal by two-dimensional gathers."""
+    d = a.shape[1]
+    rows, cols = lower_index(d)
+    q = np.sum(a * a, axis=0)
+    np.fill_diagonal(q, 0.0)
+    below = np.zeros((d + 1, d))
+    below[:d] = np.cumsum(q[::-1], axis=0)[::-1]
+    left = np.zeros((d, d + 1))
+    left[:, 1:] = np.cumsum(q, axis=1)
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    gap = np.sum((diag[:, rows] - diag[:, cols]) ** 2, axis=0)
+    return (
+        gap
+        + below[cols + 1, rows]
+        + below[rows + 1, cols]
+        + left[cols, rows]
+        + left[rows, cols]
+    )
+
+
+def largest_singular_listed(apply, apply_t, n, tol):
+    """bounds._largest_singular with the Krylov bases kept as lists, made
+    into arrays at every step, and the bidiagonal rebuilt from its two
+    diagonals."""
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
+    us, vs, alphas, betas = [], [v], [], []
+    u = apply(v)
+    for k in range(1, n + 1):
+        if us:
+            basis = np.array(us)
+            u -= basis.T @ (basis @ u)
+            u -= basis.T @ (basis @ u)
+        alphas.append(np.linalg.norm(u))
+        u /= alphas[-1]
+        us.append(u)
+        w = apply_t(u)
+        basis = np.array(vs)
+        w -= basis.T @ (basis @ w)
+        w -= basis.T @ (basis @ w)
+        beta = np.linalg.norm(w)
+        bidiag = np.diag(alphas) + np.diag(betas, 1)
+        left, s, _ = np.linalg.svd(bidiag)
+        if k == n or beta * abs(left[-1, 0]) <= tol * s[0]:
+            return float(s[0])
+        betas.append(beta)
+        v = w / beta
+        vs.append(v)
+        u = apply(v) - beta * u

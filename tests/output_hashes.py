@@ -39,7 +39,13 @@ The set:
 - ``generate`` plus ``verify --trials 3`` on d in {8, 16}, N=8, kappa=3,
   sigma=1e-3, seeds 0-2, and ``sweep --trials 2`` on the d=8 models among
   them (the LAPACK real Schur path of linalg.orthogonal_log on 8 x 8 and
-  16 x 16 rotations).
+  16 x 16 rotations);
+- ``generate`` plus ``triangularize --sigma 1e-3`` on d=32, N=8, kappa=3,
+  seeds 0-7 (the truncated-CG steps of triangularize.descend_batch), and
+  ``bounds`` on the seed-0 model among them (two L = 496 certificates,
+  from bounds.a_posteriori_bound and bounds.init_noise_threshold);
+- ``generate`` of d=12, N=64, kappa=3 models, seeds 0-3 (the canonical
+  writer on large payloads).
 """
 
 import hashlib
@@ -150,6 +156,18 @@ def commands():
             for suffix, argv in steps:
                 out = f"{name}.{suffix}"
                 yield argv + ["--input", "@" + name, "--output", "@" + out], out
+    for seed in range(8):
+        name = f"c32-{seed}"
+        yield _model(32, 8, 3, seed) + ["--output", "@" + name], name
+        steps = [("tri", ["triangularize", "--sigma", "1e-3"])]
+        if seed == 0:
+            steps.append(("bounds", ["bounds"]))
+        for suffix, argv in steps:
+            out = f"{name}.{suffix}"
+            yield argv + ["--input", "@" + name, "--output", "@" + out], out
+    for seed in range(4):
+        name = f"w64-{seed}"
+        yield _model(12, 64, 3, seed) + ["--output", "@" + name], name
 
 
 def main():

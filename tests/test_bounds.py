@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from jointtri import bounds, cli, io
 from jointtri.bounds import (
     LANCZOS_MIN_SIZE,
+    LANCZOS_TOL,
     GroundTruthModel,
     _commutator_index,
     _commutator_operator,
@@ -43,7 +44,11 @@ from jointtri.triangularize import (
     loss,
     rotated,
 )
-from oracle import commutator_index_by_masks, enumerate_exact_triangularizers
+from oracle import (
+    commutator_index_by_masks,
+    enumerate_exact_triangularizers,
+    largest_singular_listed,
+)
 
 
 def diagonal_model(lam, sigma=0.0, seed=0):
@@ -299,6 +304,40 @@ def generated_t_beta(tmp_path_factory):
         return built[d]
 
     return build
+
+
+class TestLargestSingular:
+    """The Krylov bases and bidiagonal held in arrays that double give the
+    bits of the bases rebuilt from lists at every step."""
+
+    @pytest.mark.parametrize("d", [20, 24, 32])
+    def test_generated_t_beta_has_the_bits_of_the_listed_bases(
+        self, generated_t_beta, monkeypatch, d
+    ):
+        op = generated_t_beta(d)
+        assert op.shape[0] == d * (d - 1) // 2 >= LANCZOS_MIN_SIZE
+        value = inverse_spectral_norm(op)
+        monkeypatch.setattr(bounds, "_largest_singular", largest_singular_listed)
+        assert np.float64(value).tobytes() == np.float64(inverse_spectral_norm(op)).tobytes()
+
+    @pytest.mark.parametrize("n, tol", [
+        (5, 0.0),  # within the first block, up to k = n
+        (33, 0.0),  # one row past the first block, up to k = n
+        (100, LANCZOS_TOL),  # into the second block (42 steps)
+        (300, LANCZOS_TOL),  # (58 steps)
+    ])
+    def test_random_operator_has_the_bits_of_the_listed_bases(self, n, tol):
+        m = np.random.default_rng(n).standard_normal((n, n))
+        calls = []
+
+        def apply(x):
+            calls.append(None)
+            return m @ x
+
+        value = bounds._largest_singular(apply, lambda x: m.T @ x, n, tol)
+        assert len(calls) == n if tol == 0.0 else len(calls) > bounds._LANCZOS_BLOCK
+        expected = largest_singular_listed(lambda x: m @ x, lambda x: m.T @ x, n, tol)
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
 
 class TestInverseSpectralNorm:

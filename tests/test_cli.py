@@ -1,3 +1,5 @@
+import dataclasses
+import datetime
 import json
 import os
 import subprocess
@@ -91,6 +93,127 @@ class TestCanonicalSerialization:
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         assert np.array_equal(io.frame_from_dict(io.frame_to_dict(q)), q)
+
+
+# Floats at the edges of repr's notations (an exponent below 1e-4 and from
+# 1e16 on) and of orjson's (an exponent below 1e-5), and at binary64's ends
+EDGE_FLOATS = [1e-4, 9.999999999999999e-05, 1e-5, 1.5e-5, 1e15, 1e16,
+               9999999999999998.0, 5e-324, 1.7976931348623157e308, 0.0, -0.0]
+SCALED_FLOATS = st.builds(
+    lambda m, e: float(m * 10.0**e), st.floats(-10.0, 10.0), st.integers(-12, 22))
+# Digits, "e", signs, separators, brackets and "nul", which orjson writes
+# as they are; then quotes, backslashes, DEL, control and non-ASCII
+# characters, which send the payload to json.dumps
+PLAIN_TEXT = st.text(st.sampled_from(list("0123456789e.-+,:[]{} nul")), max_size=10)
+ANY_TEXT = st.text(
+    st.sampled_from(list('0123456789e.-+,:[]{}"\\ nul') + ["\x7f", "\n", "\u00e9", "\u65e5"])
+    | st.characters(),
+    max_size=10,
+)
+
+
+def writer_payloads(floats, text, *extra):
+    """Nested dicts, lists and tuples of numbers, text, bools, big ints,
+    numpy scalars and arrays (float32 too) and the extra leaves."""
+    leaves = st.one_of(
+        *extra,
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        floats,
+        text,
+        st.builds(np.float64, floats),
+        st.builds(np.float32, st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+        st.builds(np.bool_, st.booleans()),
+        st.builds(np.array, st.lists(floats, max_size=4)),
+        st.builds(lambda v: np.array(v, dtype=np.float32),
+                  st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), max_size=4)),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(text, children, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS), SCALED_FLOATS)
+ANY_FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS), SCALED_FLOATS)
+
+
+class TestCanonicalWriter:
+    """dump_canonical writes exactly what json.dumps writes, whichever of
+    orjson and json.dumps encodes the payload."""
+
+    @staticmethod
+    def assert_writes_json_dumps(obj, path):
+        expected = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=io._plain)
+        io.dump_canonical(obj, path)
+        assert path.read_bytes() == (expected + "\n").encode()
+
+    @given(writer_payloads(FINITE_FLOATS, PLAIN_TEXT))
+    @settings(max_examples=150, deadline=None)
+    def test_orjson_payloads(self, tmp_path_factory, obj):
+        """Finite numbers and plain text: orjson writes, and its exponents
+        and 0.0000 prefixes are rewritten outside strings only."""
+        self.assert_writes_json_dumps(obj, tmp_path_factory.getbasetemp() / "writer.json")
+
+    @given(writer_payloads(ANY_FLOATS, ANY_TEXT, st.none()))
+    @settings(max_examples=150, deadline=None)
+    def test_any_payload(self, tmp_path_factory, obj):
+        """NaN, infinities, None, big ints and escaped text too."""
+        self.assert_writes_json_dumps(obj, tmp_path_factory.getbasetemp() / "writer.json")
+
+    @pytest.mark.parametrize("obj", [
+        {"a": 1e-7, "b": "x1e-7", "c": [-1e-05, 0.00012, 1e16], "d": "0.00001"},
+        {"1e-05": -1e-05, "x,0.00001": 1.5e-05, "k[1e16": 1e16},
+        [1e-05, "a\"0.00001", 1e-05],
+        1e-05,
+        -1.5e+17,
+        "0.00001",
+        2**64,
+        {"big": -(2**63) - 1, "x": 1e-9},
+        {"nan": float("nan"), "tiny": 1e-9},
+        {"del": "\x7f", "tiny": 1e-9},
+        {"caf\u00e9": 1e-9},
+        {1: 1e-9, 2: [0.5]},
+        {"none": None},
+        {"sub": np.float64(1e-9), "s32": np.float32(1e-9), "arr": np.array([1e-9, 2e20])},
+    ])
+    def test_writes_what_json_dumps_writes_at_the_edges(self, tmp_path, obj):
+        self.assert_writes_json_dumps(obj, tmp_path / "w.json")
+
+    def test_subclasses_are_encoded_as_json_dumps_encodes_them(self, tmp_path):
+        """json.dumps reads a dict subclass through items() and a list
+        subclass through iteration; orjson would read their storage."""
+
+        class Items(dict):
+            def items(self):
+                return [("x", 1e-9)]
+
+        class Iterated(list):
+            def __iter__(self):
+                return iter([1e-9])
+
+        self.assert_writes_json_dumps({"d": Items(a=2), "l": Iterated([1])}, tmp_path / "w.json")
+
+    @pytest.mark.parametrize("make", [
+        object,
+        lambda: dataclasses.make_dataclass("Point", ["x"])(1.0),  # orjson encodes these
+        lambda: datetime.date(2020, 1, 1),
+        lambda: {1: 0.5, "a": 0.5},  # keys json.dumps cannot sort
+        lambda: (lambda loop: loop.append(loop) or loop)([]),  # a circular list
+    ])
+    def test_refuses_what_json_dumps_refuses(self, tmp_path, make):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            json.dumps(make(), sort_keys=True, separators=(",", ":"), default=io._plain)
+        with pytest.raises(expected.type) as caught:
+            io.dump_canonical(make(), tmp_path / "w.json")
+        assert str(caught.value) == str(expected.value)
 
 
 def _bits(value):

@@ -43,6 +43,7 @@ from jointtri.triangularize import (
     hessian_form,
     loss,
 )
+from oracle import gauss_newton_diagonal_gathers, gauss_newton_product_skew
 
 
 def random_skew(rng, d):
@@ -761,7 +762,30 @@ class TestJacobian:
         assert np.array_equal(jac, _commutator_operator(upper).T)
 
 
+def product_stacks(d):
+    """(stack, direction) pairs at dimension d: N of 1, 3 and 8, entries
+    at unit, tiny and huge scale, directions at unit scale, zero (both
+    signs) and 1e-300, with some zero and negative-zero entries."""
+    rng = np.random.default_rng(d)
+    size = d * (d - 1) // 2
+    for n, scale in [(1, 1.0), (3, 1e-150), (8, 1.0), (8, 1e150)]:
+        a = scale * rng.standard_normal((n, d, d))
+        x = rng.standard_normal(size)
+        x[::3] = 0.0
+        x[1::5] = -0.0
+        for factor in (1.0, 0.0, -0.0, 1e-300):
+            yield a, factor * x
+
+
 class TestGaussNewtonProduct:
+    @pytest.mark.parametrize("d", range(2, 33))
+    def test_has_the_bits_of_the_skew_matrix_form(self, d):
+        """The scattered X and the pairs of S read in place give the bits of
+        X = skew_from_lower(x) and of S - S^T formed whole."""
+        for a, x in product_stacks(d):
+            expected = gauss_newton_product_skew(a, x)
+            assert gauss_newton_product(a, x).tobytes() == expected.tobytes()
+
     @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_dense_jacobian(self, d, n, seed):
@@ -830,6 +854,14 @@ class TestGaussNewtonMatrix:
 
 
 class TestGaussNewtonDiagonal:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 32])
+    def test_has_the_bits_of_the_gathers(self, d):
+        rng = np.random.default_rng(d)
+        for n in (1, 2, 3, 8, 9, 64):
+            a = rng.standard_normal((n, d, d))
+            expected = gauss_newton_diagonal_gathers(a)
+            assert gauss_newton_diagonal(a).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("n", [1, 4])
     def test_matches_unit_vector_products(self, d, n):
