@@ -1,11 +1,12 @@
 """Perturbation-bound quantities for approximate joint triangularizers.
 
-Covers the commutator operator of the beta-pencil on the strictly-lower
-index pairs; the a priori bound and the first-order direction prediction,
-both from the descent's Gauss-Newton matrix J^T J at the exact frame; the
-explicit eigengap form of the a priori bound, the a posteriori bound from
-observable quantities, the certified-initialization noise threshold with
-its Hessian-positivity constants, and the joint-eigenvalue error bound.
+Covers the operator T_beta of the beta-pencil on the strictly-lower index
+pairs (commutator.operator of the rotated pencil); the a priori bound and
+the first-order direction prediction, both from the descent's
+Gauss-Newton matrix J^T J at the exact frame; the explicit eigengap form
+of the a priori bound, the a posteriori bound from observable
+quantities, the certified-initialization noise threshold with its
+Hessian-positivity constants, and the joint-eigenvalue error bound.
 t_beta, inverse_spectral_norm and a_posteriori_bound also take a batch of
 trials on a leading axis (one SVD call for the whole stack of small
 operators).  The last two take the caller's errors.Failures: a trial that
@@ -20,12 +21,13 @@ any other operator (a caller's array, the cached J^T J) is copied first.
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import lapack_lite
 from scipy.linalg.blas import dnrm2, dtrsv, idamax
 
+from .commutator import adjoint, gauss_newton_matrix, operator
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -40,14 +42,7 @@ from .linalg import (
     min_pairwise_gap,
     skew_from_lower,
 )
-from .triangularize import (
-    MatrixSet,
-    _check_frame,
-    _commutator_adjoint,
-    gauss_newton_matrix,
-    loss,
-    rotated,
-)
+from .triangularize import MatrixSet, loss, rotated
 
 SINGULAR_REL_TOL = 1e-12
 # Operators of at least this many rows take the QR + Lanczos path in
@@ -62,15 +57,14 @@ class NoiseFree:
     """Noise-free quantities of one eigenstructure, each computed on first use.
 
     with_noise shares one instance across a study.  ``gauss_newton``
-    maps an exact frame's bytes to J^T J, the descent's Gauss-Newton matrix
-    of the clean set at that frame, and ``apriori_inv_norms`` to its
-    ||(J^T J)^-1||; a_priori_bound and predicted_direction share both.
+    maps an exact frame's bytes to (J^T J, ||(J^T J)^-1||), with J^T J the
+    descent's Gauss-Newton matrix of the clean set at that frame;
+    a_priori_bound and predicted_direction share both.
     """
 
     v: np.ndarray
     lambda_table: np.ndarray
     gauss_newton: dict = field(default_factory=dict)
-    apriori_inv_norms: dict = field(default_factory=dict)
 
     @cached_property
     def clean(self):
@@ -188,56 +182,6 @@ class GroundTruthModel:
         return self.noise_free.m_norm, self.w_norm
 
 
-def _runs(lengths):
-    """(run, offset) over runs of the given lengths laid end to end: run r
-    repeated lengths[r] times, with offsets 0 .. lengths[r] - 1."""
-    run = np.repeat(np.arange(lengths.size), lengths)
-    offset = np.arange(run.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return run, offset
-
-
-@lru_cache(maxsize=None)
-def _commutator_index(d):
-    """Flat positions p L + q and sources r d + c of the added term [j = l] A_ki
-    and of the subtracted term [i = k] A_jl of the commutator operator, over
-    the lower pairs p = (i, j), q = (k, l); the two share only the diagonal.
-
-    Built in O(L d) from the column blocks of lower_index: the pairs of
-    column c are the d - 1 - c pairs from start[c] on, in row order.  Row p
-    of the added term runs over column block j (k = j + 1 ..), and of the
-    subtracted term over the pairs (i, l), l = 0 .. i - 1, at start[l] +
-    i - l - 1; both in increasing q, the order of np.nonzero on the masks.
-    """
-    rows, cols = lower_index(d)
-    heights = d - 1 - np.arange(d)
-    start = np.cumsum(heights) - heights
-    p, offset = _runs(heights[cols])
-    at = p * rows.size + start[cols[p]] + offset
-    source = (cols[p] + 1 + offset) * d + rows[p]
-    p, l = _runs(rows)
-    at_minus = p * rows.size + start[l] + rows[p] - l - 1
-    source_minus = cols[p] * d + l
-    index = (at, source, at_minus, source_minus)
-    for x in index:
-        x.setflags(write=False)
-    return index
-
-
-def _commutator_operator(a):
-    """P_low (1 (x) A^T - A (x) 1) P_low^T for one rotated matrix A (or each of
-    a leading trial axis): entry ((i, j), (k, l)) is A[k, i] [j = l] -
-    [i = k] A[j, l], the transpose of the first two terms of the descent's
-    Jacobian."""
-    d = a.shape[-1]
-    size = d * (d - 1) // 2
-    at, source, at_minus, source_minus = _commutator_index(d)
-    flat = a.reshape(*a.shape[:-2], d * d)
-    t = np.zeros(a.shape[:-2] + (size * size,))
-    t[..., at] = flat[..., source]
-    t[..., at_minus] -= flat[..., source_minus]
-    return t.reshape(*a.shape[:-2], size, size)
-
-
 def t_beta(u, mset, beta):
     """T_beta = sum_n beta_n T~_n at the frame U (per trial of a batch of
     sets, with one frame and one beta per trial).
@@ -246,7 +190,7 @@ def t_beta(u, mset, beta):
     U^T (sum_n beta_n M_n) U.  A wrong-length beta raises DimensionMismatch.
     """
     pencil = mset.combine(beta)
-    return _commutator_operator(rotated(u, MatrixSet(pencil[..., None, :, :]))[..., 0, :, :])
+    return operator(rotated(u, MatrixSet(pencil[..., None, :, :]))[..., 0, :, :])
 
 
 def _largest_singular(apply, apply_t, n, tol):
@@ -375,27 +319,21 @@ def _lanczos_inverse_norm(op, overwrite):
     return float(inv_norm / scale)
 
 
-def _check_exact_triangularizer(u_circ, clean):
-    # finite first: an inf frame would warn inside the matmul of the loss
-    if not (np.all(np.isfinite(u_circ)) and loss(u_circ, clean) <= 1e-8):
-        raise DimensionMismatch(
-            "frame does not triangularize the noiseless matrices"
-        )
-
-
 def _exact_frame_gram(gt, u_circ):
     """(J^T J, ||(J^T J)^-1||) of the noiseless matrices at an exact frame,
-    computed once per frame into ``gt.noise_free``; a singular J^T J raises
+    computed once per frame into ``gt.noise_free``; a frame that is no
+    exact triangularizer raises DimensionMismatch, a singular J^T J
     SingularOperator."""
-    cache = gt.noise_free
-    u_circ = _check_frame(u_circ, cache.clean)
+    cache, clean = gt.noise_free.gauss_newton, gt.noise_free.clean
+    u_circ = np.asarray(u_circ, dtype=float)
     key = u_circ.tobytes()
-    if key not in cache.gauss_newton:
-        _check_exact_triangularizer(u_circ, cache.clean)
-        gram = gauss_newton_matrix(rotated(u_circ, cache.clean))
-        cache.apriori_inv_norms[key] = inverse_spectral_norm(gram)
-        cache.gauss_newton[key] = gram
-    return cache.gauss_newton[key], cache.apriori_inv_norms[key]
+    if key not in cache:
+        # finite first: an inf frame would warn inside the matmul of the loss
+        if not (np.all(np.isfinite(u_circ)) and loss(u_circ, clean) <= 1e-8):
+            raise DimensionMismatch("frame does not triangularize the noiseless matrices")
+        gram = gauss_newton_matrix(rotated(u_circ, clean))
+        cache[key] = gram, inverse_spectral_norm(gram)
+    return cache[key]
 
 
 def a_priori_bound(gt, u_circ):
@@ -441,7 +379,7 @@ def predicted_direction(gt, u_circ):
     system, _ = _exact_frame_gram(gt, u_circ)
     a = rotated(u_circ, gt.clean_matrices())
     w = low_part(u_circ.T @ np.stack(gt.noise) @ u_circ)
-    rhs = _commutator_adjoint(a, w)[lower_index(gt.d)]
+    rhs = adjoint(a, w)[lower_index(gt.d)]
     return skew_from_lower(-gt.sigma * np.linalg.solve(system, rhs), gt.d)
 
 

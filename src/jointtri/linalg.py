@@ -1,12 +1,12 @@
 """Dense structured linear algebra.
 
 The strictly-lower projection and index pairs, the certified column
-assignment, the skew exponential, the closed-form orthogonal logarithm
-(from the real Schur form) and column sign normalization.  All
-vectorizations are column-major, fixed globally.  Functions marked so
-take a leading trial axis; each trial's result has the bits of the same
-call on that trial alone, and blockwise_dot / blockwise_norm are the
-per-trial np.vdot and np.linalg.norm that keep this true for reductions.
+assignment, the skew exponential and the closed-form orthogonal logarithm
+(from the real Schur form).  All vectorizations are column-major, fixed
+globally.  Functions marked so take a leading trial axis; each trial's
+result has the bits of the same call on that trial alone, and
+blockwise_dot / blockwise_norm are the per-trial np.vdot and
+np.linalg.norm that keep this true for reductions.
 """
 
 from functools import lru_cache
@@ -233,11 +233,3 @@ def orthogonal_log(q, fail=None):
     )
     return x if q.ndim == 3 else x[0]
 
-
-def _fix_column_signs(u, tol=1e-12):
-    """Flip column signs so the first significant entry of each is positive
-    (over a leading trial axis too)."""
-    mag = np.abs(u)
-    significant = mag > tol * mag.max(axis=-2, initial=1.0, keepdims=True)
-    first = np.take_along_axis(u, np.argmax(significant, axis=-2)[..., None, :], axis=-2)
-    return np.where(significant.any(axis=-2, keepdims=True) & (first < 0), -u, u)

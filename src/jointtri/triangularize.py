@@ -2,13 +2,12 @@
 
 The objective is the total squared Frobenius mass below the diagonal of
 the rotated matrices, minimized by Riemannian Gauss-Newton from the Schur
-factor of a separating linear combination of the inputs.  J^T J, over the
-strictly-lower index pairs, is built from the stack's second moments with
-no Jacobian (gauss_newton_matrix).  Stacks whose L x L solve is cheap per
-matrix take exact Gauss-Newton steps from it; the others a
-Jacobi-preconditioned truncated CG on J^T J products.  Steps are accepted
-on the loss change computed from the change of the rotated stack, not on a
-difference of two rounded losses.
+factor of a separating linear combination of the inputs.  Stacks whose
+L x L solve is cheap per matrix take exact Gauss-Newton steps from J^T J;
+the others a Jacobi-preconditioned truncated CG on J^T J products (both
+forms from commutator).  Steps are accepted on the loss change computed
+from the change of the rotated stack, not on a difference of two rounded
+losses.
 
 A MatrixSet may hold T sets on a leading trial axis.  The certified
 initialization and the descent then run every trial at once, one eig per
@@ -22,10 +21,10 @@ a batch of one.
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
+from .commutator import adjoint, gauss_newton_diagonal, gauss_newton_matrix, gauss_newton_product
 from .errors import (
     DimensionMismatch,
     Failures,
@@ -33,8 +32,6 @@ from .errors import (
     NoSeparatingBeta,
 )
 from .linalg import (
-    _fix_column_signs,
-    _low_mask,
     blockwise_dot,
     blockwise_norm,
     low_part,
@@ -150,144 +147,7 @@ def gradient(u, mset):
     against a tangent X gives the derivative of t -> loss(U e^{tX}).
     """
     a = rotated(u, mset)
-    return _commutator_adjoint(a, low_part(a))
-
-
-def _commutator_adjoint(a, w):
-    """S - S^T with S = sum_n [A_n^T, W_n]; its strictly-lower entries are J^T w."""
-    a_t = a.swapaxes(-1, -2)
-    s = np.sum(a_t @ w - w @ a_t, axis=-3)
-    return s - s.swapaxes(-1, -2)
-
-
-@lru_cache(maxsize=None)
-def _flat_pairs(d):
-    """The flat positions r d + c of the lower pairs (r, c) of a d x d
-    matrix and c d + r of their mirrors, and the mask of the entries on
-    and above the diagonal."""
-    rows, cols = lower_index(d)
-    plan = rows * d + cols, cols * d + rows, ~_low_mask((d, d))
-    for x in plan:
-        x.setflags(write=False)
-    return plan
-
-
-def gauss_newton_product(a, x):
-    """J^T J x in strictly-lower coordinates at the rotated stack a, with no
-    L x L object: J x = [low(A_n X - X A_n)]_n, X = skew_from_lower(x, d).
-
-    X is scattered from x into one flat d^2 vector (0 - x above the
-    diagonal: the bits of E - E^T), and the adjoint's S - S^T is read at
-    the pairs only, as S[r, c] - S[c, r]."""
-    d = a.shape[1]
-    lower, upper, on_and_above = _flat_pairs(d)
-    t = np.zeros(d * d)
-    t[lower] = x
-    t[upper] = 0.0 - x
-    t = t.reshape(d, d)
-    w = a @ t
-    w -= t @ a
-    np.copyto(w, 0.0, where=on_and_above)  # low_part, in place
-    a_t = a.swapaxes(1, 2)
-    s = a_t @ w
-    s -= w @ a_t
-    s = np.sum(s, axis=0).reshape(-1)
-    return s[lower] - s[upper]
-
-
-def gauss_newton_diagonal(a):
-    """diag(J^T J) in strictly-lower coordinates at the rotated stack a.
-
-    With q = sum_n A_n o A_n off its diagonal, the entry of pair (i, j) is
-    sum_n (A_n,ii - A_n,jj)^2 + sum_{r>j} q_ri + sum_{r>i} q_rj
-    + sum_{c<i} q_jc + sum_{c<j} q_ic: suffix sums down the columns and
-    prefix sums along the rows of q, O(N d^2) with no L x L object.
-    """
-    d = a.shape[1]
-    rows, cols = lower_index(d)
-    lower, upper, _ = _flat_pairs(d)
-    q = np.sum(a * a, axis=0)
-    np.fill_diagonal(q, 0.0)
-    below = np.zeros((d, d))  # below[r, c] = sum_{r' > r} q[r', c]
-    below[:-1] = np.cumsum(q[:0:-1], axis=0)[::-1]
-    left = np.zeros((d, d))  # left[r, c] = sum_{c' < c} q[r, c']
-    left[:, 1:] = np.cumsum(q[:, :-1], axis=1)
-    # one contiguous row of N per pair, so each gap sums as np.sum sums a vector
-    diag = np.ascontiguousarray(np.diagonal(a, axis1=1, axis2=2).T)
-    gap = diag[rows] - diag[cols]
-    gap *= gap
-    below, left = below.reshape(-1), left.reshape(-1)
-    return gap.sum(axis=1) + below[upper] + below[lower] + left[upper] + left[lower]
-
-
-@lru_cache(maxsize=None)
-def _moment_plan(d):
-    """gauss_newton_matrix's tables at dimension d: the (d, 2d) map from the
-    row and column Grams to H / 2; per block of pair columns j0 <= j < j1
-    (rows r0:r1 of J^T J; one block up to d = 16, each S block at most
-    max(L^2, 2^16) floats) the mask of X and the flat positions of its
-    terms; and how many trials of a batch share that working memory."""
-    rows, cols = lower_index(d)
-    upper = np.triu(np.ones((d, d), dtype=np.int8), 1)  # upper[x, y] = [y > x]
-    spread = 0.5 * np.hstack((upper, upper.T))  # [r > c] / 2, then [c' < c] / 2
-    budget = max(rows.size**2, 2**16)
-    width = max(1, budget // d**3)
-    blocks = []
-    for j0 in range(0, d - 1, width):
-        j1 = min(j0 + width, d - 1)
-        w = j1 - j0
-        r0, r1 = j0 * d - j0 * (j0 + 1) // 2, j1 * d - j1 * (j1 + 1) // 2
-        mask = upper.T[:, None, None, j0:j1] + upper[None, :, :, None]  # [k > j] + [l > i]
-        rows_at = (rows[r0:r1] * d * w + cols[r0:r1] - j0)[:, None]
-        lower_at, upper_at = rows * d * d * w + cols * w, cols * d * d * w + rows * w
-        blocks.append((j0, j1, r0, r1, mask, rows_at + upper_at, rows_at + lower_at))
-    # trials per chunk: S blocks of about 2^15 floats in all (measured; at
-    # d = 12 one trial's block is already larger and chunks of one are fastest)
-    trials = max(1, 2**15 // (d**3 * min(width, max(d - 1, 1))))
-    return spread, tuple(blocks), trials
-
-
-def gauss_newton_matrix(a):
-    """J^T J in strictly-lower coordinates at the rotated stack a (per trial
-    of a leading trial axis), exactly symmetric, from the second moments
-    S[k, i, l, j] = sum_n A_n,ki A_n,lj with no Jacobian: O(N d^4 + L^2).
-
-    Over pairs p = (i, j), q = (k, l), J^T J = G + G^T with
-    G[p, q] = X[p, (l, k)] - X[p, (k, l)] and X[p, (k, l)] =
-    ([k > j] + [l > i]) S[k, i, l, j] - [l = j] H[j, i, k] / 2 - [k = i] H[i, j, l] / 2,
-    H[c] = sum_n (sum_{r > c} A_n[r, :]^T A_n[r, :] + sum_{c' < c} A_n[:, c'] A_n[:, c']^T).
-    A batch runs in chunks of trials and S in blocks of columns j, so the
-    working memory beyond the result stays a few L x L arrays per trial.
-    """
-    *batch, n, d, _ = a.shape
-    a = a.reshape(-1, n, d, d)
-    size = d * (d - 1) // 2
-    out = np.empty((len(a), size, size))
-    trials = _moment_plan(d)[2]
-    for t0 in range(0, len(a), trials):
-        _moment_chunk(a[t0 : t0 + trials], out[t0 : t0 + trials])
-    return out.reshape(*batch, size, size)
-
-
-def _moment_chunk(a, out):
-    """gauss_newton_matrix of the (T, N, d, d) stack a, into out."""
-    count, n, d, _ = a.shape
-    spread, blocks, _ = _moment_plan(d)
-    lines = np.concatenate((a.transpose(0, 2, 3, 1), a.transpose(0, 3, 2, 1)), axis=1)
-    grams = (lines @ lines.transpose(0, 1, 3, 2)).reshape(count, 2 * d, -1)
-    half = (spread @ grams).reshape(count, d, d, d)
-    flat = a.reshape(count, n, d * d).transpose(0, 2, 1)
-    g = np.empty(out.shape)
-    for j0, j1, r0, r1, mask, plus, minus in blocks:
-        x = (flat @ a[:, :, :, j0:j1].reshape(count, n, -1)).reshape(count, d, d, d, j1 - j0)
-        x *= mask
-        diag = np.einsum("tkijj->tjik", x[:, :, :, j0:j1])  # views of x[:, :, i, j, j]
-        diag -= half[:, j0:j1]
-        diag = np.einsum("tiilj->tijl", x)  # and of x[:, i, i, :, j]
-        diag -= half[:, :, j0:j1]
-        x = x.reshape(count, -1)
-        np.subtract(x.take(plus, axis=1), x.take(minus, axis=1), out=g[:, r0:r1])
-    np.add(g, g.transpose(0, 2, 1), out=out)
+    return adjoint(a, low_part(a))
 
 
 def _exact_step(a, b):
@@ -388,6 +248,15 @@ def hessian_form(u, mset, x):
         gdd = low_part((a @ x - x @ a) @ x - x @ (a @ x - x @ a))
         total += 2.0 * np.sum(gd * gd) + 2.0 * np.sum(gdd * g)
     return float(total)
+
+
+def _fix_column_signs(u, tol=1e-12):
+    """Flip column signs so the first significant entry of each is positive
+    (over a leading trial axis too)."""
+    mag = np.abs(u)
+    significant = mag > tol * mag.max(axis=-2, initial=1.0, keepdims=True)
+    first = np.take_along_axis(u, np.argmax(significant, axis=-2)[..., None, :], axis=-2)
+    return np.where(significant.any(axis=-2, keepdims=True) & (first < 0), -u, u)
 
 
 def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50, fail=None):
@@ -545,7 +414,7 @@ def descend_batch(mset, u_init, config=OptimizerConfig()):
 
     for _ in range(config.max_iters):
         low = low_part(a)
-        g = _commutator_adjoint(a, low)  # the gradients
+        g = adjoint(a, low)  # the gradients
         g_norms = blockwise_norm(g).tolist()
         if any(norm <= config.grad_tol for norm in g_norms):
             keep = leave([k for k, norm in enumerate(g_norms) if norm <= config.grad_tol],

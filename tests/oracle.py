@@ -13,8 +13,8 @@ observable_matrices_per_slice (one solve per slice),
 component_error_bound_two_svds (np.linalg.matrix_rank and np.linalg.cond)
 and commutator_index_by_masks (two L x L masks scanned by np.nonzero) are
 the earlier forms of jointtri.tensor.observable_matrices,
-component_error_bound and jointtri.bounds._commutator_index; tests check
-each against its oracle bit for bit.  orthogonal_log_schur_expm is the
+component_error_bound and the scatter index of jointtri.commutator.operator;
+tests check each against its oracle bit for bit.  orthogonal_log_schur_expm is the
 earlier jointtri.linalg.orthogonal_log (scipy.linalg.schur over the stack,
 and the round trip through skew_exp); a test checks the logs and the error
 class of every frame against it.  unit_noise draws one noise matrix, as
@@ -22,9 +22,10 @@ harness.sample_noise did before it drew a trial's n at once.
 gauss_newton_product_skew (X from skew_from_lower, S - S^T formed whole),
 gauss_newton_diagonal_gathers (two-dimensional gathers) and
 largest_singular_listed (Krylov bases rebuilt from lists at every step)
-are the earlier forms of jointtri.triangularize.gauss_newton_product,
+are the earlier forms of jointtri.commutator.gauss_newton_product,
 gauss_newton_diagonal and jointtri.bounds._largest_singular; tests check
-each against its oracle bit for bit.
+each against its oracle bit for bit.  dense_jacobian builds the descent's
+Jacobian J one strictly-lower pair at a time.
 """
 
 import itertools
@@ -268,7 +269,8 @@ def component_error_bound_two_svds(z, eps, sigma):
 
 
 def commutator_index_by_masks(d):
-    """bounds._commutator_index from two L x L boolean masks and np.nonzero."""
+    """The scatter index of commutator.operator from two L x L boolean masks
+    and np.nonzero."""
     rows, cols = lower_index(d)
     i, j, k, l = rows[:, None], cols[:, None], rows, cols
     index = []
@@ -328,7 +330,7 @@ def orthogonal_log_schur_expm(q, fail=None):
 
 
 def gauss_newton_product_skew(a, x):
-    """triangularize.gauss_newton_product with X = skew_from_lower(x) and
+    """commutator.gauss_newton_product with X = skew_from_lower(x) and
     the adjoint's S - S^T formed before its pairs are read."""
     d = a.shape[1]
     t = skew_from_lower(x, d)
@@ -339,7 +341,7 @@ def gauss_newton_product_skew(a, x):
 
 
 def gauss_newton_diagonal_gathers(a):
-    """triangularize.gauss_newton_diagonal by two-dimensional gathers."""
+    """commutator.gauss_newton_diagonal by two-dimensional gathers."""
     d = a.shape[1]
     rows, cols = lower_index(d)
     q = np.sum(a * a, axis=0)
@@ -388,3 +390,16 @@ def largest_singular_listed(apply, apply_t, n, tol):
         v = w / beta
         vs.append(v)
         u = apply(v) - beta * u
+
+
+def dense_jacobian(a):
+    """J of x -> [low(A_n X - X A_n)]_n, built one strictly-lower pair at a time."""
+    d = a.shape[1]
+    rows, cols = lower_index(d)
+    columns = []
+    for j in range(d):
+        for i in range(j + 1, d):
+            x = np.zeros((d, d))
+            x[i, j], x[j, i] = 1.0, -1.0
+            columns.append(np.concatenate([(m @ x - x @ m)[rows, cols] for m in a]))
+    return np.array(columns).T

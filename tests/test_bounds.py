@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtri import bounds, cli, io
+from jointtri import bounds, cli, commutator, io
 from jointtri.bounds import (
     LANCZOS_MIN_SIZE,
     LANCZOS_TOL,
     GroundTruthModel,
-    _commutator_index,
-    _commutator_operator,
     a_posteriori_bound,
     a_priori_bound,
     eigenvalue_error_bound,
@@ -44,11 +42,7 @@ from jointtri.triangularize import (
     loss,
     rotated,
 )
-from oracle import (
-    commutator_index_by_masks,
-    enumerate_exact_triangularizers,
-    largest_singular_listed,
-)
+from oracle import enumerate_exact_triangularizers, largest_singular_listed
 
 
 def diagonal_model(lam, sigma=0.0, seed=0):
@@ -127,7 +121,7 @@ class TestGroundTruthModel:
             assert np.array_equal(bound(child, u_circ), bound(fresh, u_circ))
         assert explicit_bound(child) == explicit_bound(fresh)
         assert hessian_constants(child) == hessian_constants(fresh)
-        assert list(gt.noise_free.apriori_inv_norms) == [u_circ.tobytes()]
+        assert list(gt.noise_free.gauss_newton) == [u_circ.tobytes()]
 
     def test_with_noise_checks_only_the_new_noise(self, monkeypatch):
         gt = gen_ground_truth(GeneratorSpec(d=4, n=3, kappa_target=3.0, seed=6))
@@ -427,35 +421,6 @@ def counted(calls, name, fn):
     return wrapper
 
 
-def dense_commutator_oracle(a):
-    """P_low (kron(I, A^T) - kron(A, I)) P_low^T with a dense 0/1 selector."""
-    d = a.shape[0]
-    p_low = np.zeros((d * (d - 1) // 2, d * d))
-    pairs = [(i, j) for j in range(d) for i in range(j + 1, d)]
-    for row, (i, j) in enumerate(pairs):
-        p_low[row, i + j * d] = 1.0
-    op = np.kron(np.eye(d), a.T) - np.kron(a, np.eye(d))
-    return p_low @ op @ p_low.T
-
-
-class TestCommutatorOperator:
-    @given(st.integers(min_value=1, max_value=6), st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_dense_kron_oracle(self, d, seed):
-        a = np.random.default_rng(seed).standard_normal((d, d))
-        assert np.array_equal(_commutator_operator(a), dense_commutator_oracle(a))
-
-    def test_index_equals_the_mask_scan(self):
-        """The O(L d) build gives the arrays, order and dtype of the two
-        L x L masks scanned by np.nonzero, read-only."""
-        for d in range(1, 41):
-            index = _commutator_index(d)
-            for built, scanned in zip(index, commutator_index_by_masks(d), strict=True):
-                assert np.array_equal(built, scanned)
-                assert built.dtype == scanned.dtype
-                assert not built.flags.writeable
-
-
 class TestOperatorOracles:
     @given(
         st.integers(min_value=1, max_value=7),
@@ -522,7 +487,7 @@ class TestOperatorOracles:
         mset = MatrixSet(tuple(rng.standard_normal((d, d)) for _ in range(n)))
         u, _ = np.linalg.qr(rng.standard_normal((d, d)))
         beta = np.ones(n) / np.sqrt(n)
-        _commutator_index.cache_clear()  # count the index arrays too
+        commutator._plan.cache_clear()  # count the index arrays too
         tracemalloc.start()
         try:
             a_posteriori_bound(mset, u, beta, 1e-3)
@@ -530,6 +495,7 @@ class TestOperatorOracles:
         finally:
             tracemalloc.stop()
         assert peak < 3 * size**2 * 8
+        assert "moments" not in vars(commutator._plan(d))  # J^T J's tables stay unbuilt
 
     def test_warm_a_posteriori_bound_holds_one_operator(self):
         """With the index arrays cached, T_beta is factored where it was built."""
@@ -554,7 +520,7 @@ class TestOperatorOracles:
         assert gt.d * (gt.d - 1) // 2 >= LANCZOS_MIN_SIZE
         first = a_priori_bound(gt, u_circ)
         assert a_priori_bound(gt, u_circ) == first
-        (cached,) = gt.noise_free.gauss_newton.values()
+        ((cached, _),) = gt.noise_free.gauss_newton.values()
         assert cached.tobytes() == gram_at(u_circ, gt.clean_matrices()).tobytes()
 
 

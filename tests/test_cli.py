@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import datetime
 import json
@@ -811,3 +812,18 @@ class TestProcessState:
         assert len(set(jointtri.__all__)) == len(jointtri.__all__)
         missing = [name for name in jointtri.__all__ if not hasattr(jointtri, name)]
         assert missing == []
+
+    def test_no_module_imports_a_private_name_from_a_sibling(self):
+        import jointtri
+
+        crossing = []
+        for path in sorted(Path(jointtri.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "jointtri"
+                ):
+                    crossing += [
+                        f"{path.name}: {alias.name}" for alias in node.names
+                        if alias.name.startswith("_")
+                    ]
+        assert crossing == []

@@ -15,7 +15,6 @@ from jointtri.errors import (
     NoSeparatingBeta,
 )
 from jointtri.linalg import (
-    _fix_column_signs,
     low_part,
     lower_index,
     min_pairwise_gap,
@@ -25,7 +24,7 @@ from jointtri.linalg import (
     unvec,
     vec,
 )
-from jointtri.triangularize import MatrixSet, find_separating_beta
+from jointtri.triangularize import MatrixSet, _fix_column_signs, find_separating_beta
 from oracle import min_pairwise_gap_per_pair, orthogonal_log_schur_expm
 
 

@@ -1,6 +1,4 @@
 import itertools
-import math
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtri import triangularize
-from jointtri.bounds import _commutator_operator
+from jointtri import commutator, triangularize
 from jointtri.errors import (
     DimensionMismatch,
     NearDefective,
@@ -25,7 +22,6 @@ from jointtri.harness import (
     sample_noise,
 )
 from jointtri.linalg import (
-    _fix_column_signs,
     low_part,
     lower_index,
     skew_exp,
@@ -35,15 +31,14 @@ from jointtri.tensor import estimate_components, observable_matrices
 from jointtri.triangularize import (
     MatrixSet,
     OptimizerConfig,
+    _fix_column_signs,
     find_separating_beta,
     gauss_newton_diagonal,
-    gauss_newton_matrix,
-    gauss_newton_product,
     gradient,
     hessian_form,
     loss,
 )
-from oracle import gauss_newton_diagonal_gathers, gauss_newton_product_skew
+from oracle import dense_jacobian
 
 
 def random_skew(rng, d):
@@ -165,7 +160,7 @@ class TestBatchedMatchesLoopOracle:
         rows, cols = lower_index(d)
         i, j = rows[:, None], cols[:, None]
         k, l = rows[None, :], cols[None, :]
-        operators = [_commutator_operator(a) for a in triangularize.rotated(u, mset)]
+        operators = [commutator.operator(a) for a in triangularize.rotated(u, mset)]
         assert len(operators) == n
         for t, m in zip(operators, mats):
             a = u.T @ m @ u
@@ -731,150 +726,6 @@ class TestBenchmarkPoolsReachTolerance:
             assert np.linalg.norm(gradient(u, mset)) <= 1e-10
 
 
-def dense_jacobian(a):
-    """J of x -> [low(A_n X - X A_n)]_n, built one strictly-lower pair at a time."""
-    d = a.shape[1]
-    rows, cols = lower_index(d)
-    columns = []
-    for j in range(d):
-        for i in range(j + 1, d):
-            x = np.zeros((d, d))
-            x[i, j], x[j, i] = 1.0, -1.0
-            columns.append(np.concatenate([(m @ x - x @ m)[rows, cols] for m in a]))
-    return np.array(columns).T
-
-
-class TestJacobian:
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
-    def test_first_two_terms_are_the_commutator_operator(self, d):
-        """T~^T x = low(A E - E A) for strictly-lower E, and at an upper
-        triangular A (an exact frame) J = T~^T entry for entry."""
-        rng = np.random.default_rng(d)
-        a = rng.standard_normal((d, d))
-        x = rng.standard_normal(d * (d - 1) // 2)
-        e = np.zeros((d, d))
-        e[lower_index(d)] = x
-        expected = low_part(a @ e - e @ a)[lower_index(d)]
-        assert np.allclose(_commutator_operator(a).T @ x, expected, rtol=0, atol=1e-13)
-        upper = np.triu(a)
-        size = d * (d - 1) // 2
-        jac = dense_jacobian(upper[None]).reshape(size, size)  # (0, 0) at d = 1
-        assert np.array_equal(jac, _commutator_operator(upper).T)
-
-
-def product_stacks(d):
-    """(stack, direction) pairs at dimension d: N of 1, 3 and 8, entries
-    at unit, tiny and huge scale, directions at unit scale, zero (both
-    signs) and 1e-300, with some zero and negative-zero entries."""
-    rng = np.random.default_rng(d)
-    size = d * (d - 1) // 2
-    for n, scale in [(1, 1.0), (3, 1e-150), (8, 1.0), (8, 1e150)]:
-        a = scale * rng.standard_normal((n, d, d))
-        x = rng.standard_normal(size)
-        x[::3] = 0.0
-        x[1::5] = -0.0
-        for factor in (1.0, 0.0, -0.0, 1e-300):
-            yield a, factor * x
-
-
-class TestGaussNewtonProduct:
-    @pytest.mark.parametrize("d", range(2, 33))
-    def test_has_the_bits_of_the_skew_matrix_form(self, d):
-        """The scattered X and the pairs of S read in place give the bits of
-        X = skew_from_lower(x) and of S - S^T formed whole."""
-        for a, x in product_stacks(d):
-            expected = gauss_newton_product_skew(a, x)
-            assert gauss_newton_product(a, x).tobytes() == expected.tobytes()
-
-    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_dense_jacobian(self, d, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, d, d))
-        x = rng.standard_normal(d * (d - 1) // 2)
-        jac = dense_jacobian(a)
-        scale = np.linalg.norm(jac) ** 2 * np.linalg.norm(x)
-        assert np.allclose(
-            gauss_newton_product(a, x), jac.T @ (jac @ x), rtol=0, atol=1e-13 * scale
-        )
-
-    def test_is_half_the_hessian_at_an_exact_triangularizer(self):
-        rows, cols = lower_index(5)
-        for seed in range(3):
-            gt = gen_ground_truth(GeneratorSpec(d=5, n=3, seed=seed))
-            clean = gt.clean_matrices()
-            u = find_separating_beta(clean)[1]
-            rng = np.random.default_rng(seed)
-            for _ in range(3):
-                x = random_skew(rng, 5)
-                v = x[rows, cols]
-                a = triangularize.rotated(u, clean)
-                quadratic = 2.0 * v @ gauss_newton_product(a, v)
-                assert math.isclose(
-                    quadratic, hessian_form(u, clean, x), rel_tol=1e-13
-                )
-
-
-class TestGaussNewtonMatrix:
-    @given(st.integers(1, 8), st.integers(1, 64), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_dense_jacobian(self, d, n, seed):
-        a = np.random.default_rng(seed).standard_normal((n, d, d))
-        h = gauss_newton_matrix(a)
-        jac = dense_jacobian(a).reshape(n * len(h), len(h))  # (0, 0) at d = 1
-        assert np.array_equal(h, h.T)
-        expected = jac.T @ jac
-        err = np.linalg.norm(h - expected)
-        assert err <= 1e-14 * max(np.linalg.norm(expected), 1.0)
-
-    @pytest.mark.parametrize("d, n", [(1, 2), (2, 3), (5, 4), (8, 3)])
-    def test_is_the_commutator_gram_at_an_upper_triangular_stack(self, d, n):
-        """At an exact frame J_n = T~_n^T, so J^T J = sum_n T~_n T~_n^T, the
-        matrix the a priori bound inverts."""
-        a = np.triu(np.random.default_rng(d + n).standard_normal((n, d, d)))
-        expected = sum(_commutator_operator(m) @ _commutator_operator(m).T for m in a)
-        h = gauss_newton_matrix(a)
-        assert h.shape == (d * (d - 1) // 2,) * 2
-        assert np.linalg.norm(h - expected) <= 1e-14 * max(np.linalg.norm(expected), 1.0)
-
-    def test_holds_no_basis_stack(self):
-        """Peak memory a few L x L arrays, far below an (N, L, d, d) stack."""
-        d, n = 24, 16
-        size = d * (d - 1) // 2
-        a = np.random.default_rng(0).standard_normal((n, d, d))
-        lower_index(d)  # cached index arrays are not working memory
-        triangularize._moment_plan(d)
-        tracemalloc.start()
-        try:
-            gauss_newton_matrix(a)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * size**2 * 8 < n * size * d * d * 8 / 3
-
-
-class TestGaussNewtonDiagonal:
-    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 32])
-    def test_has_the_bits_of_the_gathers(self, d):
-        rng = np.random.default_rng(d)
-        for n in (1, 2, 3, 8, 9, 64):
-            a = rng.standard_normal((n, d, d))
-            expected = gauss_newton_diagonal_gathers(a)
-            assert gauss_newton_diagonal(a).tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
-    @pytest.mark.parametrize("n", [1, 4])
-    def test_matches_unit_vector_products(self, d, n):
-        rng = np.random.default_rng(10 * d + n)
-        for a in (rng.standard_normal((n, d, d)), np.triu(rng.standard_normal((n, d, d)))):
-            diag = gauss_newton_diagonal(a)
-            units = np.eye(d * (d - 1) // 2)
-            expected = np.array([e @ gauss_newton_product(a, e) for e in units])
-            assert diag.shape == expected.shape
-            assert np.allclose(diag, expected, rtol=1e-14, atol=0)
-            assert np.allclose(diag, np.sum(dense_jacobian(a) ** 2, axis=0), rtol=1e-14, atol=0)
-
-
 def zero_diagonal_stack():
     """A_n,00 == A_n,11 in every matrix and no mass at (2, 0), (2, 1), so
     J e_k = 0 for the pair (1, 0), while the other pairs carry residual."""
@@ -1030,7 +881,7 @@ class TestLossChange:
         for a in self.stacks():
             n, d, _ = a.shape
             size = d * (d - 1) // 2
-            b = triangularize._commutator_adjoint(a, low_part(a))[lower_index(d)]
+            b = commutator.adjoint(a, low_part(a))[lower_index(d)]
             skew = skew_from_lower(triangularize._exact_step(a, b), d)
             # the bound per unit step that the descent's stop rule uses
             floor = (2 * d + 2 * n * size + 5) * eps * (
