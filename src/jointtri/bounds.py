@@ -12,11 +12,12 @@ trials on a leading axis (one SVD call for the whole stack of small
 operators).  The last two take the caller's errors.Failures: a trial that
 fails leaves the batch, and the values are over the trials still running.
 
-An operator of at least LANCZOS_MIN_SIZE rows is QR-factored once and
-||op^-1|| comes from one Golub-Kahan-Lanczos run on the triangular solves;
-the singularity test scales by ||op||_F >= sigma_max(op).  The T_beta that
-a_posteriori_bound and init_noise_threshold build is factored in place;
-any other operator (a caller's array, the cached J^T J) is copied first.
+An operator of at least LANCZOS_MIN_SIZE rows is LU-factored once, with
+partial pivoting, and ||op^-1|| comes from one Golub-Kahan-Lanczos run on
+the triangular solves with the factors; the singularity test scales by
+||op||_F >= sigma_max(op).  The T_beta that a_posteriori_bound and
+init_noise_threshold build is factored in place; any other operator (a
+caller's array, the cached J^T J) is copied first.
 """
 
 import copy
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import lapack_lite
-from scipy.linalg.blas import dnrm2, dtrsv, idamax
+from scipy.linalg.blas import dtrsv, idamax
+from scipy.linalg.lapack import dgetrf
 
 from .commutator import adjoint, gauss_newton_matrix, operator
 from .errors import (
@@ -45,8 +46,9 @@ from .linalg import (
 from .triangularize import MatrixSet, loss, rotated
 
 SINGULAR_REL_TOL = 1e-12
-# Operators of at least this many rows take the QR + Lanczos path in
-# inverse_spectral_norm; below it a dense SVD is faster (measured crossover).
+# Operators of at least this many rows take the LU + Lanczos path in
+# inverse_spectral_norm, smaller ones a dense SVD.  The measured crossover
+# is lower (README); moving the switch would change output bits.
 LANCZOS_MIN_SIZE = 190
 LANCZOS_TOL = 1e-14
 _LANCZOS_BLOCK = 32  # the Krylov bases' first allocation, in vectors
@@ -235,23 +237,6 @@ def _largest_singular(apply, apply_t, n, tol):
         u = apply(v) - beta * u
 
 
-def _triangular_factor(a):
-    """R of op^T = QR, in the upper triangle of a Fortran-order array, for
-    a C-order op held in ``a``, which the factorization overwrites.
-
-    R has the singular values of op.  The factorization runs in numpy's
-    own LAPACK: np.linalg.qr would copy op twice, and scipy's LAPACK runs
-    in the second BLAS scipy bundles, whose work buffers would stay in
-    memory for the rest of the process.
-    """
-    size = a.shape[0]  # a read column-major is op^T
-    tau, work = np.empty(size), np.empty(1)
-    lapack_lite.dgeqrf(size, size, a, size, tau, work, -1, 0)  # workspace query
-    work = np.empty(int(work[0]))
-    lapack_lite.dgeqrf(size, size, a, size, tau, work, work.size, 0)
-    return a.T
-
-
 def inverse_spectral_norm(op, fail=None, *, _overwrite=False):
     """1 / sigma_min(op); a numerically singular op fails with
     SingularOperator.  op may be a (T, L, L) stack, one operator per trial:
@@ -262,12 +247,15 @@ def inverse_spectral_norm(op, fail=None, *, _overwrite=False):
     factored in place.
 
     Below LANCZOS_MIN_SIZE rows sigma_min and sigma_max come from a dense
-    SVD, one call for the whole stack.  From there on, a copy of each op is
-    QR-factored and ||op^-1|| = ||R^-1|| is the largest singular value of
-    the triangular solves, from one Golub-Kahan-Lanczos run; the
-    singularity test takes ||op||_F, an upper bound on sigma_max, in place
-    of sigma_max.  The empty operator (the map on the zero space, d = 1)
-    has an inverse of norm 0.
+    SVD, one call for the whole stack.  From there on, a copy of each op,
+    scaled by its largest entry, is LU-factored, op^T = P L U, and
+    ||op^-1|| is the largest singular value of op^-1 = P L^-T U^-T, from
+    one Golub-Kahan-Lanczos run whose every step makes four triangular
+    solves; partial pivoting is backward stable in practice, so the value
+    errs by O(eps kappa(op)) as an SVD's does.  The singularity test takes
+    ||op||_F, an upper bound on sigma_max, in place of sigma_max.  The
+    empty operator (the map on the zero space, d = 1) has an inverse of
+    norm 0.
     """
     op = np.asarray(op, dtype=float)
     stack = op if op.ndim == 3 else op[None]
@@ -288,27 +276,45 @@ def inverse_spectral_norm(op, fail=None, *, _overwrite=False):
 
 def _lanczos_inverse_norm(op, overwrite):
     """inverse_spectral_norm of one operator of at least LANCZOS_MIN_SIZE
-    rows; with ``overwrite`` op (C-ordered, as t_beta builds it) holds its
-    QR factorization afterwards."""
+    rows; with ``overwrite`` op (C-ordered, as t_beta builds it) holds the
+    LU factors of op^T / max |op_ij| afterwards."""
     size = op.shape[0]
-    a = op if overwrite else np.array(op, order="C")
-    flat = a.reshape(-1)
+    flat = np.ravel(op, order="K")  # a view of a C- or F-ordered op
     scale = abs(flat[idamax(flat)])  # max |op_ij| in one pass; idamax skips NaN
     if not 0.0 < scale < np.inf:
         raise SingularOperator("operator is numerically singular")
-    # ||op||_F >= sigma_max(op) stands in for sigma_max in the singularity
-    # test; dnrm2 rescales as it sums, so it neither overflows nor underflows
-    fro = dnrm2(flat) / scale
-    if np.isnan(fro):  # a NaN entry
+    # a = op / scale, C-ordered, in op itself or in the one copy; now
+    # max |a_ij| = 1, so sigma_max(a) >= 1 / sqrt(size)
+    a = np.divide(op, scale, out=op if overwrite else None, order="C")
+    flat = a.reshape(-1)
+    # ||a||_F >= sigma_max(a) stands in for sigma_max in the singularity
+    # test; with entries at most 1 the sum of squares lies in [1, size^2]
+    # and cannot overflow, so only a NaN entry leaves it non-finite
+    fro = np.sqrt(np.vdot(flat, flat))
+    if not fro < np.inf:
         raise SingularOperator("operator is numerically singular")
-    r = _triangular_factor(a)
-    r /= scale  # now ||R||_F >= 1, so sigma_max(R) >= 1 / sqrt(size)
+    # a read column-major is op^T: op^T = P L U in place, L unit lower
+    lu, piv, info = dgetrf(a.T, overwrite_a=1)
+    if info > 0:  # an exactly zero pivot
+        raise SingularOperator("operator is numerically singular")
+    rows = list(range(size))  # LAPACK's row swaps, in order: op^T[rows] = L U
+    for i, p in enumerate(piv.tolist()):
+        rows[i], rows[p] = rows[p], rows[i]
+    rows = np.array(rows)  # P^T x = x[rows]
+    back = np.empty_like(rows)  # P y = y[back]
+    back[rows] = np.arange(size)
     limit = np.sqrt(size) / SINGULAR_REL_TOL
 
     def solve(x, trans=0):
-        # |R^-1 x| > limit for a unit x means sigma_min < SINGULAR_REL_TOL
-        # sigma_max; this also catches a zero pivot and keeps norms finite.
-        y = dtrsv(r, x, trans=trans)
+        # op^-T x = U^-1 L^-1 P^T x and op^-1 x = P L^-T U^-T x.  |y| > limit
+        # for a unit x means sigma_min < SINGULAR_REL_TOL sigma_max; this
+        # also catches a tiny pivot and keeps norms finite.
+        if trans:
+            y = dtrsv(lu, x, trans=1)
+            y = dtrsv(lu, y, lower=1, trans=1, diag=1, overwrite_x=1)[back]
+        else:
+            y = dtrsv(lu, x[rows], lower=1, diag=1, overwrite_x=1)
+            y = dtrsv(lu, y, overwrite_x=1)
         if not np.abs(y).max() <= limit:
             raise SingularOperator("operator is numerically singular")
         return y

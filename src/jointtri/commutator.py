@@ -93,9 +93,11 @@ def adjoint(a, w):
     return s - s.swapaxes(-1, -2)
 
 
-def gauss_newton_product(a, x):
+def gauss_newton_product(a, a_t, x):
     """J^T J x in strictly-lower coordinates at the rotated stack a, with no
-    L x L object.
+    L x L object; a_t holds the transposes of a, C-ordered, so that every
+    GEMM reads contiguous operands (a caller that takes many products
+    builds it once).
 
     X is scattered from x into one flat d^2 vector (0 - x above the
     diagonal: the bits of E - E^T), and the adjoint's S - S^T is read at
@@ -110,7 +112,6 @@ def gauss_newton_product(a, x):
     w = a @ t
     w -= t @ a
     np.copyto(w, 0.0, where=plan.on_and_above)  # low_part, in place
-    a_t = a.swapaxes(1, 2)
     s = a_t @ w
     s -= w @ a_t
     s = np.sum(s, axis=0).reshape(-1)

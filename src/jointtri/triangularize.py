@@ -172,6 +172,7 @@ def _cg_step(a, b):
     each iterate is a descent direction.  A zero diagonal entry (J e_k = 0)
     is preconditioned by 1."""
     diag = gauss_newton_diagonal(a)
+    a_t = np.ascontiguousarray(a.swapaxes(1, 2))
     inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
     x = np.zeros_like(b)
     res = -b
@@ -179,7 +180,7 @@ def _cg_step(a, b):
     rr, rz = res @ res, res @ z
     stop = min(0.25, np.sqrt(rr)) * rr  # the squared forcing tolerance
     for _ in range(b.size):
-        hp = gauss_newton_product(a, p)
+        hp = gauss_newton_product(a, a_t, p)
         curvature = p @ hp
         if curvature <= 0:  # only by rounding: J^T J is positive on its range
             break

@@ -25,13 +25,18 @@ largest_singular_listed (Krylov bases rebuilt from lists at every step)
 are the earlier forms of jointtri.commutator.gauss_newton_product,
 gauss_newton_diagonal and jointtri.bounds._largest_singular; tests check
 each against its oracle bit for bit.  dense_jacobian builds the descent's
-Jacobian J one strictly-lower pair at a time.
+Jacobian J one strictly-lower pair at a time.  inverse_spectral_norm_qr
+is the earlier large-operator path of jointtri.bounds.inverse_spectral_norm
+(a QR factor in place of the LU); tests check the LU value against it and
+against a dense SVD within 100 eps kappa.
 """
 
 import itertools
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import lapack_lite
+from scipy.linalg.blas import dnrm2, dtrsv, idamax
 
 from jointtri import bounds as bd
 from jointtri import harness as hz
@@ -44,6 +49,7 @@ from jointtri.errors import (
     LogBranchAmbiguous,
     NegativeDeterminant,
     RankDeficient,
+    SingularOperator,
     SingularZ,
 )
 from jointtri.linalg import (
@@ -331,11 +337,12 @@ def orthogonal_log_schur_expm(q, fail=None):
 
 def gauss_newton_product_skew(a, x):
     """commutator.gauss_newton_product with X = skew_from_lower(x) and
-    the adjoint's S - S^T formed before its pairs are read."""
+    the adjoint's S - S^T formed before its pairs are read (from the same
+    C-ordered transposes of a, whose GEMMs the product runs)."""
     d = a.shape[1]
     t = skew_from_lower(x, d)
     w = low_part(a @ t - t @ a)
-    a_t = a.swapaxes(-1, -2)
+    a_t = np.ascontiguousarray(a.swapaxes(-1, -2))
     s = np.sum(a_t @ w - w @ a_t, axis=-3)
     return (s - s.swapaxes(-1, -2))[lower_index(d)]
 
@@ -403,3 +410,38 @@ def dense_jacobian(a):
             x[i, j], x[j, i] = 1.0, -1.0
             columns.append(np.concatenate([(m @ x - x @ m)[rows, cols] for m in a]))
     return np.array(columns).T
+
+
+def inverse_spectral_norm_qr(op):
+    """bounds.inverse_spectral_norm of one operator of at least
+    LANCZOS_MIN_SIZE rows through a QR factor: op^T = QR by numpy's LAPACK
+    on a copy, and ||op^-1|| = ||R^-1|| from one Golub-Kahan-Lanczos run
+    on the triangular solves with R, under the same scaling by
+    max |op_ij|, solve limit and singularity test as the LU path."""
+    size = op.shape[0]
+    a = np.array(op, dtype=float, order="C")
+    flat = a.reshape(-1)
+    scale = abs(flat[idamax(flat)])
+    if not 0.0 < scale < np.inf:
+        raise SingularOperator("operator is numerically singular")
+    fro = dnrm2(flat) / scale
+    if np.isnan(fro):
+        raise SingularOperator("operator is numerically singular")
+    tau, work = np.empty(size), np.empty(1)
+    lapack_lite.dgeqrf(size, size, a, size, tau, work, -1, 0)  # workspace query
+    work = np.empty(int(work[0]))
+    lapack_lite.dgeqrf(size, size, a, size, tau, work, work.size, 0)  # a read column-major is op^T
+    r = a.T
+    r /= scale
+    limit = np.sqrt(size) / bd.SINGULAR_REL_TOL
+
+    def solve(x, trans=0):
+        y = dtrsv(r, x, trans=trans)
+        if not np.abs(y).max() <= limit:
+            raise SingularOperator("operator is numerically singular")
+        return y
+
+    inv_norm = bd._largest_singular(solve, lambda x: solve(x, 1), size, bd.LANCZOS_TOL)
+    if bd.SINGULAR_REL_TOL * fro * inv_norm > 1.0:
+        raise SingularOperator("operator is numerically singular")
+    return float(inv_norm / scale)

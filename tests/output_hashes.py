@@ -20,7 +20,7 @@ The set:
 - the timed command of each benchmark workload on its first input (seed 0);
 - ``generate``, ``triangularize --sigma 1e-3`` and ``bounds`` on d in
   {20, 24}, N=8, kappa=3, seed 0 (operators of L = 190 and 276 rows, on
-  the QR + Lanczos path of bounds.inverse_spectral_norm);
+  the LU + Lanczos path of bounds.inverse_spectral_norm);
 - ``sweep --trials 3`` on the criterion-6 model and on the d in {3, 4, 5}
   models above;
 - ``generate --kind tensor`` plus ``tensor`` on d in {2, 3, 4, 5, 6, 8, 10}

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
+from numpy.linalg import lapack_lite
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +44,11 @@ from jointtri.triangularize import (
     loss,
     rotated,
 )
-from oracle import enumerate_exact_triangularizers, largest_singular_listed
+from oracle import (
+    enumerate_exact_triangularizers,
+    inverse_spectral_norm_qr,
+    largest_singular_listed,
+)
 
 
 def diagonal_model(lam, sigma=0.0, seed=0):
@@ -251,7 +257,7 @@ class TestAssembleOperators:
 
 
 EPS = 2.2e-16
-# Operator sizes on either side of the SVD / QR + Lanczos switch.
+# Operator sizes on either side of the SVD / LU + Lanczos switch.
 BELOW, ABOVE = LANCZOS_MIN_SIZE - 40, LANCZOS_MIN_SIZE + 110
 
 
@@ -278,6 +284,15 @@ def assert_matches_svd(op):
     """Both methods err by O(eps kappa); allow 100 eps kappa(op) relative."""
     s = np.linalg.svd(op, compute_uv=False)
     assert abs(inverse_spectral_norm(op) * s[-1] - 1.0) <= 100 * EPS * s[0] / s[-1]
+
+
+def assert_matches_qr_and_svd(op):
+    """The LU value within 100 eps kappa(op) relative of the QR oracle's
+    and of the dense SVD's."""
+    s = np.linalg.svd(op, compute_uv=False)
+    value, allowed = inverse_spectral_norm(op), 100 * EPS * s[0] / s[-1]
+    assert abs(value / inverse_spectral_norm_qr(op) - 1.0) <= allowed
+    assert abs(value * s[-1] - 1.0) <= allowed
 
 
 @pytest.fixture(scope="module")
@@ -380,10 +395,11 @@ class TestInverseSpectralNorm:
                 inverse_spectral_norm(op)
 
     def test_d32_cost_guard(self, generated_t_beta, monkeypatch):
-        """One Lanczos run of at most 40 steps, and no SVD of an L x L array."""
+        """One LU, no QR, no SVD of an L x L array, and one Lanczos run of
+        at most 40 steps."""
         op = generated_t_beta(32)
         size = op.shape[0]
-        calls = {"dtrsv": 0, "_largest_singular": 0}
+        calls = {"dgetrf": 0, "dtrsv": 0, "_largest_singular": 0}
         for name in calls:
             monkeypatch.setattr(bounds, name, counted(calls, name, getattr(bounds, name)))
         svd = np.linalg.svd
@@ -392,11 +408,28 @@ class TestInverseSpectralNorm:
             assert np.shape(a) != (size, size)
             return svd(a, *args, **kwargs)
 
+        def no_qr(*args, **kwargs):
+            raise AssertionError("QR factorization on the LU path")
+
         monkeypatch.setattr(np.linalg, "svd", small_svd)
+        monkeypatch.setattr(lapack_lite, "dgeqrf", no_qr)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrf", no_qr)
         inverse_spectral_norm(op)
-        assert calls["_largest_singular"] == 1
-        # each step calls the map once and its transpose once
-        assert 0 < calls["dtrsv"] <= 2 * 40
+        assert calls["dgetrf"] == calls["_largest_singular"] == 1
+        # each step applies op^-1 and op^-T, two triangular solves each
+        assert 0 < calls["dtrsv"] <= 4 * 40
+
+    @pytest.mark.parametrize("d", [20, 24, 32])
+    def test_generated_t_beta_matches_the_qr_oracle(self, generated_t_beta, d):
+        assert_matches_qr_and_svd(generated_t_beta(d))
+
+    def test_a_priori_gram_matches_the_qr_oracle(self):
+        """The cached J^T J of the a priori bound at d = 20 takes the LU path too."""
+        gt = gen_ground_truth(GeneratorSpec(d=20, n=8, seed=5), sigma=1e-3)
+        gram, inv_norm = bounds._exact_frame_gram(gt, exact_frame(gt))
+        assert gram.shape[0] >= LANCZOS_MIN_SIZE
+        assert inv_norm == inverse_spectral_norm(gram)
+        assert_matches_qr_and_svd(gram)
 
     def test_flat_spectrum_at_kappa_1e10_matches_svd(self):
         """||op||_F <= sqrt(L) sigma_max keeps kappa = 1e10 clear of the

@@ -28,6 +28,11 @@ def random_skew(rng, d):
     return a - a.T
 
 
+def transposes(a):
+    """The C-ordered transposes that gauss_newton_product takes beside a."""
+    return np.ascontiguousarray(a.swapaxes(1, 2))
+
+
 class TestJacobian:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_first_two_terms_are_the_commutator_operator(self, d):
@@ -68,7 +73,7 @@ class TestGaussNewtonProduct:
         X = skew_from_lower(x) and of S - S^T formed whole."""
         for a, x in product_stacks(d):
             expected = gauss_newton_product_skew(a, x)
-            assert gauss_newton_product(a, x).tobytes() == expected.tobytes()
+            assert gauss_newton_product(a, transposes(a), x).tobytes() == expected.tobytes()
 
     @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -79,7 +84,7 @@ class TestGaussNewtonProduct:
         jac = dense_jacobian(a)
         scale = np.linalg.norm(jac) ** 2 * np.linalg.norm(x)
         assert np.allclose(
-            gauss_newton_product(a, x), jac.T @ (jac @ x), rtol=0, atol=1e-13 * scale
+            gauss_newton_product(a, transposes(a), x), jac.T @ (jac @ x), rtol=0, atol=1e-13 * scale
         )
 
     def test_is_half_the_hessian_at_an_exact_triangularizer(self):
@@ -93,7 +98,7 @@ class TestGaussNewtonProduct:
                 x = random_skew(rng, 5)
                 v = x[rows, cols]
                 a = rotated(u, clean)
-                quadratic = 2.0 * v @ gauss_newton_product(a, v)
+                quadratic = 2.0 * v @ gauss_newton_product(a, transposes(a), v)
                 assert math.isclose(
                     quadratic, hessian_form(u, clean, x), rel_tol=1e-13
                 )
@@ -153,7 +158,7 @@ class TestGaussNewtonDiagonal:
         for a in (rng.standard_normal((n, d, d)), np.triu(rng.standard_normal((n, d, d)))):
             diag = gauss_newton_diagonal(a)
             units = np.eye(d * (d - 1) // 2)
-            expected = np.array([e @ gauss_newton_product(a, e) for e in units])
+            expected = np.array([e @ gauss_newton_product(a, transposes(a), e) for e in units])
             assert diag.shape == expected.shape
             assert np.allclose(diag, expected, rtol=1e-14, atol=0)
             assert np.allclose(diag, np.sum(dense_jacobian(a) ** 2, axis=0), rtol=1e-14, atol=0)

@@ -748,9 +748,9 @@ class TestGaussNewtonStep:
         for k in range(1, b.size + 1):
             calls = []
 
-            def capped(stack, p):
+            def capped(stack, stack_t, p):
                 calls.append(None)
-                return product(stack, p) if len(calls) <= k else -p
+                return product(stack, stack_t, p) if len(calls) <= k else -p
 
             monkeypatch.setattr(triangularize, "gauss_newton_product", capped)
             steps.append(triangularize._cg_step(a, b))
