@@ -141,14 +141,14 @@ def _cmd_triangularize(args):
     else:
         # model file: assemble the observed (noisy) matrix set
         mset = io.ground_truth_from_dict(data).observed_matrices()
-    u, beta, trace, _ = hz.converge(
+    u, beta, trace, _, a = hz.converge(
         mset, beta_strategy=args.beta, seed=args.seed,
         max_iters=args.max_iters, grad_tol=args.tol,
     )
     report = {
         "frame": io.frame_to_dict(u),
         "beta": beta.tolist(),
-        "loss": tri.loss(u, mset),
+        "loss": tri.stack_loss(a),
         "aposteriori": bd.a_posteriori_bound(mset, u, beta, args.sigma),
         "trace": {
             "loss": trace.loss_values,
@@ -171,7 +171,7 @@ def _cmd_bounds(args):
         beta, u_init = tri.find_separating_beta(
             observed, strategy=args.beta, seed=args.seed)
     else:
-        u, beta, _, u_init = hz.converge(
+        u, beta, _, u_init, _ = hz.converge(
             observed, beta_strategy=args.beta, seed=args.seed,
             max_iters=args.max_iters, grad_tol=args.tol,
         )
@@ -213,16 +213,16 @@ def _cmd_tensor(args):
         theta /= np.linalg.norm(theta)
     mset, pencil = tn.observable_matrices(t, theta)
     # with theta = ones, sum_n M_n = I: the ones pencil never separates
-    u, _, _, _ = hz.converge(
+    u, _, _, _, a = hz.converge(
         mset, beta_strategy="random" if args.theta == "ones" else "ones", seed=args.seed,
         max_iters=args.max_iters, grad_tol=args.tol,
     )
-    y = tn.estimate_components(u, mset)
+    y = tn.estimate_components(a)
     z_star = tn.recover_scales(pencil, y)
     report = {
         "Z_star": [row.tolist() for row in z_star],
         "theta": theta.tolist(),
-        "loss": tri.loss(u, mset),
+        "loss": tri.stack_loss(a),
         "frame": io.frame_to_dict(u),
     }
     components = io.components_from_dict(data)
@@ -233,7 +233,7 @@ def _cmd_tensor(args):
         # theta = ones keeps the plain sums, as sqrt(N) (1 / sqrt(N)) need not be 1.0
         reference = z / (z.sum(axis=0) if args.theta == "ones" else np.sqrt(t.n) * theta @ z)
         matched, _ = tn.match_columns(y, reference)
-        report["component_error"] = float(np.max(np.abs(matched - reference)))
+        report["component_error"] = float(np.abs(matched - reference).max())
     io.dump_canonical(report, args.output)
     return 0
 

@@ -89,7 +89,9 @@ def _plan(d):
 def adjoint(a, w):
     """S - S^T with S = sum_n [A_n^T, W_n]; its strictly-lower entries are J^T w."""
     a_t = a.swapaxes(-1, -2)
-    s = np.sum(a_t @ w - w @ a_t, axis=-3)
+    s = a_t @ w
+    s -= w @ a_t
+    s = np.add.reduce(s, axis=-3)
     return s - s.swapaxes(-1, -2)
 
 

@@ -170,11 +170,13 @@ def converge(mset, beta_strategy="ones", seed=0, max_iters=2000, grad_tol=1e-10,
              fail=None):
     """Certified init plus Gauss-Newton descent; a stall at rounding is accepted.
 
-    Returns (frame, beta, trace, U0), U0 the certified initial frame.  For
-    a batch of sets the trials run as one batch and every output carries
-    the trial axis (the traces as a list); with ``fail`` (the batch is over
-    its rows) a trial whose init fails leaves it, and the outputs are over
-    the trials still running.  Without it the first failure is raised.
+    Returns (frame, beta, trace, U0, A), U0 the certified initial frame
+    and A = U^T M U the rotated stack at the frame, as the descent formed
+    it.  For a batch of sets the trials run as one batch and every output
+    carries the trial axis (the traces as a list); with ``fail`` (the batch
+    is over its rows) a trial whose init fails leaves it, and the outputs
+    are over the trials still running.  Without it the first failure is
+    raised.
     """
     batch = mset.as_batch()
     fail = Failures(len(batch.matrices)) if fail is None else fail
@@ -182,13 +184,13 @@ def converge(mset, beta_strategy="ones", seed=0, max_iters=2000, grad_tol=1e-10,
     betas, inits = tri.find_separating_beta(
         batch, strategy=beta_strategy, seed=seed, fail=fail)
     (batch,) = fail.since(rows, batch)
-    frames, traces = inits, []
+    frames, traces, stacks = inits, [], batch.matrices
     if len(inits):
         config = tri.OptimizerConfig(max_iters=max_iters, grad_tol=grad_tol)
-        frames, traces = tri.descend_batch(batch, inits, config)
+        frames, traces, stacks = tri.descend_batch(batch, inits, config)
     if mset.matrices.ndim == 3:
-        return frames[0], betas[0], traces[0], inits[0]
-    return frames, betas, traces, inits
+        return frames[0], betas[0], traces[0], inits[0], stacks[0]
+    return frames, betas, traces, inits, stacks
 
 
 def _fit_slope(xs, ys):
@@ -206,8 +208,8 @@ def _study(gt, sigmas, trials, seed):
     trial alone takes them: certified init and descent, the nearest exact
     frame, the a priori, explicit and a posteriori bounds.  A pair leaves
     at its first JointTriError, recorded in ``errors``; the others carry
-    on.  Returns (errors, models, observed, live), live the arrays over
-    the surviving pairs.
+    on.  Returns (errors, models, live), live the arrays over the
+    surviving pairs.
     """
     noise = [sample_noise(np.random.default_rng([seed, t]), gt.d, gt.n)
              for t in range(trials)]
@@ -217,13 +219,13 @@ def _study(gt, sigmas, trials, seed):
     )
     fail = Failures(len(models), record=True)
     if not len(models):
-        return fail.errors, models, None, {"pair": fail.rows}
+        return fail.errors, models, {"pair": fail.rows}
     sigma = np.array([model.sigma for model in models], dtype=float)
     observed = tri.MatrixSet(
         gt.clean_matrices().matrices
         + sigma[:, None, None, None] * np.array([model.noise for model in models])
     )
-    u, beta, _, _ = converge(observed, seed=seed, fail=fail)
+    u, beta, _, _, stacks = converge(observed, seed=seed, fail=fail)
     converged = fail.rows
     frame, log = nearest_exact_frame(gt, u, fail)
     framed = fail.rows
@@ -234,12 +236,12 @@ def _study(gt, sigmas, trials, seed):
     aposteriori = bd.a_posteriori_bound(
         observed[checked], *fail.since(converged, u, beta), sigma[checked], fail)
     live = {"pair": fail.rows, "aposteriori": aposteriori}
-    (live["u"],) = fail.since(converged, u)
+    (live["stack"],) = fail.since(converged, stacks)
     live["frame"], live["log"] = fail.since(framed, frame, log)
     (live["apriori"],) = fail.since(bounded, apriori)
     (live["explicit"],) = fail.since(checked, explicit)
     live["alpha"] = blockwise_norm(live["log"])
-    return fail.errors, models, observed, live
+    return fail.errors, models, live
 
 
 def sigma_sweep(gt, sigmas, trials=1, seed=0):
@@ -254,7 +256,7 @@ def sigma_sweep(gt, sigmas, trials=1, seed=0):
     sigmas).
     """
     sigmas = list(sigmas)
-    failures, models, _, live = _study(gt, sigmas, trials, seed)
+    failures, models, live = _study(gt, sigmas, trials, seed)
     for error in failures:
         if error is not None:
             raise error
@@ -293,11 +295,10 @@ def verify_bounds(gt, sigma, trials, seed=0):
     if trials == 0:
         return summary
     keys = ("apriori", "explicit", "aposteriori", "eigenvalue", "order")
-    failures, models, observed, live = _study(gt, [sigma], trials, seed)
+    failures, models, live = _study(gt, [sigma], trials, seed)
     # per matrix, the diagonal at U of the observed set against that of the
     # clean set at the exact frame: the joint-eigenvalue error
-    observed_diag = np.diagonal(tri.rotated(
-        live["u"], observed[live["pair"]]), axis1=-2, axis2=-1)
+    observed_diag = np.diagonal(live["stack"], axis1=-2, axis2=-1)
     clean_diag = np.diagonal(
         tri.rotated(live["frame"], gt.clean_matrices()), axis1=-2, axis2=-1)
     limit = bd.eigenvalue_error_bound(
@@ -348,10 +349,9 @@ def verify_component_bound(z, sigma, eps, trials, seed=0):
     estimates = ()
     if len(sets):
         # with theta = ones, sum_n M_n = I: the ones pencil never separates
-        batch, rows = tri.MatrixSet(sets), fail.rows
-        u, _, _, _ = converge(batch, beta_strategy="random", seed=seed, fail=fail)
-        (batch,) = fail.since(rows, batch)
-        estimates = tn.estimate_components(u, batch)
+        _, _, _, _, stacks = converge(
+            tri.MatrixSet(sets), beta_strategy="random", seed=seed, fail=fail)
+        estimates = tn.estimate_components(stacks)
     matched = fail.each(lambda estimate: tn.match_columns(estimate, reference)[0], estimates)
     matched = dict(zip(fail.rows.tolist(), matched))  # trial -> matched estimate
     passed = 0

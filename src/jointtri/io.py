@@ -56,20 +56,27 @@ def _plain(obj):
 # dataclasses, datetimes and subclasses go to _plain, which refuses them
 _ORJSON_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
                    | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
-_EXPONENT = re.compile(rb"e(?<=[0-9]e)[-0-9]")  # orjson writes e-7 and e16, never e+
 _NUMBER = re.compile(rb"-?[0-9][-+.0-9e]*")
 
 
 def _repr_numbers(raw):
     """orjson's bytes with each number token that repr writes otherwise (an
     exponent, or a 0.0000 prefix) rewritten by repr.  raw holds no
-    backslash, so a candidate after an odd count of quotes is in a string."""
+    backslash, so a candidate after an odd count of quotes is in a string.
+    Both kinds are found with bytes.find: an exponent is an "e" after a
+    digit and before a digit or "-" (orjson writes e-7 and e16, never e+);
+    the "e" search is a memchr, where a regular expression for it, or one
+    for both kinds at once, scans digit text several times slower."""
     starts = set()
-    for match in _EXPONENT.finditer(raw):
-        start = match.start()
-        while start and raw[start - 1] in b"-.0123456789":
-            start -= 1
-        starts.add(start)
+    at = raw.find(b"e")
+    while at >= 0:
+        after = raw[at + 1] if at + 1 < len(raw) else 0
+        if at and raw[at - 1] in b"0123456789" and after in b"-0123456789":
+            start = at
+            while start and raw[start - 1] in b"-.0123456789":
+                start -= 1
+            starts.add(start)
+        at = raw.find(b"e", at + 1)
     at = raw.find(b"0.0000")
     while at >= 0:
         start = at - 1 if at and raw[at - 1] == ord("-") else at

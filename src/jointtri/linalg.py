@@ -63,7 +63,10 @@ def blockwise_dot(x, y, ndim):
 
 def blockwise_norm(x, ndim=2):
     """np.linalg.norm of each trailing ndim-axis block of C-contiguous x."""
-    return np.sqrt(blockwise_dot(x, x, ndim))
+    if not x.size:
+        return np.zeros(x.shape[:-ndim])
+    flat = x.reshape(x.shape[:-ndim] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))[()]
 
 
 def _require_square(a, name="matrix"):
@@ -116,9 +119,9 @@ def skew_from_lower(x, d):
 def min_pairwise_gap(t):
     """min over column pairs i < j of sum_n (t[n, i] - t[n, j])^2."""
     columns = np.ascontiguousarray(np.transpose(t))
-    i, j = np.triu_indices(len(columns), 1)
+    j, i = lower_index(len(columns))  # the pairs i < j of np.triu_indices, cached
     # one contiguous row per pair, so each row sums as np.sum sums a vector
-    return float(np.min(np.sum((columns[i] - columns[j]) ** 2, axis=-1)))
+    return float(np.add.reduce((columns[i] - columns[j]) ** 2, axis=-1).min())
 
 
 def assign_columns(cost, radius):
@@ -133,8 +136,10 @@ def assign_columns(cost, radius):
     one is the unique assignment of least largest cost.
     """
     perm = np.argmin(cost, axis=-1)
-    certified = np.all(np.take_along_axis(cost, perm[..., None], -1) < radius, axis=(-2, -1))
-    certified &= np.all(np.diff(np.sort(perm, axis=-1), axis=-1) > 0, axis=-1)
+    # each assigned cost is its row's least, so the minimum reads it
+    certified = (cost.min(axis=-1) < radius).all(axis=-1)
+    ordered = np.sort(perm, axis=-1)
+    certified &= (ordered[..., 1:] > ordered[..., :-1]).all(axis=-1)
     return perm, certified
 
 

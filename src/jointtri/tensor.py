@@ -25,8 +25,9 @@ from .errors import (
     ZeroColumnSum,
 )
 from .linalg import assign_columns, blockwise_norm, min_pairwise_gap
-from .triangularize import MatrixSet, rotated
+from .triangularize import MatrixSet
 
+_EPS = np.finfo(float).eps
 RANK_REL_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-10
 
@@ -42,7 +43,7 @@ class Tensor3:
         data = np.asarray(self.data, dtype=float).ravel()
         if self.n < 1 or data.size != self.n**3:
             raise DimensionMismatch("data length must be N^3")
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise DimensionMismatch("tensor entries must be finite")
         object.__setattr__(self, "data", data)
 
@@ -71,11 +72,12 @@ def observable_matrices(t, theta):
     (MatrixSet, m_w); m_w is the pencil that recover_scales takes.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (t.n,) or not np.all(np.isfinite(theta)):
+    if theta.shape != (t.n,) or not np.isfinite(theta).all():
         raise DimensionMismatch("theta must be finite, of the tensor dimension N")
     cube = t.as_cube()
     n = t.n
-    pencil = sum(w * m for w, m in zip(np.sqrt(n) * theta, cube))
+    # the slices summed in order from 0.0, as Python's sum adds them
+    pencil = np.add.reduce((np.sqrt(n) * theta)[:, None, None] * cube, axis=0, initial=0.0)
     s = np.linalg.svd(pencil, compute_uv=False)
     if s[-1] <= RANK_REL_TOL * s[0]:
         raise RankDeficient("weighted slice sum is rank deficient")
@@ -83,7 +85,7 @@ def observable_matrices(t, theta):
     solution = np.linalg.solve(pencil.T, cube.transpose(2, 0, 1).reshape(n, n * n))
     observed = solution.reshape(n, n, n).transpose(1, 2, 0)
     residual = blockwise_norm(observed @ pencil - cube)
-    if np.any(residual > SOLVE_RESIDUAL_TOL * np.maximum(blockwise_norm(cube), 1.0)):
+    if (residual > SOLVE_RESIDUAL_TOL * np.maximum(blockwise_norm(cube), 1.0)).any():
         raise RankDeficient("pencil solve residual above tolerance")
     return MatrixSet(observed), pencil
 
@@ -122,7 +124,7 @@ def _finite_square(a, message):
         a = np.asarray(a, dtype=float)
     except ValueError as exc:  # ragged input
         raise DimensionMismatch(message) from exc
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
         raise DimensionMismatch(message)
     return a
 
@@ -133,7 +135,7 @@ def _singular_values(z):
     it) and kappa(Z) = s[0] / s[-1] (np.linalg.cond's value)."""
     z = _finite_square(z, "Z must be a finite N x N array")
     s = np.linalg.svd(z, compute_uv=False)
-    if np.count_nonzero(s > s.max(initial=0.0) * (len(z) * np.finfo(float).eps)) < len(z):
+    if np.count_nonzero(s > s.max(initial=0.0) * (len(z) * _EPS)) < len(z):
         raise SingularZ("Z is singular")
     return z, s
 
@@ -145,20 +147,21 @@ def _observable_bounds(z, kappa, eps):
     W = eps sqrt(d) kappa^2 (1 + M) / (||Z||^2 m) with m = min |1^T Z|.
     Raises ZeroColumnSum when m = 0."""
     d = len(z)
-    min_col = float(np.min(np.abs(z.sum(axis=0))))
+    min_col = float(np.abs(z.sum(axis=0)).min())
     if min_col == 0.0:
         raise ZeroColumnSum("a column of Z sums to zero")
-    m_bound = d * kappa**2 * np.max(np.abs(z)) / min_col
+    m_bound = d * kappa**2 * np.abs(z).max() / min_col
     w_bound = (
         eps * np.sqrt(d) * kappa**2 / (np.linalg.norm(z) ** 2 * min_col) * (1.0 + m_bound)
     )
     return m_bound, w_bound
 
 
-def estimate_components(u, mset):
-    """Ratio matrix Y with Y_ni = [U^T M_n U]_ii (components over column
-    sums), per trial of a batch of sets."""
-    return np.diagonal(rotated(u, mset), axis1=-2, axis2=-1).copy()
+def estimate_components(a):
+    """Ratio matrix Y with Y_ni = A_n,ii (components over column sums) at the
+    rotated stack A = U^T M U that converge returns (per trial of a leading
+    trial axis)."""
+    return np.diagonal(a, axis1=-2, axis2=-1).copy()
 
 
 def recover_scales(m_theta_hat, y):
@@ -175,7 +178,7 @@ def recover_scales(m_theta_hat, y):
     if np.linalg.matrix_rank(y) < len(y):
         raise SingularY("ratio matrix Y is singular")
     core = np.linalg.solve(y, np.linalg.solve(y, m_theta_hat.T).T)
-    s = np.cbrt(np.diag(core))
+    s = np.cbrt(core.diagonal())
     return y * s
 
 
@@ -251,14 +254,14 @@ def match_columns(estimated, reference):
     shape = estimated.shape
     if len(shape) != 2 or shape != reference.shape or estimated.size == 0:
         raise DimensionMismatch("need two non-empty n x d arrays of the same shape")
-    if not (np.all(np.isfinite(estimated)) and np.all(np.isfinite(reference))):
+    if not (np.isfinite(estimated).all() and np.isfinite(reference).all()):
         raise DimensionMismatch("columns to match must be finite")
-    cost = np.max(np.abs(estimated[:, :, None] - reference[:, None, :]), axis=0)
-    gap = np.max(np.abs(reference[:, :, None] - reference[:, None, :]), axis=0)
+    cost = np.abs(estimated[:, :, None] - reference[:, None, :]).max(axis=0)
+    gap = np.abs(reference[:, :, None] - reference[:, None, :]).max(axis=0)
     np.fill_diagonal(gap, np.inf)
     # 1 - 2 eps absorbs the rounding of the computed differences, so the
     # certificate holds for the cost the search would minimize
-    radius = 0.5 * gap.min() * (1.0 - 2.0 * np.finfo(float).eps)
+    radius = 0.5 * gap.min() * (1.0 - 2.0 * _EPS)
     perm, certified = assign_columns(cost.T, radius)
     perm = tuple(perm.tolist()) if certified else _bottleneck_search(cost)
     return estimated[:, perm], perm

@@ -71,7 +71,7 @@ class MatrixSet:
             raise DimensionMismatch("matrix dimension d must be at least 1")
         if matrices.ndim not in (3, 4) or matrices.shape[-2] != matrices.shape[-1]:
             raise DimensionMismatch("all matrices must share dimension d")
-        if not np.all(np.isfinite(matrices)):
+        if not np.isfinite(matrices).all():
             raise DimensionMismatch("matrix entries must be finite")
         object.__setattr__(self, "matrices", matrices)
         self.matrices.setflags(write=False)
@@ -99,7 +99,7 @@ class MatrixSet:
         beta = np.asarray(beta, dtype=float)
         if beta.shape[-1:] != (self.n,) or beta.ndim > self.matrices.ndim - 2:
             raise DimensionMismatch("beta length must equal the number of matrices")
-        return np.sum(beta[..., None, None] * self.matrices, axis=-3)
+        return np.add.reduce(beta[..., None, None] * self.matrices, axis=-3)
 
 
 def _checked_set(matrices):
@@ -115,7 +115,8 @@ def _check_frame(u, mset):
     """U as floats: one frame, or a (T, d, d) stack, one per trial of a batch
     or applied to every matrix of a single set."""
     u = np.asarray(u, dtype=float)
-    if u.shape[-2:] != (mset.d, mset.d) or u.ndim not in (2, 3):
+    d = mset.matrices.shape[-1]
+    if u.ndim not in (2, 3) or u.shape[-1] != d or u.shape[-2] != d:
         raise DimensionMismatch("frame dimension does not match matrix set")
     return u
 
@@ -131,12 +132,13 @@ def rotated(u, mset):
 
 def loss(u, mset):
     """Sum of squared strictly-lower entries of the rotated matrices (per trial)."""
-    return _stack_loss(rotated(u, mset))
+    return stack_loss(rotated(u, mset))
 
 
-def _stack_loss(a):
-    """loss at the rotated stack a: a running sum in order n = 0, ..., N-1."""
-    sums = np.sum(low_part(a) ** 2, axis=(-2, -1))
+def stack_loss(a):
+    """loss at the rotated stack a = U^T M U: a running sum in order
+    n = 0, ..., N-1."""
+    sums = np.add.reduce(low_part(a) ** 2, axis=(-2, -1))
     return np.add.accumulate(sums, axis=-1)[..., -1][()]
 
 
@@ -214,10 +216,12 @@ def _rotation_increment(x, step):
         terms.append(count)
     fewest, most = min(terms), max(terms)
     f = y
-    for k in range(most, 1, -1):  # Horner: Y + Y (Y + Y (...) / 3) / 2
-        f = y + y @ f / k
+    for k in range(most, 1, -1):  # Horner: Y + Y (Y + Y (...) / 3) / 2, in place
+        f = y @ f
+        f /= k
+        f += y
         if k > fewest:  # trials with fewer terms start later
-            f = np.where((np.reshape(terms, norms.shape) >= k)[..., None, None], f, y)
+            np.copyto(f, y, where=(np.reshape(terms, norms.shape) < k)[..., None, None])
     if fewest == 0:
         large = (norms >= 0.5)[..., None, None]
         f = np.where(large, skew_exp(y) - np.eye(x.shape[-1]), f)
@@ -253,11 +257,13 @@ def hessian_form(u, mset, x):
 
 def _fix_column_signs(u, tol=1e-12):
     """Flip column signs so the first significant entry of each is positive
-    (over a leading trial axis too)."""
+    (over a leading trial axis too): a column flips when its first
+    significant entry is also its first significant negative one."""
     mag = np.abs(u)
     significant = mag > tol * mag.max(axis=-2, initial=1.0, keepdims=True)
-    first = np.take_along_axis(u, np.argmax(significant, axis=-2)[..., None, :], axis=-2)
-    return np.where(significant.any(axis=-2, keepdims=True) & (first < 0), -u, u)
+    negative = significant & (u < 0)
+    flip = negative.any(axis=-2) & (negative.argmax(axis=-2) == significant.argmax(axis=-2))
+    return np.where(flip[..., None, :], -u, u)
 
 
 def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50, fail=None):
@@ -279,18 +285,20 @@ def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50, fail=None)
 
     For a batch of sets, every trial draws the same candidates, each round
     makes one eig call over the trials still unresolved, and the results
-    carry the trial axis; with ``fail`` (the batch is over its rows) a
-    trial that fails leaves it, and the results are over the trials still
-    running.  Without it the first failure is raised.
+    carry the trial axis; with ``fail`` (the batch is over its rows) the
+    trials that failed leave it when the search ends, and the results are
+    over the trials still running.  Without it a failure is raised then,
+    NearDefective before NoSeparatingBeta.
     """
     if strategy not in ("ones", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     batch = mset.as_batch()
     count = len(batch.matrices)
     fail = Failures(count) if fail is None else fail
-    betas = np.zeros((count, mset.n))
-    frames = np.zeros((count, mset.d, mset.d))
-    pending = np.ones(count, dtype=bool)  # no separating candidate yet
+    betas = np.empty((count, mset.n))
+    frames = np.empty((count, mset.d, mset.d))
+    defective = np.zeros(count, dtype=bool)
+    todo = np.arange(count)  # the rows with no separating candidate yet
 
     def candidates():
         if strategy == "ones":
@@ -301,35 +309,36 @@ def find_separating_beta(mset, strategy="ones", seed=0, max_tries=50, fail=None)
             yield v / np.linalg.norm(v)
 
     for beta in itertools.islice(candidates(), max_tries):
-        todo = np.flatnonzero(pending)
-        pencil = (batch if todo.size == len(pending) else batch[todo]).combine(beta)
+        pencil = (batch if len(todo) == count else batch[todo]).combine(beta)
         scale = blockwise_norm(pencil)
         values, vectors = np.linalg.eig(pencil)
         values = values.real
         order = values.argsort(axis=-1)
-        values = np.sort(values, axis=-1)  # values[order]
+        values.sort(axis=-1)  # values[order], in place
         gaps = values[:, 1:] - values[:, :-1]
         separated = (gaps > SEPARATION_GAP_REL * scale[:, None]).all(axis=-1)
-        if separated.any():
-            rows = slice(None) if separated.all() else separated
+        rows, todo = todo, todo[:0]
+        if not separated.all():  # the others draw the next candidate
+            rows, todo = rows[separated], rows[~separated]
+            pencil, vectors, order, scale = (v[separated] for v in (pencil, vectors, order, scale))
+        if len(rows):
             # the unit eigenvectors in ascending order, as rows: each summed
             # pairwise along its contiguous length, as np.linalg.norm(axis=0)
             # sums eig's column-major output of one set
-            columns = np.take_along_axis(
-                vectors[rows].real.swapaxes(1, 2), order[rows, :, None], axis=1)
+            columns = vectors.real.swapaxes(1, 2)[np.arange(len(rows))[:, None], order]
             columns /= np.sqrt(np.add.reduce(columns * columns, axis=-1, keepdims=True))
             u0 = _fix_column_signs(np.linalg.qr(columns.swapaxes(1, 2))[0])
-            found = todo[rows]
-            betas[found], frames[found], pending[found] = beta, u0, False
-            schur = u0.swapaxes(1, 2) @ pencil[rows] @ u0
-            defective = np.zeros_like(pending)
-            defective[found] = blockwise_norm(low_part(schur)) > SCHUR_RESIDUAL_TOL * scale[rows]
-            batch, betas, frames, pending = fail.drop(
-                defective, NearDefective("Schur residual of the initial frame above tolerance"),
-                batch, betas, frames, pending,
-            )
-        if not pending.any():
+            betas[rows], frames[rows] = beta, u0
+            schur = u0.swapaxes(1, 2) @ pencil @ u0
+            defective[rows] = blockwise_norm(low_part(schur)) > SCHUR_RESIDUAL_TOL * scale
+        if not len(todo):
             break
+    pending = np.zeros(count, dtype=bool)
+    pending[todo] = True
+    betas, frames, pending = fail.drop(
+        defective, NearDefective("Schur residual of the initial frame above tolerance"),
+        betas, frames, pending,
+    )
     betas, frames = fail.drop(
         pending, NoSeparatingBeta(f"no separating combination found after {max_tries} tries"),
         betas, frames,
@@ -381,7 +390,10 @@ def descend_batch(mset, u_init, config=OptimizerConfig()):
     halving has shrunk ||tX|| to eps, where the frame no longer moves.  Its
     trace then ends "stalled" at its last iterate; nothing is raised.
     Per-trial scalars are Python floats: the same IEEE operations as on
-    one problem, without a numpy call each.  Returns (frames, traces).
+    one problem, without a numpy call each.  Returns (frames, traces,
+    stacks), stacks the rotated stacks U^T M U at the final frames, so a
+    caller reads the diagonals and the loss there without forming them
+    again.
     """
     u = _check_frame(u_init, mset)
     if u.ndim != 3 or mset.matrices.ndim != 4 or len(u) != len(mset.matrices):
@@ -390,18 +402,19 @@ def descend_batch(mset, u_init, config=OptimizerConfig()):
     size = d * (d - 1) // 2
     exact = size**3 <= EXACT_STEP_MAX_SIZE * n
     frames = u.copy()
+    stacks = np.empty(mset.matrices.shape)
     traces = [DescentTrace() for _ in range(len(u))]
     live = list(range(len(u)))  # the trial of each row still descending
     error_scales = ((2 * d + 2 * n * size + 5) * _EPS * blockwise_norm(mset.matrices, 3)).tolist()
     a = rotated(u, mset)
-    current = _stack_loss(a).tolist()
+    current = stack_loss(a).tolist()
     pairs = (..., *lower_index(d))
 
     def leave(rows, termination):
         """Close the traces of the given rows, and drop them from the batch."""
         nonlocal u, a, mset
         for k in rows:
-            frames[live[k]] = u[k]
+            frames[live[k]], stacks[live[k]] = u[k], a[k]
             traces[live[k]].termination = termination
         if len(rows) == len(live):
             return None
@@ -421,7 +434,7 @@ def descend_batch(mset, u_init, config=OptimizerConfig()):
             keep = leave([k for k, norm in enumerate(g_norms) if norm <= config.grad_tol],
                          "grad_tol")
             if keep is None:
-                return frames, traces
+                return frames, traces, stacks
             live, g_norms, current, error_scales = (
                 kept(v, keep) for v in (live, g_norms, current, error_scales))
             low, g = low[keep], g[keep]
@@ -430,7 +443,7 @@ def descend_batch(mset, u_init, config=OptimizerConfig()):
             x = _exact_step(a, b)
         else:
             x = np.array([_cg_step(a_k, b_k) for a_k, b_k in zip(a, b)])
-        slopes = [2.0 * v for v in np.vecdot(b, x).tolist()]  # <grad, X>
+        slopes = (2.0 * np.vecdot(b, x)).tolist()  # <grad, X>
         skew = skew_from_lower(x, d)
         x_norms = blockwise_norm(skew).tolist()
         low_norms = blockwise_norm(low, 3).tolist()
@@ -462,7 +475,7 @@ def descend_batch(mset, u_init, config=OptimizerConfig()):
         if not all(accepted):
             keep = leave([k for k, good in enumerate(accepted) if not good], "stalled")
             if keep is None:
-                return frames, traces
+                return frames, traces, stacks
             live, g_norms, current, error_scales, changes, steps = (
                 kept(v, keep) for v in (live, g_norms, current, error_scales, changes, steps))
             f = f[keep]
@@ -475,4 +488,4 @@ def descend_batch(mset, u_init, config=OptimizerConfig()):
             trace.grad_norms.append(grad_norm)
             trace.step_lengths.append(length)
     leave(range(len(live)), "max_iters")
-    return frames, traces
+    return frames, traces, stacks

@@ -41,6 +41,7 @@ from scipy.linalg.blas import dnrm2, dtrsv, idamax
 from jointtri import bounds as bd
 from jointtri import harness as hz
 from jointtri import tensor as tn
+from jointtri import triangularize as tri
 from jointtri.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -128,7 +129,7 @@ def sigma_sweep_per_trial(gt, sigmas, trials=1, seed=0):
         for t in range(trials):
             model = _trial_model(gt, sigma, seed, t)
             observed = model.observed_matrices()
-            u, beta, _, _ = hz.converge(observed, seed=seed)
+            u, beta, _, _, _ = hz.converge(observed, seed=seed)
             u_circ, ax_obs = hz.nearest_exact_frame(gt, u)
             ax_pred = bd.predicted_direction(model, u_circ)
             per_trial.append(
@@ -167,7 +168,7 @@ def verify_bounds_per_trial(gt, sigma, trials, seed=0):
         model = _trial_model(gt, sigma, seed, t)
         observed = model.observed_matrices()
         try:
-            u, beta, _, _ = hz.converge(observed, seed=seed)
+            u, beta, _, _, _ = hz.converge(observed, seed=seed)
             u_circ, log = hz.nearest_exact_frame(gt, u)
             alpha = np.linalg.norm(log)
             apriori = bd.a_priori_bound(model, u_circ)
@@ -220,8 +221,8 @@ def verify_component_bound_per_trial(z, sigma, eps, trials, seed=0):
         try:
             noisy = hz.gen_tensor(z, sigma, eps, seed=[seed, t])
             observed, _ = tn.observable_matrices(noisy, theta)
-            u, _, _, _ = hz.converge(observed, beta_strategy="random", seed=seed)
-            estimate = tn.estimate_components(u, observed)
+            u, _, _, _, _ = hz.converge(observed, beta_strategy="random", seed=seed)
+            estimate = tn.estimate_components(tri.rotated(u, observed))
             matched, _ = tn.match_columns(estimate, reference)
             err = float(np.max(np.abs(matched - reference)))
             ok = err <= hz.CONTAINMENT_SLACK * bound + hz.CONTAINMENT_ATOL

@@ -1,13 +1,18 @@
 """Byte-identity protocol: the SHA-256 of every canonical output of a fixed
 command set, to compare two versions of the package.
 
-    PYTHONPATH=src python tests/output_hashes.py
+    PYTHONPATH=src python tests/output_hashes.py > listing.txt
+    PYTHONPATH=src python tests/output_hashes.py --against listing.txt
 
 Each command runs in-process through ``jointtri.cli.run`` in a temporary
 directory.  One line is printed per command, ``<sha256> <exit> <command>``
 (the hash of the output file, or ``-`` when none was written), then the
 SHA-256 of all those lines.  Two versions produce byte-identical canonical
 outputs with unchanged exit codes exactly when the last lines agree.
+With ``--against FILE`` (a listing saved from another version) only the
+lines that differ are printed, each as ``- <saved line>`` and ``+ <new
+line>`` (a command in only one listing has only its own line), then the
+final lines if they differ, and the exit status is 1 on any difference.
 
 The set:
 - ``generate`` plus ``verify --trials 4`` on the verify_d4 benchmark pool
@@ -48,8 +53,10 @@ The set:
   writer on large payloads).
 """
 
+import argparse
 import hashlib
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -170,7 +177,9 @@ def commands():
         yield _model(12, 64, 3, seed) + ["--output", "@" + name], name
 
 
-def main():
+def listing(echo):
+    """The protocol's lines, the final hash last; each is passed to echo as
+    it is made."""
     lines = []
     with tempfile.TemporaryDirectory() as workdir:
         root = Path(workdir)
@@ -182,10 +191,48 @@ def main():
             if argv[0] == "triangularize" and target.exists():
                 frame = io.load(str(target))["frame"]
                 io.dump_canonical(frame, str(root / f"{output}.frame"))
-            line = f"{digest} {code} {' '.join(argv)}"
-            lines.append(line)
-            print(line)
-    print(hashlib.sha256("\n".join(lines).encode()).hexdigest())
+            lines.append(f"{digest} {code} {' '.join(argv)}")
+            echo(lines[-1])
+    lines.append(hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    echo(lines[-1])
+    return lines
+
+
+def differences(saved, lines):
+    """The lines of two listings that differ, as "- saved" / "+ new" lines,
+    matched by command, then the two final hash lines if they differ.
+    Lines of neither form (stderr captured with the listing) are ignored."""
+    def commands_of(listing):
+        return {parts[2]: line for line in listing if len(parts := line.split(" ", 2)) == 3}
+
+    def final_of(listing):
+        return [line for line in listing if re.fullmatch("[0-9a-f]{64}", line)][-1:]
+
+    old, new = commands_of(saved), commands_of(lines)
+    out = []
+    for command in list(old) + [c for c in new if c not in old]:
+        if old.get(command) != new.get(command):
+            out += [f"{sign} {side[command]}" for sign, side in (("-", old), ("+", new))
+                    if command in side]
+    if final_of(saved) != final_of(lines):
+        out += [f"{sign} {line}" for sign, listing in (("-", saved), ("+", lines))
+                for line in final_of(listing)]
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="a saved listing: print only the lines that differ from it")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        listing(print)
+        return 0
+    saved = Path(args.against).read_text().splitlines()
+    diff = differences(saved, listing(lambda line: None))
+    for line in diff:
+        print(line)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ def test_criterion_1_noiseless_exactness():
     for seed in range(20):
         gt = gen_ground_truth(GeneratorSpec(d=4, n=4, kappa_target=3.0, seed=seed))
         clean = gt.clean_matrices()
-        u, _, _, _ = converge(clean, grad_tol=1e-12)
+        u, _, _, _, _ = converge(clean, grad_tol=1e-12)
         _, log = nearest_exact_frame(gt, u)
         alpha = np.linalg.norm(log)
         worst_loss = max(worst_loss, loss(u, clean))
@@ -192,7 +192,7 @@ def test_criterion_7_certified_initialization():
         beta, u_init = tri.find_separating_beta(observed)
         sigma_max, _, _ = bd.init_noise_threshold(gt, beta, u_init)
         model = gt.with_noise(gt.noise, 0.5 * sigma_max)
-        u, _, _, _ = converge(model.observed_matrices(), grad_tol=1e-12)
+        u, _, _, _, _ = converge(model.observed_matrices(), grad_tol=1e-12)
         u_circ, log = nearest_exact_frame(gt, u)
         alpha = np.linalg.norm(log)
         limit = bd.a_priori_bound(model, u_circ)
@@ -210,8 +210,8 @@ def test_criterion_8_tensor_pipeline():
     t = tn.tensor_from_components(z)
     theta = np.ones(4) / 2.0
     mset, pencil = tn.observable_matrices(t, theta)
-    u, _, _, _ = converge(mset, grad_tol=1e-12)
-    y = tn.estimate_components(u, mset)
+    _, _, _, _, a = converge(mset, grad_tol=1e-12)
+    y = tn.estimate_components(a)
     z_star = tn.recover_scales(pencil, y)
     matched, _ = tn.match_columns(z_star, z)
     recovery_err = float(np.max(np.abs(matched - z)))

@@ -308,7 +308,7 @@ def generated_t_beta(tmp_path_factory):
                     "--output", str(path)]
             assert cli.run(argv) == 0
             mset = io.ground_truth_from_dict(io.load(path)).observed_matrices()
-            u, beta, _, _ = converge(mset)
+            u, beta, _, _, _ = converge(mset)
             built[d] = t_beta(u, mset, beta)
         return built[d]
 

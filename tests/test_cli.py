@@ -538,6 +538,37 @@ class TestCliCommands:
         assert np.isfinite(report["component_error"])
         assert report["component_error"] <= 1.1 * report["component_bound"]
 
+    def test_tensor_forms_the_rotated_stack_once_per_iterate(self, tmp_path, monkeypatch):
+        """Cost guard: a tensor call forms U^T M U at the certified initial
+        frame and after each accepted step, and not again after converge
+        (Y and the loss read the descent's last stack); its first random
+        candidate separates, at one eig and one QR."""
+        src = tmp_path / "tensor.json"
+        assert cli(
+            "generate", "--kind", "tensor", "--d", 8, "--N", 8,
+            "--kappa", 2, "--sigma", 1e-4, "--seed", 0, "--output", src,
+        ) == 0
+        calls = {}
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls.setdefault(name, []).append(result)
+                return result
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in ((tri, "rotated"), (tri, "descend_batch"),
+                            (np.linalg, "eig"), (np.linalg, "qr")):
+            count(owner, name)
+        assert cli("tensor", "--input", src, "--output", tmp_path / "out.json", "--d", 8) == 0
+        ((_, (trace,), _),) = calls["descend_batch"]
+        assert trace.termination == "grad_tol" and trace.step_lengths
+        assert len(calls["rotated"]) == len(trace.step_lengths) + 1
+        assert len(calls["eig"]) == len(calls["qr"]) == 1
+
     def test_rank_deficient_tensor_exits_2(self, tmp_path, capsys):
         z = gen_components(3, seed=6).copy()
         z[:, 0] = 0.0
@@ -827,3 +858,27 @@ class TestProcessState:
                         if alias.name.startswith("_")
                     ]
         assert crossing == []
+
+
+class TestOutputHashesAgainst:
+    """output_hashes.py --against: only the lines that differ from a saved
+    listing, matched by command, then the final lines if they differ."""
+
+    def test_equal_listings_differ_nowhere(self):
+        from output_hashes import differences
+
+        saved = ["a 0 generate one", "- 2 tensor two", "f" * 64]
+        assert differences(saved, saved) == []
+        assert differences(saved + ["DimensionMismatch"], saved) == []
+
+    def test_changed_missing_and_new_commands(self):
+        from output_hashes import differences
+
+        saved = ["a 0 generate one", "b 0 tensor two", "c 1 verify three", "f" * 64]
+        lines = ["a 0 generate one", "d 0 tensor two", "e 0 sweep four", "0" * 64]
+        assert differences(saved, lines) == [
+            "- b 0 tensor two", "+ d 0 tensor two",
+            "- c 1 verify three",
+            "+ e 0 sweep four",
+            "- " + "f" * 64, "+ " + "0" * 64,
+        ]

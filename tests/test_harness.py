@@ -300,7 +300,7 @@ class TestMatchesEnumerationOracle:
         for t in range(100):
             rng = np.random.default_rng([0, t])
             noise = sample_noise(rng, gt.d, gt.n)
-            u, _, _, _ = converge(gt.with_noise(noise, 1e-3).observed_matrices())
+            u, _, _, _, _ = converge(gt.with_noise(noise, 1e-3).observed_matrices())
             assert_matches_oracle(gt, u, frames)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -311,7 +311,7 @@ class TestMatchesEnumerationOracle:
                 GeneratorSpec(d=d, n=3, kappa_target=2.0, seed=1000 * d + seed),
                 sigma=sigma,
             )
-            u, _, _, _ = converge(gt.observed_matrices())
+            u, _, _, _, _ = converge(gt.observed_matrices())
             assert_matches_oracle(gt, u, enumerate_exact_triangularizers(gt))
 
 
@@ -451,7 +451,7 @@ class TestVerifyBounds:
         assert len(nearest) == 1 and len(nearest[0][0]) == 4
         assert len(grams) == len({frame.tobytes() for frame in nearest[0][0]})
         assert [values.shape for values, _ in eigs] == [(4, 4)]  # the ones candidate
-        (_, traces), = descents
+        (_, traces, _), = descents
         assert all(trace.termination == "grad_tol" for trace in traces)
         lockstep = max(len(trace.step_lengths) for trace in traces)
         assert len(builds) == lockstep > 0
@@ -462,8 +462,8 @@ class TestVerifyBounds:
     def test_converge_is_deterministic(self):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=19), sigma=1e-3)
         observed = gt.observed_matrices()
-        u1, b1, _, _ = converge(observed, seed=0)
-        u2, b2, _, _ = converge(observed, seed=0)
+        u1, b1, _, _, _ = converge(observed, seed=0)
+        u2, b2, _, _, _ = converge(observed, seed=0)
         assert np.array_equal(u1, u2)
         assert np.array_equal(b1, b2)
 
@@ -529,7 +529,7 @@ class TestBatchedStudiesMatchOracle:
         rng = np.random.default_rng([seed, trial])
         noise = sample_noise(rng, gt.d, gt.n)
         observed = gt.with_noise(noise, sigma).observed_matrices()
-        u, beta, _, u0 = converge(observed, seed=seed)
+        u, beta, _, u0, _ = converge(observed, seed=seed)
         frame, _ = nearest_exact_frame(gt, u)
         return {
             "observed": observed.matrices.tobytes(),

@@ -37,6 +37,7 @@ from jointtri.triangularize import (
     gradient,
     hessian_form,
     loss,
+    rotated,
 )
 from oracle import dense_jacobian
 
@@ -53,7 +54,7 @@ def commuting_set(seed, d=3, n=3):
 
 def descend_one(mset, u0, config=OptimizerConfig()):
     """descend_batch on a batch of one set: (frame, trace)."""
-    (frame,), (trace,) = triangularize.descend_batch(mset.as_batch(), u0[None], config)
+    (frame,), (trace,), _ = triangularize.descend_batch(mset.as_batch(), u0[None], config)
     return frame, trace
 
 
@@ -155,7 +156,7 @@ class TestBatchedMatchesLoopOracle:
         assert np.array_equal(gradient(u, mset), s - s.T)
 
         components = np.stack([np.diag(u.T @ m @ u) for m in mats])
-        assert np.array_equal(estimate_components(u, mset), components)
+        assert np.array_equal(estimate_components(rotated(u, mset)), components)
 
         rows, cols = lower_index(d)
         i, j = rows[:, None], cols[:, None]
@@ -652,11 +653,13 @@ class TestDescendBatch:
         if cg:
             monkeypatch.setattr(triangularize, "EXACT_STEP_MAX_SIZE", 0)
         batch, starts = self.batch()
-        frames, traces = triangularize.descend_batch(batch, starts, config)
+        frames, traces, stacks = triangularize.descend_batch(batch, starts, config)
         for k, (mats, u0) in enumerate(zip(batch.matrices, starts)):
             u, trace = descend_one(MatrixSet(mats), u0, config)
             assert frames[k].tobytes() == u.tobytes()
             assert traces[k] == trace
+            # the stack at the final frame has the bits of rotated at it
+            assert stacks[k].tobytes() == rotated(u, MatrixSet(mats)).tobytes()
         endings = {trace.termination for trace in traces}
         if config.max_iters == 60:  # trials leave at different iterations
             assert len({len(trace.step_lengths) for trace in traces}) > 1
@@ -688,7 +691,7 @@ class TestRoundingLevelStop:
         # `triangularize` with its default --tol 1e-10 and --max-iters 2000
         spec = GeneratorSpec(d=d, n=n, kappa_target=3, gamma_target=1, seed=seed)
         observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
-        u, _, trace, _ = converge(observed)
+        u, _, trace, _, _ = converge(observed)
         assert trace.termination == "grad_tol"
         assert len(trace.loss_values) <= 20
         assert np.linalg.norm(gradient(u, observed)) <= 1e-10
@@ -697,7 +700,7 @@ class TestRoundingLevelStop:
     def test_stalls_early_below_rounding(self, d, n, seed):
         spec = GeneratorSpec(d=d, n=n, kappa_target=3, gamma_target=1, seed=seed)
         observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
-        u, _, trace, _ = converge(observed, grad_tol=1e-300)
+        u, _, trace, _, _ = converge(observed, grad_tol=1e-300)
         assert trace.termination == "stalled"
         assert len(trace.loss_values) <= 20
         assert np.linalg.norm(gradient(u, observed)) <= 1e-12
@@ -721,7 +724,7 @@ class TestBenchmarkPoolsReachTolerance:
     )
     def test_every_descent_ends_grad_tol(self, inputs):
         for mset in inputs():
-            u, _, trace, _ = converge(mset)
+            u, _, trace, _, _ = converge(mset)
             assert trace.termination == "grad_tol"
             assert np.linalg.norm(gradient(u, mset)) <= 1e-10
 
@@ -1016,6 +1019,6 @@ def bench_input(workload, seed):
 )
 def test_gauss_newton_loss_is_no_worse_than_armijo_oracle(workload):
     mset = bench_input(workload, seed=11000)
-    u, _, _, _ = converge(mset)
+    u, _, _, _, _ = converge(mset)
     oracle = armijo_descend(mset, find_separating_beta(mset)[1])
     assert loss(u, mset) <= loss(oracle, mset) * (1 + 1e-9) + 1e-15
