@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dtrsv, idamax
-from scipy.linalg.lapack import dgetrf
+from scipy.linalg.blas import idamax
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .commutator import adjoint, gauss_newton_matrix, operator
 from .errors import (
@@ -250,12 +250,12 @@ def inverse_spectral_norm(op, fail=None, *, _overwrite=False):
     SVD, one call for the whole stack.  From there on, a copy of each op,
     scaled by its largest entry, is LU-factored, op^T = P L U, and
     ||op^-1|| is the largest singular value of op^-1 = P L^-T U^-T, from
-    one Golub-Kahan-Lanczos run whose every step makes four triangular
-    solves; partial pivoting is backward stable in practice, so the value
-    errs by O(eps kappa(op)) as an SVD's does.  The singularity test takes
-    ||op||_F, an upper bound on sigma_max, in place of sigma_max.  The
-    empty operator (the map on the zero space, d = 1) has an inverse of
-    norm 0.
+    one Golub-Kahan-Lanczos run whose every step makes two LU solves
+    (LAPACK dgetrs, two triangular solves each); partial pivoting is
+    backward stable in practice, so the value errs by O(eps kappa(op)) as
+    an SVD's does.  The singularity test takes ||op||_F, an upper bound on
+    sigma_max, in place of sigma_max.  The empty operator (the map on the
+    zero space, d = 1) has an inverse of norm 0.
     """
     op = np.asarray(op, dtype=float)
     stack = op if op.ndim == 3 else op[None]
@@ -297,24 +297,13 @@ def _lanczos_inverse_norm(op, overwrite):
     lu, piv, info = dgetrf(a.T, overwrite_a=1)
     if info > 0:  # an exactly zero pivot
         raise SingularOperator("operator is numerically singular")
-    rows = list(range(size))  # LAPACK's row swaps, in order: op^T[rows] = L U
-    for i, p in enumerate(piv.tolist()):
-        rows[i], rows[p] = rows[p], rows[i]
-    rows = np.array(rows)  # P^T x = x[rows]
-    back = np.empty_like(rows)  # P y = y[back]
-    back[rows] = np.arange(size)
     limit = np.sqrt(size) / SINGULAR_REL_TOL
 
     def solve(x, trans=0):
-        # op^-T x = U^-1 L^-1 P^T x and op^-1 x = P L^-T U^-T x.  |y| > limit
-        # for a unit x means sigma_min < SINGULAR_REL_TOL sigma_max; this
-        # also catches a tiny pivot and keeps norms finite.
-        if trans:
-            y = dtrsv(lu, x, trans=1)
-            y = dtrsv(lu, y, lower=1, trans=1, diag=1, overwrite_x=1)[back]
-        else:
-            y = dtrsv(lu, x[rows], lower=1, diag=1, overwrite_x=1)
-            y = dtrsv(lu, y, overwrite_x=1)
+        # op^-T x = U^-1 L^-1 P^T x, or with trans op^-1 x = P L^-T U^-T x.
+        # |y| > limit for a unit x means sigma_min < SINGULAR_REL_TOL
+        # sigma_max; this also catches a tiny pivot and keeps norms finite.
+        y = dgetrs(lu, piv, x, trans=trans)[0]
         if not np.abs(y).max() <= limit:
             raise SingularOperator("operator is numerically singular")
         return y

@@ -170,9 +170,12 @@ def _exact_step(a, b):
 
 def _cg_step(a, b):
     """Jacobi-preconditioned truncated CG on (J^T J) x = -b from x = 0, to the
-    forcing tolerance min(0.5, sqrt|b|) |b| on the residual or L iterations;
-    each iterate is a descent direction.  A zero diagonal entry (J e_k = 0)
-    is preconditioned by 1."""
+    forcing tolerance min(1e-3, sqrt|b|) |b| on the residual or L iterations;
+    each iterate is a descent direction.  With noise the Gauss-Newton
+    residual does not vanish and the outer iteration converges only
+    linearly, so a loosely solved early step costs more outer steps than
+    the CG products it saves; the sqrt|b| term tightens the last steps.  A
+    zero diagonal entry (J e_k = 0) is preconditioned by 1."""
     diag = gauss_newton_diagonal(a)
     a_t = np.ascontiguousarray(a.swapaxes(1, 2))
     inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
@@ -180,7 +183,7 @@ def _cg_step(a, b):
     res = -b
     p = z = inv_diag * res
     rr, rz = res @ res, res @ z
-    stop = min(0.25, np.sqrt(rr)) * rr  # the squared forcing tolerance
+    stop = min(1e-6, np.sqrt(rr)) * rr  # the squared forcing tolerance
     for _ in range(b.size):
         hp = gauss_newton_product(a, a_t, p)
         curvature = p @ hp

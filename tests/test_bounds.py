@@ -366,6 +366,16 @@ class TestInverseSpectralNorm:
     def test_hard_spectra_match_svd(self, kind, size):
         assert_matches_svd(operator_with_spectrum(spectrum(kind, size), seed=size))
 
+    @pytest.mark.parametrize("size", [ABOVE, 496])
+    @pytest.mark.parametrize("gap", [1e-10, 1e-12])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tightly_clustered_sigma_min_matches_svd(self, size, gap, seed):
+        """sigma_2 within 1e-10 or 1e-12 (relative) of sigma_min: a stop on
+        the Ritz gap instead of the residual would end the GKL early here."""
+        s = np.geomspace(1.0, 1e-3, size)
+        s[-2] = s[-1] * (1.0 + gap)
+        assert_matches_svd(operator_with_spectrum(s, seed=seed))
+
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_extreme_scale_matches_svd_without_warnings(self, scale):
         op = scale * np.random.default_rng(3).standard_normal((ABOVE, ABOVE))
@@ -399,7 +409,7 @@ class TestInverseSpectralNorm:
         at most 40 steps."""
         op = generated_t_beta(32)
         size = op.shape[0]
-        calls = {"dgetrf": 0, "dtrsv": 0, "_largest_singular": 0}
+        calls = {"dgetrf": 0, "dgetrs": 0, "_largest_singular": 0}
         for name in calls:
             monkeypatch.setattr(bounds, name, counted(calls, name, getattr(bounds, name)))
         svd = np.linalg.svd
@@ -416,8 +426,8 @@ class TestInverseSpectralNorm:
         monkeypatch.setattr(scipy.linalg.lapack, "dgeqrf", no_qr)
         inverse_spectral_norm(op)
         assert calls["dgetrf"] == calls["_largest_singular"] == 1
-        # each step applies op^-1 and op^-T, two triangular solves each
-        assert 0 < calls["dtrsv"] <= 4 * 40
+        # each step applies op^-1 and op^-T, one LU solve each
+        assert 0 < calls["dgetrs"] <= 2 * 40
 
     @pytest.mark.parametrize("d", [20, 24, 32])
     def test_generated_t_beta_matches_the_qr_oracle(self, generated_t_beta, d):
