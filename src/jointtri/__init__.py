@@ -14,6 +14,7 @@ from .errors import (
     NearDefective,
     NegativeDeterminant,
     NoComparableFrame,
+    NonFiniteOutput,
     NonUnitBeta,
     NoSeparatingBeta,
     RankDeficient,
@@ -78,7 +79,8 @@ from .harness import (
 __all__ = [
     "DegenerateSpectrum", "DimensionMismatch",
     "JointTriError", "LogBranchAmbiguous",
-    "NearDefective", "NegativeDeterminant", "NoComparableFrame", "NonUnitBeta",
+    "NearDefective", "NegativeDeterminant", "NoComparableFrame",
+    "NonFiniteOutput", "NonUnitBeta",
     "NoSeparatingBeta", "RankDeficient", "SingularOperator", "SingularY",
     "SingularZ", "ZeroColumnSum",
     "low_part", "lower_index", "orthogonal_log", "skew_exp",

@@ -114,3 +114,7 @@ class NonUnitBeta(JointTriError):
 
 class NoComparableFrame(JointTriError):
     pass
+
+
+class NonFiniteOutput(JointTriError):
+    pass

@@ -58,6 +58,14 @@ def _random_orthogonal(rng, d):
     return q * np.sign(np.diag(r))
 
 
+def _conditioned(rng, d, kappa):
+    """Q1 diag(geomspace(1, 1/kappa)) Q2^T, of condition number kappa, for
+    random orthogonal Q1 and Q2 drawn in that order."""
+    q1 = _random_orthogonal(rng, d)
+    q2 = _random_orthogonal(rng, d)
+    return q1 @ np.diag(np.geomspace(1.0, 1.0 / kappa, d)) @ q2.T
+
+
 def sample_noise(rng, d, n):
     """n unit-Frobenius-norm noise matrices as one (n, d, d) array: the bits
     of n successive draws of one matrix each, each divided by its norm."""
@@ -73,10 +81,7 @@ def gen_ground_truth(spec, sigma=0.0):
     equals gamma_target exactly; noise is unit Frobenius norm.
     """
     rng = np.random.default_rng(spec.seed)
-    q1 = _random_orthogonal(rng, spec.d)
-    q2 = _random_orthogonal(rng, spec.d)
-    profile = np.geomspace(1.0, 1.0 / spec.kappa_target, spec.d)
-    v = q1 @ np.diag(profile) @ q2.T
+    v = _conditioned(rng, spec.d, spec.kappa_target)
     lam = rng.standard_normal((spec.n, spec.d))
     if spec.d > 1:
         gamma0 = min_pairwise_gap(lam)
@@ -96,11 +101,8 @@ def gen_components(d, kappa_target=2.0, seed=0, min_col_frac=0.3, max_tries=1000
     observable-matrix construction is well posed.
     """
     rng = np.random.default_rng(seed)
-    profile = np.geomspace(1.0, 1.0 / kappa_target, d)
     for _ in range(max_tries):
-        q1 = _random_orthogonal(rng, d)
-        q2 = _random_orthogonal(rng, d)
-        z = q1 @ np.diag(profile) @ q2.T
+        z = _conditioned(rng, d, kappa_target)
         col_floor = min_col_frac * np.linalg.norm(z) / d
         if np.min(np.abs(z.sum(axis=0))) >= col_floor:
             return z

@@ -1,47 +1,42 @@
 """Canonical JSON file formats.
 
-Matrices are stored as flat column-major lists; files are written with
-sorted keys and compact separators so identical values produce identical
-bytes.  Numbers round-trip exactly (shortest repr of binary64).
-
-A file holds exactly json.dumps(obj, sort_keys=True, separators=(",", ":"),
-default=_plain) and a newline, encoded by orjson.  orjson writes a float's
-shortest round-trip digits as repr does, but in another notation where
-it has an exponent (1e-7, 1e16 for repr's 1e-07, 1e+16) or lies below
-1e-4 (0.00001 for 1e-05): every number token outside a string with an "e"
-after a digit or a "0.0000" prefix is rewritten by repr.  json.dumps
-writes the file itself when the orjson bytes could differ otherwise: when
-they are not printable ASCII (json.dumps escapes non-ASCII text and DEL),
-hold a backslash (an escape) or "null" (json.dumps writes NaN and
-Infinity), or when orjson refuses the object (an integer past 64 bits, a
-key that is not a string, a value _plain rejects, or a str, int, dict or
-list subclass, which json.dumps reads its own way).  Enums and UUIDs,
-which no output holds, are the one difference: orjson writes them where
-json.dumps raises TypeError.
+Matrices are stored as flat column-major lists.  A file holds orjson's
+encoding of the object, with sorted keys and compact separators, and a
+newline: each float is written as its shortest round-trip digits (1e-7,
+0.00001, 1e16), so identical values produce identical bytes and every
+number reads back bit for bit.  numpy values are converted by _plain.
+Enums and UUIDs, which no output holds, are written as orjson writes
+them; anything else that is not a plain JSON value is refused with
+TypeError: an unknown type, a dataclass or date, a key that is not a
+string, an integer past 64 bits, a str, int, dict or list subclass, or a
+circular reference.  orjson writes a NaN or an infinity as null, so a
+payload whose bytes hold "null" is walked, and a non-finite float in it
+raises NonFiniteOutput before the file is opened.
 
 Files are read as bytes and parsed by orjson.  Only bytes orjson rejects
-are parsed again by the stdlib json module: the NaN/Infinity tokens that
-dump_canonical writes for non-finite values load as before, and malformed
-JSON fails with the stdlib's own JSONDecodeError message.  Each field is
-then converted to one float array; a top level that is not an object, or a
-field of the wrong JSON type, raises ValueError.
+are parsed again by the stdlib json module, for files from outside the
+program: NaN and Infinity tokens load (and fail the input's finiteness
+checks later), and malformed JSON fails with the stdlib's own
+JSONDecodeError message.  Each field is then converted to one float
+array; a top level that is not an object, or a field of the wrong JSON
+type, raises ValueError.
 """
 
 import json
-import re
+import math
 
 import numpy as np
 import orjson
 
 from .bounds import GroundTruthModel
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteOutput
 from .linalg import unvec, vec
 from .tensor import Tensor3
 from .triangularize import MatrixSet
 
 
 def _plain(obj):
-    """json ``default`` hook for numpy values (np.float64 is a float already)."""
+    """orjson ``default`` hook for numpy values (np.float64 is a float already)."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.floating):
@@ -54,58 +49,30 @@ def _plain(obj):
 
 
 # dataclasses, datetimes and subclasses go to _plain, which refuses them
-_ORJSON_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
-                   | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
-_NUMBER = re.compile(rb"-?[0-9][-+.0-9e]*")
+_ORJSON_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+                   | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
+                   | orjson.OPT_PASSTHROUGH_SUBCLASS)
 
 
-def _repr_numbers(raw):
-    """orjson's bytes with each number token that repr writes otherwise (an
-    exponent, or a 0.0000 prefix) rewritten by repr.  raw holds no
-    backslash, so a candidate after an odd count of quotes is in a string.
-    Both kinds are found with bytes.find: an exponent is an "e" after a
-    digit and before a digit or "-" (orjson writes e-7 and e16, never e+);
-    the "e" search is a memchr, where a regular expression for it, or one
-    for both kinds at once, scans digit text several times slower."""
-    starts = set()
-    at = raw.find(b"e")
-    while at >= 0:
-        after = raw[at + 1] if at + 1 < len(raw) else 0
-        if at and raw[at - 1] in b"0123456789" and after in b"-0123456789":
-            start = at
-            while start and raw[start - 1] in b"-.0123456789":
-                start -= 1
-            starts.add(start)
-        at = raw.find(b"e", at + 1)
-    at = raw.find(b"0.0000")
-    while at >= 0:
-        start = at - 1 if at and raw[at - 1] == ord("-") else at
-        if not start or raw[start - 1] in b",:[":
-            starts.add(start)
-        at = raw.find(b"0.0000", at + 6)
-    pieces, end, seen, inside = [], 0, 0, False
-    for start in sorted(starts):
-        inside ^= raw.count(b'"', seen, start) % 2 == 1
-        seen = start
-        if not inside:
-            token = _NUMBER.match(raw, start)
-            pieces += (raw[end:start], repr(float(token[0])).encode())
-            end = token.end()
-    pieces.append(raw[end:])
-    return b"".join(pieces)
+def _non_finite(obj):
+    """Whether an object that orjson encoded holds a NaN or an infinity."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = _plain(obj)
+    if isinstance(obj, float):
+        return not math.isfinite(obj)
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return False
+    return any(map(_non_finite, obj))
 
 
 def dump_canonical(obj, path):
-    try:
-        raw = orjson.dumps(obj, default=_plain, option=_ORJSON_OPTIONS)
-    except orjson.JSONEncodeError:
-        raw = None
-    if raw is None or not raw.isascii() or b"\x7f" in raw or b"\\" in raw or b"null" in raw:
-        raw = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain).encode()
-    else:
-        raw = _repr_numbers(raw)
+    raw = orjson.dumps(obj, default=_plain, option=_ORJSON_OPTIONS)
+    if b"null" in raw and _non_finite(obj):
+        raise NonFiniteOutput("a NaN or an infinity has no JSON form")
     with open(path, "wb") as fh:
-        fh.write(raw + b"\n")
+        fh.write(raw)
 
 
 def load(path):

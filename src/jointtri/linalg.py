@@ -69,13 +69,6 @@ def blockwise_norm(x, ndim=2):
     return np.sqrt(np.vecdot(flat, flat))[()]
 
 
-def _require_square(a, name="matrix"):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
 def _require_skew(x, tol=SKEW_TOL):
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
@@ -87,7 +80,9 @@ def _require_skew(x, tol=SKEW_TOL):
 
 def require_orthogonal(u, tol=ORTHO_TOL):
     """Validate that U is finite with ||U^T U - I||_F <= tol; return it as floats."""
-    u = _require_square(u, "orthogonal frame")
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatch(f"orthogonal frame must be square, got shape {u.shape}")
     d = u.shape[0]
     if not (np.all(np.isfinite(u)) and np.linalg.norm(u.T @ u - np.eye(d)) <= tol):
         raise DimensionMismatch("matrix is not orthogonal within tolerance")

@@ -3,12 +3,18 @@ command set, to compare two versions of the package.
 
     PYTHONPATH=src python tests/output_hashes.py > listing.txt
     PYTHONPATH=src python tests/output_hashes.py --against listing.txt
+    PYTHONPATH=src python tests/output_hashes.py --values > values.txt
 
 Each command runs in-process through ``jointtri.cli.run`` in a temporary
 directory.  One line is printed per command, ``<sha256> <exit> <command>``
 (the hash of the output file, or ``-`` when none was written), then the
 SHA-256 of all those lines.  Two versions produce byte-identical canonical
 outputs with unchanged exit codes exactly when the last lines agree.
+With ``--values`` each line hashes the output's values instead of its
+bytes: the file read by ``jointtri.io.load``, with each float replaced by
+its binary64 bit pattern (``value_bits``).  Two versions that write the
+same keys, types and float bits in another number notation give equal
+``--values`` listings.
 With ``--against FILE`` (a listing saved from another version) only the
 lines that differ are printed, each as ``- <saved line>`` and ``+ <new
 line>`` (a command in only one listing has only its own line), then the
@@ -55,14 +61,16 @@ The set:
 
 import argparse
 import hashlib
+import json
 import os
 import re
 import sys
 import tempfile
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+if __name__ == "__main__":  # the tests that import value_bits keep their environment
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 
@@ -177,9 +185,33 @@ def commands():
         yield _model(12, 64, 3, seed) + ["--output", "@" + name], name
 
 
-def listing(echo):
+def value_bits(value):
+    """value with each float replaced by its binary64 bit pattern and each
+    other scalar tagged with its type; numpy values read as their tolist()
+    and tuples as lists."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, float):
+        return "float", int(np.float64(value).view(np.int64))
+    if isinstance(value, dict):
+        return {key: value_bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [value_bits(v) for v in value]
+    return type(value).__name__, value
+
+
+def byte_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def value_digest(path):
+    bits = json.dumps(value_bits(io.load(str(path))), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(bits.encode()).hexdigest()
+
+
+def listing(echo, digest=byte_digest):
     """The protocol's lines, the final hash last; each is passed to echo as
-    it is made."""
+    it is made.  digest(path) hashes each output file."""
     lines = []
     with tempfile.TemporaryDirectory() as workdir:
         root = Path(workdir)
@@ -187,11 +219,11 @@ def listing(echo):
         for argv, output in commands():
             target = root / output
             code = cli.run([str(root / a[1:]) if a[:1] == "@" else a for a in argv])
-            digest = hashlib.sha256(target.read_bytes()).hexdigest() if target.exists() else "-"
+            hashed = digest(target) if target.exists() else "-"
             if argv[0] == "triangularize" and target.exists():
                 frame = io.load(str(target))["frame"]
                 io.dump_canonical(frame, str(root / f"{output}.frame"))
-            lines.append(f"{digest} {code} {' '.join(argv)}")
+            lines.append(f"{hashed} {code} {' '.join(argv)}")
             echo(lines[-1])
     lines.append(hashlib.sha256("\n".join(lines).encode()).hexdigest())
     echo(lines[-1])
@@ -224,12 +256,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="FILE",
                         help="a saved listing: print only the lines that differ from it")
+    parser.add_argument("--values", action="store_true",
+                        help="hash each output's float bits and types, not its bytes")
     args = parser.parse_args(argv)
+    digest = value_digest if args.values else byte_digest
     if args.against is None:
-        listing(print)
+        listing(print, digest)
         return 0
     saved = Path(args.against).read_text().splitlines()
-    diff = differences(saved, listing(lambda line: None))
+    diff = differences(saved, listing(lambda line: None, digest))
     for line in diff:
         print(line)
     return 1 if diff else 0

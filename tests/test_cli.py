@@ -9,17 +9,21 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from jointtri import bounds as bd
 from jointtri import harness as hz
 from jointtri import io
 from jointtri import triangularize as tri
 from jointtri.cli import _build_parser, run
+from jointtri.errors import NonFiniteOutput
 from jointtri.harness import GeneratorSpec, gen_components, gen_ground_truth
 from jointtri.linalg import unvec
 from jointtri.tensor import Tensor3, tensor_from_components
+from output_hashes import value_bits
 
 
 class TestCanonicalSerialization:
@@ -44,14 +48,16 @@ class TestCanonicalSerialization:
             "d": {"m": np.array([[1.0, 2.5], [np.int64(4), -0.0]])},
             "e": np.float32(0.25),
             "f": (1, np.float64(2.0), [np.array([True, False])]),
-            "g": np.float64("nan"),
         }
         path = tmp_path / "c.json"
         io.dump_canonical(payload, path)
         assert path.read_text() == (
             '{"a":1.5,"b":3,"c":true,"d":{"m":[[1.0,2.5],[4.0,-0.0]]},'
-            '"e":0.25,"f":[1,2.0,[[true,false]]],"g":NaN}\n'
+            '"e":0.25,"f":[1,2.0,[[true,false]]]}\n'
         )
+        with pytest.raises(NonFiniteOutput):
+            io.dump_canonical({**payload, "g": np.float64("nan")}, tmp_path / "g.json")
+        assert not (tmp_path / "g.json").exists()
 
     def test_unknown_objects_are_rejected(self, tmp_path):
         with pytest.raises(TypeError):
@@ -102,10 +108,8 @@ EDGE_FLOATS = [1e-4, 9.999999999999999e-05, 1e-5, 1.5e-5, 1e15, 1e16,
                9999999999999998.0, 5e-324, 1.7976931348623157e308, 0.0, -0.0]
 SCALED_FLOATS = st.builds(
     lambda m, e: float(m * 10.0**e), st.floats(-10.0, 10.0), st.integers(-12, 22))
-# Digits, "e", signs, separators, brackets and "nul", which orjson writes
-# as they are; then quotes, backslashes, DEL, control and non-ASCII
-# characters, which send the payload to json.dumps
-PLAIN_TEXT = st.text(st.sampled_from(list("0123456789e.-+,:[]{} nul")), max_size=10)
+# Digits, "e", signs, separators, brackets and "null", then quotes,
+# backslashes, DEL, control and non-ASCII characters
 ANY_TEXT = st.text(
     st.sampled_from(list('0123456789e.-+,:[]{}"\\ nul') + ["\x7f", "\n", "\u00e9", "\u65e5"])
     | st.characters(),
@@ -113,61 +117,104 @@ ANY_TEXT = st.text(
 )
 
 
-def writer_payloads(floats, text, *extra):
-    """Nested dicts, lists and tuples of numbers, text, bools, big ints,
-    numpy scalars and arrays (float32 too) and the extra leaves."""
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS), SCALED_FLOATS)
+ANY_FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS), SCALED_FLOATS)
+
+
+def writer_payloads(finite):
+    """Nested dicts, lists and tuples of numbers, text, bools, None, ints
+    (some past 64 bits), numpy scalars and arrays (float32 too); with
+    finite, only ints of 64 bits and no NaN or infinity."""
+    floats = FINITE_FLOATS if finite else ANY_FLOATS
+    floats32 = st.floats(width=32, allow_nan=not finite, allow_infinity=not finite)
     leaves = st.one_of(
-        *extra,
+        st.none(),
         st.booleans(),
-        st.integers(-(2**70), 2**70),
+        st.integers(-(2**63), 2**64 - 1) if finite else st.integers(-(2**70), 2**70),
         floats,
-        text,
+        ANY_TEXT,
         st.builds(np.float64, floats),
-        st.builds(np.float32, st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        st.builds(np.float32, floats32),
         st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
         st.builds(np.bool_, st.booleans()),
         st.builds(np.array, st.lists(floats, max_size=4)),
-        st.builds(lambda v: np.array(v, dtype=np.float32),
-                  st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), max_size=4)),
+        st.builds(lambda v: np.array(v, dtype=np.float32), st.lists(floats32, max_size=4)),
     )
     return st.recursive(
         leaves,
         lambda children: st.one_of(
             st.lists(children, max_size=4),
             st.lists(children, max_size=4).map(tuple),
-            st.dictionaries(text, children, max_size=4),
+            st.dictionaries(ANY_TEXT, children, max_size=4),
         ),
         max_leaves=24,
     )
 
 
-FINITE_FLOATS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS), SCALED_FLOATS)
-ANY_FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS), SCALED_FLOATS)
+def is_finite(obj):
+    """Whether json.dumps finds no NaN or infinity in obj."""
+    try:
+        json.dumps(obj, default=io._plain, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
+def is_plain(obj):
+    """Whether obj is a plain JSON value: dicts with text keys, lists,
+    tuples, text, ints of 64 bits, floats, bools, None and numpy numbers
+    and arrays, with no subclass of a JSON type."""
+    if type(obj) is dict:
+        return all(type(key) is str and is_plain(v) for key, v in obj.items())
+    if type(obj) in (list, tuple):
+        return all(map(is_plain, obj))
+    if type(obj) is int:
+        return -(2**63) <= obj < 2**64
+    return isinstance(obj, (np.ndarray, np.generic)) or type(obj) in (str, float, bool, type(None))
 
 
 class TestCanonicalWriter:
-    """dump_canonical writes exactly what json.dumps writes, whichever of
-    orjson and json.dumps encodes the payload."""
+    """dump_canonical writes orjson's sorted-key encoding and a newline: the
+    value bits and types json.dumps writes, in orjson's number notation.
+    What is not a plain JSON value (all that json.dumps refuses, and more)
+    raises TypeError, and a NaN or an infinity raises NonFiniteOutput;
+    neither writes a file."""
 
     @staticmethod
-    def assert_writes_json_dumps(obj, path):
-        expected = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=io._plain)
+    def assert_writes_orjson(obj, path):
         io.dump_canonical(obj, path)
-        assert path.read_bytes() == (expected + "\n").encode()
+        raw = path.read_bytes()
+        assert raw == orjson.dumps(obj, default=io._plain, option=orjson.OPT_SORT_KEYS) + b"\n"
+        expected = json.loads(json.dumps(obj, default=io._plain))
+        assert value_bits(json.loads(raw)) == value_bits(expected)
 
-    @given(writer_payloads(FINITE_FLOATS, PLAIN_TEXT))
+    @staticmethod
+    def assert_refused(error, obj, path):
+        path.unlink(missing_ok=True)
+        with pytest.raises(error):
+            io.dump_canonical(obj, path)
+        assert not path.exists()
+
+    def assert_canonical(self, obj, path):
+        if not is_plain(obj):
+            self.assert_refused(TypeError, obj, path)
+        elif not is_finite(obj):
+            self.assert_refused(NonFiniteOutput, obj, path)
+        else:
+            self.assert_writes_orjson(obj, path)
+
+    @given(writer_payloads(finite=True))
     @settings(max_examples=150, deadline=None)
     def test_orjson_payloads(self, tmp_path_factory, obj):
-        """Finite numbers and plain text: orjson writes, and its exponents
-        and 0.0000 prefixes are rewritten outside strings only."""
-        self.assert_writes_json_dumps(obj, tmp_path_factory.getbasetemp() / "writer.json")
+        """Finite numbers of 64 bits and any text: written, in orjson's notation."""
+        self.assert_writes_orjson(obj, tmp_path_factory.getbasetemp() / "writer.json")
 
-    @given(writer_payloads(ANY_FLOATS, ANY_TEXT, st.none()))
+    @given(writer_payloads(finite=False))
     @settings(max_examples=150, deadline=None)
     def test_any_payload(self, tmp_path_factory, obj):
-        """NaN, infinities, None, big ints and escaped text too."""
-        self.assert_writes_json_dumps(obj, tmp_path_factory.getbasetemp() / "writer.json")
+        """NaN, infinities and big ints too, next to None and text that holds null."""
+        self.assert_canonical(obj, tmp_path_factory.getbasetemp() / "writer.json")
 
     @pytest.mark.parametrize("obj", [
         {"a": 1e-7, "b": "x1e-7", "c": [-1e-05, 0.00012, 1e16], "d": "0.00001"},
@@ -186,21 +233,23 @@ class TestCanonicalWriter:
         {"sub": np.float64(1e-9), "s32": np.float32(1e-9), "arr": np.array([1e-9, 2e20])},
     ])
     def test_writes_what_json_dumps_writes_at_the_edges(self, tmp_path, obj):
-        self.assert_writes_json_dumps(obj, tmp_path / "w.json")
+        """At the edges of both notations, of the 64-bit ints and of escaped
+        text: the values json.dumps writes, or the refusal of what has no
+        canonical form (an int past 64 bits, a NaN, a key that is not text)."""
+        self.assert_canonical(obj, tmp_path / "w.json")
 
-    def test_subclasses_are_encoded_as_json_dumps_encodes_them(self, tmp_path):
-        """json.dumps reads a dict subclass through items() and a list
-        subclass through iteration; orjson would read their storage."""
-
-        class Items(dict):
-            def items(self):
-                return [("x", 1e-9)]
-
-        class Iterated(list):
-            def __iter__(self):
-                return iter([1e-9])
-
-        self.assert_writes_json_dumps({"d": Items(a=2), "l": Iterated([1])}, tmp_path / "w.json")
+    @pytest.mark.parametrize("obj", [
+        {"null": "null", "none": None, "tiny": 1e-9},
+        {"inf": float("inf"), "null": None},
+        [1.0, (2.0, -float("inf"))],
+        {"a": {"b": [np.float64("nan")]}},
+        {"s32": np.float32("inf")},
+        {"arr": np.array([[1.0, np.nan]])},
+    ], ids=["null_text", "inf_next_to_null", "in_a_tuple", "nested", "float32", "array"])
+    def test_null_in_the_bytes(self, tmp_path, obj):
+        """A null that is text or None is written; a NaN or an infinity
+        anywhere is refused."""
+        self.assert_canonical(obj, tmp_path / "w.json")
 
     @pytest.mark.parametrize("make", [
         object,
@@ -210,23 +259,23 @@ class TestCanonicalWriter:
         lambda: (lambda loop: loop.append(loop) or loop)([]),  # a circular list
     ])
     def test_refuses_what_json_dumps_refuses(self, tmp_path, make):
-        with pytest.raises((TypeError, ValueError)) as expected:
+        with pytest.raises((TypeError, ValueError)):
             json.dumps(make(), sort_keys=True, separators=(",", ":"), default=io._plain)
-        with pytest.raises(expected.type) as caught:
-            io.dump_canonical(make(), tmp_path / "w.json")
-        assert str(caught.value) == str(expected.value)
+        self.assert_refused(TypeError, make(), tmp_path / "w.json")
 
-
-def _bits(value):
-    """value with each float replaced by its binary64 bit pattern, each other
-    scalar tagged with its type."""
-    if isinstance(value, float):
-        return "float", int(np.float64(value).view(np.int64))
-    if isinstance(value, list):
-        return [_bits(v) for v in value]
-    if isinstance(value, dict):
-        return {key: _bits(v) for key, v in value.items()}
-    return type(value).__name__, value
+    @pytest.mark.parametrize("make", [
+        lambda: 2**64,
+        lambda: {"x": [-(2**63) - 1]},
+        lambda: {1: 1e-9, 2: [0.5]},
+        lambda: {"d": type("Items", (dict,), {})(a=2)},
+        lambda: [type("Iterated", (list,), {})([1])],
+    ], ids=["int_past_64_bits", "int_below_64_bits", "int_keys", "dict_subclass",
+            "list_subclass"])
+    def test_refuses_what_json_dumps_writes_its_own_way(self, tmp_path, make):
+        """json.dumps writes these: big ints in full, int keys as text, and
+        str, int, dict and list subclasses through their own methods."""
+        json.dumps(make(), default=io._plain)
+        self.assert_refused(TypeError, make(), tmp_path / "w.json")
 
 
 def _stdlib_load(path):
@@ -256,9 +305,16 @@ class TestLoadMatchesStdlib:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_canonical_files_are_bit_identical(self, tmp_path, payload):
+        """A payload with a NaN or an infinity is refused, and writes no file."""
         path = tmp_path / "x.json"
+        path.unlink(missing_ok=True)
+        if not is_finite(payload):
+            with pytest.raises(NonFiniteOutput):
+                io.dump_canonical(payload, path)
+            assert not path.exists()
+            return
         io.dump_canonical(payload, path)
-        assert _bits(io.load(path)) == _bits(_stdlib_load(path))
+        assert value_bits(io.load(path)) == value_bits(_stdlib_load(path))
 
     @pytest.mark.parametrize(
         "raw",
@@ -284,7 +340,7 @@ class TestLoadMatchesStdlib:
             assert type(caught.value) is type(exc)
             assert str(caught.value) == str(exc)
         else:
-            assert _bits(io.load(path)) == _bits(expected)
+            assert value_bits(io.load(path)) == value_bits(expected)
 
     def test_integers_beyond_64_bits_read_as_the_nearest_float(self, tmp_path):
         """orjson reads them as floats: the value that each field's float
@@ -293,8 +349,8 @@ class TestLoadMatchesStdlib:
         path.write_bytes(b'{"x":18446744073709551617,"y":[-36893488147419103233,1]}')
         expected = _stdlib_load(path)
         loaded = io.load(path)
-        assert _bits(loaded["x"]) == _bits(float(expected["x"]))
-        assert _bits(loaded["y"]) == _bits([float(expected["y"][0]), 1])
+        assert value_bits(loaded["x"]) == value_bits(float(expected["x"]))
+        assert value_bits(loaded["y"]) == value_bits([float(expected["y"][0]), 1])
 
     def test_valid_files_never_reach_the_stdlib_parser(self, tmp_path, monkeypatch):
         model, tensor = tmp_path / "model.json", tmp_path / "tensor.json"
@@ -390,6 +446,14 @@ class TestCliCommands:
         u = io.frame_from_dict(report["frame"])
         assert np.linalg.norm(u.T @ u - np.eye(3)) <= 1e-10
 
+    def test_non_finite_report_exits_2_and_writes_nothing(
+            self, model_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bd, "a_posteriori_bound", lambda *args: float("nan"))
+        out = tmp_path / "frame.json"
+        assert cli("triangularize", "--input", model_file, "--output", out) == 2
+        assert capsys.readouterr().err == "NonFiniteOutput\n"
+        assert not out.exists()
+
     def test_one_dimensional_model_round_trip(self, tmp_path):
         # the map on the zero space has an inverse of norm 0: exact at d = 1;
         # generate rejects d = 1, so the library writes the model
@@ -431,7 +495,9 @@ class TestCliCommands:
     )
     def test_bounds_rejects_invalid_frame(self, model_file, tmp_path, capsys, frame):
         src = tmp_path / "frame.json"
-        io.dump_canonical(io.frame_to_dict(frame), src)
+        # json.dumps, as the canonical writer refuses the NaN frame
+        text = json.dumps(io.frame_to_dict(frame), sort_keys=True, separators=(",", ":"))
+        src.write_text(text + "\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli(
@@ -882,3 +948,27 @@ class TestOutputHashesAgainst:
             "+ e 0 sweep four",
             "- " + "f" * 64, "+ " + "0" * 64,
         ]
+
+    def test_values_listings_read_through_the_number_notation(self, monkeypatch):
+        """Two writers of the same values, in orjson's notation and in
+        repr's (1e-05 for 0.00001), give different byte listings and equal
+        --values listings."""
+        import output_hashes
+
+        def repr_notation(obj, path):
+            text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=io._plain)
+            Path(path).write_text(text + "\n")
+
+        generate = ["generate", "--kind", "model", "--d", "3", "--N", "2", "--sigma", "1e-5"]
+        monkeypatch.setattr(output_hashes, "commands",
+                            lambda: [(generate + ["--output", "@m"], "m")])
+        listings = []
+        for writer in (io.dump_canonical, repr_notation):
+            monkeypatch.setattr(io, "dump_canonical", writer)
+            listings.append([output_hashes.listing(lambda line: None, digest)
+                             for digest in (output_hashes.byte_digest,
+                                            output_hashes.value_digest)])
+        (orjson_bytes, orjson_values), (repr_bytes, repr_values) = listings
+        assert output_hashes.differences(orjson_bytes, repr_bytes) != []
+        assert output_hashes.differences(orjson_values, repr_values) == []
+        assert orjson_values[0].endswith(" 0 " + " ".join(generate + ["--output", "@m"]))

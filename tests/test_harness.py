@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtri import bounds, harness, io, linalg, triangularize
+from jointtri import bounds, harness, linalg, triangularize
 from jointtri.errors import (
     Failures,
     LogBranchAmbiguous,
@@ -30,6 +30,7 @@ from jointtri.harness import (
 from jointtri.linalg import orthogonal_log, skew_exp
 from jointtri.tensor import tensor_from_components
 from jointtri.triangularize import loss
+from output_hashes import value_bits
 from oracle import (
     brute_force_nearest,
     enumerate_exact_triangularizers,
@@ -481,16 +482,15 @@ class TestVerifyComponentBound:
         assert summary["fraction"] == 1.0
 
 
-def outcome(study, *args, tmp_path, **kwargs):
-    """The canonical JSON bytes of a study's result, or the name of the
+def outcome(study, *args, **kwargs):
+    """The value bits of a study's result (NaN payloads too: a sweep of one
+    sigma has no slope, and no trial has no fraction), or the name of the
     error it raised."""
     try:
         result = study(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - the comparison is on the type
         return type(exc).__name__
-    path = tmp_path / "outcome.json"
-    io.dump_canonical(result, str(path))
-    return path.read_bytes()
+    return value_bits(result)
 
 
 class TestBatchedStudiesMatchOracle:
@@ -503,25 +503,23 @@ class TestBatchedStudiesMatchOracle:
     @pytest.mark.parametrize("trials", [0, 1, 3, 17])
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
-    def test_verify_and_sweep(self, d, n, trials, tmp_path):
+    def test_verify_and_sweep(self, d, n, trials):
         gt = gen_ground_truth(GeneratorSpec(d=d, n=n, kappa_target=2.0, seed=10 * d + n))
         for study, oracle, args in (
             (verify_bounds, verify_bounds_per_trial, (gt, 1e-3, trials)),
             (sigma_sweep, sigma_sweep_per_trial, (gt, self.SIGMAS, trials)),
         ):
-            expected = outcome(oracle, *args, seed=3, tmp_path=tmp_path)
-            assert outcome(study, *args, seed=3, tmp_path=tmp_path) == expected
+            expected = outcome(oracle, *args, seed=3)
+            assert outcome(study, *args, seed=3) == expected
         if d in (2, 3) and trials:
             summary = verify_bounds(gt, 1e-3, trials, seed=3)
             assert summary["errors"] == 0
 
     @pytest.mark.parametrize("trials", [0, 1, 5])
-    def test_component_study(self, trials, tmp_path):
+    def test_component_study(self, trials):
         z = gen_components(4, kappa_target=2.0, seed=23)
-        expected = outcome(verify_component_bound_per_trial, z, 1e-4, 1.0, trials,
-                           tmp_path=tmp_path)
-        assert outcome(verify_component_bound, z, 1e-4, 1.0, trials,
-                       tmp_path=tmp_path) == expected
+        expected = outcome(verify_component_bound_per_trial, z, 1e-4, 1.0, trials)
+        assert outcome(verify_component_bound, z, 1e-4, 1.0, trials) == expected
 
     @staticmethod
     def target(gt, sigma, seed, trial):
@@ -600,18 +598,18 @@ class TestBatchedStudiesMatchOracle:
     ]
 
     @pytest.mark.parametrize("failures", FAILURES)
-    def test_one_failing_trial_leaves_the_same_records(self, failures, monkeypatch, tmp_path):
+    def test_one_failing_trial_leaves_the_same_records(self, failures, monkeypatch):
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, kappa_target=2.0, seed=31))
         for trial, stage in failures.items():
             self.inject(monkeypatch, stage, self.target(gt, 1e-3, 0, trial))
-        expected = outcome(verify_bounds_per_trial, gt, 1e-3, 4, tmp_path=tmp_path)
-        assert outcome(verify_bounds, gt, 1e-3, 4, tmp_path=tmp_path) == expected
+        expected = outcome(verify_bounds_per_trial, gt, 1e-3, 4)
+        assert outcome(verify_bounds, gt, 1e-3, 4) == expected
         records = verify_bounds(gt, 1e-3, 4)["records"]
         errors = {r["trial"]: r["error"] for r in records if "error" in r}
         assert errors == {t: stage for t, stage in failures.items() if stage != "stall"}
         # the sweep raises the first failure, or takes the stall as converged
         for sigmas in ([1e-3], [1e-3, 5e-4]):
-            expected = outcome(sigma_sweep_per_trial, gt, sigmas, 3, tmp_path=tmp_path)
-            assert outcome(sigma_sweep, gt, sigmas, 3, tmp_path=tmp_path) == expected
+            expected = outcome(sigma_sweep_per_trial, gt, sigmas, 3)
+            assert outcome(sigma_sweep, gt, sigmas, 3) == expected
         raised = [stage for t, stage in sorted(failures.items()) if t < 3 and stage != "stall"]
-        assert expected == raised[0] if raised else isinstance(expected, bytes)
+        assert expected == raised[0] if raised else isinstance(expected, dict)
