@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import idamax
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dstemr
 
 from .commutator import adjoint, gauss_newton_matrix, operator
 from .errors import (
@@ -195,26 +195,49 @@ def t_beta(u, mset, beta):
     return operator(rotated(u, MatrixSet(pencil[..., None, :, :]))[..., 0, :, :])
 
 
+def _top_singular(alphas, betas):
+    """(s_max, |u_k|) of the k x k upper bidiagonal with diagonal alphas
+    and superdiagonal betas: its largest singular value and the last entry
+    of the matching left singular vector.
+
+    Both come from the largest eigenpair of the 2k x 2k Golub-Kahan
+    tridiagonal, zero diagonal and off-diagonals alpha_1, beta_1, alpha_2,
+    ..., alpha_k, by LAPACK dstemr (MRRR, O(k)); its eigenvector is
+    (v_1, u_1, ..., v_k, u_k) / sqrt(2).  On a nonzero info the values
+    come from an SVD of the bidiagonal.
+    """
+    k = len(alphas)
+    off = np.zeros(2 * k)  # dstemr reads 2k - 1 entries; the last is its workspace
+    off[0::2] = alphas
+    off[1:-1:2] = betas
+    _, w, z, info = dstemr(np.zeros(2 * k), off, 3, 0.0, 0.0, 2 * k, 2 * k, overwrite_d=1)
+    if info == 0:
+        return float(w[0]), float(np.sqrt(2.0) * abs(z[-1, 0]))
+    left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+    return float(s[0]), float(abs(left[-1, 0]))
+
+
 def _largest_singular(apply, apply_t, n, tol):
     """sigma_max of the n x n map x -> apply(x) by Golub-Kahan-Lanczos.
 
     Full reorthogonalization, a fixed-seed start vector (deterministic
-    output), and a stop once the top Ritz triple's residual is at most
-    tol * theta; after n steps the bidiagonal is exact.  The Krylov bases
-    (one vector per row) and the bidiagonal live in arrays that double
-    when full, so each step reads views of its first k rows.
+    output), and a stop once the top Ritz triple's residual beta_k |u_k|
+    is at most tol * theta, both read off the bidiagonal by _top_singular;
+    after n steps the bidiagonal is exact.  The Krylov bases (one vector
+    per row) live in arrays that double when full, so each step reads
+    views of their first k rows.
     """
     v = np.random.default_rng(0).standard_normal(n)
     v /= np.linalg.norm(v)
     size = min(n, _LANCZOS_BLOCK)
-    us, vs, bidiag = np.empty((size, n)), np.empty((size, n)), np.zeros((size, size))
+    us, vs = np.empty((size, n)), np.empty((size, n))
+    alphas, betas = np.empty(n), np.empty(n)  # the bidiagonal's two diagonals
     vs[0] = v
     u = apply(v)
     for k in range(1, n + 1):
-        if k == size < n:  # step k writes row k of vs and column k of bidiag
+        if k == size < n:  # step k writes row k of vs
             size = min(2 * size, n)
             us, vs = (np.concatenate((x, np.empty((size - len(x), n)))) for x in (us, vs))
-            bidiag = np.pad(bidiag, (0, size - len(bidiag)))
         if k > 1:  # full reorthogonalization, Gram-Schmidt twice
             basis = us[: k - 1]
             u -= basis.T @ (basis @ u)
@@ -222,16 +245,16 @@ def _largest_singular(apply, apply_t, n, tol):
         alpha = np.linalg.norm(u)
         u /= alpha
         us[k - 1] = u
-        bidiag[k - 1, k - 1] = alpha
+        alphas[k - 1] = alpha
         w = apply_t(u)
         basis = vs[:k]
         w -= basis.T @ (basis @ w)
         w -= basis.T @ (basis @ w)
         beta = np.linalg.norm(w)
-        left, s, _ = np.linalg.svd(bidiag[:k, :k])
-        if k == n or beta * abs(left[-1, 0]) <= tol * s[0]:
-            return float(s[0])
-        bidiag[k - 1, k] = beta
+        theta, u_k = _top_singular(alphas[:k], betas[: k - 1])
+        if k == n or beta * u_k <= tol * theta:
+            return theta
+        betas[k - 1] = beta
         v = w / beta
         vs[k] = v
         u = apply(v) - beta * u
@@ -251,7 +274,8 @@ def inverse_spectral_norm(op, fail=None, *, _overwrite=False):
     scaled by its largest entry, is LU-factored, op^T = P L U, and
     ||op^-1|| is the largest singular value of op^-1 = P L^-T U^-T, from
     one Golub-Kahan-Lanczos run whose every step makes two LU solves
-    (LAPACK dgetrs, two triangular solves each); partial pivoting is
+    (LAPACK dgetrs, two triangular solves each) and reads its stop test off
+    one dstemr eigenpair of the step's bidiagonal; partial pivoting is
     backward stable in practice, so the value errs by O(eps kappa(op)) as
     an SVD's does.  The singularity test takes ||op||_F, an upper bound on
     sigma_max, in place of sigma_max.  The empty operator (the map on the
@@ -316,11 +340,13 @@ def _lanczos_inverse_norm(op, overwrite):
 
 def _exact_frame_gram(gt, u_circ):
     """(J^T J, ||(J^T J)^-1||) of the noiseless matrices at an exact frame,
-    computed once per frame into ``gt.noise_free``; a frame that is no
-    exact triangularizer raises DimensionMismatch, a singular J^T J
-    SingularOperator."""
+    computed once per frame into ``gt.noise_free``; a frame that is not
+    d x d or no exact triangularizer raises DimensionMismatch, a singular
+    J^T J SingularOperator."""
     cache, clean = gt.noise_free.gauss_newton, gt.noise_free.clean
     u_circ = np.asarray(u_circ, dtype=float)
+    if u_circ.shape != (gt.d, gt.d):  # the cache key is the bytes alone
+        raise DimensionMismatch("frame dimension does not match matrix set")
     key = u_circ.tobytes()
     if key not in cache:
         # finite first: an inf frame would warn inside the matmul of the loss

@@ -196,8 +196,9 @@ def converge(mset, beta_strategy="ones", seed=0, max_iters=2000, grad_tol=1e-10,
 
 
 def _fit_slope(xs, ys):
+    """The log-log slope of ys over xs; None (null in JSON) below two points."""
     if len(xs) < 2:
-        return np.nan
+        return None
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
@@ -254,8 +255,8 @@ def sigma_sweep(gt, sigmas, trials=1, seed=0):
     first-order direction prediction.  All (sigma, trial) pairs run as one
     batch; the first failing pair's error is raised.  Log-log slopes are
     fitted on the per-sigma trial means.  Returns a dict with the sigmas,
-    the per-sigma lists of trial records and the two slopes (NaN below two
-    sigmas).
+    the per-sigma lists of trial records and the two slopes (None below
+    two sigmas).
     """
     sigmas = list(sigmas)
     failures, models, live = _study(gt, sigmas, trials, seed)
@@ -332,8 +333,9 @@ def verify_bounds(gt, sigma, trials, seed=0):
 
 def verify_component_bound(z, sigma, eps, trials, seed=0):
     """Containment study of the component estimation bound (tensor path);
-    the trials' observable matrix sets converge as one batch."""
-    summary = {"trials": trials, "sigma": sigma, "records": [], "fraction": np.nan}
+    the trials' observable matrix sets converge as one batch.  With no
+    trials the fraction is None."""
+    summary = {"trials": trials, "sigma": sigma, "records": [], "fraction": None}
     if trials == 0:
         return summary
     bound = tn.component_error_bound(z, eps, sigma)  # rejects a malformed Z before use

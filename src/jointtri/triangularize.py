@@ -51,6 +51,10 @@ BACKTRACK_FACTOR = 0.5
 # per matrix, is at most this, and truncated-CG steps above (measured
 # crossover with the moment-built J^T J, whose cost grows with N like CG's).
 EXACT_STEP_MAX_SIZE = 200_000
+# A truncated-CG step also ends once its residual is at most this share of
+# grad_tol / sqrt(2): the next ||grad|| is about sqrt(2) times that residual,
+# so a finer solve is past what the descent's stop test reads.
+CG_GRAD_TOL_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -168,14 +172,17 @@ def _exact_step(a, b):
     return np.linalg.solve(h, -b[..., None])[..., 0]
 
 
-def _cg_step(a, b):
+def _cg_step(a, b, grad_tol):
     """Jacobi-preconditioned truncated CG on (J^T J) x = -b from x = 0, to the
-    forcing tolerance min(1e-3, sqrt|b|) |b| on the residual or L iterations;
-    each iterate is a descent direction.  With noise the Gauss-Newton
-    residual does not vanish and the outer iteration converges only
-    linearly, so a loosely solved early step costs more outer steps than
-    the CG products it saves; the sqrt|b| term tightens the last steps.  A
-    zero diagonal entry (J e_k = 0) is preconditioned by 1."""
+    residual max(min(1e-3, sqrt|b|) |b|, CG_GRAD_TOL_SHARE grad_tol / sqrt(2))
+    or L iterations; each iterate is a descent direction.  With noise the
+    Gauss-Newton residual does not vanish and the outer iteration converges
+    only linearly, so a loosely solved early step costs more outer steps
+    than the CG products it saves; the sqrt|b| term tightens the last
+    steps.  The floor, with ||grad|| = sqrt(2) |b| in the lower
+    coordinates, ends the last step at the outer stop's tolerance; it only
+    loosens the forcing, so a step whose forcing tolerance lies above it is
+    unchanged.  A zero diagonal entry (J e_k = 0) is preconditioned by 1."""
     diag = gauss_newton_diagonal(a)
     a_t = np.ascontiguousarray(a.swapaxes(1, 2))
     inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
@@ -183,7 +190,8 @@ def _cg_step(a, b):
     res = -b
     p = z = inv_diag * res
     rr, rz = res @ res, res @ z
-    stop = min(1e-6, np.sqrt(rr)) * rr  # the squared forcing tolerance
+    # the squared residual tolerance
+    stop = max(min(1e-6, np.sqrt(rr)) * rr, (CG_GRAD_TOL_SHARE * grad_tol) ** 2 / 2)
     for _ in range(b.size):
         hp = gauss_newton_product(a, a_t, p)
         curvature = p @ hp
@@ -375,10 +383,11 @@ def descend_batch(mset, u_init, config=OptimizerConfig()):
 
     The step X solves (J^T J) x = -J^T r directly, to rounding, from the
     moment-built J^T J (_exact_step) while L^3 <= N EXACT_STEP_MAX_SIZE,
-    else by truncated CG (_cg_step, one trial at a time).  t halves from 1
-    until the loss change, computed from the change of the rotated stack
-    (_loss_change), is below the Armijo fraction of t <grad, X>, the
-    predicted change.  The trace's losses are the running sum
+    else by truncated CG (_cg_step, one trial at a time), which is given
+    grad_tol so that no solve runs finer than the stop at grad_tol reads.
+    t halves from 1 until the loss change, computed from the change of the
+    rotated stack (_loss_change), is below the Armijo fraction of
+    t <grad, X>, the predicted change.  The trace's losses are the running sum
     loss(U_0) + sum of accepted changes.  The trials iterate in lockstep:
     the rotated stacks are formed once per iteration, and the gradients,
     one J^T J build and one LU solve, and each round of the line search
@@ -445,7 +454,7 @@ def descend_batch(mset, u_init, config=OptimizerConfig()):
         if exact:
             x = _exact_step(a, b)
         else:
-            x = np.array([_cg_step(a_k, b_k) for a_k, b_k in zip(a, b)])
+            x = np.array([_cg_step(a_k, b_k, config.grad_tol) for a_k, b_k in zip(a, b)])
         slopes = (2.0 * np.vecdot(b, x)).tolist()  # <grad, X>
         skew = skew_from_lower(x, d)
         x_norms = blockwise_norm(skew).tolist()

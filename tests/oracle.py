@@ -209,7 +209,7 @@ def verify_component_bound_per_trial(z, sigma, eps, trials, seed=0):
     """harness.verify_component_bound, one trial after the other."""
     z = np.asarray(z, dtype=float)
     d = z.shape[0]
-    summary = {"trials": trials, "sigma": sigma, "records": [], "fraction": np.nan}
+    summary = {"trials": trials, "sigma": sigma, "records": [], "fraction": None}
     if trials == 0:
         return summary
     theta = np.ones(d) / np.sqrt(d)
@@ -370,9 +370,9 @@ def gauss_newton_diagonal_gathers(a):
 
 
 def largest_singular_listed(apply, apply_t, n, tol):
-    """bounds._largest_singular with the Krylov bases kept as lists, made
-    into arrays at every step, and the bidiagonal rebuilt from its two
-    diagonals."""
+    """bounds._largest_singular with the Krylov bases and the bidiagonal's
+    two diagonals kept as lists, made into arrays at every step; the top
+    Ritz pair comes from the same bounds._top_singular."""
     v = np.random.default_rng(0).standard_normal(n)
     v /= np.linalg.norm(v)
     us, vs, alphas, betas = [], [v], [], []
@@ -390,10 +390,9 @@ def largest_singular_listed(apply, apply_t, n, tol):
         w -= basis.T @ (basis @ w)
         w -= basis.T @ (basis @ w)
         beta = np.linalg.norm(w)
-        bidiag = np.diag(alphas) + np.diag(betas, 1)
-        left, s, _ = np.linalg.svd(bidiag)
-        if k == n or beta * abs(left[-1, 0]) <= tol * s[0]:
-            return float(s[0])
+        theta, u_k = bd._top_singular(np.array(alphas), np.array(betas))
+        if k == n or beta * u_k <= tol * theta:
+            return theta
         betas.append(beta)
         v = w / beta
         vs.append(v)

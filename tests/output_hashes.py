@@ -53,8 +53,10 @@ The set:
   16 x 16 rotations);
 - ``generate`` plus ``triangularize --sigma 1e-3`` on d=32, N=8, kappa=3,
   seeds 0-7 (the truncated-CG steps of triangularize.descend_batch), and
-  ``bounds`` on the seed-0 model among them (two L = 496 certificates,
-  from bounds.a_posteriori_bound and bounds.init_noise_threshold);
+  ``bounds`` and ``verify --sigma 1e-3 --trials 3`` on the seed-0 model
+  among them (L = 496 certificates: bounds.a_posteriori_bound,
+  bounds.init_noise_threshold and, in verify, the a priori bound's
+  Lanczos run on J^T J);
 - ``generate`` of d=12, N=64, kappa=3 models, seeds 0-3 (the canonical
   writer on large payloads).
 """
@@ -177,6 +179,7 @@ def commands():
         steps = [("tri", ["triangularize", "--sigma", "1e-3"])]
         if seed == 0:
             steps.append(("bounds", ["bounds"]))
+            steps.append(("verify", ["verify", "--sigma", "1e-3", "--trials", "3"]))
         for suffix, argv in steps:
             out = f"{name}.{suffix}"
             yield argv + ["--input", "@" + name, "--output", "@" + out], out

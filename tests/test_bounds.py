@@ -349,6 +349,59 @@ class TestLargestSingular:
         assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
 
+def bidiagonal(kind, k, seed):
+    """(alphas, betas) of a k x k upper bidiagonal: random entries; graded
+    ones, each diagonal falling over up to 15 decades; or a cluster, every
+    singular value but the top within about 1e-9 of 1 (repeated ones
+    too), the top one a separated alpha of 2 to 3 at a random row.  A top
+    singular value inside a cluster leaves |u_k| undetermined in any
+    method (it moves by eps / gap), so the cluster stays below it."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.uniform(0.1, 2.0, k), rng.uniform(0.0, 2.0, k - 1)
+    if kind == "graded":
+        alphas = np.geomspace(1.0, 10.0 ** -rng.uniform(0, 15), k) * rng.uniform(0.5, 2.0, k)
+        betas = np.geomspace(1.0, 10.0 ** -rng.uniform(0, 15), k - 1) * rng.uniform(0, 1, k - 1)
+        return alphas, betas
+    alphas = 1.0 + 1e-10 * rng.standard_normal(k) * rng.integers(0, 2, k)
+    betas = 1e-9 * rng.standard_normal(k - 1) * rng.integers(0, 2, k - 1)
+    alphas[rng.integers(k)] = rng.uniform(2.0, 3.0)
+    return alphas, betas
+
+
+class TestTopSingular:
+    """The top singular value and |u_k| of a bidiagonal, from one dstemr
+    eigenpair of its Golub-Kahan tridiagonal, against a dense SVD."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "graded", "clustered"]),
+        k=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_svd(self, kind, k, seed):
+        alphas, betas = bidiagonal(kind, k, seed)
+        left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        s_max, u_k = bounds._top_singular(alphas, betas)
+        assert abs(s_max / s[0] - 1.0) <= 16 * k * EPS
+        assert abs(u_k - abs(left[-1, 0])) <= 1e-12
+
+    def test_nonzero_info_takes_the_svd(self, monkeypatch):
+        alphas, betas = bidiagonal("random", 9, 7)
+        left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        dstemr, calls = bounds.dstemr, []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            m, w, z, _ = dstemr(*args, **kwargs)
+            return m, w, z, 1
+
+        monkeypatch.setattr(bounds, "dstemr", failing)
+        assert bounds._top_singular(alphas, betas) == (float(s[0]), float(abs(left[-1, 0])))
+        assert_matches_svd(operator_with_spectrum(spectrum("clustered", ABOVE), seed=3))
+        assert len(calls) > 2
+
+
 class TestInverseSpectralNorm:
     @pytest.mark.parametrize("d", [19, 32])
     def test_generated_t_beta_matches_svd(self, generated_t_beta, d):
@@ -405,29 +458,27 @@ class TestInverseSpectralNorm:
                 inverse_spectral_norm(op)
 
     def test_d32_cost_guard(self, generated_t_beta, monkeypatch):
-        """One LU, no QR, no SVD of an L x L array, and one Lanczos run of
-        at most 40 steps."""
+        """One LU, no QR, no SVD (the operator's or a step's bidiagonal's),
+        and one Lanczos run of at most 40 steps, each reading one dstemr
+        eigenpair."""
         op = generated_t_beta(32)
-        size = op.shape[0]
-        calls = {"dgetrf": 0, "dgetrs": 0, "_largest_singular": 0}
+        calls = {"dgetrf": 0, "dgetrs": 0, "dstemr": 0, "_largest_singular": 0}
         for name in calls:
             monkeypatch.setattr(bounds, name, counted(calls, name, getattr(bounds, name)))
-        svd = np.linalg.svd
 
-        def small_svd(a, *args, **kwargs):
-            assert np.shape(a) != (size, size)
-            return svd(a, *args, **kwargs)
+        def refused(what):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{what} on the LU path")
 
-        def no_qr(*args, **kwargs):
-            raise AssertionError("QR factorization on the LU path")
+            return call
 
-        monkeypatch.setattr(np.linalg, "svd", small_svd)
-        monkeypatch.setattr(lapack_lite, "dgeqrf", no_qr)
-        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrf", no_qr)
+        monkeypatch.setattr(np.linalg, "svd", refused("SVD"))
+        monkeypatch.setattr(lapack_lite, "dgeqrf", refused("QR factorization"))
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrf", refused("QR factorization"))
         inverse_spectral_norm(op)
         assert calls["dgetrf"] == calls["_largest_singular"] == 1
         # each step applies op^-1 and op^-T, one LU solve each
-        assert 0 < calls["dgetrs"] <= 2 * 40
+        assert 0 < calls["dgetrs"] == 2 * calls["dstemr"] <= 2 * 40
 
     @pytest.mark.parametrize("d", [20, 24, 32])
     def test_generated_t_beta_matches_the_qr_oracle(self, generated_t_beta, d):
@@ -585,6 +636,17 @@ class TestAPrioriBound:
         assert np.isclose(
             a_priori_bound(gt2, np.eye(3)), 2.0 * a_priori_bound(gt1, np.eye(3))
         )
+
+    def test_frame_of_another_shape_is_a_dimension_mismatch(self):
+        """The frame cache is keyed by bytes, so a flat copy of a cached
+        frame must not read that frame's J^T J."""
+        gt = diagonal_model([[1.0, 2.0], [0.5, -1.0]], sigma=1e-3)
+        frame = exact_frame(gt)
+        a_priori_bound(gt, frame)
+        for bad in (frame.reshape(-1), frame[None]):
+            for bound in (a_priori_bound, predicted_direction):
+                with pytest.raises(DimensionMismatch):
+                    bound(gt, bad)
 
 
 class TestExplicitBound:

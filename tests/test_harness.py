@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtri import bounds, harness, linalg, triangularize
+from jointtri import bounds, harness, io, linalg, triangularize
 from jointtri.errors import (
     Failures,
     LogBranchAmbiguous,
@@ -321,8 +321,19 @@ class TestSweep:
         gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=16))
         report = sigma_sweep(gt, [], trials=1, seed=0)
         assert report["sigmas"] == report["records"] == []
-        assert np.isnan(report["direction_residual_slope"])
-        assert np.isnan(report["observed_alpha_slope"])
+        assert report["direction_residual_slope"] is None
+        assert report["observed_alpha_slope"] is None
+
+    def test_one_sigma_has_no_slope_and_writes(self, tmp_path):
+        """An undefined slope is None, which the canonical writer takes (as
+        null) where it refuses NaN."""
+        gt = gen_ground_truth(GeneratorSpec(d=3, n=3, seed=16), sigma=1e-3)
+        report = sigma_sweep(gt, [1e-3], trials=1, seed=0)
+        assert report["direction_residual_slope"] is report["observed_alpha_slope"] is None
+        path = tmp_path / "sweep.json"
+        io.dump_canonical(report, str(path))
+        loaded = io.load(str(path))
+        assert loaded["direction_residual_slope"] is loaded["observed_alpha_slope"] is None
 
     def test_one_gauss_newton_matrix_per_nearest_frame(self, monkeypatch):
         """All (sigma, trial) pairs take one nearest-frame call, and
@@ -470,10 +481,16 @@ class TestVerifyBounds:
 
 
 class TestVerifyComponentBound:
-    def test_zero_trials_is_empty(self):
+    def test_zero_trials_is_empty(self, tmp_path):
+        """With no trials the fraction is None, which the canonical writer
+        takes (as null) where it refuses NaN."""
         z = gen_components(3, seed=20)
         summary = verify_component_bound(z, 1e-4, 1.0, trials=0)
         assert summary["records"] == []
+        assert summary["fraction"] is None
+        path = tmp_path / "component.json"
+        io.dump_canonical(summary, str(path))
+        assert io.load(str(path))["fraction"] is None
 
     def test_small_study_is_contained(self):
         z = gen_components(4, seed=21)
@@ -483,9 +500,8 @@ class TestVerifyComponentBound:
 
 
 def outcome(study, *args, **kwargs):
-    """The value bits of a study's result (NaN payloads too: a sweep of one
-    sigma has no slope, and no trial has no fraction), or the name of the
-    error it raised."""
+    """The value bits of a study's result, or the name of the error it
+    raised."""
     try:
         result = study(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - the comparison is on the type

@@ -622,18 +622,21 @@ class TestDescendCallCounts:
     @pytest.mark.parametrize("d", [16, 24, 32])
     def test_cg_path_ends_in_few_steps_and_products(self, monkeypatch, d):
         """Generated models with noise leave a nonzero Gauss-Newton residual;
-        each CG step is solved to min(1e-3, sqrt|b|), so the descent reaches
-        grad_tol in at most 4 outer steps and 60 J^T J products."""
+        each CG step is solved to min(1e-3, sqrt|b|), and the last one no
+        finer than the stop at grad_tol reads, so the descent reaches
+        grad_tol in at most 4 outer steps and 39 J^T J products (the most
+        these 24 descents make)."""
         products = self.count_calls(monkeypatch, "gauss_newton_product")
         for seed in range(8):
             spec = GeneratorSpec(d=d, n=8, kappa_target=3, gamma_target=1, seed=seed)
             observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
             assert (d * (d - 1) // 2) ** 3 > triangularize.EXACT_STEP_MAX_SIZE * observed.n
             products.clear()
-            _, _, trace, _, _ = converge(observed)
+            u, _, trace, _, _ = converge(observed)
             assert trace.termination == "grad_tol"
             assert len(trace.step_lengths) <= 4
-            assert len(products) <= 60
+            assert len(products) <= 39
+            assert np.linalg.norm(gradient(u, observed)) <= 1e-10  # converge's grad_tol
 
 
 class TestDescendBatch:
@@ -772,7 +775,7 @@ class TestGaussNewtonStep:
                 return product(stack, stack_t, p) if len(calls) <= k else -p
 
             monkeypatch.setattr(triangularize, "gauss_newton_product", capped)
-            steps.append(triangularize._cg_step(a, b))
+            steps.append(triangularize._cg_step(a, b, 0.0))
             monkeypatch.undo()
             if len(calls) <= k:  # stopped at the forcing tolerance first
                 break
@@ -799,11 +802,35 @@ class TestGaussNewtonStep:
 
     def test_step_meets_the_forcing_tolerance(self):
         for a, b in self.systems():
-            x = triangularize._cg_step(a, b)
+            x = triangularize._cg_step(a, b, 0.0)
             jac = dense_jacobian(a)
             res = jac.T @ (jac @ x) + b
             bb = b @ b
             assert res @ res <= min(1e-6, np.sqrt(bb)) * bb * (1 + 1e-9)
+
+    def test_floor_from_grad_tol(self, monkeypatch):
+        """A residual floor CG_GRAD_TOL_SHARE grad_tol / sqrt(2) above the
+        forcing tolerance ends CG at the first iterate under it; a floor
+        below the forcing tolerance leaves the step's bits unchanged."""
+        share, ended = triangularize.CG_GRAD_TOL_SHARE, 0
+        for a, b in self.systems():
+            x = triangularize._cg_step(a, b, 0.0)
+            bb = b @ b
+            forcing = np.sqrt(min(1e-6, np.sqrt(bb)) * bb)
+            below = 0.5 * forcing * np.sqrt(2.0) / share  # the grad_tol of floor forcing / 2
+            assert triangularize._cg_step(a, b, below).tobytes() == x.tobytes()
+            jac = dense_jacobian(a)
+            steps = self.iterates(monkeypatch, a, b)
+            residuals = [np.linalg.norm(jac.T @ (jac @ s) + b) for s in steps]
+            for k, res in enumerate(residuals):
+                above = min(residuals[:k], default=np.sqrt(bb))
+                floor = np.sqrt(res * above)  # clear of both by 1%, and above the forcing
+                if not (res * 1.01 < floor < above / 1.01 and floor > forcing):
+                    continue
+                step = triangularize._cg_step(a, b, floor * np.sqrt(2.0) / share)
+                assert step.tobytes() == steps[k].tobytes()
+                ended += 1
+        assert ended >= 10
 
     def test_zero_diagonal_entry_gives_finite_step(self):
         a = zero_diagonal_stack()
@@ -813,7 +840,7 @@ class TestGaussNewtonStep:
         b = dense_jacobian(a).T @ np.ones(6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x = triangularize._cg_step(a, b)
+            x = triangularize._cg_step(a, b, 0.0)
         assert np.all(np.isfinite(x)) and b @ x < 0
 
 
