@@ -34,7 +34,6 @@ from .linalg import (
 from .triangularize import (
     DescentTrace,
     MatrixSet,
-    OptimizerConfig,
     find_separating_beta,
     gradient,
     hessian_form,
@@ -85,7 +84,7 @@ __all__ = [
     "SingularZ", "ZeroColumnSum",
     "low_part", "lower_index", "orthogonal_log", "skew_exp",
     "unvec", "vec",
-    "DescentTrace", "MatrixSet", "OptimizerConfig",
+    "DescentTrace", "MatrixSet",
     "find_separating_beta", "gradient", "hessian_form", "loss",
     "GroundTruthModel", "a_posteriori_bound", "a_priori_bound",
     "eigenvalue_error_bound", "explicit_bound", "hessian_constants",

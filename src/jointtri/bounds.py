@@ -158,10 +158,9 @@ class GroundTruthModel:
         """The commuting ground-truth matrices as a MatrixSet."""
         return self.noise_free.clean
 
-    def observed_matrices(self, sigma=None):
-        """Noisy observations M_n + sigma W_n (sigma overridable)."""
-        s = self.sigma if sigma is None else sigma
-        return MatrixSet(self.clean_matrices().matrices + s * self.noise)
+    def observed_matrices(self):
+        """Noisy observations M_n + sigma W_n."""
+        return MatrixSet(self.clean_matrices().matrices + self.sigma * self.noise)
 
     def with_noise(self, noise, sigma):
         """Same eigenstructure (and noise-free cache), new noise and level.

@@ -188,8 +188,7 @@ def converge(mset, beta_strategy="ones", seed=0, max_iters=2000, grad_tol=1e-10,
     (batch,) = fail.since(rows, batch)
     frames, traces, stacks = inits, [], batch.matrices
     if len(inits):
-        config = tri.OptimizerConfig(max_iters=max_iters, grad_tol=grad_tol)
-        frames, traces, stacks = tri.descend_batch(batch, inits, config)
+        frames, traces, stacks = tri.descend_batch(batch, inits, max_iters, grad_tol)
     if mset.matrices.ndim == 3:
         return frames[0], betas[0], traces[0], inits[0], stacks[0]
     return frames, betas, traces, inits, stacks

@@ -19,6 +19,17 @@ With ``--against FILE`` (a listing saved from another version) only the
 lines that differ are printed, each as ``- <saved line>`` and ``+ <new
 line>`` (a command in only one listing has only its own line), then the
 final lines if they differ, and the exit status is 1 on any difference.
+With ``--keep DIR`` the commands run in DIR (made if missing), so every
+output stays there, and the printed listing is also saved as
+DIR/listing.txt.  ``--compare DIR_A DIR_B`` runs nothing: it reads two
+such directories and prints one line per command whose exit code or output
+differs, naming the non-float differences (presence, keys, lengths, types,
+values) and the largest ``|a-b| / max(|a|, |b|)`` over the output's
+floats with its path, then a summary line with the count per subcommand.
+The exit status is 1 on any non-float difference.
+
+    PYTHONPATH=src python tests/output_hashes.py --keep before/ > /dev/null
+    PYTHONPATH=src python tests/output_hashes.py --compare before/ after/
 
 The set:
 - ``generate`` plus ``verify --trials 4`` on the verify_d4 benchmark pool
@@ -68,6 +79,7 @@ import os
 import re
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 if __name__ == "__main__":  # the tests that import value_bits keep their environment
@@ -212,11 +224,15 @@ def value_digest(path):
     return hashlib.sha256(bits.encode()).hexdigest()
 
 
-def listing(echo, digest=byte_digest):
+def listing(echo, digest=byte_digest, keep=None):
     """The protocol's lines, the final hash last; each is passed to echo as
-    it is made.  digest(path) hashes each output file."""
+    it is made.  digest(path) hashes each output file.  With keep (a
+    directory) the commands run there and the lines are saved as
+    keep/listing.txt."""
     lines = []
-    with tempfile.TemporaryDirectory() as workdir:
+    if keep is not None:
+        Path(keep).mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() if keep is None else nullcontext(keep) as workdir:
         root = Path(workdir)
         write_inputs(root)
         for argv, output in commands():
@@ -230,6 +246,8 @@ def listing(echo, digest=byte_digest):
             echo(lines[-1])
     lines.append(hashlib.sha256("\n".join(lines).encode()).hexdigest())
     echo(lines[-1])
+    if keep is not None:
+        (Path(keep) / "listing.txt").write_text("\n".join(lines) + "\n")
     return lines
 
 
@@ -255,19 +273,98 @@ def differences(saved, lines):
     return out
 
 
+def _walk(a, b, path, kinds, floats):
+    """Record in kinds each kind of non-float difference between a and b,
+    and append (relative difference, path) to floats for each float pair."""
+    if type(a) is float and type(b) is float:
+        scale = max(abs(a), abs(b))
+        floats.append((abs(a - b) / scale if scale else 0.0, path))
+    elif type(a) is not type(b):
+        kinds.add("types")
+    elif isinstance(a, dict):
+        if a.keys() != b.keys():
+            kinds.add("keys")
+        for key in a.keys() & b.keys():
+            _walk(a[key], b[key], f"{path}.{key}" if path else key, kinds, floats)
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            kinds.add("lengths")
+        for i, (x, y) in enumerate(zip(a, b)):
+            _walk(x, y, f"{path}[{i}]", kinds, floats)
+    elif a != b:
+        kinds.add("values")
+
+
+def kept_commands(keep):
+    """{output name: (exit code, subcommand)} from keep/listing.txt, in
+    protocol order."""
+    out = {}
+    for line in (Path(keep) / "listing.txt").read_text().splitlines():
+        argv = line.split(" ")[1:]
+        if "--output" in argv:
+            out[argv[argv.index("--output") + 1][1:]] = (argv[0], argv[1])
+    return out
+
+
+def compare(dir_a, dir_b):
+    """(lines, beyond_floats): one line per command of either kept
+    directory whose exit code or output differs, then a summary line; and
+    whether any difference is more than a float's value."""
+    runs = kept_commands(dir_a), kept_commands(dir_b)
+    lines, per_command, beyond, worst = [], {}, 0, (0.0, "")
+    for name in list(runs[0]) + [n for n in runs[1] if n not in runs[0]]:
+        (code_a, command), (code_b, _) = (run.get(name, ("-", None)) for run in runs)
+        command = command or runs[1][name][1]
+        paths = [Path(d) / name for d in (dir_a, dir_b)]
+        kinds, floats = [], []
+        if code_a != code_b:
+            kinds.append(f"exit {code_a} -> {code_b}")
+        if paths[0].exists() != paths[1].exists():
+            kinds.append("presence")
+        elif paths[0].exists():
+            found = set()
+            _walk(*(io.load(str(p)) for p in paths), "", found, floats)
+            kinds += sorted(found)
+        rel, path = max(floats, default=(0.0, ""))
+        if not kinds and rel == 0.0:
+            continue
+        per_command[command] = per_command.get(command, 0) + 1
+        beyond += bool(kinds)
+        worst = max(worst, (rel, f"{name}:{path}"))
+        detail = ", ".join(kinds) if kinds else "floats only"
+        lines.append(f"{name} ({command}): {detail}; largest relative difference {rel:.3g}"
+                     + (f" at {path}" if path else ""))
+    counts = ", ".join(f"{command} {count}" for command, count in per_command.items())
+    lines.append(
+        f"{len(lines)} of {len(set(runs[0]) | set(runs[1]))} commands differ"
+        + (f" ({counts})" if counts else "")
+        + f"; {beyond} beyond float values; largest relative difference {worst[0]:.3g}"
+        + (f" at {worst[1]}" if worst[1] else ""))
+    return lines, beyond > 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="FILE",
                         help="a saved listing: print only the lines that differ from it")
     parser.add_argument("--values", action="store_true",
                         help="hash each output's float bits and types, not its bytes")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="run the commands in DIR and keep every output there")
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="run nothing; compare the outputs kept in two directories")
     args = parser.parse_args(argv)
+    if args.compare:
+        lines, beyond_floats = compare(*args.compare)
+        for line in lines:
+            print(line)
+        return 1 if beyond_floats else 0
     digest = value_digest if args.values else byte_digest
     if args.against is None:
-        listing(print, digest)
+        listing(print, digest, args.keep)
         return 0
     saved = Path(args.against).read_text().splitlines()
-    diff = differences(saved, listing(lambda line: None, digest))
+    diff = differences(saved, listing(lambda line: None, digest, args.keep))
     for line in diff:
         print(line)
     return 1 if diff else 0

@@ -164,14 +164,17 @@ def is_finite(obj):
 def is_plain(obj):
     """Whether obj is a plain JSON value: dicts with text keys, lists,
     tuples, text, ints of 64 bits, floats, bools, None and numpy numbers
-    and arrays, with no subclass of a JSON type."""
+    and arrays, with no subclass of a JSON type.  Text is Unicode: a lone
+    surrogate has no UTF-8 form."""
     if type(obj) is dict:
-        return all(type(key) is str and is_plain(v) for key, v in obj.items())
+        return all(type(key) is str and is_plain(key) and is_plain(v) for key, v in obj.items())
     if type(obj) in (list, tuple):
         return all(map(is_plain, obj))
     if type(obj) is int:
         return -(2**63) <= obj < 2**64
-    return isinstance(obj, (np.ndarray, np.generic)) or type(obj) in (str, float, bool, type(None))
+    if type(obj) is str:
+        return not any("\ud800" <= c <= "\udfff" for c in obj)
+    return isinstance(obj, (np.ndarray, np.generic)) or type(obj) in (float, bool, type(None))
 
 
 class TestCanonicalWriter:
@@ -204,10 +207,11 @@ class TestCanonicalWriter:
         else:
             self.assert_writes_orjson(obj, path)
 
-    @given(writer_payloads(finite=True))
+    @given(writer_payloads(finite=True).filter(is_plain))
     @settings(max_examples=150, deadline=None)
     def test_orjson_payloads(self, tmp_path_factory, obj):
-        """Finite numbers of 64 bits and any text: written, in orjson's notation."""
+        """Finite numbers of 64 bits and any Unicode text: written, in
+        orjson's notation."""
         self.assert_writes_orjson(obj, tmp_path_factory.getbasetemp() / "writer.json")
 
     @given(writer_payloads(finite=False))
@@ -231,11 +235,14 @@ class TestCanonicalWriter:
         {1: 1e-9, 2: [0.5]},
         {"none": None},
         {"sub": np.float64(1e-9), "s32": np.float32(1e-9), "arr": np.array([1e-9, 2e20])},
+        {"\ud800": None},
+        ["a\udfff", 1e-9],
     ])
     def test_writes_what_json_dumps_writes_at_the_edges(self, tmp_path, obj):
         """At the edges of both notations, of the 64-bit ints and of escaped
         text: the values json.dumps writes, or the refusal of what has no
-        canonical form (an int past 64 bits, a NaN, a key that is not text)."""
+        canonical form (an int past 64 bits, a NaN, a key that is not text,
+        a lone surrogate)."""
         self.assert_canonical(obj, tmp_path / "w.json")
 
     @pytest.mark.parametrize("obj", [
@@ -972,3 +979,61 @@ class TestOutputHashesAgainst:
         assert output_hashes.differences(orjson_bytes, repr_bytes) != []
         assert output_hashes.differences(orjson_values, repr_values) == []
         assert orjson_values[0].endswith(" 0 " + " ".join(generate + ["--output", "@m"]))
+
+
+class TestOutputHashesCompare:
+    """output_hashes.py --keep and --compare: the outputs of two kept runs,
+    compared value by value per command."""
+
+    GENERATE = ["generate", "--kind", "model", "--d", "3", "--N", "2", "--sigma", "1e-3"]
+
+    def kept_runs(self, monkeypatch, tmp_path):
+        import output_hashes
+
+        monkeypatch.setattr(output_hashes, "commands", lambda: [
+            (self.GENERATE + ["--output", "@m"], "m"),
+            (["triangularize", "--input", "@m", "--output", "@m.tri"], "m.tri"),
+            (["tensor", "--d", "4", "--input", "@r4n6", "--output", "@r4n6.d4"], "r4n6.d4"),
+        ])
+        for side in "ab":
+            lines = output_hashes.listing(lambda line: None, keep=tmp_path / side)
+            assert (tmp_path / side / "listing.txt").read_text().splitlines() == lines
+        return output_hashes, tmp_path / "a", tmp_path / "b"
+
+    def test_equal_runs_differ_nowhere(self, monkeypatch, tmp_path):
+        output_hashes, a, b = self.kept_runs(monkeypatch, tmp_path)
+        assert (a / "m.tri").exists() and not (a / "r4n6.d4").exists()
+        lines, beyond = output_hashes.compare(a, b)
+        assert lines == ["0 of 3 commands differ; 0 beyond float values; "
+                         "largest relative difference 0"]
+        assert not beyond
+        assert output_hashes.main(["--compare", str(a), str(b)]) == 0
+
+    def test_float_and_non_float_differences(self, monkeypatch, tmp_path):
+        output_hashes, a, b = self.kept_runs(monkeypatch, tmp_path)
+        out = io.load(str(b / "m.tri"))
+        out["loss"] *= 1 + 2.0**-20
+        io.dump_canonical(out, str(b / "m.tri"))
+        lines, beyond = output_hashes.compare(a, b)
+        assert lines[0] == ("m.tri (triangularize): floats only; "
+                            "largest relative difference 9.54e-07 at loss")
+        assert lines[1].startswith("1 of 3 commands differ (triangularize 1); 0 beyond")
+        assert not beyond
+        out["trace"]["termination"] = "stalled"
+        out["trace"]["steps"].append(1.0)
+        del out["beta"]
+        io.dump_canonical(out, str(b / "m.tri"))
+        (b / "m").unlink()
+        listing = (b / "listing.txt").read_text().replace(" 2 tensor ", " 1 tensor ")
+        (b / "listing.txt").write_text(listing)
+        lines, beyond = output_hashes.compare(a, b)
+        assert lines[:3] == [
+            "m (generate): presence; largest relative difference 0",
+            "m.tri (triangularize): keys, lengths, values; largest relative difference"
+            " 9.54e-07 at loss",
+            "r4n6.d4 (tensor): exit 2 -> 1; largest relative difference 0",
+        ]
+        assert lines[3].startswith("3 of 3 commands differ (generate 1, triangularize 1, "
+                                   "tensor 1); 3 beyond float values")
+        assert beyond
+        assert output_hashes.main(["--compare", str(a), str(b)]) == 1

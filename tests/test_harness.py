@@ -479,6 +479,30 @@ class TestVerifyBounds:
         assert np.array_equal(u1, u2)
         assert np.array_equal(b1, b2)
 
+    def test_converge_reaches_no_exponential(self, monkeypatch):
+        """The descent retracts by the Cayley map's one solve: a converge
+        calls neither skew_exp nor expm, also on d=8, seed 3, whose descent
+        takes a step with ||tX|| above 0.5."""
+        exps = []
+
+        def watched(name, fn):
+            def call(*args, **kwargs):
+                exps.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(linalg, "skew_exp", watched("skew_exp", linalg.skew_exp))
+        monkeypatch.setattr(triangularize, "skew_exp", watched("skew_exp", linalg.skew_exp))
+        monkeypatch.setattr(
+            linalg.scipy.linalg, "expm", watched("expm", linalg.scipy.linalg.expm))
+        sets = [gen_ground_truth(GeneratorSpec(d=8, n=8, kappa_target=3, seed=seed), sigma=1e-3)
+                .observed_matrices() for seed in range(6)]
+        _, _, trace, _, _ = converge(sets[3])
+        assert trace.termination == "grad_tol"
+        _, _, traces, _, _ = converge(triangularize.MatrixSet([m.matrices for m in sets]))
+        assert [t.termination for t in traces] == ["grad_tol"] * 6
+        assert exps == []
+
 
 class TestVerifyComponentBound:
     def test_zero_trials_is_empty(self, tmp_path):

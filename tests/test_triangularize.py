@@ -30,7 +30,6 @@ from jointtri.linalg import (
 from jointtri.tensor import estimate_components, observable_matrices
 from jointtri.triangularize import (
     MatrixSet,
-    OptimizerConfig,
     _fix_column_signs,
     find_separating_beta,
     gauss_newton_diagonal,
@@ -52,9 +51,9 @@ def commuting_set(seed, d=3, n=3):
     return gt, gt.clean_matrices()
 
 
-def descend_one(mset, u0, config=OptimizerConfig()):
+def descend_one(mset, u0, **options):
     """descend_batch on a batch of one set: (frame, trace)."""
-    (frame,), (trace,), _ = triangularize.descend_batch(mset.as_batch(), u0[None], config)
+    (frame,), (trace,), _ = triangularize.descend_batch(mset.as_batch(), u0[None], **options)
     return frame, trace
 
 
@@ -508,14 +507,15 @@ class TestDescend:
         "max_iters, grad_tol", [(10, np.nan), (10, 0.0), (10, -1.0), (-1, 1e-8)]
     )
     def test_config_rejects_invalid_settings(self, max_iters, grad_tol):
+        gt, clean = commuting_set(14)
         with pytest.raises(ValueError):
-            OptimizerConfig(max_iters=max_iters, grad_tol=grad_tol)
+            descend_one(clean, np.eye(3), max_iters=max_iters, grad_tol=grad_tol)
 
     def test_noiseless_convergence_to_machine_zero(self):
         gt, clean = commuting_set(12, d=4, n=4)
         _, u0 = find_separating_beta(clean)
-        config = OptimizerConfig(max_iters=200, grad_tol=1e-12)
-        u, trace = descend_one(clean, u0, config)
+        config = dict(max_iters=200, grad_tol=1e-12)
+        u, trace = descend_one(clean, u0, **config)
         assert loss(u, clean) <= 1e-20
         assert np.linalg.norm(gradient(u, clean)) <= 1e-12
         assert len(trace.loss_values) <= 200
@@ -524,15 +524,15 @@ class TestDescend:
         rng = np.random.default_rng(13)
         mats = MatrixSet(tuple(rng.standard_normal((4, 4)) for _ in range(3)))
         u0 = skew_exp(random_skew(rng, 4), 0.2)
-        config = OptimizerConfig(max_iters=50, grad_tol=1e-14)
-        _, trace = descend_one(mats, u0, config)  # a stalled trace too
+        config = dict(max_iters=50, grad_tol=1e-14)
+        _, trace = descend_one(mats, u0, **config)  # a stalled trace too
         diffs = np.diff(trace.loss_values)
         assert np.all(diffs <= 0)
 
     def test_zero_iterations_returns_start(self):
         gt, clean = commuting_set(14)
         u0 = np.eye(3)
-        u, trace = descend_one(clean, u0, OptimizerConfig(max_iters=0))
+        u, trace = descend_one(clean, u0, max_iters=0)
         assert np.array_equal(u, u0)
         assert trace.termination == "max_iters"
 
@@ -568,7 +568,7 @@ class TestDescendCallCounts:
         rotated_calls = self.count_calls(monkeypatch, "rotated")
         change_calls = self.count_calls(monkeypatch, "_loss_change")
         step_calls = self.count_calls(monkeypatch, step_path)
-        _, trace = descend_one(observed, u0, config)
+        _, trace = descend_one(observed, u0, **config)
         assert trace.termination == termination
         assert min(trace.step_lengths) < 1.0
 
@@ -588,8 +588,8 @@ class TestDescendCallCounts:
     CONFIGS = pytest.mark.parametrize(
         "config, termination",
         [
-            (OptimizerConfig(grad_tol=1e-8), "grad_tol"),
-            (OptimizerConfig(max_iters=4), "max_iters"),
+            (dict(grad_tol=1e-8), "grad_tol"),
+            (dict(max_iters=4), "max_iters"),
         ],
     )
 
@@ -612,7 +612,7 @@ class TestDescendCallCounts:
         exact = self.count_calls(monkeypatch, "_exact_step")
         cg = self.count_calls(monkeypatch, "_cg_step")
         products = self.count_calls(monkeypatch, "gauss_newton_product")
-        _, trace = descend_one(mset, u0, OptimizerConfig(max_iters=2))
+        _, trace = descend_one(mset, u0, max_iters=2)
         assert len(trace.step_lengths) == 2
         if path == "exact":
             assert (len(exact), len(cg), len(products)) == (2, 0, 0)
@@ -663,28 +663,28 @@ class TestDescendBatch:
         return MatrixSet(np.array(sets)), np.array(starts)
 
     @pytest.mark.parametrize("config", [
-        OptimizerConfig(max_iters=60, grad_tol=1e-10),
-        OptimizerConfig(max_iters=3),
-        OptimizerConfig(max_iters=300, grad_tol=1e-300),  # most trials stall
+        dict(max_iters=60, grad_tol=1e-10),
+        dict(max_iters=3),
+        dict(max_iters=300, grad_tol=1e-300),  # most trials stall
     ])
     @pytest.mark.parametrize("cg", [False, True])
     def test_matches_single_descents(self, monkeypatch, config, cg):
         if cg:
             monkeypatch.setattr(triangularize, "EXACT_STEP_MAX_SIZE", 0)
         batch, starts = self.batch()
-        frames, traces, stacks = triangularize.descend_batch(batch, starts, config)
+        frames, traces, stacks = triangularize.descend_batch(batch, starts, **config)
         for k, (mats, u0) in enumerate(zip(batch.matrices, starts)):
-            u, trace = descend_one(MatrixSet(mats), u0, config)
+            u, trace = descend_one(MatrixSet(mats), u0, **config)
             assert frames[k].tobytes() == u.tobytes()
             assert traces[k] == trace
             # the stack at the final frame has the bits of rotated at it
             assert stacks[k].tobytes() == rotated(u, MatrixSet(mats)).tobytes()
         endings = {trace.termination for trace in traces}
-        if config.max_iters == 60:  # trials leave at different iterations
+        if config.get("max_iters") == 60:  # trials leave at different iterations
             assert len({len(trace.step_lengths) for trace in traces}) > 1
             assert endings == {"grad_tol", "max_iters"}
             assert 0.5 in traces[1].step_lengths + traces[5].step_lengths
-        if config.grad_tol == 1e-300:
+        if config.get("grad_tol") == 1e-300:
             assert "stalled" in endings
 
 
@@ -919,7 +919,7 @@ class TestLossChange:
             observed = gen_ground_truth(spec, sigma=1e-3).observed_matrices()
             u = find_separating_beta(observed)[1]
             yield triangularize.rotated(u, observed)
-            u, _ = descend_one(observed, u, OptimizerConfig(grad_tol=1e-9))
+            u, _ = descend_one(observed, u, grad_tol=1e-9)
             yield triangularize.rotated(u, observed)
 
     def test_matches_exact_arithmetic_within_the_stop_bound(self):
@@ -939,18 +939,29 @@ class TestLossChange:
                 exact = exact_loss_change(a, f)
                 assert abs(Fraction(change) - exact) <= Fraction(step * floor)
 
-    def test_rotation_increment_is_the_exponential(self):
-        x = random_skew(np.random.default_rng(4), 5)
-        x /= np.linalg.norm(x)
-        for step in (2.0**-40, 1e-6, 0.3, 0.49, 0.5, 2.0):
-            f = triangularize._rotation_increment(x, step)
-            q = np.eye(5) + f
-            assert np.linalg.norm(q - skew_exp(x, step)) <= 4e-15
-            assert np.linalg.norm(q.T @ q - np.eye(5)) <= 4e-15
-        for step in (2.0**-40, 1e-9):  # the third Taylor term is below rounding
-            y = step * x
-            f = triangularize._rotation_increment(x, step)
-            assert np.linalg.norm(f - (y + y @ y / 2)) <= 4e-16 * np.linalg.norm(y)
+    def test_rotation_increment_is_the_cayley_map(self):
+        """I + F is the Cayley map (I - Y/2)^{-1} (I + Y/2) of Y = step X:
+        orthogonal, within ||Y||^3 / 6 of e^Y on the steps the line search
+        takes (the second-order agreement its Armijo prediction reads),
+        and F has full relative accuracy on short steps."""
+        rng = np.random.default_rng(4)
+        for d in (2, 5, 12, 32):
+            x = random_skew(rng, d)
+            x /= np.linalg.norm(x)
+            eye = np.eye(d)
+            for step in (2.0**-40, 1e-9, 1e-6, 0.3, 0.49, 0.5, 2.0):
+                y = step * x
+                f = triangularize._rotation_increment(x, step)
+                q = eye + f
+                assert np.linalg.norm(q.T @ q - eye) <= 4e-15
+                assert np.linalg.norm((eye - y / 2) @ q - (eye + y / 2)) <= 4e-15
+                if step <= 0.5:
+                    cubic = np.linalg.norm(y) ** 3 / 6
+                    assert np.linalg.norm(q - skew_exp(x, step)) <= cubic + 1e-15
+            for step in (2.0**-40, 1e-9):  # the third series term is below rounding
+                y = step * x
+                f = triangularize._rotation_increment(x, step)
+                assert np.linalg.norm(f - (y + y @ y / 2)) <= 4e-16 * np.linalg.norm(y)
 
 
 class TestLineSearchStop:
@@ -1002,7 +1013,7 @@ class TestLineSearchStop:
             return x
 
         monkeypatch.setattr(triangularize, "_exact_step", recorded)
-        _, trace = descend_one(mats, u0, OptimizerConfig(grad_tol=1e-300))
+        _, trace = descend_one(mats, u0, grad_tol=1e-300)
         assert trace.termination == "stalled"
         assert len(ratios) == len(trace.step_lengths) + 1 > 10
         assert min(ratios[:-1]) > 1.0 >= ratios[-1]
