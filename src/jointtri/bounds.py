@@ -13,11 +13,11 @@ operators).  The last two take the caller's errors.Failures: a trial that
 fails leaves the batch, and the values are over the trials still running.
 
 An operator of at least LANCZOS_MIN_SIZE rows is LU-factored once, with
-partial pivoting, and ||op^-1|| comes from one Golub-Kahan-Lanczos run on
-the triangular solves with the factors; the singularity test scales by
-||op||_F >= sigma_max(op).  The T_beta that a_posteriori_bound and
-init_noise_threshold build is factored in place; any other operator (a
-caller's array, the cached J^T J) is copied first.
+partial pivoting, and ||op^-1||^2 comes from one symmetric Lanczos run on
+op^-T op^-1, applied as two triangular solves with the factors; the
+singularity test scales by ||op||_F >= sigma_max(op).  The T_beta that
+a_posteriori_bound and init_noise_threshold build is factored in place;
+any other operator (a caller's array, the cached J^T J) is copied first.
 """
 
 import copy
@@ -51,7 +51,7 @@ SINGULAR_REL_TOL = 1e-12
 # is lower (README); moving the switch would change output bits.
 LANCZOS_MIN_SIZE = 190
 LANCZOS_TOL = 1e-14
-_LANCZOS_BLOCK = 32  # the Krylov bases' first allocation, in vectors
+_LANCZOS_BLOCK = 32  # the Krylov basis' first allocation, in vectors
 
 
 @dataclass
@@ -194,69 +194,55 @@ def t_beta(u, mset, beta):
     return operator(rotated(u, MatrixSet(pencil[..., None, :, :]))[..., 0, :, :])
 
 
-def _top_singular(alphas, betas):
-    """(s_max, |u_k|) of the k x k upper bidiagonal with diagonal alphas
-    and superdiagonal betas: its largest singular value and the last entry
-    of the matching left singular vector.
-
-    Both come from the largest eigenpair of the 2k x 2k Golub-Kahan
-    tridiagonal, zero diagonal and off-diagonals alpha_1, beta_1, alpha_2,
-    ..., alpha_k, by LAPACK dstemr (MRRR, O(k)); its eigenvector is
-    (v_1, u_1, ..., v_k, u_k) / sqrt(2).  On a nonzero info the values
-    come from an SVD of the bidiagonal.
+def _top_eigenpair(alphas, betas):
+    """(theta, |s_k|) of the k x k symmetric tridiagonal with diagonal
+    alphas and off-diagonal betas: its largest eigenvalue and the last
+    entry of the matching unit eigenvector, by LAPACK dstemr (MRRR, O(k)).
+    On a nonzero info both come from np.linalg.eigh of the tridiagonal.
     """
     k = len(alphas)
-    off = np.zeros(2 * k)  # dstemr reads 2k - 1 entries; the last is its workspace
-    off[0::2] = alphas
-    off[1:-1:2] = betas
-    _, w, z, info = dstemr(np.zeros(2 * k), off, 3, 0.0, 0.0, 2 * k, 2 * k, overwrite_d=1)
+    off = np.zeros(k)  # dstemr reads k - 1 entries; the last is its workspace
+    off[:-1] = betas
+    _, w, z, info = dstemr(alphas, off, 3, 0.0, 0.0, k, k)
     if info == 0:
-        return float(w[0]), float(np.sqrt(2.0) * abs(z[-1, 0]))
-    left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
-    return float(s[0]), float(abs(left[-1, 0]))
+        return float(w[0]), float(abs(z[-1, 0]))
+    w, z = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+    return float(w[-1]), float(abs(z[-1, -1]))
 
 
-def _largest_singular(apply, apply_t, n, tol):
-    """sigma_max of the n x n map x -> apply(x) by Golub-Kahan-Lanczos.
+def _largest_eigenvalue(apply, n, tol):
+    """The largest eigenvalue of the n x n symmetric positive semidefinite
+    map x -> apply(x), by symmetric Lanczos.
 
-    Full reorthogonalization, a fixed-seed start vector (deterministic
-    output), and a stop once the top Ritz triple's residual beta_k |u_k|
-    is at most tol * theta, both read off the bidiagonal by _top_singular;
-    after n steps the bidiagonal is exact.  The Krylov bases (one vector
-    per row) live in arrays that double when full, so each step reads
-    views of their first k rows.
+    Full reorthogonalization (classical Gram-Schmidt twice), a fixed-seed
+    start vector (deterministic output), and a stop once the top Ritz
+    pair's residual beta_k |s_k| is at most tol * theta, both read off the
+    tridiagonal by _top_eigenpair; after n steps the tridiagonal is exact.
+    The Krylov basis (one vector per row) lives in an array that doubles
+    when full, so each step reads a view of its first k rows.
     """
     v = np.random.default_rng(0).standard_normal(n)
     v /= np.linalg.norm(v)
-    size = min(n, _LANCZOS_BLOCK)
-    us, vs = np.empty((size, n)), np.empty((size, n))
-    alphas, betas = np.empty(n), np.empty(n)  # the bidiagonal's two diagonals
+    vs = np.empty((min(n, _LANCZOS_BLOCK), n))
+    alphas, betas = np.empty(n), np.empty(n)  # the tridiagonal's two diagonals
     vs[0] = v
-    u = apply(v)
     for k in range(1, n + 1):
-        if k == size < n:  # step k writes row k of vs
-            size = min(2 * size, n)
-            us, vs = (np.concatenate((x, np.empty((size - len(x), n)))) for x in (us, vs))
-        if k > 1:  # full reorthogonalization, Gram-Schmidt twice
-            basis = us[: k - 1]
-            u -= basis.T @ (basis @ u)
-            u -= basis.T @ (basis @ u)
-        alpha = np.linalg.norm(u)
-        u /= alpha
-        us[k - 1] = u
-        alphas[k - 1] = alpha
-        w = apply_t(u)
-        basis = vs[:k]
-        w -= basis.T @ (basis @ w)
-        w -= basis.T @ (basis @ w)
+        w = apply(v)
+        basis = vs[:k]  # Gram-Schmidt twice; alpha_k = v_k^T apply(v_k) is
+        h = basis @ w  # the last coefficient of the two passes together
+        w -= basis.T @ h
+        c = basis @ w
+        w -= basis.T @ c
+        alphas[k - 1] = h[-1] + c[-1]
         beta = np.linalg.norm(w)
-        theta, u_k = _top_singular(alphas[:k], betas[: k - 1])
-        if k == n or beta * u_k <= tol * theta:
+        theta, s_k = _top_eigenpair(alphas[:k], betas[: k - 1])
+        if k == n or beta * s_k <= tol * theta:
             return theta
         betas[k - 1] = beta
+        if k == len(vs):  # step k writes row k of vs
+            vs = np.concatenate((vs, np.empty((min(2 * k, n) - k, n))))
         v = w / beta
         vs[k] = v
-        u = apply(v) - beta * u
 
 
 def inverse_spectral_norm(op, fail=None, *, _overwrite=False):
@@ -271,12 +257,12 @@ def inverse_spectral_norm(op, fail=None, *, _overwrite=False):
     Below LANCZOS_MIN_SIZE rows sigma_min and sigma_max come from a dense
     SVD, one call for the whole stack.  From there on, a copy of each op,
     scaled by its largest entry, is LU-factored, op^T = P L U, and
-    ||op^-1|| is the largest singular value of op^-1 = P L^-T U^-T, from
-    one Golub-Kahan-Lanczos run whose every step makes two LU solves
-    (LAPACK dgetrs, two triangular solves each) and reads its stop test off
-    one dstemr eigenpair of the step's bidiagonal; partial pivoting is
-    backward stable in practice, so the value errs by O(eps kappa(op)) as
-    an SVD's does.  The singularity test takes ||op||_F, an upper bound on
+    ||op^-1||^2 is the largest eigenvalue of op^-T op^-1, from one
+    symmetric Lanczos run whose every step makes two LU solves (LAPACK
+    dgetrs, op^-1 then op^-T) and reads its stop test off one dstemr
+    eigenpair of the step's tridiagonal; partial pivoting is backward
+    stable in practice, so the value errs by O(eps kappa(op)) as an SVD's
+    does.  The singularity test takes ||op||_F, an upper bound on
     sigma_max, in place of sigma_max.  The empty operator (the map on the
     zero space, d = 1) has an inverse of norm 0.
     """
@@ -324,14 +310,15 @@ def _lanczos_inverse_norm(op, overwrite):
 
     def solve(x, trans=0):
         # op^-T x = U^-1 L^-1 P^T x, or with trans op^-1 x = P L^-T U^-T x.
-        # |y| > limit for a unit x means sigma_min < SINGULAR_REL_TOL
-        # sigma_max; this also catches a tiny pivot and keeps norms finite.
+        # |y| > limit ||x|| means sigma_min < SINGULAR_REL_TOL sigma_max;
+        # this also catches a tiny pivot and keeps norms finite.
         y = dgetrs(lu, piv, x, trans=trans)[0]
-        if not np.abs(y).max() <= limit:
+        if not np.abs(y).max() <= limit * np.linalg.norm(x):
             raise SingularOperator("operator is numerically singular")
         return y
 
-    inv_norm = _largest_singular(solve, lambda x: solve(x, 1), size, LANCZOS_TOL)
+    # ||op^-1||^2 is the largest eigenvalue of op^-T op^-1
+    inv_norm = np.sqrt(_largest_eigenvalue(lambda x: solve(solve(x, 1)), size, LANCZOS_TOL))
     if SINGULAR_REL_TOL * fro * inv_norm > 1.0:
         raise SingularOperator("operator is numerically singular")
     return float(inv_norm / scale)
@@ -348,8 +335,10 @@ def _exact_frame_gram(gt, u_circ):
         raise DimensionMismatch("frame dimension does not match matrix set")
     key = u_circ.tobytes()
     if key not in cache:
-        # finite first: an inf frame would warn inside the matmul of the loss
-        if not (np.all(np.isfinite(u_circ)) and loss(u_circ, clean) <= 1e-8):
+        # finite first: an inf frame would warn inside the matmul of the loss;
+        # the loss is measured against sum ||M_n||^2, so the test is scale-free
+        tol = 1e-8 * gt.noise_free.m_norm**2
+        if not (np.all(np.isfinite(u_circ)) and loss(u_circ, clean) <= tol):
             raise DimensionMismatch("frame does not triangularize the noiseless matrices")
         gram = gauss_newton_matrix(rotated(u_circ, clean))
         cache[key] = gram, inverse_spectral_norm(gram)

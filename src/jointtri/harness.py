@@ -93,17 +93,17 @@ def gen_ground_truth(spec, sigma=0.0):
     return bd.GroundTruthModel(v=v, lambda_table=lam, noise=noise, sigma=sigma)
 
 
-def gen_components(d, kappa_target=2.0, seed=0, min_col_frac=0.3, max_tries=1000):
+def gen_components(d, kappa_target=2.0, seed=0):
     """Component matrix with condition number kappa_target (exactly).
 
-    Rejection-samples the orthogonal factors until every column sum is
-    bounded away from zero (relative to the column scale), so the
-    observable-matrix construction is well posed.
+    Rejection-samples the orthogonal factors (up to 1000 tries) until every
+    column sum is at least 0.3 ||Z||_F / d, so the observable-matrix
+    construction is well posed.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(1000):
         z = _conditioned(rng, d, kappa_target)
-        col_floor = min_col_frac * np.linalg.norm(z) / d
+        col_floor = 0.3 * np.linalg.norm(z) / d
         if np.min(np.abs(z.sum(axis=0))) >= col_floor:
             return z
     raise DegenerateSpectrum("could not sample components with nonzero column sums")

@@ -69,22 +69,22 @@ def blockwise_norm(x, ndim=2):
     return np.sqrt(np.vecdot(flat, flat))[()]
 
 
-def _require_skew(x, tol=SKEW_TOL):
+def _require_skew(x):
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
         raise DimensionMismatch(f"skew direction must be square, got shape {x.shape}")
-    if not (np.all(np.isfinite(x)) and np.max(np.abs(x + x.swapaxes(-1, -2))) <= tol):
+    if not (np.all(np.isfinite(x)) and np.max(np.abs(x + x.swapaxes(-1, -2))) <= SKEW_TOL):
         raise DimensionMismatch("matrix is not skew-symmetric within tolerance")
     return x
 
 
-def require_orthogonal(u, tol=ORTHO_TOL):
-    """Validate that U is finite with ||U^T U - I||_F <= tol; return it as floats."""
+def require_orthogonal(u):
+    """Validate that U is finite with ||U^T U - I||_F <= ORTHO_TOL; return it as floats."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"orthogonal frame must be square, got shape {u.shape}")
     d = u.shape[0]
-    if not (np.all(np.isfinite(u)) and np.linalg.norm(u.T @ u - np.eye(d)) <= tol):
+    if not (np.all(np.isfinite(u)) and np.linalg.norm(u.T @ u - np.eye(d)) <= ORTHO_TOL):
         raise DimensionMismatch("matrix is not orthogonal within tolerance")
     return u
 

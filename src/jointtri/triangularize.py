@@ -246,12 +246,12 @@ def hessian_form(u, mset, x):
     return float(total)
 
 
-def _fix_column_signs(u, tol=1e-12):
+def _fix_column_signs(u):
     """Flip column signs so the first significant entry of each is positive
     (over a leading trial axis too): a column flips when its first
     significant entry is also its first significant negative one."""
     mag = np.abs(u)
-    significant = mag > tol * mag.max(axis=-2, initial=1.0, keepdims=True)
+    significant = mag > 1e-12 * mag.max(axis=-2, initial=1.0, keepdims=True)
     negative = significant & (u < 0)
     flip = negative.any(axis=-2) & (negative.argmax(axis=-2) == significant.argmax(axis=-2))
     return np.where(flip[..., None, :], -u, u)

@@ -21,10 +21,13 @@ class of every frame against it.  unit_noise draws one noise matrix, as
 harness.sample_noise did before it drew a trial's n at once.
 gauss_newton_product_skew (X from skew_from_lower, S - S^T formed whole),
 gauss_newton_diagonal_gathers (two-dimensional gathers) and
-largest_singular_listed (Krylov bases rebuilt from lists at every step)
-are the earlier forms of jointtri.commutator.gauss_newton_product,
-gauss_newton_diagonal and jointtri.bounds._largest_singular; tests check
-each against its oracle bit for bit.  dense_jacobian builds the descent's
+largest_eigenvalue_listed (the Krylov basis rebuilt from lists at every
+step) are the earlier forms of jointtri.commutator.gauss_newton_product,
+gauss_newton_diagonal and jointtri.bounds._largest_eigenvalue; tests check
+each against its oracle bit for bit.  largest_singular_listed is the
+two-sided Golub-Kahan-Lanczos run that _largest_eigenvalue replaced, with
+its Ritz triple from a dense SVD; a test checks the square of its value
+against _largest_eigenvalue's.  dense_jacobian builds the descent's
 Jacobian J one strictly-lower pair at a time.  inverse_spectral_norm_qr
 is the earlier large-operator path of jointtri.bounds.inverse_spectral_norm
 (a QR factor in place of the LU); tests check the LU value against it and
@@ -369,10 +372,36 @@ def gauss_newton_diagonal_gathers(a):
     )
 
 
+def largest_eigenvalue_listed(apply, n, tol):
+    """bounds._largest_eigenvalue with the Krylov basis and the
+    tridiagonal's two diagonals kept as lists, made into arrays at every
+    step; the top Ritz pair comes from the same bounds._top_eigenpair."""
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
+    vs, alphas, betas = [v], [], []
+    for k in range(1, n + 1):
+        w = apply(v)
+        basis = np.array(vs)
+        h = basis @ w
+        w -= basis.T @ h
+        c = basis @ w
+        w -= basis.T @ c
+        alphas.append(h[-1] + c[-1])
+        beta = np.linalg.norm(w)
+        theta, s_k = bd._top_eigenpair(np.array(alphas), np.array(betas))
+        if k == n or beta * s_k <= tol * theta:
+            return theta
+        betas.append(beta)
+        v = w / beta
+        vs.append(v)
+
+
 def largest_singular_listed(apply, apply_t, n, tol):
-    """bounds._largest_singular with the Krylov bases and the bidiagonal's
-    two diagonals kept as lists, made into arrays at every step; the top
-    Ritz pair comes from the same bounds._top_singular."""
+    """sigma_max of the n x n map x -> apply(x) by two-sided
+    Golub-Kahan-Lanczos, the reference for bounds._largest_eigenvalue:
+    full reorthogonalization of both Krylov bases, the fixed-seed start
+    vector, and a stop once the top Ritz triple's residual beta_k |u_k| is
+    at most tol * theta, read off an SVD of the step's bidiagonal."""
     v = np.random.default_rng(0).standard_normal(n)
     v /= np.linalg.norm(v)
     us, vs, alphas, betas = [], [v], [], []
@@ -390,9 +419,10 @@ def largest_singular_listed(apply, apply_t, n, tol):
         w -= basis.T @ (basis @ w)
         w -= basis.T @ (basis @ w)
         beta = np.linalg.norm(w)
-        theta, u_k = bd._top_singular(np.array(alphas), np.array(betas))
+        left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        theta, u_k = s[0], abs(left[-1, 0])
         if k == n or beta * u_k <= tol * theta:
-            return theta
+            return float(theta)
         betas.append(beta)
         v = w / beta
         vs.append(v)
@@ -415,9 +445,10 @@ def dense_jacobian(a):
 def inverse_spectral_norm_qr(op):
     """bounds.inverse_spectral_norm of one operator of at least
     LANCZOS_MIN_SIZE rows through a QR factor: op^T = QR by numpy's LAPACK
-    on a copy, and ||op^-1|| = ||R^-1|| from one Golub-Kahan-Lanczos run
-    on the triangular solves with R, under the same scaling by
-    max |op_ij|, solve limit and singularity test as the LU path."""
+    on a copy, and ||op^-1||^2 = ||R^-1||^2 from one symmetric Lanczos
+    run on R^-1 R^-T, two triangular solves with R a step, under the same
+    scaling by max |op_ij|, solve limit and singularity test as the LU
+    path."""
     size = op.shape[0]
     a = np.array(op, dtype=float, order="C")
     flat = a.reshape(-1)
@@ -437,11 +468,12 @@ def inverse_spectral_norm_qr(op):
 
     def solve(x, trans=0):
         y = dtrsv(r, x, trans=trans)
-        if not np.abs(y).max() <= limit:
+        if not np.abs(y).max() <= limit * np.linalg.norm(x):
             raise SingularOperator("operator is numerically singular")
         return y
 
-    inv_norm = bd._largest_singular(solve, lambda x: solve(x, 1), size, bd.LANCZOS_TOL)
+    inv_norm = np.sqrt(bd._largest_eigenvalue(lambda x: solve(solve(x, 1)), size,
+                                              bd.LANCZOS_TOL))
     if bd.SINGULAR_REL_TOL * fro * inv_norm > 1.0:
         raise SingularOperator("operator is numerically singular")
     return float(inv_norm / scale)

@@ -26,10 +26,12 @@ such directories and prints one line per command whose exit code or output
 differs, naming the non-float differences (presence, keys, lengths, types,
 values) and the largest ``|a-b| / max(|a|, |b|)`` over the output's
 floats with its path, then a summary line with the count per subcommand.
-The exit status is 1 on any non-float difference.
+The exit status is 1 on any non-float difference, and with ``--rtol X``
+also when any float differs by more than X relative, so one command gates
+a declared output change.
 
     PYTHONPATH=src python tests/output_hashes.py --keep before/ > /dev/null
-    PYTHONPATH=src python tests/output_hashes.py --compare before/ after/
+    PYTHONPATH=src python tests/output_hashes.py --compare before/ after/ --rtol 1e-13
 
 The set:
 - ``generate`` plus ``verify --trials 4`` on the verify_d4 benchmark pool
@@ -306,10 +308,11 @@ def kept_commands(keep):
     return out
 
 
-def compare(dir_a, dir_b):
-    """(lines, beyond_floats): one line per command of either kept
-    directory whose exit code or output differs, then a summary line; and
-    whether any difference is more than a float's value."""
+def compare(dir_a, dir_b, rtol=float("inf")):
+    """(lines, failed): one line per command of either kept directory
+    whose exit code or output differs, then a summary line; and whether
+    any difference is more than a float's value, or a float differs by
+    more than rtol relative."""
     runs = kept_commands(dir_a), kept_commands(dir_b)
     lines, per_command, beyond, worst = [], {}, 0, (0.0, "")
     for name in list(runs[0]) + [n for n in runs[1] if n not in runs[0]]:
@@ -340,7 +343,7 @@ def compare(dir_a, dir_b):
         + (f" ({counts})" if counts else "")
         + f"; {beyond} beyond float values; largest relative difference {worst[0]:.3g}"
         + (f" at {worst[1]}" if worst[1] else ""))
-    return lines, beyond > 0
+    return lines, beyond > 0 or worst[0] > rtol
 
 
 def main(argv=None):
@@ -353,12 +356,15 @@ def main(argv=None):
                         help="run the commands in DIR and keep every output there")
     parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
                         help="run nothing; compare the outputs kept in two directories")
+    parser.add_argument("--rtol", type=float, default=float("inf"), metavar="X",
+                        help="with --compare, also fail when a float differs by more "
+                             "than X relative")
     args = parser.parse_args(argv)
     if args.compare:
-        lines, beyond_floats = compare(*args.compare)
+        lines, failed = compare(*args.compare, args.rtol)
         for line in lines:
             print(line)
-        return 1 if beyond_floats else 0
+        return 1 if failed else 0
     digest = value_digest if args.values else byte_digest
     if args.against is None:
         listing(print, digest, args.keep)

@@ -47,6 +47,7 @@ from jointtri.triangularize import (
 from oracle import (
     enumerate_exact_triangularizers,
     inverse_spectral_norm_qr,
+    largest_eigenvalue_listed,
     largest_singular_listed,
 )
 
@@ -315,46 +316,63 @@ def generated_t_beta(tmp_path_factory):
     return build
 
 
-class TestLargestSingular:
-    """The Krylov bases and bidiagonal held in arrays that double give the
-    bits of the bases rebuilt from lists at every step."""
+class TestLargestEigenvalue:
+    """The Krylov basis and tridiagonal held in arrays that double give the
+    bits of the basis rebuilt from lists at every step."""
 
     @pytest.mark.parametrize("d", [20, 24, 32])
-    def test_generated_t_beta_has_the_bits_of_the_listed_bases(
+    def test_generated_t_beta_has_the_bits_of_the_listed_basis(
         self, generated_t_beta, monkeypatch, d
     ):
         op = generated_t_beta(d)
         assert op.shape[0] == d * (d - 1) // 2 >= LANCZOS_MIN_SIZE
         value = inverse_spectral_norm(op)
-        monkeypatch.setattr(bounds, "_largest_singular", largest_singular_listed)
+        monkeypatch.setattr(bounds, "_largest_eigenvalue", largest_eigenvalue_listed)
         assert np.float64(value).tobytes() == np.float64(inverse_spectral_norm(op)).tobytes()
 
     @pytest.mark.parametrize("n, tol", [
         (5, 0.0),  # within the first block, up to k = n
         (33, 0.0),  # one row past the first block, up to k = n
-        (100, LANCZOS_TOL),  # into the second block (42 steps)
-        (300, LANCZOS_TOL),  # (58 steps)
+        (100, LANCZOS_TOL),  # into the second block
+        (300, LANCZOS_TOL),
     ])
-    def test_random_operator_has_the_bits_of_the_listed_bases(self, n, tol):
+    def test_random_operator_has_the_bits_of_the_listed_basis(self, n, tol):
         m = np.random.default_rng(n).standard_normal((n, n))
         calls = []
 
         def apply(x):
             calls.append(None)
-            return m @ x
+            return m.T @ (m @ x)
 
-        value = bounds._largest_singular(apply, lambda x: m.T @ x, n, tol)
+        value = bounds._largest_eigenvalue(apply, n, tol)
         assert len(calls) == n if tol == 0.0 else len(calls) > bounds._LANCZOS_BLOCK
-        expected = largest_singular_listed(lambda x: m @ x, lambda x: m.T @ x, n, tol)
+        expected = largest_eigenvalue_listed(lambda x: m.T @ (m @ x), n, tol)
         assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
+    @pytest.mark.parametrize("d", [20, 24, 32])
+    def test_generated_t_beta_matches_golub_kahan_lanczos(self, generated_t_beta, d):
+        """On the LU solves of T_beta, the top eigenvalue of op^-T op^-1 is
+        the square of the two-sided Golub-Kahan-Lanczos sigma_max of op^-T
+        within 16 eps."""
+        op = generated_t_beta(d)
+        size = op.shape[0]
+        lu, piv, info = scipy.linalg.lapack.dgetrf(op.T)
+        assert info == 0
 
-def bidiagonal(kind, k, seed):
-    """(alphas, betas) of a k x k upper bidiagonal: random entries; graded
-    ones, each diagonal falling over up to 15 decades; or a cluster, every
-    singular value but the top within about 1e-9 of 1 (repeated ones
-    too), the top one a separated alpha of 2 to 3 at a random row.  A top
-    singular value inside a cluster leaves |u_k| undetermined in any
+        def solve(x, trans=0):
+            return scipy.linalg.lapack.dgetrs(lu, piv, x, trans=trans)[0]
+
+        sigma = largest_singular_listed(solve, lambda x: solve(x, 1), size, LANCZOS_TOL)
+        value = bounds._largest_eigenvalue(lambda x: solve(solve(x, 1)), size, LANCZOS_TOL)
+        assert abs(value / sigma**2 - 1.0) <= 16 * EPS
+
+
+def tridiagonal(kind, k, seed):
+    """(alphas, betas) of a k x k symmetric tridiagonal: random entries;
+    graded ones, each diagonal falling over up to 15 decades; or a
+    cluster, every eigenvalue but the top within about 1e-9 of 1 (repeated
+    ones too), the top one a separated alpha of 2 to 3 at a random row.  A
+    top eigenvalue inside a cluster leaves |s_k| undetermined in any
     method (it moves by eps / gap), so the cluster stays below it."""
     rng = np.random.default_rng(seed)
     if kind == "random":
@@ -369,9 +387,13 @@ def bidiagonal(kind, k, seed):
     return alphas, betas
 
 
-class TestTopSingular:
-    """The top singular value and |u_k| of a bidiagonal, from one dstemr
-    eigenpair of its Golub-Kahan tridiagonal, against a dense SVD."""
+def tridiagonal_eigh(alphas, betas):
+    return np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+
+
+class TestTopEigenpair:
+    """The top eigenvalue and |s_k| of a tridiagonal, from one dstemr
+    eigenpair, against a dense eigh."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -379,16 +401,16 @@ class TestTopSingular:
         k=st.integers(1, 64),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_svd(self, kind, k, seed):
-        alphas, betas = bidiagonal(kind, k, seed)
-        left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
-        s_max, u_k = bounds._top_singular(alphas, betas)
-        assert abs(s_max / s[0] - 1.0) <= 16 * k * EPS
-        assert abs(u_k - abs(left[-1, 0])) <= 1e-12
+    def test_matches_eigh(self, kind, k, seed):
+        alphas, betas = tridiagonal(kind, k, seed)
+        w, z = tridiagonal_eigh(alphas, betas)
+        theta, s_k = bounds._top_eigenpair(alphas, betas)
+        assert abs(theta - w[-1]) <= 16 * k * EPS * np.abs(w).max()
+        assert abs(s_k - abs(z[-1, -1])) <= 1e-12
 
-    def test_nonzero_info_takes_the_svd(self, monkeypatch):
-        alphas, betas = bidiagonal("random", 9, 7)
-        left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+    def test_nonzero_info_takes_eigh(self, monkeypatch):
+        alphas, betas = tridiagonal("random", 9, 7)
+        w, z = tridiagonal_eigh(alphas, betas)
         dstemr, calls = bounds.dstemr, []
 
         def failing(*args, **kwargs):
@@ -397,7 +419,7 @@ class TestTopSingular:
             return m, w, z, 1
 
         monkeypatch.setattr(bounds, "dstemr", failing)
-        assert bounds._top_singular(alphas, betas) == (float(s[0]), float(abs(left[-1, 0])))
+        assert bounds._top_eigenpair(alphas, betas) == (float(w[-1]), float(abs(z[-1, -1])))
         assert_matches_svd(operator_with_spectrum(spectrum("clustered", ABOVE), seed=3))
         assert len(calls) > 2
 
@@ -458,11 +480,11 @@ class TestInverseSpectralNorm:
                 inverse_spectral_norm(op)
 
     def test_d32_cost_guard(self, generated_t_beta, monkeypatch):
-        """One LU, no QR, no SVD (the operator's or a step's bidiagonal's),
-        and one Lanczos run of at most 40 steps, each reading one dstemr
-        eigenpair."""
+        """One LU, no QR, no SVD of the operator, no eigh of a step's
+        tridiagonal, and one Lanczos run of at most 40 steps, each reading
+        one dstemr eigenpair."""
         op = generated_t_beta(32)
-        calls = {"dgetrf": 0, "dgetrs": 0, "dstemr": 0, "_largest_singular": 0}
+        calls = {"dgetrf": 0, "dgetrs": 0, "dstemr": 0, "_largest_eigenvalue": 0}
         for name in calls:
             monkeypatch.setattr(bounds, name, counted(calls, name, getattr(bounds, name)))
 
@@ -473,10 +495,11 @@ class TestInverseSpectralNorm:
             return call
 
         monkeypatch.setattr(np.linalg, "svd", refused("SVD"))
+        monkeypatch.setattr(np.linalg, "eigh", refused("eigh"))
         monkeypatch.setattr(lapack_lite, "dgeqrf", refused("QR factorization"))
         monkeypatch.setattr(scipy.linalg.lapack, "dgeqrf", refused("QR factorization"))
         inverse_spectral_norm(op)
-        assert calls["dgetrf"] == calls["_largest_singular"] == 1
+        assert calls["dgetrf"] == calls["_largest_eigenvalue"] == 1
         # each step applies op^-1 and op^-T, one LU solve each
         assert 0 < calls["dgetrs"] == 2 * calls["dstemr"] <= 2 * 40
 
@@ -647,6 +670,19 @@ class TestAPrioriBound:
             for bound in (a_priori_bound, predicted_direction):
                 with pytest.raises(DimensionMismatch):
                     bound(gt, bad)
+
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-5])
+    def test_exact_frame_test_is_scale_free(self, scale):
+        """A frame 0.3 rad from every exact frame is refused at any scale of
+        the lambda table: the loss is measured against sum ||M_n||^2."""
+        gt = diagonal_model(scale * np.array([[1.0, 2.0, 4.0], [0.0, 1.0, 3.0]]), sigma=1e-3)
+        c, s = np.cos(0.3), np.sin(0.3)
+        off = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        for bound in (a_priori_bound, predicted_direction):
+            with pytest.raises(DimensionMismatch):
+                bound(gt, off)
+        assert a_priori_bound(gt, np.eye(3)) > 0.0
 
 
 class TestExplicitBound:

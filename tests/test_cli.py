@@ -554,6 +554,16 @@ class TestCliCommands:
         assert capsys.readouterr().err.strip() == "NoComparableFrame"
         assert not out.exists()
 
+    def test_bounds_accepts_the_exact_frame_of_a_large_gap_model(self, tmp_path):
+        # at gamma = 1e24 the exact frame's rounding loss is about 3e-7,
+        # small against sum ||M_n||^2 but not against an absolute 1e-8
+        model = tmp_path / "model.json"
+        assert cli(
+            "generate", "--kind", "model", "--d", 4, "--N", 4, "--kappa", 3,
+            "--gamma", 1e24, "--sigma", 1e-3, "--seed", 7, "--output", model,
+        ) == 0
+        assert cli("bounds", "--input", model, "--output", tmp_path / "b.json") == 0
+
     def test_studies_run_above_five_dimensions(self, tmp_path):
         model = tmp_path / "model.json"
         assert cli(
@@ -1037,3 +1047,13 @@ class TestOutputHashesCompare:
                                    "tensor 1); 3 beyond float values")
         assert beyond
         assert output_hashes.main(["--compare", str(a), str(b)]) == 1
+
+    def test_rtol_gates_float_differences(self, monkeypatch, tmp_path):
+        output_hashes, a, b = self.kept_runs(monkeypatch, tmp_path)
+        out = io.load(str(b / "m.tri"))
+        out["loss"] *= 1 + 2.0**-20  # 9.54e-07 relative
+        io.dump_canonical(out, str(b / "m.tri"))
+        argv = ["--compare", str(a), str(b)]
+        assert output_hashes.main(argv) == 0
+        assert output_hashes.main(argv + ["--rtol", "0"]) == 1
+        assert output_hashes.main(argv + ["--rtol", "1e-6"]) == 0
